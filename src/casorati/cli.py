@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -356,6 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate "-0.1,..." as an option; bind it to --point.
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--point" and re.match(r"-[0-9.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"--point={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

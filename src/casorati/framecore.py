@@ -265,26 +265,6 @@ def restrict_to_hyperplane(coeffs: np.ndarray, hp: Hyperplane) -> np.ndarray:
     return basis.T @ coeffs @ basis
 
 
-def project_onto_hyperplane(coeffs: np.ndarray, hp: Hyperplane) -> np.ndarray:
-    """Alias of :func:`restrict_to_hyperplane`."""
-    return restrict_to_hyperplane(coeffs, hp)
-
-
-def hyperplane_frobenius_sq(coeffs: np.ndarray, normal: np.ndarray) -> float:
-    """Frobenius^2 of (I - nn^T) B (I - nn^T) without building a hyperplane basis.
-
-    Works for any square B (frame coefficients) and unit normal n in frame
-    coefficients. Agrees with restrict_to_hyperplane + Frobenius^2.
-    """
-    b = np.asarray(coeffs, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    bn = b @ n
-    nb = b.T @ n
-    nbn = float(n @ bn)
-    # ||B||^2 - ||Bn||^2 - ||B^T n||^2 + (n^T B n)^2, expanded from the projector.
-    return float(np.sum(b * b) - bn @ bn - nb @ nb + nbn * nbn)
-
-
 def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
     """Columns: an orthonormal basis of the hyperplane normal^perp in R^r."""
     r = normal.shape[0]

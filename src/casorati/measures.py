@@ -7,9 +7,10 @@ Given coefficients B_alpha (one r x r matrix per normal direction alpha):
     delta_C(r-1)     = C/2 + ((r+1)/(2r)) * inf_n C^L(n)
     delta-hat_C(r-1) = 2C  - ((2r-1)/(2r)) * sup_n C^L(n)
 
-The inf/sup run over all hyperplanes of the r-dimensional frame. They are
-computed by a multi-start projected-gradient optimizer over unit normals and
-can be certified against a dense sphere-grid oracle. The proof polynomials
+The inf/sup run over all hyperplanes of the r-dimensional frame: in closed
+form for antisymmetric data or one normal, else by a sphere solver batched
+over many starts. Both can be certified against a dense sphere-grid oracle
+that the same solver polishes. The proof polynomials
 
     P = r(r-1)/2 * C + (r^2-1)/2 * C^L + scal_gap
     Q = 2r(r-1)  * C - (r-1)(2r-1)/2 * C^L + scal_gap
@@ -36,10 +37,14 @@ ROLES = (ROLE_B, ROLE_T, ROLE_A)
 
 SYMMETRY_TOL = 1e-9
 GRAD_NORM_TOL = 1e-10
+ROUNDING_TOL = 1e-14
+SOLVER_MAX_ITER = 400
 SCAN_PER_DIM = 256
 EQUALITY_TOL = 1e-7
 CERTIFY_REL_TOL = 1e-4
 GRID_PER_DIM = 10_000
+GRID_SLICE = 8192
+POLISH_LEADERS = 8
 
 
 @dataclass(frozen=True)
@@ -149,119 +154,153 @@ def casorati_on_hyperplane(coeffs: FormCoefficients, hp: Hyperplane) -> float:
     """C^L = (1/(r-1)) * sum_alpha || B_alpha restricted to the hyperplane ||_F^2."""
     if hp.r != coeffs.r:
         raise DimensionMismatch("hyperplane and coefficients have different r")
-    return _restricted_sum(coeffs.coeffs, hp.unit_normal) / (coeffs.r - 1)
+    return float(restricted_sum(coeffs.coeffs, hp.unit_normal[None])[0]) / (coeffs.r - 1)
 
 
-def _restricted_sum(mats: np.ndarray, normal: np.ndarray) -> float:
-    bn = np.einsum("sij,j->si", mats, normal)
-    btn = np.einsum("sij,i->sj", mats, normal)
-    nbn = np.einsum("si,i->s", bn, normal)
-    return float(
-        np.einsum("sij,sij->", mats, mats)
-        - np.einsum("si,si->", bn, bn)
-        - np.einsum("si,si->", btn, btn)
-        + nbn @ nbn
-    )
+def _expand(mats: np.ndarray, normals: np.ndarray):
+    """The restricted sum and the products its gradient reuses.
 
-
-def _restricted_sum_gradient(mats: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Gradient of sum_alpha ||(I-nn^T) B_alpha (I-nn^T)||_F^2 in n (unconstrained)."""
-    bn = np.einsum("sij,j->si", mats, n)
-    btn = np.einsum("sij,i->sj", mats, n)
-    nbn = np.einsum("si,i->s", bn, n)
-    return (
-        -2.0 * np.einsum("sij,si->j", mats, bn)
-        - 2.0 * np.einsum("sij,sj->i", mats, btn)
-        + 2.0 * np.einsum("s,si->i", nbn, bn + btn)
-    )
-
-
-def _projected_gradient(
-    mats: np.ndarray, n0: np.ndarray, sign: float, max_iter: int = 400
-) -> tuple[np.ndarray, float, int]:
-    """Minimize sign * objective over the unit sphere from n0; returns (n, value, iters).
-
-    Spectral (Barzilai-Borwein) step lengths with an Armijo backtracking
-    safeguard: the BB step adapts to the local curvature of the quartic, the
-    backtracking keeps every accepted step a genuine decrease.
+    B and B^T are stacked over alpha into (..., s*r, r), so that B_alpha n and
+    B_alpha^T n come out of one matrix product each, as (..., s*r, k) columns.
     """
+    s, r = mats.shape[-3], mats.shape[-1]
+    flat = mats.reshape(mats.shape[:-3] + (s * r, r))
+    flat_t = np.swapaxes(mats, -1, -2).reshape(flat.shape)
+    bn = flat @ np.swapaxes(normals, -1, -2)
+    btn = flat_t @ np.swapaxes(normals, -1, -2)
+    per_alpha = bn.reshape(bn.shape[:-2] + (s, r, bn.shape[-1]))
+    nbn = np.einsum("...aik,...ki->...ak", per_alpha, normals)
+    value = (
+        np.einsum("...aij,...aij->...", mats, mats)[..., None]
+        - np.einsum("...ik,...ik->...k", bn, bn)
+        - np.einsum("...ik,...ik->...k", btn, btn)
+        + np.einsum("...ak,...ak->...k", nbn, nbn)
+    )
+    return value, flat, flat_t, bn, btn, nbn
+
+
+def restricted_sum(mats: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """sum_alpha ||(I - nn^T) B_alpha (I - nn^T)||_F^2 at every unit normal n.
+
+    ``mats`` is (..., s, r, r) and ``normals`` is (..., k, r) with the same
+    leading shape; the result is (..., k). Expanding the projectors gives
+    ||B||^2 - ||B n||^2 - ||B^T n||^2 + sum_alpha (n^T B_alpha n)^2.
+    """
+    return _expand(mats, normals)[0]
+
+
+def restricted_sum_gradient(mats: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(restricted_sum, its unconstrained gradient in n), shapes (..., k) and (..., k, r)."""
+    value, flat, flat_t, bn, btn, nbn = _expand(mats, normals)
+    both = (bn + btn).reshape(nbn.shape[:-1] + mats.shape[-1:] + nbn.shape[-1:])
+    grad = np.swapaxes(np.swapaxes(flat, -1, -2) @ bn + np.swapaxes(flat_t, -1, -2) @ btn, -1, -2)
+    return value, -2.0 * grad + 2.0 * np.einsum("...ak,...aik->...ki", nbn, both)
+
+
+def closed_form_normals(mats: np.ndarray, antisymmetric: bool):
+    """Exact (minimizing, maximizing) unit normals, batched over (..., s, r, r); else None.
+
+    Antisymmetric A, any s: n^T A n = 0, so the sum is ||A||^2 - 2 n^T (sum
+    A^T A) n, extremal at the top and bottom eigenvectors of sum A^T A.
+    One symmetric B (s = 1): with w_i = n_i^2 in B's eigenbasis the sum is
+    ||B||^2 - 2 lambda^2.w + (lambda.w)^2. On the simplex, (lambda.w,
+    lambda^2.w) fills the hull of the parabola points (lambda_i, lambda_i^2),
+    and the sum falls as the second coordinate grows. So the sup sits at the
+    vertex of least lambda_i^2, and the inf on the chord from lambda_min to
+    lambda_max, at weight lambda_max / (lambda_max - lambda_min) on
+    lambda_max, clipped to [0, 1]. Symmetric data with s >= 2 returns None.
+    """
+    if antisymmetric:
+        _, vecs = np.linalg.eigh(np.einsum("...aji,...ajk->...ik", mats, mats))
+        return vecs[..., -1], vecs[..., 0]
+    if mats.shape[-3] != 1:
+        return None
+    lam, vecs = np.linalg.eigh(mats[..., 0, :, :])
+    lo, hi = lam[..., 0], lam[..., -1]
+    gap = hi - lo
+    t = np.clip(np.divide(hi, gap, out=np.zeros_like(gap), where=gap > 0), 0.0, 1.0)
+    n_inf = np.sqrt(1.0 - t)[..., None] * vecs[..., 0] + np.sqrt(t)[..., None] * vecs[..., -1]
+    least = np.argmin(lam * lam, axis=-1)[..., None, None]
+    return n_inf, np.take_along_axis(vecs, least, axis=-1)[..., 0]
+
+
+def _tangent_gradient(mats: np.ndarray, normals: np.ndarray, signs: np.ndarray):
+    """Signed objective and its gradient projected onto the sphere's tangent space."""
+    value, grad = restricted_sum_gradient(mats, normals)
+    grad = signs[:, None] * grad
+    return signs * value, grad - np.sum(grad * normals, axis=1, keepdims=True) * normals
+
+
+def _sphere_extrema(
+    mats: np.ndarray, low_starts: np.ndarray, high_starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(best minimizer, best maximizer, iterations summed over starts) in one batch.
+
+    Projected gradient on the unit sphere, minimizing from the low starts and
+    maximizing from the high ones. Each start keeps its own Barzilai-Borwein
+    step, halved when the Armijo test fails, and stops once its projected
+    gradient is within GRAD_NORM_TOL of the scale or its step collapses. The
+    Armijo test forgives rises below ROUNDING_TOL of the scale: near an
+    optimum the objective's rounding outgrows the predicted decrease long
+    before the gradient reaches its tolerance.
+    """
+    signs = np.repeat([1.0, -1.0], [len(low_starts), len(high_starts)])
+    n = np.vstack([low_starts, high_starts])
+    n = n / np.linalg.norm(n, axis=1, keepdims=True)
     scale = 1.0 + float(np.sum(mats * mats))
-    n = n0 / np.linalg.norm(n0)
-    f = sign * _restricted_sum(mats, n)
-    grad = sign * _restricted_sum_gradient(mats, n)
-    pg = grad - (grad @ n) * n
-    t = 1.0 / scale
-    iters = 0
-    stagnant = 0
-    for iters in range(1, max_iter + 1):
-        gn = float(np.linalg.norm(pg))
-        if gn <= GRAD_NORM_TOL * scale:
+    tol = GRAD_NORM_TOL * scale
+    f, pg = _tangent_gradient(mats, n, signs)
+    step = np.full(len(n), 1.0 / scale)
+    iters = np.zeros(len(n), dtype=int)
+    running = np.linalg.norm(pg, axis=1) > tol
+    for _ in range(SOLVER_MAX_ITER):
+        idx = np.flatnonzero(running)
+        if idx.size == 0:
             break
-        step = t
-        improved = False
-        while step > 1e-18:
-            cand = n - step * pg
-            cand /= np.linalg.norm(cand)
-            fc = sign * _restricted_sum(mats, cand)
-            if fc <= f - 1e-4 * step * gn * gn:
-                grad = sign * _restricted_sum_gradient(mats, cand)
-                pg_new = grad - (grad @ cand) * cand
-                s_vec = cand - n
-                y_vec = pg_new - pg
-                sy = abs(float(s_vec @ y_vec))
-                yy = float(y_vec @ y_vec)
-                t = min(sy / yy, 1e6) if sy > 0.0 and yy > 0.0 else 1.0 / scale
-                stagnant = stagnant + 1 if f - fc <= 1e-14 * scale else 0
-                n, f, pg = cand, fc, pg_new
-                improved = True
-                break
-            step *= 0.5
-        if not improved or stagnant >= 3:
+        n0, pg0, t0 = n[idx], pg[idx], step[idx]
+        cand = n0 - t0[:, None] * pg0
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        fc, pgc = _tangent_gradient(mats, cand, signs[idx])
+        ok = fc <= f[idx] - 1e-4 * t0 * np.sum(pg0 * pg0, axis=1) + ROUNDING_TOL * scale
+        s_vec, y_vec = cand - n0, pgc - pg0
+        sy = np.abs(np.sum(s_vec * y_vec, axis=1))
+        yy = np.sum(y_vec * y_vec, axis=1)
+        bb = np.minimum(sy / np.where(yy > 0.0, yy, 1.0), 1e6)
+        bb = np.where((sy > 0.0) & (yy > 0.0), bb, 1.0 / scale)
+        step[idx] = np.where(ok, bb, 0.5 * t0)
+        moved = idx[ok]
+        n[moved], f[moved], pg[moved] = cand[ok], fc[ok], pgc[ok]
+        iters[idx] += 1
+        running[idx] = (np.linalg.norm(pg[idx], axis=1) > tol) & (step[idx] > 1e-18)
+    low = signs > 0
+    n_min, n_max = n[np.argmin(np.where(low, f, np.inf))], n[np.argmin(np.where(low, np.inf, f))]
+    return n_min, n_max, int(iters.sum())
+
+
+def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Up to k rows of dirs, lowest value first, none within ~18 degrees of an earlier pick."""
+    values = np.array(values, dtype=float)
+    picked = []
+    for _ in range(k):
+        i = int(np.argmin(values))
+        if values[i] == np.inf:
             break
-    return n, sign * f, iters
-
-
-def _objective_batch(mats: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Restricted sum evaluated at every row of ``dirs`` (unit normals)."""
-    total = np.zeros(len(dirs))
-    frob_total = 0.0
-    for b in mats:
-        frob_total += float(np.sum(b * b))
-        bn = dirs @ b.T  # rows: B n
-        btn = dirs @ b  # rows: B^T n
-        nbn = np.einsum("ij,ij->i", dirs, bn)
-        total += -np.einsum("ij,ij->i", bn, bn) - np.einsum("ij,ij->i", btn, btn) + nbn * nbn
-    return total + frob_total
-
-
-def _diverse_leaders(dirs: np.ndarray, order: np.ndarray, k: int) -> list[np.ndarray]:
-    """First k rows of dirs in the given order, skipping near-parallel repeats."""
-    picked: list[np.ndarray] = []
-    for idx in order:
-        d = dirs[idx]
-        if any(abs(float(d @ p)) > 0.95 for p in picked):
-            continue
-        picked.append(d)
-        if len(picked) >= k:
-            break
-    return picked
+        picked.append(dirs[i])
+        values[np.abs(dirs @ dirs[i]) > 0.95] = np.inf
+    return np.array(picked)
 
 
 def _optimizer_starts(mats: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
     """Eigenvectors of sum_alpha B_alpha^T B_alpha, random directions, and the
     basin-diverse leaders of a coarse sphere scan (both objective tails)."""
-    gram = np.zeros((r, r))
-    for b in mats:
-        gram += b.T @ b
-    _, eigvecs = np.linalg.eigh(gram)
+    _, eigvecs = np.linalg.eigh(np.einsum("aji,ajk->ik", mats, mats))
     randoms = rng.standard_normal((r, r))
     randoms /= np.linalg.norm(randoms, axis=1, keepdims=True)
     scan = rng.standard_normal((SCAN_PER_DIM * r, r))
     scan /= np.linalg.norm(scan, axis=1, keepdims=True)
-    total = _objective_batch(mats, scan)
-    leaders = _diverse_leaders(scan, np.argsort(total), 4)
-    leaders += _diverse_leaders(scan, np.argsort(-total), 4)
-    return np.vstack([eigvecs.T, randoms, leaders])
+    total = restricted_sum(mats, scan)
+    leaders = [_diverse_leaders(scan, total, 4), _diverse_leaders(scan, -total, 4)]
+    return np.vstack([eigvecs.T, randoms, *leaders])
 
 
 def delta_casorati(
@@ -269,10 +308,12 @@ def delta_casorati(
 ) -> CasoratiReport:
     """Full report: C, inf/sup of C^L over all hyperplanes, delta values.
 
-    The extrema are found by multi-start projected gradient; the starts mix
-    eigenvectors of sum B^T B, random directions, and the leaders of a coarse
-    sphere scan. With ``certify=True`` the result is checked against the dense
-    grid oracle and the report's ``certified`` flag records the outcome.
+    Closed forms serve the A role and a single normal, with 0 starts and 0
+    iterations; otherwise the sphere solver runs from eigenvectors of sum
+    B^T B, random directions and the leaders of a coarse sphere scan.
+    ``certify=True`` checks the result against the grid oracle and reports a
+    better grid extremum with its normal. ``converged``: the projected
+    gradient at each reported normal is within GRAD_NORM_TOL.
     """
     r = coeffs.r
     if r < 3:
@@ -280,51 +321,43 @@ def delta_casorati(
     mats = coeffs.coeffs
     c_val = casorati_C(coeffs)
 
-    rng = np.random.default_rng(seed)
-    starts = _optimizer_starts(mats, r, rng)
-    best_min, best_min_n = np.inf, starts[0]
-    best_max, best_max_n = -np.inf, starts[0]
-    total_iters = 0
-    converged = True
-    for n0 in starts:
-        n_min, f_min, it1 = _projected_gradient(mats, n0, +1.0)
-        n_max, f_max, it2 = _projected_gradient(mats, n0, -1.0)
-        total_iters += it1 + it2
-        if f_min < best_min:
-            best_min, best_min_n = f_min, n_min
-        if f_max > best_max:
-            best_max, best_max_n = f_max, n_max
-
-    c_l_inf = best_min / (r - 1)
-    c_l_sup = best_max / (r - 1)
+    closed = closed_form_normals(mats, coeffs.role == ROLE_A)
+    if closed is not None:
+        n_inf, n_sup = closed
+        starts = iterations = 0
+    else:
+        start_dirs = _optimizer_starts(mats, r, np.random.default_rng(seed))
+        n_inf, n_sup, iterations = _sphere_extrema(mats, start_dirs, start_dirs)
+        starts = len(start_dirs)
+    c_l_inf, c_l_sup = (float(v) for v in restricted_sum(mats, np.stack([n_inf, n_sup])) / (r - 1))
 
     certified: bool | None = None
     if certify:
-        grid_inf, _, grid_sup, _ = grid_extrema(coeffs, seed=seed + 1)
+        grid_inf, grid_n_inf, grid_sup, grid_n_sup = grid_extrema(coeffs, seed=seed + 1)
         certified = (
             abs(c_l_inf - grid_inf) <= CERTIFY_REL_TOL * (1.0 + abs(grid_inf))
             and abs(c_l_sup - grid_sup) <= CERTIFY_REL_TOL * (1.0 + abs(grid_sup))
         )
         # The grid may genuinely beat the multi-start; keep the better value.
         if grid_inf < c_l_inf:
-            c_l_inf = grid_inf
-            converged = False
+            c_l_inf, n_inf = grid_inf, grid_n_inf
         if grid_sup > c_l_sup:
-            c_l_sup = grid_sup
-            converged = False
+            c_l_sup, n_sup = grid_sup, grid_n_sup
 
+    _, pg = _tangent_gradient(mats, np.stack([n_inf, n_sup]), np.ones(2))
+    stationary = np.linalg.norm(pg, axis=1) <= GRAD_NORM_TOL * (1.0 + coeffs.norm_squared())
     return CasoratiReport(
         r=r,
         C=c_val,
         C_L_inf=c_l_inf,
         C_L_sup=c_l_sup,
-        inf_normal=best_min_n,
-        sup_normal=best_max_n,
+        inf_normal=n_inf,
+        sup_normal=n_sup,
         delta_C=0.5 * c_val + (r + 1.0) / (2.0 * r) * c_l_inf,
         delta_hat_C=2.0 * c_val - (2.0 * r - 1.0) / (2.0 * r) * c_l_sup,
-        converged=converged,
-        starts=len(starts),
-        iterations=total_iters,
+        converged=bool(stationary.all()),
+        starts=starts,
+        iterations=iterations,
         certified=certified,
     )
 
@@ -335,35 +368,24 @@ def grid_extrema(
     """Brute-force oracle: (C_L_inf, n_inf, C_L_sup, n_sup) from a sphere grid.
 
     Uniform random directions (10^4 per dimension by default) plus coordinate
-    axes, with the best candidates polished by the local optimizer.
+    axes. The sphere solver polishes the POLISH_LEADERS best basin-diverse
+    directions on each side (fewer can all sit in wrong basins), never the
+    multi-starts of ``delta_casorati``.
     """
     r = coeffs.r
     mats = coeffs.coeffs
     count = samples if samples is not None else GRID_PER_DIM * r
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((count, r))
-    dirs = np.vstack([dirs, np.eye(r)])
+    dirs = np.vstack([rng.standard_normal((count, r)), np.eye(r)])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    total = _objective_batch(mats, dirs)
-
-    # Polish a handful of basin-diverse leaders on each side; a single leader
-    # can sit in the wrong basin even on a dense grid.
-    n_min, f_min = _polish_leaders(mats, dirs, np.argsort(total), +1.0)
-    n_max, f_max = _polish_leaders(mats, dirs, np.argsort(-total), -1.0)
-    return f_min / (r - 1), n_min, f_max / (r - 1), n_max
-
-
-def _polish_leaders(
-    mats: np.ndarray, dirs: np.ndarray, order: np.ndarray, sign: float, k: int = 5
-) -> tuple[np.ndarray, float]:
-    picked = _diverse_leaders(dirs, order, k)
-    best_n, best_key = picked[0], np.inf
-    for d in picked:
-        n, f, _ = _projected_gradient(mats, d, sign)
-        if sign * f < best_key:
-            best_n, best_key = n, sign * f
-    return best_n, sign * best_key
+    # Slice by slice, so that the products for the whole grid never coexist.
+    slices = np.split(dirs, range(GRID_SLICE, len(dirs), GRID_SLICE))
+    total = np.concatenate([restricted_sum(mats, part) for part in slices])
+    low, high = (_diverse_leaders(dirs, v, POLISH_LEADERS) for v in (total, -total))
+    n_min, n_max, _ = _sphere_extrema(mats, low, high)
+    f_min, f_max = restricted_sum(mats, np.stack([n_min, n_max])) / (r - 1)
+    return float(f_min), n_min, float(f_max), n_max
 
 
 def proof_polynomial_P(coeffs: FormCoefficients, hp: Hyperplane, scal_gap: float) -> float:

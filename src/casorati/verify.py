@@ -26,8 +26,10 @@ from .measures import (
     CasoratiReport,
     EqualityDiagnosis,
     FormCoefficients,
+    closed_form_normals,
     delta_casorati,
     diagnose_equality,
+    restricted_sum,
 )
 from .rmaps import (
     gauss_map_scalars,
@@ -199,11 +201,11 @@ def classify_invariance(
 def model_reference_part(
     c1: float, c2: float, c3: float, r: int, pnorm2: float, xi_tangent: bool
 ) -> float:
-    """Space-form contribution to the bound: c1 + 3 c2 |P|^2/(r(r-1)) [- 2 c3/r]."""
-    val = c1 + 3.0 * c2 * pnorm2 / (r * (r - 1))
-    if xi_tangent:
-        val -= 2.0 * c3 / r
-    return val
+    """Space-form contribution to the bound: c1 + 3 c2 |P|^2/(r(r-1)) [- 2 c3/r].
+
+    Works elementwise on arrays of trials as well as on scalars.
+    """
+    return c1 + 3.0 * c2 * pnorm2 / (r * (r - 1)) - 2.0 * c3 * xi_tangent / r
 
 
 def corollary_reference_part(
@@ -479,42 +481,33 @@ EQUALITY_STRIDE = 16
 STRUCTURE_CHECK_PER_GROUP = 4
 
 
-def _candidate_casorati(coeffs: np.ndarray, rng: np.random.Generator, symmetric: bool):
-    """Vectorized C, inf/sup of the hyperplane Casorati over a candidate set.
+def _synthetic_casorati(coeffs: np.ndarray, rng: np.random.Generator, symmetric: bool):
+    """Vectorized C and the two delta values of every trial, coeffs (n, s, r, r).
 
-    coeffs: (n, s, r, r).  Candidates per trial: eigenvectors of the summed
-    squared form, the coordinate axes, and a few random directions.  The
-    candidate infimum upper-bounds the true infimum, so any failure reported
-    downstream is genuine; equality-shape data is generated in the coordinate
-    basis, where the optimal normal is an axis and the bound is exact.
+    Exact extrema where ``closed_form_normals`` has them; otherwise the best
+    of the candidates: eigenvectors of the summed squared form, the axes, and
+    a few random directions.  The candidate infimum upper-bounds the true
+    infimum, so any failure reported downstream is genuine; equality-shape
+    data has an axis as its optimal normal, so the bound is exact there.
     """
     n, s, r, _ = coeffs.shape
-    total_sq = np.einsum("tsab,tsab->t", coeffs, coeffs)
-    c_val = total_sq / r
+    c_val = np.einsum("tsab,tsab->t", coeffs, coeffs) / r
+    # Drawn for every group, so that the data of later groups does not depend
+    # on which path this one took.
+    rand = rng.standard_normal((n, N_RANDOM_NORMALS, r))
 
-    m = np.einsum("tsba,tsbc->tac", coeffs, coeffs)
-    _, eigvecs = np.linalg.eigh(m)
-    cands = [eigvecs.transpose(0, 2, 1), np.broadcast_to(np.eye(r), (n, r, r))]
-    if N_RANDOM_NORMALS:
-        rand = rng.standard_normal((n, N_RANDOM_NORMALS, r))
+    closed = closed_form_normals(coeffs, antisymmetric=not symmetric)
+    if closed is not None:
+        normals = np.stack(closed, axis=1)
+    else:
+        _, eigvecs = np.linalg.eigh(np.einsum("tsba,tsbc->tac", coeffs, coeffs))
         rand /= np.linalg.norm(rand, axis=2, keepdims=True)
-        cands.append(rand)
-    cands = np.concatenate(cands, axis=1)
+        axes = np.broadcast_to(np.eye(r), (n, r, r))
+        normals = np.concatenate([eigvecs.transpose(0, 2, 1), axes, rand], axis=1)
+    values = restricted_sum(coeffs, normals)
 
-    inf_val = np.full(n, np.inf)
-    sup_val = np.full(n, -np.inf)
-    for j in range(cands.shape[1]):
-        nj = cands[:, j, :]
-        bn = np.einsum("tsab,tb->tsa", coeffs, nj)
-        val = total_sq - 2.0 * np.einsum("tsa,tsa->t", bn, bn)
-        if symmetric:
-            nbn = np.einsum("ta,tsa->ts", nj, bn)
-            val = val + np.einsum("ts,ts->t", nbn, nbn)
-        np.minimum(inf_val, val, out=inf_val)
-        np.maximum(sup_val, val, out=sup_val)
-
-    cl_inf = inf_val / (r - 1)
-    cl_sup = sup_val / (r - 1)
+    cl_inf = values.min(axis=1) / (r - 1)
+    cl_sup = values.max(axis=1) / (r - 1)
     delta = 0.5 * c_val + (r + 1) / (2.0 * r) * cl_inf
     dhat = 2.0 * c_val - (2.0 * r - 1) / (2.0 * r) * cl_sup
     return c_val, delta, dhat
@@ -655,7 +648,7 @@ def verify_synthetic(theorem: str, trials: int, seed: int = 0) -> dict:
             r_i, s_i = int(r), int(s)
             eq_mask = equality_mask_all[mask]
             coeffs = _draw_coefficients(rng, n, s_i, r_i, symmetric, eq_mask)
-            c_val, delta, dhat = _candidate_casorati(coeffs, rng, symmetric)
+            c_val, delta, dhat = _synthetic_casorati(coeffs, rng, symmetric)
 
             if info.model == "none":
                 ref_part = rho_ref[mask]
@@ -666,10 +659,8 @@ def verify_synthetic(theorem: str, trials: int, seed: int = 0) -> dict:
                     pn2 = np.zeros(n)
                 else:
                     pn2 = pnorm2_all[mask]
-                ref_part = (
-                    c1[mask]
-                    + 3.0 * c2[mask] * pn2 / (r_i * (r_i - 1))
-                    - 2.0 * c3[mask] * tangent_arr[mask] / r_i
+                ref_part = model_reference_part(
+                    c1[mask], c2[mask], c3[mask], r_i, pn2, tangent_arr[mask]
                 )
 
             model_2scal = r_i * (r_i - 1) * ref_part

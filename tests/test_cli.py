@@ -162,3 +162,14 @@ def test_unknown_theorem_is_reported(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "map-unknown", "--geometry", "synthetic")
     assert code == 1
     assert "unknown theorem" in err
+
+
+@pytest.mark.parametrize("command", [["invariants"], ["verify", "--theorem", "map-general"]])
+def test_spaced_negative_point(capsys, command):
+    code, out, _ = run(
+        capsys, *command, "--geometry", "sphere-immersion-S3", "--point", "-0.1,0.2,0.3", "--json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    points = [report["point"]] if "point" in report else [r["point"] for r in report["reports"]]
+    assert points and all(p == [-0.1, 0.2, 0.3] for p in points)

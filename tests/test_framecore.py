@@ -10,10 +10,10 @@ from casorati.framecore import (
     InnerProduct,
     StructureOperator,
     gram_schmidt,
-    hyperplane_frobenius_sq,
     restrict_to_hyperplane,
     structure_norm_squared,
 )
+from casorati.measures import restricted_sum
 
 ORTHO_TOL = 1e-10
 FROB_TOL = 1e-11
@@ -84,7 +84,7 @@ def test_hyperplane_frobenius_matches_explicit_restriction(seed, r):
     frame = Frame(np.eye(r), InnerProduct.euclidean(r))
     hp = Hyperplane(frame, n)
     restricted = restrict_to_hyperplane(b, hp)
-    direct = hyperplane_frobenius_sq(b, n)
+    direct = restricted_sum(b[None], n[None])[0]
     scale = 1.0 + float(np.sum(b * b))
     assert abs(float(np.sum(restricted * restricted)) - direct) <= FROB_TOL * scale
 
@@ -99,7 +99,7 @@ def test_hyperplane_frobenius_closed_form_symmetric():
     n /= np.linalg.norm(n)
     bn = b @ n
     expected = float(np.sum(b * b) - 2.0 * bn @ bn + (n @ bn) ** 2)
-    assert hyperplane_frobenius_sq(b, n) == pytest.approx(expected, abs=1e-12)
+    assert restricted_sum(b[None], n[None])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_structure_operator_complex_square_rule():

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from casorati import measures
 from casorati.errors import DegenerateInput, DimensionMismatch
 from casorati.framecore import Frame, Hyperplane, InnerProduct
 from casorati.measures import (
     ROLE_A,
     ROLE_B,
     ROLE_T,
+    ROLES,
     FormCoefficients,
     casorati_C,
     casorati_on_hyperplane,
@@ -19,6 +21,8 @@ from casorati.measures import (
     make_equality_shape,
     proof_polynomial_P,
     proof_polynomial_Q,
+    restricted_sum,
+    restricted_sum_gradient,
 )
 
 DESK_TOL = 1e-9
@@ -67,6 +71,8 @@ def test_casorati_desk_example_diag_1_1_2():
     assert rep.delta_hat_C == pytest.approx(23.0 / 12.0, abs=DESK_TOL)
     assert rep.certified
     assert abs(rep.inf_normal[2]) == pytest.approx(1.0, abs=1e-6)
+    # one normal: a closed form, so no solver starts
+    assert (rep.converged, rep.starts, rep.iterations) == (True, 0, 0)
 
 
 def test_delta_needs_r_at_least_3():
@@ -90,15 +96,97 @@ def test_hyperplane_casorati_between_zero_and_full(seed, r, s):
         assert direct == pytest.approx(val, abs=1e-8 * (1.0 + abs(val)))
 
 
-@given(seed=st.integers(0, 5_000), r=st.integers(3, 5))
+@given(
+    seed=st.integers(0, 5_000),
+    r=st.integers(3, 5),
+    s=st.integers(1, 3),
+    role=st.sampled_from(ROLES),
+)
+@example(seed=0, r=4, s=2, role=ROLE_A)
+@example(seed=1, r=5, s=1, role=ROLE_B)
+@example(seed=2, r=3, s=1, role=ROLE_T)
 @settings(max_examples=15, deadline=None)
-def test_optimizer_matches_grid_oracle(seed, r):
+def test_optimizer_matches_grid_oracle(seed, r, s, role):
+    # Covers each closed form (A role with any s, one symmetric normal) and the
+    # solver (symmetric, s >= 2) against the independent grid.
     rng = np.random.default_rng(seed)
-    coeffs = sym_coeffs(rng, int(rng.integers(1, 4)), r)
+    coeffs = antisym_coeffs(rng, s, r) if role == ROLE_A else sym_coeffs(rng, s, r, role)
     rep = delta_casorati(coeffs, seed=seed)
     g_inf, _, g_sup, _ = grid_extrema(coeffs, seed=seed + 1)
     assert abs(rep.C_L_inf - g_inf) <= OPT_VS_GRID_TOL * (1.0 + abs(g_inf))
     assert abs(rep.C_L_sup - g_sup) <= OPT_VS_GRID_TOL * (1.0 + abs(g_sup))
+    assert rep.converged
+    assert (rep.starts == 0) == (role == ROLE_A or s == 1)
+
+
+@given(seed=st.integers(0, 10_000), r=st.integers(3, 6), s=st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_restricted_sum_gradient_matches_finite_differences(seed, r, s):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((s, r, r))  # no symmetry: every term of the gradient counts
+    normals = rng.standard_normal((4, r))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    value, grad = restricted_sum_gradient(mats, normals)
+    assert np.allclose(value, restricted_sum(mats, normals), rtol=0.0, atol=1e-12)
+    h = 1e-6
+    steps = h * np.eye(r)
+    shifted = normals[:, None, :]
+    fd = (restricted_sum(mats, shifted + steps) - restricted_sum(mats, shifted - steps)) / (2.0 * h)
+    scale = 1.0 + float(np.sum(mats * mats))
+    assert np.abs(grad - fd).max() <= 1e-6 * scale
+    # per-trial batches agree with one call per trial
+    batched = restricted_sum(np.stack([mats, 2.0 * mats]), np.stack([normals, normals]))
+    assert np.allclose(batched, [value, 4.0 * value], rtol=1e-12, atol=1e-12)
+
+
+def test_grid_polish_finds_the_true_sup():
+    # From the certify benchmark (seed 304, round 3, B r=6 s=2, rounded to 4
+    # decimals): the grid's first six basin-diverse leaders polish into local
+    # maxima near 5.4938 or 5.4902; the seventh reaches the true sup 5.49902.
+    upper = [
+        [0.8203, 0.7, 0.6222, -0.7591, 1.2715, 0.2007, -0.1428, -1.0147, 0.0948, -0.3395, -0.1388,
+         0.9725, -0.1959, -0.7515, -0.1674, -0.8746, 0.065, -0.5153, -0.3287, -0.5511, 0.3757],
+        [1.2575, 0.3366, -0.9608, 0.12, -0.3367, 0.3977, 0.6031, 0.6247, -0.2295, -1.0803, 0.2028,
+         1.4708, -0.1309, -0.2866, -0.7857, -1.9618, -0.4163, 0.5737, -0.2684, 0.0493, 0.9449],
+    ]
+    mats = np.zeros((2, 6, 6))
+    for m, u in zip(mats, upper):
+        m[np.triu_indices(6)] = u
+        m += np.triu(m, 1).T
+    coeffs = FormCoefficients(ROLE_B, mats)
+    _, _, g_sup, _ = grid_extrema(coeffs, seed=1)
+    assert g_sup == pytest.approx(5.499025, abs=1e-6)
+    assert delta_casorati(coeffs, certify=True).certified
+
+
+def test_reported_normal_attains_reported_value(monkeypatch):
+    # With one start the solver often ends in a worse basin than the grid's
+    # polish; the report must then carry the grid's normal with its value.
+    all_starts = measures._optimizer_starts
+    monkeypatch.setattr(
+        measures, "_optimizer_starts", lambda mats, r, rng: all_starts(mats, r, rng)[:1]
+    )
+    rng = np.random.default_rng(21)
+    frame = euclid_frame(5)
+    grid_won = 0
+    for _ in range(10):
+        coeffs = sym_coeffs(rng, 2, 5)
+        alone = delta_casorati(coeffs)
+        rep = delta_casorati(coeffs, certify=True)
+        grid_won += rep.C_L_inf < alone.C_L_inf - 1e-9 or rep.C_L_sup > alone.C_L_sup + 1e-9
+        for n, val in ((rep.inf_normal, rep.C_L_inf), (rep.sup_normal, rep.C_L_sup)):
+            direct = casorati_on_hyperplane(coeffs, Hyperplane(frame, n))
+            assert direct == pytest.approx(val, abs=1e-12 * (1.0 + abs(val)))
+    assert grid_won
+
+
+def test_converged_is_false_when_the_solver_is_cut_short(monkeypatch):
+    coeffs = sym_coeffs(np.random.default_rng(4), 2, 5)
+    assert delta_casorati(coeffs).converged
+    monkeypatch.setattr(measures, "SOLVER_MAX_ITER", 2)
+    rep = delta_casorati(coeffs)
+    assert not rep.converged
+    assert rep.iterations <= 2 * 2 * rep.starts
 
 
 @given(seed=st.integers(0, 10_000), r=st.integers(3, 6), s=st.integers(1, 3), antisym=st.booleans())
