@@ -19,17 +19,14 @@ from . import catalog as _catalog
 from . import verify as _verify
 from .errors import CasoratiError, EXIT_COUNTEREXAMPLE, EXIT_OK, exit_code_for
 from .extremum import ExtremumProblem, solve_closed_form, solve_oracle
-from .measures import delta_casorati, diagnose_equality
-from .rmaps import (
-    gauss_map_scalars,
-    gauss_submersion_horizontal,
-    gauss_submersion_vertical,
-    oneill_A,
-    oneill_T,
-    second_fundamental_form,
-)
 
 SCHEMA = "casorati-report/1"
+# invariants report keys of each side: coefficients, scalar curvatures, structure.
+SIDE_KEYS = {
+    "map": ("B", "map", "range"),
+    "sub-vert": ("T", "vertical", "vertical"),
+    "sub-hor": ("A", "horizontal", "horizontal"),
+}
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -84,7 +81,8 @@ def cmd_catalog(args) -> int:
 # invariants
 # --------------------------------------------------------------------------
 
-def _casorati_block(coeffs, seed: int) -> dict:
+def _casorati_block(ev: _verify.PointEvaluation, side: str) -> dict:
+    coeffs = ev.coefficients(side)
     out = {
         "role": coeffs.role,
         "r": coeffs.r,
@@ -93,25 +91,23 @@ def _casorati_block(coeffs, seed: int) -> dict:
         "C": coeffs.norm_squared() / coeffs.r if coeffs.r else 0.0,
     }
     if coeffs.r >= 3:
-        rep = delta_casorati(coeffs, seed=seed, certify=True)
-        out.update(rep.to_json())
-        out["equality_shape"] = diagnose_equality(coeffs).to_json()
+        out.update(ev.casorati(side).to_json())
+        out["equality_shape"] = ev.equality(side).to_json()
     else:
         out["note"] = "delta invariants need r >= 3"
     return out
 
 
-def _structure_block(entry, frame, side_point) -> dict:
-    spec = entry.space_form_spec(side_point)
-    klass = _verify.classify_invariance(frame, spec.structure)
+def _structure_block(ev: _verify.PointEvaluation, side: str) -> dict:
+    klass = ev.invariance(side)
     block = {
         "invariance": klass.label,
         "pnorm2": klass.pnorm2,
         "leakage_defect": klass.leakage_defect,
         "retention_defect": klass.retention_defect,
     }
-    if spec.structure.kind == "almost-contact":
-        pos = _verify.xi_position(spec.structure.xi, frame)
+    if ev.spec.structure.kind == "almost-contact":
+        pos = ev.xi(side)
         block["xi"] = {"position": pos.position, "defect": pos.projection_defect}
     return block
 
@@ -119,7 +115,9 @@ def _structure_block(entry, frame, side_point) -> dict:
 def cmd_invariants(args) -> int:
     entry = _resolve_entry(args)
     p = _parse_point(args.point) if args.point else entry.base_point
-    mp = entry.instantiate(p)
+    ev = _verify.PointEvaluation(entry, p, seed=args.seed)
+    mp = ev.map
+    sides = ("map",) if entry.kind == _catalog.KIND_MAP else ("sub-vert", "sub-hor")
     report = {
         "schema": SCHEMA,
         "command": "invariants",
@@ -137,34 +135,18 @@ def cmd_invariants(args) -> int:
             "horizontal": mp.horizontal_frame.vectors.tolist(),
             "range": mp.range_frame.vectors.tolist(),
         },
-        "coefficients": {},
-        "scalar_curvatures": {},
+        "coefficients": {
+            SIDE_KEYS[side][0]: _casorati_block(ev, side) for side in sides
+        },
+        "scalar_curvatures": {
+            SIDE_KEYS[side][1]: ev.pair(side).to_json() for side in sides
+        },
     }
-
-    if entry.kind == _catalog.KIND_MAP:
-        b = second_fundamental_form(mp)
-        report["coefficients"]["B"] = _casorati_block(b, args.seed)
-        pair = gauss_map_scalars(mp, b)
-        report["scalar_curvatures"]["map"] = pair.to_json()
-    else:
-        t = oneill_T(mp)
-        a = oneill_A(mp)
-        report["coefficients"]["T"] = _casorati_block(t, args.seed)
-        report["coefficients"]["A"] = _casorati_block(a, args.seed)
-        report["scalar_curvatures"]["vertical"] = gauss_submersion_vertical(mp, t=t).to_json()
-        report["scalar_curvatures"]["horizontal"] = gauss_submersion_horizontal(mp, a=a).to_json()
-
     if entry.family is not None and entry.structure_fn is not None:
-        side_point = p if entry.spaceform_side == "source" else entry.smooth_map(p)
-        subspaces = (
-            {"range": mp.range_frame}
-            if entry.kind == _catalog.KIND_MAP
-            else {"vertical": mp.vertical_frame, "horizontal": mp.horizontal_frame}
-        )
         report["structure"] = {
-            name: _structure_block(entry, frame, side_point)
-            for name, frame in subspaces.items()
-            if frame.count
+            SIDE_KEYS[side][2]: _structure_block(ev, side)
+            for side in sides
+            if ev.frame(side).count
         }
         report["family"] = entry.family.to_json()
     if entry.reference_values:
@@ -224,13 +206,9 @@ def _verify_geometry(args, theorems, entry) -> int:
     elif args.samples:
         points = args.samples
     tolerance = args.tolerance if args.tolerance is not None else _verify.RESIDUAL_TOL
-    reports = []
-    for theorem in theorems:
-        reports.extend(
-            _verify.verify_geometry(
-                theorem, entry, points=points, seed=args.seed, tolerance=tolerance
-            )
-        )
+    reports = _verify.verify_geometry(
+        theorems, entry, points=points, seed=args.seed, tolerance=tolerance
+    )
     failing = [r for r in reports if not r.holds]
     report = {
         "schema": SCHEMA,

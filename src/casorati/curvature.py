@@ -66,7 +66,8 @@ class ChartMetric:
             raise DimensionMismatch(f"point has shape {p.shape}, chart dim {self.dim}")
         lo = self.domain_box[:, 0] + margin
         hi = self.domain_box[:, 1] - margin
-        if np.any(p < lo) or np.any(p > hi):
+        # NaN compares False against both bounds, so finiteness is tested first.
+        if not np.all(np.isfinite(p)) or np.any(p < lo) or np.any(p > hi):
             raise OutOfDomain(
                 f"point {p.tolist()} outside chart box with margin (chart {self.name!r})"
             )

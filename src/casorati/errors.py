@@ -31,10 +31,6 @@ class RankDrop(CasoratiError):
     """Numerical rank of a map derivative differs from the declared rank."""
 
 
-class NotASubmersion(CasoratiError):
-    """A submersion-only operation was called on a map with (range F*)^perp != 0."""
-
-
 class GaussResidualExceeded(CasoratiError):
     """A traced Gauss identity failed, signalling inconsistent inputs."""
 

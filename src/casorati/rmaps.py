@@ -21,6 +21,7 @@ maps fall back to central differences with correspondingly looser gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,6 @@ from .errors import (
     DimensionMismatch,
     GaussResidualExceeded,
     HypothesisViolated,
-    NotASubmersion,
     RankDrop,
     ValidationFailed,
 )
@@ -170,7 +170,12 @@ class ScalarCurvaturePair:
 
 @dataclass(frozen=True)
 class MapAtPoint:
-    """Frames and derivative data of a map at a single source point."""
+    """Frames and derivative data of a map at a single source point.
+
+    Derived geometry that several consumers read is computed on first use and
+    cached on the instance. ``map_at_point`` is the constructor that checks
+    the horizontal isometry.
+    """
 
     smooth_map: SmoothMap
     point: np.ndarray
@@ -205,14 +210,6 @@ class MapAtPoint:
             )
             if float(np.abs(cross).max()) > FRAME_ORTHO_TOL:
                 raise ValidationFailed("horizontal frame not orthogonal to vertical frame")
-        if self.rank:
-            pushed = self.horizontal_frame.vectors @ j.T
-            gram = pushed @ self.target_inner.gram @ pushed.T
-            iso_defect = float(np.abs(gram - np.eye(self.rank)).max())
-            if iso_defect > ISOMETRY_TOL:
-                raise HypothesisViolated(
-                    f"not a Riemannian map: horizontal isometry defect {iso_defect:.2e}"
-                )
         if self.range_perp_frame.count:
             cross = (
                 self.range_frame.vectors
@@ -238,17 +235,38 @@ class MapAtPoint:
     def is_submersion(self) -> bool:
         return self.rank == self.m2
 
-    def to_json(self) -> dict:
-        return {
-            "m1": self.m1,
-            "m2": self.m2,
-            "rank": self.rank,
-            "point": [float(x) for x in self.point],
-            "vertical_frame": self.vertical_frame.vectors.tolist(),
-            "horizontal_frame": self.horizontal_frame.vectors.tolist(),
-            "range_frame": self.range_frame.vectors.tolist(),
-            "range_perp_frame": self.range_perp_frame.vectors.tolist(),
-        }
+    def require_submersion(self, needed_by: str) -> None:
+        """Raise HypothesisViolated unless the map is a submersion here."""
+        if not self.is_submersion:
+            raise HypothesisViolated(
+                f"{needed_by} needs a Riemannian submersion; the map has "
+                f"rank {self.rank} < target dimension {self.m2}"
+            )
+
+    @cached_property
+    def source_curvature(self) -> CurvatureTensor:
+        """Refined Riemann tensor of the source chart at the point."""
+        return riemann_at(self.smooth_map.source, self.point, refine=True)
+
+    @cached_property
+    def projector_field(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Pv, dPv, Gamma): the vertical projector at the point, its first
+        derivatives, and the source Christoffel symbols that T and A share."""
+        sm = self.smooth_map
+        pv = _vertical_projector(sm, self.point, self.rank)
+        dpv = _projector_derivative(sm, self.point, self.rank)
+        # Only first metric derivatives enter here, so a step below the curvature
+        # default keeps the truncation error under the 1e-9 symmetry gates.
+        gamma = christoffel(sm.source, self.point, step_scale=1e-5)
+        return pv, dpv, gamma
+
+    @cached_property
+    def t_vectors(self) -> np.ndarray:
+        return _oneill_vectors(self, "T")
+
+    @cached_property
+    def a_vectors(self) -> np.ndarray:
+        return _oneill_vectors(self, "A")
 
 
 def map_at_point(sm: SmoothMap, p: np.ndarray, declared_rank: int | None = None) -> MapAtPoint:
@@ -345,16 +363,8 @@ def second_fundamental_form(mp: MapAtPoint) -> FormCoefficients:
         coeffs = np.einsum("ijc,cd,ad->aij", b_vec, g2, mp.range_perp_frame.vectors)
     else:
         coeffs = np.zeros((0, mp.rank, mp.rank))
-    gate = SYMMETRY_GATE_EXACT if sm.exact_derivatives else SYMMETRY_GATE_FD
-    _check_then_clean(coeffs, gate, antisymmetric=False, what="B")
+    _check_then_clean(coeffs, sm.exact_derivatives, antisymmetric=False, what="B")
     return FormCoefficients(ROLE_B, 0.5 * (coeffs + coeffs.transpose(0, 2, 1)))
-
-
-def _require_submersion(mp: MapAtPoint) -> None:
-    if not mp.is_submersion:
-        raise NotASubmersion(
-            f"map {mp.smooth_map.name!r} has rank {mp.rank} < target dim {mp.m2}"
-        )
 
 
 def _vertical_projector(sm: SmoothMap, x: np.ndarray, rank: int) -> np.ndarray:
@@ -394,9 +404,10 @@ def _projector_derivative(sm: SmoothMap, p: np.ndarray, rank: int) -> np.ndarray
     return dpv
 
 
-def _check_then_clean(coeffs: np.ndarray, gate: float, antisymmetric: bool, what: str) -> None:
+def _check_then_clean(coeffs: np.ndarray, exact: bool, antisymmetric: bool, what: str) -> None:
     if not coeffs.size:
         return
+    gate = SYMMETRY_GATE_EXACT if exact else SYMMETRY_GATE_FD
     scale = 1.0 + float(np.abs(coeffs).max())
     flipped = coeffs.transpose(0, 2, 1)
     defect = float(np.abs(coeffs + flipped).max()) if antisymmetric else float(
@@ -415,14 +426,8 @@ def _oneill_vectors(mp: MapAtPoint, of: str) -> np.ndarray:
     needs only the projector field's first derivatives and the Christoffel
     symbols at the base point.
     """
-    sm = mp.smooth_map
-    p = mp.point
-    pv = _vertical_projector(sm, p, mp.rank)
-    dpv = _projector_derivative(sm, p, mp.rank)
-    # Only first metric derivatives enter here, so a step below the curvature
-    # default keeps the truncation error under the 1e-9 symmetry gates.
-    gamma = christoffel(sm.source, p, step_scale=1e-5)
-
+    mp.require_submersion(f"the O'Neill tensor {of}")
+    pv, dpv, gamma = mp.projector_field
     if of == "T":
         args = mp.vertical_frame.vectors
         out_proj = np.eye(mp.m1) - pv  # horizontal part of nabla_{v_i} (Pv v~_j)
@@ -443,25 +448,19 @@ def _oneill_vectors(mp: MapAtPoint, of: str) -> np.ndarray:
 
 def oneill_T(mp: MapAtPoint) -> FormCoefficients:
     """T coefficients: coeffs[alpha][i][j] = g1(T_{v_i} v_j, h_alpha)."""
-    _require_submersion(mp)
-    t_vec = _oneill_vectors(mp, "T")
     coeffs = np.einsum(
-        "ijl,lm,am->aij", t_vec, mp.source_inner.gram, mp.horizontal_frame.vectors
+        "ijl,lm,am->aij", mp.t_vectors, mp.source_inner.gram, mp.horizontal_frame.vectors
     )
-    gate = SYMMETRY_GATE_EXACT if mp.smooth_map.exact_derivatives else SYMMETRY_GATE_FD
-    _check_then_clean(coeffs, gate, antisymmetric=False, what="T")
+    _check_then_clean(coeffs, mp.smooth_map.exact_derivatives, antisymmetric=False, what="T")
     return FormCoefficients(ROLE_T, 0.5 * (coeffs + coeffs.transpose(0, 2, 1)))
 
 
 def oneill_A(mp: MapAtPoint) -> FormCoefficients:
     """A coefficients: coeffs[alpha][i][j] = g1(A_{h_i} h_j, v_alpha)."""
-    _require_submersion(mp)
-    a_vec = _oneill_vectors(mp, "A")
     coeffs = np.einsum(
-        "ijl,lm,am->aij", a_vec, mp.source_inner.gram, mp.vertical_frame.vectors
+        "ijl,lm,am->aij", mp.a_vectors, mp.source_inner.gram, mp.vertical_frame.vectors
     )
-    gate = SYMMETRY_GATE_EXACT if mp.smooth_map.exact_derivatives else SYMMETRY_GATE_FD
-    _check_then_clean(coeffs, gate, antisymmetric=True, what="A")
+    _check_then_clean(coeffs, mp.smooth_map.exact_derivatives, antisymmetric=True, what="A")
     # The trace-vector check runs on the raw coefficients (after
     # antisymmetrization it would be identically zero).
     raw_traces = np.einsum("aii->a", coeffs)
@@ -473,10 +472,8 @@ def oneill_A(mp: MapAtPoint) -> FormCoefficients:
 
 def oneill_A_via_bracket(mp: MapAtPoint) -> FormCoefficients:
     """Independent A route: A_X Y = (1/2) v[X~, Y~] for horizontal field extensions."""
-    _require_submersion(mp)
-    sm = mp.smooth_map
-    pv = _vertical_projector(sm, mp.point, mp.rank)
-    dpv = _projector_derivative(sm, mp.point, mp.rank)
+    mp.require_submersion("the O'Neill tensor A")
+    pv, dpv, _ = mp.projector_field
     h_vecs = mp.horizontal_frame.vectors
     n = h_vecs.shape[0]
     out = np.empty((n, n, mp.m1))
@@ -491,12 +488,7 @@ def oneill_A_via_bracket(mp: MapAtPoint) -> FormCoefficients:
     return FormCoefficients(ROLE_A, 0.5 * (coeffs - coeffs.transpose(0, 2, 1)))
 
 
-def gauss_map_scalars(
-    mp: MapAtPoint,
-    b: FormCoefficients,
-    source_tensor: CurvatureTensor | None = None,
-    target_tensor: CurvatureTensor | None = None,
-) -> ScalarCurvaturePair:
+def gauss_map_scalars(mp: MapAtPoint, b: FormCoefficients) -> ScalarCurvaturePair:
     """Traced Gauss identity of a Riemannian map.
 
     left = 2scal^H (source curvature over the horizontal frame), right =
@@ -508,12 +500,8 @@ def gauss_map_scalars(
     if b.role != ROLE_B or b.r != mp.rank:
         raise DimensionMismatch("coefficients do not belong to this map")
     sm = mp.smooth_map
-    if source_tensor is None:
-        source_tensor = riemann_at(sm.source, mp.point, refine=True)
-    if target_tensor is None:
-        target_tensor = riemann_at(sm.target, sm(mp.point), refine=True)
-    left = scalar_on_subspace(source_tensor, mp.horizontal_frame)
-    right = scalar_on_subspace(target_tensor, mp.range_frame)
+    left = scalar_on_subspace(mp.source_curvature, mp.horizontal_frame)
+    right = scalar_on_subspace(riemann_at(sm.target, sm(mp.point), refine=True), mp.range_frame)
     residual = left - right - b.trace_vector_norm_squared() + b.norm_squared()
     scale = 1.0 + abs(left) + abs(right) + b.norm_squared()
     if abs(residual) > TRACED_IDENTITY_TOL * scale:
@@ -524,9 +512,7 @@ def gauss_map_scalars(
 
 
 def gauss_submersion_vertical(
-    mp: MapAtPoint,
-    t: FormCoefficients | None = None,
-    source_tensor: CurvatureTensor | None = None,
+    mp: MapAtPoint, t: FormCoefficients | None = None
 ) -> ScalarCurvaturePair:
     """Fiber Gauss identity: left = 2scal^V (fiber intrinsic), right = 2scal_M1^V.
 
@@ -536,13 +522,10 @@ def gauss_submersion_vertical(
     the coefficient-level aggregates (a completeness check on the horizontal
     frame).
     """
-    _require_submersion(mp)
+    t_vec = mp.t_vectors
     if t is None:
         t = oneill_T(mp)
-    if source_tensor is None:
-        source_tensor = riemann_at(mp.smooth_map.source, mp.point, refine=True)
-    right = scalar_on_subspace(source_tensor, mp.vertical_frame)
-    t_vec = _oneill_vectors(mp, "T")
+    right = scalar_on_subspace(mp.source_curvature, mp.vertical_frame)
     g1 = mp.source_inner.gram
     trace_vec = np.einsum("iil->l", t_vec)
     tr2 = float(trace_vec @ g1 @ trace_vec)
@@ -559,9 +542,7 @@ def gauss_submersion_vertical(
 
 
 def gauss_submersion_horizontal(
-    mp: MapAtPoint,
-    a: FormCoefficients | None = None,
-    source_tensor: CurvatureTensor | None = None,
+    mp: MapAtPoint, a: FormCoefficients | None = None
 ) -> ScalarCurvaturePair:
     """Horizontal-distribution identity: left = 2scal_H^H, right = 2scal^H.
 
@@ -570,13 +551,10 @@ def gauss_submersion_horizontal(
     no trace term (A has zero diagonal). The residual compares vector-level
     and coefficient-level ||A||^2.
     """
-    _require_submersion(mp)
+    a_vec = mp.a_vectors
     if a is None:
         a = oneill_A(mp)
-    if source_tensor is None:
-        source_tensor = riemann_at(mp.smooth_map.source, mp.point, refine=True)
-    right = scalar_on_subspace(source_tensor, mp.horizontal_frame)
-    a_vec = _oneill_vectors(mp, "A")
+    right = scalar_on_subspace(mp.source_curvature, mp.horizontal_frame)
     g1 = mp.source_inner.gram
     norm_sq = float(np.einsum("ijl,lm,ijm->", a_vec, g1, a_vec))
     left = right + 3.0 * norm_sq

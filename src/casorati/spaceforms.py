@@ -176,23 +176,6 @@ def model_tensor(spec: SpaceFormSpec, inner: InnerProduct) -> CurvatureTensor:
     return CurvatureTensor(comp)
 
 
-def trace_two_scal(
-    c1: float, c2: float, c3: float, r: int, pnorm2: float, xi_tangent: bool
-) -> float:
-    """2 scal of the model tensor over an orthonormal r-frame.
-
-        2 scal = r (r-1) c1 + 3 c2 ||P||^2 - 2 (r-1) c3 [xi tangent to the frame]
-
-    where ||P||^2 is the squared norm of the structure operator restricted to
-    the frame. The c3 correction applies exactly when xi lies in the frame's
-    span; with xi orthogonal it drops.
-    """
-    out = r * (r - 1) * c1 + 3.0 * c2 * pnorm2
-    if xi_tangent:
-        out -= 2.0 * (r - 1) * c3
-    return out
-
-
 def validate_against_chart(
     spec: SpaceFormSpec,
     chart: ChartMetric,

@@ -8,7 +8,9 @@ Reeb-field branch and the invariance class, and diagnoses equality.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from .measures import (
     restricted_sum,
 )
 from .rmaps import (
+    MapAtPoint,
+    ScalarCurvaturePair,
     gauss_map_scalars,
     gauss_submersion_horizontal,
     gauss_submersion_vertical,
@@ -203,7 +207,10 @@ def model_reference_part(
 ) -> float:
     """Space-form contribution to the bound: c1 + 3 c2 |P|^2/(r(r-1)) [- 2 c3/r].
 
-    Works elementwise on arrays of trials as well as on scalars.
+    r(r-1) times this is 2 scal of the model tensor over an orthonormal
+    r-frame, where |P|^2 is the squared norm of the structure operator
+    restricted to the frame; the c3 term applies exactly when xi lies in the
+    frame's span. Works elementwise on arrays of trials as well as on scalars.
     """
     return c1 + 3.0 * c2 * pnorm2 / (r * (r - 1)) - 2.0 * c3 * xi_tangent / r
 
@@ -335,58 +342,75 @@ class InequalityReport:
 # verification on catalog geometries
 # --------------------------------------------------------------------------
 
-def _coefficients_and_pair(info: TheoremInfo, mp):
-    if info.side == "map":
-        coeffs = second_fundamental_form(mp)
-        pair = gauss_map_scalars(mp, coeffs)
-        frame = mp.range_frame
-    elif info.side == "sub-vert":
-        _require_submersion_kind(info, mp)
-        coeffs = oneill_T(mp)
-        pair = gauss_submersion_vertical(mp, t=coeffs)
-        frame = mp.vertical_frame
-    else:
-        _require_submersion_kind(info, mp)
-        coeffs = oneill_A(mp)
-        pair = gauss_submersion_horizontal(mp, a=coeffs)
-        frame = mp.horizontal_frame
-    return coeffs, pair, frame
+class PointEvaluation:
+    """Derived data of one geometry at one point, each piece computed once, on first use.
 
+    Per side ("map", "sub-vert", "sub-hor"): coefficients, Gauss pair, frame,
+    Casorati report, equality diagnosis, invariance class, Reeb position. The
+    map data and the space-form spec are shared by the sides. Errors surface
+    in the order the consumer asks.
+    """
 
-def _require_submersion_kind(info: TheoremInfo, mp) -> None:
-    if not mp.is_submersion:
-        raise HypothesisViolated(
-            f"{info.theorem_id} needs a Riemannian submersion; the map has "
-            f"rank {mp.rank} < target dimension {mp.m2}"
+    def __init__(self, entry, point, seed: int = 0) -> None:
+        self.entry = entry
+        self.point = np.asarray(point, dtype=float)
+        self.seed = seed
+        self._memo: dict[tuple[str, str], object] = {}
+
+    def _once(self, what: str, side: str, fn, *args, **kwargs):
+        key = (what, side)
+        if key not in self._memo:
+            self._memo[key] = fn(*args, **kwargs)
+        return self._memo[key]
+
+    @cached_property
+    def map(self) -> MapAtPoint:
+        return self.entry.instantiate(self.point)
+
+    def _side(self, side: str):
+        """(coefficient function, Gauss identity, frame) of a side."""
+        mp = self.map
+        if side == "map":
+            return second_fundamental_form, gauss_map_scalars, mp.range_frame
+        if side == "sub-vert":
+            return oneill_T, gauss_submersion_vertical, mp.vertical_frame
+        return oneill_A, gauss_submersion_horizontal, mp.horizontal_frame
+
+    def frame(self, side: str) -> Frame:
+        return self._side(side)[2]
+
+    def coefficients(self, side: str) -> FormCoefficients:
+        return self._once("coefficients", side, self._side(side)[0], self.map)
+
+    def pair(self, side: str) -> ScalarCurvaturePair:
+        gauss = self._side(side)[1]
+        return self._once("pair", side, gauss, self.map, self.coefficients(side))
+
+    def casorati(self, side: str) -> CasoratiReport:
+        return self._once(
+            "casorati", side, delta_casorati, self.coefficients(side), seed=self.seed, certify=True
         )
 
+    def equality(self, side: str) -> EqualityDiagnosis:
+        return self._once("equality", side, diagnose_equality, self.coefficients(side))
 
-def _resolve_points(entry, points, seed):
-    if points is None:
-        return [np.asarray(entry.base_point, dtype=float)]
-    if isinstance(points, (int, np.integer)):
-        rng = np.random.default_rng(seed)
-        sampler = entry.source_chart.interior_sampler(rng, margin=0.1)
-        return [sampler() for _ in range(int(points))]
-    return [np.asarray(p, dtype=float) for p in points]
+    @cached_property
+    def spec(self) -> SpaceFormSpec:
+        entry = self.entry
+        side_point = self.point if entry.spaceform_side == "source" else entry.smooth_map(self.point)
+        return entry.space_form_spec(side_point)
+
+    def invariance(self, side: str) -> InvarianceClass:
+        return self._once(
+            "invariance", side, classify_invariance, self.frame(side), self.spec.structure
+        )
+
+    def xi(self, side: str) -> XiPosition:
+        return self._once("xi", side, xi_position, self.spec.structure.xi, self.frame(side))
 
 
-def verify_geometry(
-    theorem: str,
-    geometry,
-    points=None,
-    seed: int = 0,
-    tolerance: float = RESIDUAL_TOL,
-) -> list[InequalityReport]:
-    """Evaluate both inequality variants on a catalog geometry.
-
-    ``geometry`` is a catalog id or a CatalogEntry; ``points`` is None (base
-    point), an integer (that many interior samples), or explicit points.
-    Raises HypothesisViolated naming the first failing precondition.
-    """
-    info = theorem_info(theorem)
-    entry = _catalog.get(geometry) if isinstance(geometry, str) else geometry
-
+def _require_space_form(info: TheoremInfo, entry) -> None:
+    theorem = info.theorem_id
     if info.model == "sasakian" and (entry.family is None or entry.family.name not in CONTACT_FAMILIES):
         raise HypothesisViolated(
             f"{theorem} needs a contact-type space form; geometry {entry.id!r} "
@@ -401,74 +425,109 @@ def verify_geometry(
                 f"declares the contact family {entry.family.name!r}"
             )
 
+
+def _resolve_points(entry, points, seed):
+    if points is None:
+        return [np.asarray(entry.base_point, dtype=float)]
+    if isinstance(points, (int, np.integer)):
+        rng = np.random.default_rng(seed)
+        sampler = entry.source_chart.interior_sampler(rng, margin=0.1)
+        return [sampler() for _ in range(int(points))]
+    return [np.asarray(p, dtype=float) for p in points]
+
+
+def verify_geometry(
+    theorem: str | Sequence[str],
+    geometry,
+    points=None,
+    seed: int = 0,
+    tolerance: float = RESIDUAL_TOL,
+) -> list[InequalityReport]:
+    """Evaluate both inequality variants on a catalog geometry.
+
+    ``theorem`` is one registry id or a sequence of ids; ``geometry`` is a
+    catalog id or a CatalogEntry; ``points`` is None (base point), an integer
+    (that many interior samples), or explicit points. Reports come theorem by
+    theorem, each over all points, and every point is evaluated once for all
+    theorems. Raises HypothesisViolated naming the first failing precondition.
+    """
+    infos = [theorem_info(t) for t in ([theorem] if isinstance(theorem, str) else theorem)]
+    entry = _catalog.get(geometry) if isinstance(geometry, str) else geometry
+    evaluations = None
     reports: list[InequalityReport] = []
-    for p in _resolve_points(entry, points, seed):
-        mp = entry.instantiate(p)
-        coeffs, pair, frame = _coefficients_and_pair(info, mp)
-        r = coeffs.r
-        if r < 3:
+    for info in infos:
+        _require_space_form(info, entry)
+        if evaluations is None:
+            evaluations = [
+                PointEvaluation(entry, p, seed) for p in _resolve_points(entry, points, seed)
+            ]
+        for ev in evaluations:
+            reports.extend(_reports_at(info, ev, tolerance))
+    return reports
+
+
+def _reports_at(info: TheoremInfo, ev: PointEvaluation, tolerance: float) -> list[InequalityReport]:
+    theorem, side = info.theorem_id, info.side
+    if side != "map":
+        ev.map.require_submersion(theorem)
+    coeffs = ev.coefficients(side)
+    pair = ev.pair(side)
+    r = coeffs.r
+    if r < 3:
+        raise HypothesisViolated(
+            f"{theorem} needs subspace dimension r >= 3; geometry "
+            f"{ev.entry.id!r} has r = {r}"
+        )
+    rep = ev.casorati(side)
+
+    if side == "sub-hor":
+        # The bound controls the integrability-corrected curvature; the
+        # measured pair still reports the plain horizontal/base scalars.
+        lhs = pair.rho_right - 3.0 * rep.C / (r - 1)
+    else:
+        lhs = pair.rho_left
+
+    klass = xi = None
+    if info.model != "none":
+        klass = ev.invariance(side)
+        if info.invariance != "generic" and klass.label != info.invariance:
             raise HypothesisViolated(
-                f"{theorem} needs subspace dimension r >= 3; geometry "
-                f"{entry.id!r} has r = {r}"
+                f"{theorem} needs an {info.invariance} subspace; geometry "
+                f"{ev.entry.id!r} classifies as {klass.label} "
+                f"(leakage {klass.leakage_defect:.2e}, retention {klass.retention_defect:.2e})"
             )
-        rep = delta_casorati(coeffs, seed=seed, certify=True)
+        if info.needs_xi:
+            xi = ev.xi(side)
 
-        if info.side == "sub-hor":
-            # The bound controls the integrability-corrected curvature; the
-            # measured pair still reports the plain horizontal/base scalars.
-            lhs = pair.rho_right - 3.0 * rep.C / (r - 1)
-        else:
-            lhs = pair.rho_left
-
-        xi_branch = "absent"
-        inv_label = "generic"
-        spec = None
-        pnorm2 = None
-        xi = None
-        if info.model != "none":
-            side_point = p if entry.spaceform_side == "source" else entry.smooth_map(p)
-            spec = entry.space_form_spec(side_point)
-            klass = classify_invariance(frame, spec.structure)
-            inv_label = klass.label
-            pnorm2 = klass.pnorm2
-            if info.invariance != "generic" and klass.label != info.invariance:
-                raise HypothesisViolated(
-                    f"{theorem} needs an {info.invariance} subspace; geometry "
-                    f"{entry.id!r} classifies as {klass.label} "
-                    f"(leakage {klass.leakage_defect:.2e}, retention {klass.retention_defect:.2e})"
-                )
-            if info.needs_xi:
-                xi = xi_position(spec.structure.xi, frame)
-                xi_branch = xi.position
-
-        equality = diagnose_equality(coeffs)
-        for variant in VARIANTS:
-            rhs = rhs_for(
-                theorem,
-                variant,
-                r,
-                rep,
-                spec=spec,
-                pnorm2=pnorm2,
-                xi=xi,
-                rho_reference=pair.rho_right if info.model == "none" else None,
+    equality = ev.equality(side)
+    reports = []
+    for variant in VARIANTS:
+        rhs = rhs_for(
+            theorem,
+            variant,
+            r,
+            rep,
+            spec=None if klass is None else ev.spec,
+            pnorm2=None if klass is None else klass.pnorm2,
+            xi=xi,
+            rho_reference=pair.rho_right if info.model == "none" else None,
+        )
+        residual = rhs - lhs
+        reports.append(
+            InequalityReport(
+                theorem=theorem,
+                variant=variant,
+                lhs=float(lhs),
+                rhs=float(rhs),
+                residual=float(residual),
+                holds=bool(residual >= -tolerance * (1.0 + abs(rhs))),
+                xi_branch="absent" if xi is None else xi.position,
+                invariance="generic" if klass is None else klass.label,
+                equality=equality,
+                point=tuple(float(x) for x in ev.point),
+                casorati=rep,
             )
-            residual = rhs - lhs
-            reports.append(
-                InequalityReport(
-                    theorem=theorem,
-                    variant=variant,
-                    lhs=float(lhs),
-                    rhs=float(rhs),
-                    residual=float(residual),
-                    holds=bool(residual >= -tolerance * (1.0 + abs(rhs))),
-                    xi_branch=xi_branch,
-                    invariance=inv_label,
-                    equality=equality,
-                    point=tuple(float(x) for x in p),
-                    casorati=rep,
-                )
-            )
+        )
     return reports
 
 

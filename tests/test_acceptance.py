@@ -44,11 +44,11 @@ from casorati.spaceforms import (
     SpaceFormSpec,
     family_constants,
     model_curvature,
-    trace_two_scal,
     validate_against_chart,
 )
 from casorati.verify import (
     THEOREM_IDS,
+    model_reference_part,
     rhs_for,
     specialization_deviation,
     verify_geometry,
@@ -231,7 +231,7 @@ def test_criterion_4_space_form_trace_identity():
             raw = rng.standard_normal((r, dim))
         frame = gram_schmidt(raw, inner)
         pnorm2 = structure_norm_squared(frame, op)
-        expected = trace_two_scal(c1, c2, c3, r, pnorm2, tangent)
+        expected = r * (r - 1) * model_reference_part(c1, c2, c3, r, pnorm2, tangent)
         worst = max(worst, abs(_frame_two_scal(spec, frame, inner) - expected))
     assert worst <= 1e-9
     print(f"[criterion 4] PASS: 40 random spec/frame draws, max trace deviation {worst:.2e}")

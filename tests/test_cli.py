@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from casorati import catalog
 from casorati.cli import main
+from casorati.verify import THEOREM_IDS
 
 GEO_DESC = {
     "id": "cli-temp-geometry",
@@ -173,3 +175,50 @@ def test_spaced_negative_point(capsys, command):
     report = json.loads(out)
     points = [report["point"]] if "point" in report else [r["point"] for r in report["reports"]]
     assert points and all(p == [-0.1, 0.2, 0.3] for p in points)
+
+
+@pytest.mark.parametrize("command", [["invariants"], ["verify", "--theorem", "map-general"]])
+def test_non_finite_point_is_out_of_domain(capsys, command):
+    code, out, err = run(capsys, *command, "--geometry", "sphere-immersion-S3", "--point", "nan,0,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_submersion_check_exits_with_hypothesis_code(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "verify", "--theorem", "sub-vert-general", "--geometry", "sphere-immersion-S3"
+    )
+    assert code == 4
+    assert "needs a Riemannian submersion" in err
+    # A file that declares an immersion to be a submersion reaches the O'Neill tensors.
+    desc = dict(
+        GEO_DESC,
+        target_chart={"builder": "flat", "dim": 5},
+        map={"builder": "zero-padding", "pad": 1},
+        declared_rank=4,
+    )
+    path = tmp_path / "not-a-submersion.json"
+    path.write_text(json.dumps(desc))
+    code, _, err = run(capsys, "invariants", "--geometry-file", str(path))
+    assert code == 4
+    assert "needs a Riemannian submersion" in err
+
+
+@pytest.mark.parametrize("geometry", ["quaternionic-hopf-S7-S4", "sphere-immersion-S3"])
+def test_verify_all_matches_single_theorem_runs(capsys, geometry):
+    common = ["--geometry", geometry, "--samples", "2", "--seed", "3", "--json"]
+    code, out, _ = run(capsys, "verify", "--theorem", "all", *common)
+    assert code == 0
+    together = json.loads(out)["reports"]
+    tags = catalog.get(geometry).hypothesis_tags
+    assert len(tags) >= 3
+    one_by_one = []
+    for theorem in THEOREM_IDS:
+        if theorem in tags:
+            code, out, _ = run(capsys, "verify", "--theorem", theorem, *common)
+            assert code == 0
+            one_by_one.extend(json.loads(out)["reports"])
+    assert len(together) == len(one_by_one) == 2 * 2 * len(tags)
+    for joint, single in zip(together, one_by_one):
+        assert joint == single

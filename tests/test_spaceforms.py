@@ -20,9 +20,9 @@ from casorati.spaceforms import (
     family_constants,
     model_curvature,
     model_tensor,
-    trace_two_scal,
     validate_against_chart,
 )
+from casorati.verify import model_reference_part
 
 IDENTITY_TOL = 1e-12
 
@@ -118,7 +118,7 @@ def test_traced_identity_complex_kind(seed, r):
     inner = InnerProduct.euclidean(n)
     frame = gram_schmidt(rng.standard_normal((r, n)), inner)
     pnorm2 = structure_norm_squared(frame, op)
-    expected = trace_two_scal(c1, c2, 0.0, r, pnorm2, False)
+    expected = r * (r - 1) * model_reference_part(c1, c2, 0.0, r, pnorm2, False)
     total = 0.0
     for i in range(r):
         for j in range(r):
@@ -147,7 +147,7 @@ def test_traced_identity_contact_kind(seed, r, tangent):
         raw = rng.standard_normal((r, n - 1)) @ perp
     frame = gram_schmidt(raw, inner)
     pnorm2 = structure_norm_squared(frame, op)
-    expected = trace_two_scal(c1, c2, c3, r, pnorm2, tangent)
+    expected = r * (r - 1) * model_reference_part(c1, c2, c3, r, pnorm2, tangent)
     total = 0.0
     for i in range(r):
         for j in range(r):

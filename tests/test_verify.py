@@ -1,9 +1,14 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from casorati import catalog, rmaps, verify
+from casorati.cli import main
 from casorati.errors import BranchUndetermined, DegenerateInput, HypothesisViolated
 from casorati.framecore import Frame, InnerProduct, StructureOperator
-from casorati.measures import ROLE_B, delta_casorati, make_equality_shape
+from casorati.measures import ROLE_A, ROLE_B, ROLE_T, delta_casorati, make_equality_shape
 from casorati.spaceforms import NamedFamily
 from casorati.verify import (
     REGISTRY,
@@ -205,3 +210,39 @@ def test_synthetic_fuzz_is_deterministic():
 
 def test_specialization_deviation_small():
     assert specialization_deviation(samples=300, seed=5) <= SPECIALIZATION_TOL
+
+
+def test_verify_all_computes_each_point_once(monkeypatch, capsys):
+    # Every theorem tagged on the Hopf fibration shares one evaluation per point:
+    # one map, one projector derivative, one source curvature tensor, and one
+    # extremum per (point, side), however many theorems read them.
+    counts = Counter()
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[(name, *key(*args, **kwargs))] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    entry = catalog.get("quaternionic-hopf-S7-S4")
+    source = entry.source_chart
+    counting(catalog, "map_at_point", lambda sm, p, **kw: (tuple(p),))
+    counting(rmaps, "_projector_derivative", lambda sm, p, rank: (tuple(p),))
+    counting(rmaps, "riemann_at", lambda chart, p, **kw: (chart is source, tuple(p)))
+    counting(verify, "delta_casorati", lambda coeffs, **kw: (coeffs.role,))
+
+    argv = ["verify", "--theorem", "all", "--geometry", entry.id, "--samples", "2", "--json"]
+    assert main(argv) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    points = {tuple(r["point"]) for r in reports}
+    assert len(points) == 2
+    assert len({r["theorem"] for r in reports}) == len(entry.hypothesis_tags) == 5
+    for p in points:
+        assert counts["map_at_point", p] == 1
+        assert counts["_projector_derivative", p] == 1
+        assert counts["riemann_at", True, p] == 1
+    assert counts["delta_casorati", ROLE_T] == counts["delta_casorati", ROLE_A] == 2
+    assert sum(counts.values()) == 2 + 2 + 2 + 4
