@@ -296,7 +296,7 @@ class CatalogEntry:
             raise DegenerateInput(f"unknown catalog kind {self.kind!r}")
         if self.spaceform_side not in (None, "source", "target"):
             raise DegenerateInput(f"bad space-form side {self.spaceform_side!r}")
-        p = np.asarray(self.base_point, dtype=float)
+        p = np.array(self.base_point, dtype=float)
         if p.shape != (self.smooth_map.source.dim,):
             raise DimensionMismatch("base point does not match the source chart")
         object.__setattr__(self, "base_point", p)

@@ -2,8 +2,8 @@
 
 stdout carries the report (human-readable or JSON with a versioned schema
 field); stderr carries diagnostics.  Exit codes: 0 success, 1 counterexample
-or unclassified error, 2 out-of-domain, 3 rank drop, 4 hypothesis violated,
-5 branch undetermined, 6 proviso violated.
+or unclassified error, 2 out-of-domain or command-line usage error, 3 rank
+drop, 4 hypothesis violated, 5 branch undetermined, 6 proviso violated.
 """
 
 from __future__ import annotations
@@ -27,6 +27,16 @@ SIDE_KEYS = {
     "sub-vert": ("T", "vertical", "vertical"),
     "sub-hor": ("A", "horizontal", "horizontal"),
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the counts: a usage error (exit 2) unless an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -203,7 +213,7 @@ def _verify_geometry(args, theorems, entry) -> int:
     points = None
     if args.point:
         points = [_parse_point(args.point)]
-    elif args.samples:
+    elif args.samples is not None:
         points = args.samples
     tolerance = args.tolerance if args.tolerance is not None else _verify.RESIDUAL_TOL
     reports = _verify.verify_geometry(
@@ -296,9 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        p.add_argument("--tolerance", type=float, default=None, help="residual tolerance override")
-        p.add_argument("--samples", type=int, default=None, help="number of sample points")
         p.add_argument("--output", default=None, help="write the report to a file instead of stdout")
 
     p_cat = sub.add_parser("catalog", help="list built-in geometries")
@@ -310,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--geometry", default=None, help="catalog id")
     p_inv.add_argument("--geometry-file", default=None, help="JSON geometry description")
     p_inv.add_argument("--point", default=None, help="comma-separated source coordinates")
+    p_inv.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     add_common(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
@@ -319,8 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--geometry", default="synthetic", help="catalog id or 'synthetic' (default)"
     )
     p_ver.add_argument("--geometry-file", default=None, help="JSON geometry description")
-    p_ver.add_argument("--trials", type=int, default=1000, help="synthetic trials per theorem")
+    p_ver.add_argument(
+        "--trials", type=_positive_int, default=1000, help="synthetic trials per theorem"
+    )
     p_ver.add_argument("--point", default=None, help="comma-separated source coordinates")
+    p_ver.add_argument(
+        "--samples", type=_positive_int, default=None, help="number of sample points"
+    )
+    p_ver.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_ver.add_argument("--tolerance", type=float, default=None, help="residual tolerance override")
     add_common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 

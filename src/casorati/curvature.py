@@ -43,7 +43,7 @@ class ChartMetric:
     name: str = ""
 
     def __post_init__(self) -> None:
-        box = np.asarray(self.domain_box, dtype=float)
+        box = np.array(self.domain_box, dtype=float)
         if box.shape != (self.dim, 2):
             raise DimensionMismatch(
                 f"domain_box shape {box.shape}, expected ({self.dim}, 2)"
@@ -92,7 +92,7 @@ class CurvatureTensor:
     components: np.ndarray
 
     def __post_init__(self) -> None:
-        comp = np.asarray(self.components, dtype=float)
+        comp = np.array(self.components, dtype=float)
         if comp.ndim != 4 or len(set(comp.shape)) != 1:
             raise DimensionMismatch(f"components have shape {comp.shape}")
         scale = 1.0 + float(np.abs(comp).max())
@@ -200,12 +200,7 @@ def _christoffel_and_derivative(
     return g, gamma, dgamma
 
 
-def riemann_at(
-    chart: ChartMetric,
-    p: np.ndarray,
-    step_scale: float | None = None,
-    refine: bool = False,
-) -> CurvatureTensor:
+def riemann_at(chart: ChartMetric, p: np.ndarray, refine: bool = False) -> CurvatureTensor:
     """Full lowered Riemann tensor R_{ijkl} at p.
 
     With ``refine=True`` a single Richardson extrapolation step combines the
@@ -215,9 +210,7 @@ def riemann_at(
     second-difference roundoff floor eps/h^2.
     """
     p = np.asarray(p, dtype=float)
-    if step_scale is None:
-        step_scale = REFINED_STEP_SCALE if refine else STEP_SCALE
-    h = chart.steps_at(p, step_scale)
+    h = chart.steps_at(p, REFINED_STEP_SCALE if refine else STEP_SCALE)
     chart.require_inside(p, 4.0 * h)
     comp = _riemann_components(chart, p, h)
     if refine:
@@ -244,10 +237,3 @@ def scalar_on_subspace(tensor: CurvatureTensor, frame: Frame) -> float:
         raise DimensionMismatch("curvature tensor and frame dims differ")
     e = frame.vectors
     return float(np.einsum("abcd,ia,jb,jc,id->", tensor.components, e, e, e, e))
-
-
-def sectional(tensor: CurvatureTensor, inner, x: np.ndarray, y: np.ndarray) -> float:
-    """Sectional curvature of span{x, y}."""
-    num = float(np.einsum("abcd,a,b,c,d->", tensor.components, x, y, y, x))
-    den = inner.dot(x, x) * inner.dot(y, y) - inner.dot(x, y) ** 2
-    return num / den

@@ -2,12 +2,13 @@
 
 Everything downstream works pointwise with orthonormal frames of subspaces:
 orthonormalization against an arbitrary inner product, hyperplane
-parametrization by unit normal, restriction of bilinear forms to hyperplanes,
-and the squared norm of a structure operator restricted to a frame,
+parametrization by unit normal, and the squared norm of a structure operator
+restricted to a frame,
 
     ||P||^2 = sum_{i,j} <e_i, op(e_j)>^2.
 
-All objects are immutable value types; operations are pure.
+All objects are immutable value types holding read-only copies of their
+arrays; operations are pure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class InnerProduct:
     gram: np.ndarray
 
     def __post_init__(self) -> None:
-        gram = np.asarray(self.gram, dtype=float)
+        gram = np.array(self.gram, dtype=float)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise DimensionMismatch(f"gram matrix must be square, got {gram.shape}")
         if gram.shape[0] > MAX_DIM:
@@ -72,7 +73,7 @@ class Frame:
     inner: InnerProduct
 
     def __post_init__(self) -> None:
-        vec = np.atleast_2d(np.asarray(self.vectors, dtype=float))
+        vec = np.atleast_2d(np.array(self.vectors, dtype=float))
         if vec.shape[1] != self.inner.dim:
             raise DimensionMismatch(
                 f"frame vectors have dim {vec.shape[1]}, inner product {self.inner.dim}"
@@ -93,12 +94,6 @@ class Frame:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def orthonormality_defect(self) -> float:
-        if self.count == 0:
-            return 0.0
-        gram = self.vectors @ self.inner.gram @ self.vectors.T
-        return float(np.abs(gram - np.eye(self.count)).max())
-
     def coefficients_of(self, v: np.ndarray) -> np.ndarray:
         """Coefficients of the projection of v onto the frame's span."""
         return self.vectors @ self.inner.gram @ np.asarray(v, dtype=float)
@@ -116,7 +111,7 @@ class Hyperplane:
     unit_normal: np.ndarray
 
     def __post_init__(self) -> None:
-        n = np.asarray(self.unit_normal, dtype=float)
+        n = np.array(self.unit_normal, dtype=float)
         r = self.ambient_frame.count
         if r < 3:
             raise DimensionMismatch(f"hyperplanes need ambient frame dim >= 3, got {r}")
@@ -153,7 +148,7 @@ class StructureOperator:
     STRUCTURE_TOL = 1e-9
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("structure matrix must be square")
         object.__setattr__(self, "matrix", m)
@@ -169,8 +164,8 @@ class StructureOperator:
         elif self.kind == "almost-contact":
             if self.xi is None or self.eta is None:
                 raise DegenerateInput("almost-contact structure needs xi and eta")
-            xi = np.asarray(self.xi, dtype=float)
-            eta = np.asarray(self.eta, dtype=float)
+            xi = np.array(self.xi, dtype=float)
+            eta = np.array(self.eta, dtype=float)
             if xi.shape != (dim,) or eta.shape != (dim,):
                 raise DimensionMismatch("xi/eta have wrong shape")
             defects = (
@@ -196,17 +191,6 @@ class StructureOperator:
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=float)
-
-    def metric_compatibility_defect(self, inner: InnerProduct) -> float:
-        """Max defect of g(op X, op Y) = g(X, Y) [- eta(X) eta(Y) for contact]."""
-        if self.kind == "trivial":
-            return 0.0
-        g = inner.gram
-        lhs = self.matrix.T @ g @ self.matrix
-        rhs = g.copy()
-        if self.kind == "almost-contact":
-            rhs = rhs - np.outer(self.eta, self.eta)
-        return float(np.abs(lhs - rhs).max())
 
 
 def gram_schmidt(raw_vectors: np.ndarray, inner: InnerProduct) -> Frame:
@@ -248,36 +232,3 @@ def structure_norm_squared(frame: Frame, op: StructureOperator) -> float:
         raise DimensionMismatch("structure operator dim does not match frame dim")
     p = frame.vectors @ frame.inner.gram @ (op.matrix @ frame.vectors.T)
     return float(np.sum(p * p))
-
-
-def restrict_to_hyperplane(coeffs: np.ndarray, hp: Hyperplane) -> np.ndarray:
-    """Matrix of a bilinear form restricted to a hyperplane.
-
-    ``coeffs`` is the r x r matrix of the form in the ambient frame; the result
-    is (r-1) x (r-1) in an orthonormal basis of the hyperplane (any such basis:
-    the Frobenius norm of the result is basis-independent).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    r = hp.r
-    if coeffs.shape != (r, r):
-        raise DimensionMismatch(f"coefficient matrix shape {coeffs.shape} != ({r},{r})")
-    basis = _hyperplane_basis(hp.unit_normal)
-    return basis.T @ coeffs @ basis
-
-
-def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
-    """Columns: an orthonormal basis of the hyperplane normal^perp in R^r."""
-    r = normal.shape[0]
-    # Householder reflection taking e_last to the normal; the first r-1 columns
-    # of the reflection matrix then span the hyperplane.
-    e = np.zeros(r)
-    e[-1] = 1.0
-    w = normal - e if normal[-1] >= 0 else normal + e
-    wn = np.linalg.norm(w)
-    if wn < 1e-14:
-        h = np.eye(r)
-    else:
-        w = w / wn
-        h = np.eye(r) - 2.0 * np.outer(w, w)
-    # h maps +-e_last to the normal, so the remaining columns are the basis.
-    return h[:, : r - 1]

@@ -23,12 +23,12 @@ basis in which every B_alpha is diag(a, ..., a, 2a) with no off-diagonal terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
-from .framecore import Frame, Hyperplane, InnerProduct
+from .framecore import Hyperplane
 
 ROLE_B = "B-map"
 ROLE_T = "T-submersion"
@@ -52,7 +52,9 @@ class FormCoefficients:
     """Per-normal coefficient matrices of a second-fundamental-form-like tensor.
 
     ``coeffs`` has shape (normal_count, r, r). Matrices are symmetric for the
-    B and T roles and antisymmetric (zero diagonal) for the A role.
+    B and T roles and antisymmetric (zero diagonal) for the A role. The input
+    must be finite and (anti)symmetric within SYMMETRY_TOL of its scale; the
+    stored array is its exactly (anti)symmetrized, read-only copy.
     """
 
     role: str
@@ -64,17 +66,18 @@ class FormCoefficients:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise DimensionMismatch(f"coeffs shape {c.shape}, expected (m, r, r)")
-        scale = 1.0 + float(np.abs(c).max()) if c.size else 1.0
-        if self.role == ROLE_A:
-            defect = float(np.abs(c + c.transpose(0, 2, 1)).max()) if c.size else 0.0
-            if defect > SYMMETRY_TOL * scale:
-                raise DegenerateInput(f"A-role coefficients not antisymmetric ({defect:.2e})")
-        else:
-            defect = float(np.abs(c - c.transpose(0, 2, 1)).max()) if c.size else 0.0
-            if defect > SYMMETRY_TOL * scale:
-                raise DegenerateInput(f"{self.role} coefficients not symmetric ({defect:.2e})")
-        object.__setattr__(self, "coeffs", c)
-        c.setflags(write=False)
+        if not np.all(np.isfinite(c)):
+            raise DegenerateInput(f"{self.role} coefficients are not finite")
+        sign = -1.0 if self.role == ROLE_A else 1.0
+        flipped = sign * c.transpose(0, 2, 1)
+        if c.size:
+            defect = float(np.abs(c - flipped).max())
+            if defect > SYMMETRY_TOL * (1.0 + float(np.abs(c).max())):
+                kind = "antisymmetric" if self.role == ROLE_A else "symmetric"
+                raise DegenerateInput(f"{self.role} coefficients not {kind} ({defect:.2e})")
+        cleaned = 0.5 * (c + flipped)
+        cleaned.setflags(write=False)
+        object.__setattr__(self, "coeffs", cleaned)
 
     @property
     def r(self) -> int:
@@ -133,7 +136,6 @@ class EqualityDiagnosis:
     is_equality_shape: bool
     max_offdiag: float
     max_umbilic_defect: float
-    basis_used: Frame
 
     def to_json(self) -> dict:
         return {
@@ -155,6 +157,13 @@ def casorati_on_hyperplane(coeffs: FormCoefficients, hp: Hyperplane) -> float:
     if hp.r != coeffs.r:
         raise DimensionMismatch("hyperplane and coefficients have different r")
     return float(restricted_sum(coeffs.coeffs, hp.unit_normal[None])[0]) / (coeffs.r - 1)
+
+
+def delta_pair(c_val, c_l_inf, c_l_sup, r: int):
+    """(delta_C, delta_hat_C) from C and the inf and sup of C^L; elementwise on arrays."""
+    delta = 0.5 * c_val + (r + 1.0) / (2.0 * r) * c_l_inf
+    delta_hat = 2.0 * c_val - (2.0 * r - 1.0) / (2.0 * r) * c_l_sup
+    return delta, delta_hat
 
 
 def _expand(mats: np.ndarray, normals: np.ndarray):
@@ -346,6 +355,7 @@ def delta_casorati(
 
     _, pg = _tangent_gradient(mats, np.stack([n_inf, n_sup]), np.ones(2))
     stationary = np.linalg.norm(pg, axis=1) <= GRAD_NORM_TOL * (1.0 + coeffs.norm_squared())
+    delta_c, delta_hat_c = delta_pair(c_val, c_l_inf, c_l_sup, r)
     return CasoratiReport(
         r=r,
         C=c_val,
@@ -353,8 +363,8 @@ def delta_casorati(
         C_L_sup=c_l_sup,
         inf_normal=n_inf,
         sup_normal=n_sup,
-        delta_C=0.5 * c_val + (r + 1.0) / (2.0 * r) * c_l_inf,
-        delta_hat_C=2.0 * c_val - (2.0 * r - 1.0) / (2.0 * r) * c_l_sup,
+        delta_C=delta_c,
+        delta_hat_C=delta_hat_c,
         converged=bool(stationary.all()),
         starts=starts,
         iterations=iterations,
@@ -363,20 +373,19 @@ def delta_casorati(
 
 
 def grid_extrema(
-    coeffs: FormCoefficients, seed: int = 0, samples: int | None = None
+    coeffs: FormCoefficients, seed: int = 0
 ) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Brute-force oracle: (C_L_inf, n_inf, C_L_sup, n_sup) from a sphere grid.
 
-    Uniform random directions (10^4 per dimension by default) plus coordinate
+    Uniform random directions (GRID_PER_DIM per dimension) plus coordinate
     axes. The sphere solver polishes the POLISH_LEADERS best basin-diverse
     directions on each side (fewer can all sit in wrong basins), never the
     multi-starts of ``delta_casorati``.
     """
     r = coeffs.r
     mats = coeffs.coeffs
-    count = samples if samples is not None else GRID_PER_DIM * r
     rng = np.random.default_rng(seed)
-    dirs = np.vstack([rng.standard_normal((count, r)), np.eye(r)])
+    dirs = np.vstack([rng.standard_normal((GRID_PER_DIM * r, r)), np.eye(r)])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     # Slice by slice, so that the products for the whole grid never coexist.
@@ -432,14 +441,12 @@ def diagnose_equality(coeffs: FormCoefficients, tol: float = EQUALITY_TOL) -> Eq
         raise DimensionMismatch("equality diagnosis needs r >= 3")
     maxabs = float(np.abs(coeffs.coeffs).max()) if coeffs.coeffs.size else 0.0
     scaled_tol = tol * (1.0 + maxabs)
-    identity_frame = Frame(np.eye(r), InnerProduct.euclidean(r))
 
     if coeffs.role == ROLE_A:
         return EqualityDiagnosis(
             is_equality_shape=maxabs <= scaled_tol,
             max_offdiag=maxabs,
             max_umbilic_defect=0.0,
-            basis_used=identity_frame,
         )
 
     # Joint diagonalization attempt: eigenbasis of sum_alpha B_alpha^2.
@@ -470,7 +477,6 @@ def diagnose_equality(coeffs: FormCoefficients, tol: float = EQUALITY_TOL) -> Eq
         is_equality_shape=max_offdiag <= scaled_tol and best_defect <= scaled_tol,
         max_offdiag=max_offdiag,
         max_umbilic_defect=float(best_defect),
-        basis_used=Frame(v.T, InnerProduct.euclidean(r)),
     )
 
 

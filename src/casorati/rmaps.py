@@ -11,11 +11,10 @@ inequalities:
     vertical:   2scal^V = 2scal_M1^V + ||trace T||^2 - r C    (fibers as submanifolds)
     horizontal: 2scal_H^H = 2scal^H + 3 r C                   (A measures non-integrability)
 
-Derivatives of the map use complex-step differentiation when the coordinate
-function accepts complex input (all built-in geometries do); this gives
+Jacobians of the map use complex-step differentiation, so the coordinate
+function must accept complex input (all built-in geometries do); this gives
 machine-precision Jacobians, which the projector-field derivatives behind T
-and A need in order to meet the 1e-9 symmetry tolerances. Real-arithmetic
-maps fall back to central differences with correspondingly looser gates.
+and A need in order to meet the 1e-9 symmetry tolerance of FormCoefficients.
 """
 
 from __future__ import annotations
@@ -39,34 +38,27 @@ from .measures import ROLE_A, ROLE_B, ROLE_T, FormCoefficients
 
 COMPLEX_STEP = 1e-150
 FD_STEP = 5e-6
-HESSIAN_STEP = 1e-4
 KERNEL_THRESHOLD = 1e-8
 ISOMETRY_TOL = 1e-9
 FRAME_ORTHO_TOL = 1e-9
 RANGE_RESIDUAL_TOL = 1e-6
 TRACED_IDENTITY_TOL = 1e-5
 TRACE_A_TOL = 1e-10
-# Coefficient (anti)symmetry gates before cleanup, by derivative quality.
-SYMMETRY_GATE_EXACT = 1e-9
-SYMMETRY_GATE_FD = 1e-4
 
 
 @dataclass(frozen=True)
 class SmoothMap:
     """A coordinate map between two charts.
 
-    ``func`` maps source coordinates to target coordinates. If it handles
-    complex arrays (``complex_ok``), Jacobians use the complex-step rule
-    Im F(p + ih e_k)/h, exact to machine precision. ``jacobian_fn`` overrides
-    both numeric routes.
+    ``func`` maps source coordinates to target coordinates and must handle
+    complex arrays: Jacobians use the complex-step rule Im F(p + ih e_k)/h,
+    exact to machine precision.
     """
 
     source: ChartMetric
     target: ChartMetric
     func: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    complex_ok: bool = True
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         q = np.asarray(self.func(np.asarray(p)))
@@ -76,66 +68,32 @@ class SmoothMap:
             )
         return q
 
-    @property
-    def exact_derivatives(self) -> bool:
-        return self.complex_ok or self.jacobian_fn is not None
-
     def jacobian(self, p: np.ndarray) -> np.ndarray:
         """dF at p as an m2 x m1 matrix."""
         p = np.asarray(p, dtype=float)
-        if self.jacobian_fn is not None:
-            j = np.asarray(self.jacobian_fn(p), dtype=float)
-            if j.shape != (self.target.dim, self.source.dim):
-                raise DimensionMismatch(f"jacobian_fn returned shape {j.shape}")
-            return j
-        if self.complex_ok:
-            cols = []
-            for k in range(self.source.dim):
-                z = p.astype(complex)
-                z[k] += 1j * COMPLEX_STEP
-                cols.append(np.asarray(self.func(z)).imag / COMPLEX_STEP)
-            return np.column_stack(cols)
-        h = self.source.steps_at(p, FD_STEP)
-        self.source.require_inside(p, 2.0 * h)
         cols = []
         for k in range(self.source.dim):
-            e = np.zeros_like(p)
-            e[k] = h[k]
-            cols.append((self(p + e) - self(p - e)) / (2.0 * h[k]))
+            z = p.astype(complex)
+            z[k] += 1j * COMPLEX_STEP
+            cols.append(np.asarray(self.func(z)).imag / COMPLEX_STEP)
         return np.column_stack(cols)
 
     def component_hessians(self, p: np.ndarray) -> np.ndarray:
-        """d2F[c, k, l] = second partials of each target component."""
+        """d2F[c, k, l] = second partials of each target component.
+
+        Central difference of exact Jacobian columns: error ~1e-10.
+        """
         p = np.asarray(p, dtype=float)
         m1 = self.source.dim
-        if self.exact_derivatives:
-            # Central difference of exact Jacobian columns: error ~1e-10.
-            h = self.source.steps_at(p, FD_STEP)
-            self.source.require_inside(p, 2.0 * h)
-            dj = np.empty((m1, self.target.dim, m1))
-            for a in range(m1):
-                e = np.zeros_like(p)
-                e[a] = h[a]
-                dj[a] = (self.jacobian(p + e) - self.jacobian(p - e)) / (2.0 * h[a])
-            hessians = dj.transpose(1, 0, 2)  # [c, a, l]
-            return 0.5 * (hessians + hessians.transpose(0, 2, 1))
-        h = self.source.steps_at(p, HESSIAN_STEP)
+        h = self.source.steps_at(p, FD_STEP)
         self.source.require_inside(p, 2.0 * h)
-        f0 = self(p)
-        hess = np.empty((self.target.dim, m1, m1))
-        for k in range(m1):
-            ek = np.zeros_like(p)
-            ek[k] = h[k]
-            hess[:, k, k] = (self(p + ek) - 2.0 * f0 + self(p - ek)) / h[k] ** 2
-            for l in range(k + 1, m1):
-                el = np.zeros_like(p)
-                el[l] = h[l]
-                mixed = (
-                    self(p + ek + el) - self(p + ek - el) - self(p - ek + el) + self(p - ek - el)
-                ) / (4.0 * h[k] * h[l])
-                hess[:, k, l] = mixed
-                hess[:, l, k] = mixed
-        return hess
+        dj = np.empty((m1, self.target.dim, m1))
+        for a in range(m1):
+            e = np.zeros_like(p)
+            e[a] = h[a]
+            dj[a] = (self.jacobian(p + e) - self.jacobian(p - e)) / (2.0 * h[a])
+        hessians = dj.transpose(1, 0, 2)  # [c, a, l]
+        return 0.5 * (hessians + hessians.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -363,8 +321,7 @@ def second_fundamental_form(mp: MapAtPoint) -> FormCoefficients:
         coeffs = np.einsum("ijc,cd,ad->aij", b_vec, g2, mp.range_perp_frame.vectors)
     else:
         coeffs = np.zeros((0, mp.rank, mp.rank))
-    _check_then_clean(coeffs, sm.exact_derivatives, antisymmetric=False, what="B")
-    return FormCoefficients(ROLE_B, 0.5 * (coeffs + coeffs.transpose(0, 2, 1)))
+    return FormCoefficients(ROLE_B, coeffs)
 
 
 def _vertical_projector(sm: SmoothMap, x: np.ndarray, rank: int) -> np.ndarray:
@@ -404,20 +361,6 @@ def _projector_derivative(sm: SmoothMap, p: np.ndarray, rank: int) -> np.ndarray
     return dpv
 
 
-def _check_then_clean(coeffs: np.ndarray, exact: bool, antisymmetric: bool, what: str) -> None:
-    if not coeffs.size:
-        return
-    gate = SYMMETRY_GATE_EXACT if exact else SYMMETRY_GATE_FD
-    scale = 1.0 + float(np.abs(coeffs).max())
-    flipped = coeffs.transpose(0, 2, 1)
-    defect = float(np.abs(coeffs + flipped).max()) if antisymmetric else float(
-        np.abs(coeffs - flipped).max()
-    )
-    if defect > gate * scale:
-        kind = "antisymmetry" if antisymmetric else "symmetry"
-        raise ValidationFailed(f"{what} coefficient {kind} defect {defect:.2e} exceeds gate")
-
-
 def _oneill_vectors(mp: MapAtPoint, of: str) -> np.ndarray:
     """Full T or A vectors: out[i, j] = T_{e_i} e_j (or A_{e_i} e_j) in source coords.
 
@@ -451,8 +394,7 @@ def oneill_T(mp: MapAtPoint) -> FormCoefficients:
     coeffs = np.einsum(
         "ijl,lm,am->aij", mp.t_vectors, mp.source_inner.gram, mp.horizontal_frame.vectors
     )
-    _check_then_clean(coeffs, mp.smooth_map.exact_derivatives, antisymmetric=False, what="T")
-    return FormCoefficients(ROLE_T, 0.5 * (coeffs + coeffs.transpose(0, 2, 1)))
+    return FormCoefficients(ROLE_T, coeffs)
 
 
 def oneill_A(mp: MapAtPoint) -> FormCoefficients:
@@ -460,32 +402,14 @@ def oneill_A(mp: MapAtPoint) -> FormCoefficients:
     coeffs = np.einsum(
         "ijl,lm,am->aij", mp.a_vectors, mp.source_inner.gram, mp.vertical_frame.vectors
     )
-    _check_then_clean(coeffs, mp.smooth_map.exact_derivatives, antisymmetric=True, what="A")
+    a = FormCoefficients(ROLE_A, coeffs)
     # The trace-vector check runs on the raw coefficients (after
     # antisymmetrization it would be identically zero).
     raw_traces = np.einsum("aii->a", coeffs)
     trace_sq = float(raw_traces @ raw_traces)
     if trace_sq > TRACE_A_TOL * (1.0 + float(np.sum(coeffs * coeffs))):
         raise ValidationFailed(f"A has a nonzero trace vector (||trace A||^2 = {trace_sq:.2e})")
-    return FormCoefficients(ROLE_A, 0.5 * (coeffs - coeffs.transpose(0, 2, 1)))
-
-
-def oneill_A_via_bracket(mp: MapAtPoint) -> FormCoefficients:
-    """Independent A route: A_X Y = (1/2) v[X~, Y~] for horizontal field extensions."""
-    mp.require_submersion("the O'Neill tensor A")
-    pv, dpv, _ = mp.projector_field
-    h_vecs = mp.horizontal_frame.vectors
-    n = h_vecs.shape[0]
-    out = np.empty((n, n, mp.m1))
-    for i in range(n):
-        for jdx in range(n):
-            # [h~_i, h~_j] with h~_k(x) = (I - Pv(x)) h_k; d h~_k = -dPv h_k.
-            bracket = -np.einsum("a,alm,m->l", h_vecs[i], dpv, h_vecs[jdx]) + np.einsum(
-                "a,alm,m->l", h_vecs[jdx], dpv, h_vecs[i]
-            )
-            out[i, jdx] = 0.5 * pv @ bracket
-    coeffs = np.einsum("ijl,lm,am->aij", out, mp.source_inner.gram, mp.vertical_frame.vectors)
-    return FormCoefficients(ROLE_A, 0.5 * (coeffs - coeffs.transpose(0, 2, 1)))
+    return a
 
 
 def gauss_map_scalars(mp: MapAtPoint, b: FormCoefficients) -> ScalarCurvaturePair:

@@ -26,7 +26,6 @@ from .curvature import ChartMetric, CurvatureTensor, riemann_at
 from .errors import DegenerateInput, DimensionMismatch, ValidationFailed
 from .framecore import InnerProduct, StructureOperator
 
-STRUCTURE_TOL = 1e-9
 CHART_VALIDATION_TOL = 1e-3
 
 
@@ -72,12 +71,6 @@ class SpaceFormSpec:
 
     def constants(self) -> tuple[float, float, float]:
         return float(self.c1), float(self.c2), float(self.c3 or 0.0)
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "c1": self.c1, "c2": self.c2, "dim": self.dim}
-        if self.kind == "generalized-sasakian":
-            out["c3"] = self.c3
-        return out
 
 
 # (c1, c2, c3) for the named families; alpha enters only where noted.

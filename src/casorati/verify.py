@@ -30,6 +30,7 @@ from .measures import (
     FormCoefficients,
     closed_form_normals,
     delta_casorati,
+    delta_pair,
     diagnose_equality,
     restricted_sum,
 )
@@ -43,12 +44,7 @@ from .rmaps import (
     oneill_T,
     second_fundamental_form,
 )
-from .spaceforms import (
-    CONTACT_FAMILIES,
-    NamedFamily,
-    SpaceFormSpec,
-    family_constants,
-)
+from .spaceforms import CONTACT_FAMILIES, SpaceFormSpec
 
 RESIDUAL_TOL = 1e-8
 EQUALITY_RESIDUAL_TOL = 1e-7
@@ -215,55 +211,22 @@ def model_reference_part(
     return c1 + 3.0 * c2 * pnorm2 / (r * (r - 1)) - 2.0 * c3 * xi_tangent / r
 
 
-def corollary_reference_part(
-    family: NamedFamily, r: int, pnorm2: float, xi_tangent: bool
-) -> float:
-    """The named-family bounds written out directly, for cross-checking.
-
-    These expressions are transcribed independently of family_constants so a
-    transposed coefficient in either table cannot cancel out.
-    """
-    c = float(family.c)
-    a = 0.0 if family.alpha is None else float(family.alpha)
-    denom = 4.0 * r * (r - 1)
-    if family.name == "real":
-        return c
-    if family.name == "complex":
-        return c / 4.0 + 3.0 * c * pnorm2 / denom
-    if family.name == "real-kahler":
-        return (c + 3.0 * a) / 4.0 + 3.0 * (c - a) * pnorm2 / denom
-    if family.name == "sasakian":
-        val = (c + 3.0) / 4.0 + 3.0 * (c - 1.0) * pnorm2 / denom
-        return val - (c - 1.0) / (2.0 * r) if xi_tangent else val
-    if family.name == "kenmotsu":
-        val = (c - 3.0) / 4.0 + 3.0 * (c + 1.0) * pnorm2 / denom
-        return val - (c + 1.0) / (2.0 * r) if xi_tangent else val
-    if family.name == "cosymplectic":
-        val = c / 4.0 + 3.0 * c * pnorm2 / denom
-        return val - c / (2.0 * r) if xi_tangent else val
-    if family.name == "almost-C-alpha":
-        a2 = a * a
-        val = (c + 3.0 * a2) / 4.0 + 3.0 * (c - a2) * pnorm2 / denom
-        return val - (c - a2) / (2.0 * r) if xi_tangent else val
-    raise DegenerateInput(f"no bound table entry for family {family.name!r}")
-
-
 def rhs_for(
     theorem: str,
     variant: str,
     r: int,
     casorati: CasoratiReport,
-    spec: SpaceFormSpec | None = None,
+    constants: tuple[float, float, float] | None = None,
     pnorm2: float | None = None,
     xi: XiPosition | None = None,
     rho_reference: float | None = None,
-    family: NamedFamily | None = None,
 ) -> float:
     """Right-hand side of the selected inequality variant.
 
     General theorems need rho_reference (the measured curvature of the
-    comparison space); model theorems take constants from ``family`` when
-    given, else from ``spec``.  Invariant/anti-invariant specializations
+    comparison space); model theorems need the space-form ``constants``
+    (c1, c2, c3), as given by ``SpaceFormSpec.constants`` or
+    ``family_constants``.  Invariant/anti-invariant specializations
     substitute |P|^2 = r and 0 respectively.
     """
     info = theorem_info(theorem)
@@ -278,12 +241,9 @@ def rhs_for(
             raise DegenerateInput(f"{theorem} needs the comparison curvature rho_reference")
         return float(delta + rho_reference)
 
-    if family is not None:
-        c1, c2, c3 = family_constants(family)
-    elif spec is not None:
-        c1, c2, c3 = spec.c1, spec.c2, (spec.c3 or 0.0)
-    else:
-        raise DegenerateInput(f"{theorem} needs space-form constants (spec or family)")
+    if constants is None:
+        raise DegenerateInput(f"{theorem} needs space-form constants (c1, c2, c3)")
+    c1, c2, c3 = constants
 
     if info.model == "sasakian":
         if xi is None:
@@ -430,6 +390,8 @@ def _resolve_points(entry, points, seed):
     if points is None:
         return [np.asarray(entry.base_point, dtype=float)]
     if isinstance(points, (int, np.integer)):
+        if points < 1:
+            raise DegenerateInput(f"points must be a positive count, got {points}")
         rng = np.random.default_rng(seed)
         sampler = entry.source_chart.interior_sampler(rng, margin=0.1)
         return [sampler() for _ in range(int(points))]
@@ -446,10 +408,11 @@ def verify_geometry(
     """Evaluate both inequality variants on a catalog geometry.
 
     ``theorem`` is one registry id or a sequence of ids; ``geometry`` is a
-    catalog id or a CatalogEntry; ``points`` is None (base point), an integer
-    (that many interior samples), or explicit points. Reports come theorem by
-    theorem, each over all points, and every point is evaluated once for all
-    theorems. Raises HypothesisViolated naming the first failing precondition.
+    catalog id or a CatalogEntry; ``points`` is None (base point), a positive
+    integer (that many interior samples), or explicit points. Reports come
+    theorem by theorem, each over all points, and every point is evaluated once
+    for all theorems. Raises HypothesisViolated naming the first failing
+    precondition.
     """
     infos = [theorem_info(t) for t in ([theorem] if isinstance(theorem, str) else theorem)]
     entry = _catalog.get(geometry) if isinstance(geometry, str) else geometry
@@ -507,7 +470,7 @@ def _reports_at(info: TheoremInfo, ev: PointEvaluation, tolerance: float) -> lis
             variant,
             r,
             rep,
-            spec=None if klass is None else ev.spec,
+            constants=None if klass is None else ev.spec.constants(),
             pnorm2=None if klass is None else klass.pnorm2,
             xi=xi,
             rho_reference=pair.rho_right if info.model == "none" else None,
@@ -567,9 +530,7 @@ def _synthetic_casorati(coeffs: np.ndarray, rng: np.random.Generator, symmetric:
 
     cl_inf = values.min(axis=1) / (r - 1)
     cl_sup = values.max(axis=1) / (r - 1)
-    delta = 0.5 * c_val + (r + 1) / (2.0 * r) * cl_inf
-    dhat = 2.0 * c_val - (2.0 * r - 1) / (2.0 * r) * cl_sup
-    return c_val, delta, dhat
+    return (c_val, *delta_pair(c_val, cl_inf, cl_sup, r))
 
 
 def _draw_coefficients(rng, n, s, r, symmetric, equality_mask):
@@ -712,14 +673,8 @@ def verify_synthetic(theorem: str, trials: int, seed: int = 0) -> dict:
             if info.model == "none":
                 ref_part = rho_ref[mask]
             else:
-                if info.invariance == "invariant":
-                    pn2 = np.full(n, float(r_i))
-                elif info.invariance == "anti-invariant":
-                    pn2 = np.zeros(n)
-                else:
-                    pn2 = pnorm2_all[mask]
                 ref_part = model_reference_part(
-                    c1[mask], c2[mask], c3[mask], r_i, pn2, tangent_arr[mask]
+                    c1[mask], c2[mask], c3[mask], r_i, pnorm2_all[mask], tangent_arr[mask]
                 )
 
             model_2scal = r_i * (r_i - 1) * ref_part
@@ -781,44 +736,3 @@ def _spot_check_structures(info, r_arr, tangent_arr, thetas, pnorm2_all) -> None
                 raise DegenerateInput(
                     f"Reeb branch drifted: built {want}, measured {pos.position}"
                 )
-
-
-# --------------------------------------------------------------------------
-# family-specialization consistency
-# --------------------------------------------------------------------------
-
-def specialization_deviation(samples: int = 200, seed: int = 0) -> float:
-    """Max |generic-constants bound - named-family bound| over random draws.
-
-    The generic path routes through family_constants; the comparison uses the
-    independently transcribed family table.  Agreement certifies the constant
-    tables against transcription slips.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name in sorted(_FAMILY_SAMPLERS):
-        for _ in range(samples):
-            fam = _FAMILY_SAMPLERS[name](rng)
-            r = int(rng.integers(3, 8))
-            pnorm2 = float(rng.uniform(0.0, r))
-            tangent = bool(rng.random() < 0.5) and name in CONTACT_FAMILIES
-            c1, c2, c3 = family_constants(fam)
-            generic = model_reference_part(c1, c2, c3, r, pnorm2, tangent)
-            table = corollary_reference_part(fam, r, pnorm2, tangent)
-            worst = max(worst, abs(generic - table))
-    return worst
-
-
-_FAMILY_SAMPLERS = {
-    "real": lambda rng: NamedFamily("real", float(rng.normal(0.0, 2.0))),
-    "complex": lambda rng: NamedFamily("complex", float(rng.normal(0.0, 2.0))),
-    "real-kahler": lambda rng: NamedFamily(
-        "real-kahler", float(rng.normal(0.0, 2.0)), float(rng.normal(0.0, 2.0))
-    ),
-    "sasakian": lambda rng: NamedFamily("sasakian", float(rng.normal(0.0, 2.0))),
-    "kenmotsu": lambda rng: NamedFamily("kenmotsu", float(rng.normal(0.0, 2.0))),
-    "cosymplectic": lambda rng: NamedFamily("cosymplectic", float(rng.normal(0.0, 2.0))),
-    "almost-C-alpha": lambda rng: NamedFamily(
-        "almost-C-alpha", float(rng.normal(0.0, 2.0)), float(rng.normal(0.0, 2.0))
-    ),
-}

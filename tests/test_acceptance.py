@@ -50,10 +50,10 @@ from casorati.verify import (
     THEOREM_IDS,
     model_reference_part,
     rhs_for,
-    specialization_deviation,
     verify_geometry,
     verify_synthetic,
 )
+from reference import specialization_deviation
 
 
 # --------------------------------------------------------------------------

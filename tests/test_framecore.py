@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casorati.catalog import CatalogEntry, KIND_MAP, flat_chart, identity_map
+from casorati.curvature import ChartMetric, CurvatureTensor
 from casorati.errors import DegenerateInput, DimensionMismatch
 from casorati.framecore import (
     Frame,
@@ -10,10 +12,11 @@ from casorati.framecore import (
     InnerProduct,
     StructureOperator,
     gram_schmidt,
-    restrict_to_hyperplane,
     structure_norm_squared,
 )
-from casorati.measures import restricted_sum
+from casorati.measures import ROLE_B, FormCoefficients, restricted_sum
+from casorati.rmaps import SmoothMap
+from reference import metric_compatibility_defect, orthonormality_defect, restrict_to_hyperplane
 
 ORTHO_TOL = 1e-10
 FROB_TOL = 1e-11
@@ -50,7 +53,7 @@ def test_gram_schmidt_orthonormal_under_curved_metric(seed, n):
     k = int(rng.integers(1, n + 1))
     frame = gram_schmidt(rng.standard_normal((k, n)), inner)
     assert frame.count == k
-    assert frame.orthonormality_defect() <= ORTHO_TOL
+    assert orthonormality_defect(frame) <= ORTHO_TOL
     # span is preserved: projecting the original vectors changes nothing
     v = rng.standard_normal(n)
     proj = frame.project(v)
@@ -117,7 +120,7 @@ def test_structure_operator_contact_identities():
     xi = np.array([0.0, 0.0, 1.0])
     op = StructureOperator(phi, "almost-contact", xi=xi, eta=xi)
     assert np.allclose(op(xi), 0.0)
-    assert op.metric_compatibility_defect(InnerProduct.euclidean(3)) <= 1e-12
+    assert metric_compatibility_defect(op, InnerProduct.euclidean(3)) <= 1e-12
     with pytest.raises(DegenerateInput):
         StructureOperator(phi, "almost-contact", xi=xi, eta=2.0 * xi)
 
@@ -147,3 +150,56 @@ def test_structure_norm_bounded_by_frame_count(seed):
     frame = gram_schmidt(rng.standard_normal((k, 4)), inner)
     val = structure_norm_squared(frame, op)
     assert -1e-12 <= val <= k + 1e-12
+
+
+def _contact_phi():
+    phi = np.zeros((3, 3))
+    phi[0, 1], phi[1, 0] = -1.0, 1.0
+    return phi
+
+
+def _contact_part(array, part):
+    parts = {"matrix": _contact_phi(), "xi": np.eye(3)[2], "eta": np.eye(3)[2], part: array}
+    op = StructureOperator(parts["matrix"], "almost-contact", xi=parts["xi"], eta=parts["eta"])
+    return getattr(op, part)
+
+
+def _base_point(array):
+    sm = SmoothMap(flat_chart(2), flat_chart(2), identity_map())
+    return CatalogEntry("frozen", KIND_MAP, sm, 2, array).base_point
+
+
+# name: (template of the caller's array, the array the object stores from it)
+FROZEN_CASES = {
+    "FormCoefficients": (np.zeros((1, 3, 3)), lambda a: FormCoefficients(ROLE_B, a).coeffs),
+    "InnerProduct": (np.eye(3), lambda a: InnerProduct(a).gram),
+    "Frame": (np.eye(3), lambda a: Frame(a, InnerProduct.euclidean(3)).vectors),
+    "Hyperplane": (
+        np.eye(3)[2],
+        lambda a: Hyperplane(Frame(np.eye(3), InnerProduct.euclidean(3)), a).unit_normal,
+    ),
+    "StructureOperator.matrix": (
+        np.array([[0.0, -1.0], [1.0, 0.0]]),
+        lambda a: StructureOperator(a, "almost-complex").matrix,
+    ),
+    "StructureOperator.contact-matrix": (_contact_phi(), lambda a: _contact_part(a, "matrix")),
+    "StructureOperator.xi": (np.eye(3)[2], lambda a: _contact_part(a, "xi")),
+    "StructureOperator.eta": (np.eye(3)[2], lambda a: _contact_part(a, "eta")),
+    "CurvatureTensor": (np.zeros((2, 2, 2, 2)), lambda a: CurvatureTensor(a).components),
+    "ChartMetric.domain_box": (
+        np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+        lambda a: ChartMetric(2, lambda p: np.eye(2), a).domain_box,
+    ),
+    "CatalogEntry.base_point": (np.array([0.1, 0.2]), _base_point),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CASES))
+def test_value_types_store_a_frozen_copy(name):
+    template, stored_of = FROZEN_CASES[name]
+    caller = template.copy()
+    stored = stored_of(caller)
+    before = stored.copy()
+    assert not stored.flags.writeable
+    caller[...] = 5.0  # the caller's array stays writable
+    assert np.array_equal(stored, before)

@@ -54,6 +54,27 @@ def test_symmetry_gates_per_role():
         FormCoefficients("shape-operator", bad)
 
 
+def test_non_finite_coefficients_are_rejected():
+    for role in ROLES:
+        for value in (np.nan, np.inf):
+            c = np.zeros((1, 3, 3))
+            c[0, 0, 1] = c[0, 1, 0] = value
+            with pytest.raises(DegenerateInput, match="not finite"):
+                FormCoefficients(role, c)
+
+
+def test_stored_coefficients_are_exactly_symmetrized():
+    # Input within the gate is accepted and stored exactly (anti)symmetric.
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((2, 4, 4))
+    noise = 1e-12 * rng.standard_normal((2, 4, 4))
+    b = FormCoefficients(ROLE_B, 0.5 * (m + m.transpose(0, 2, 1)) + noise)
+    assert np.array_equal(b.coeffs, b.coeffs.transpose(0, 2, 1))
+    a = FormCoefficients(ROLE_A, 0.5 * (m - m.transpose(0, 2, 1)) + noise)
+    assert np.array_equal(a.coeffs, -a.coeffs.transpose(0, 2, 1))
+    assert np.abs(a.coeffs - 0.5 * (m - m.transpose(0, 2, 1))).max() <= 1e-11
+
+
 def test_casorati_desk_example_diag_1_1_2():
     # Single normal, B = diag(1, 1, 2): C = 6/3 = 2, inf C^L = 1 at normal e_3,
     # sup C^L = 5/2 at e_1, so delta_C = 5/3 and delta-hat_C = 23/12.

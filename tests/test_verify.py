@@ -9,18 +9,18 @@ from casorati.cli import main
 from casorati.errors import BranchUndetermined, DegenerateInput, HypothesisViolated
 from casorati.framecore import Frame, InnerProduct, StructureOperator
 from casorati.measures import ROLE_A, ROLE_B, ROLE_T, delta_casorati, make_equality_shape
-from casorati.spaceforms import NamedFamily
+from casorati.spaceforms import NamedFamily, family_constants
 from casorati.verify import (
     REGISTRY,
     THEOREM_IDS,
     classify_invariance,
     rhs_for,
-    specialization_deviation,
     theorem_info,
     verify_geometry,
     verify_synthetic,
     xi_position,
 )
+from reference import specialization_deviation
 
 RESIDUAL_SCALE_TOL = 1e-8
 EQ_TOL = 1e-7
@@ -106,18 +106,18 @@ def _toy_report(r=4):
 
 def test_rhs_for_model_theorems():
     rep = _toy_report(4)
-    fam = NamedFamily("complex", 4.0)  # c1 = c2 = 1
+    consts = family_constants(NamedFamily("complex", 4.0))  # c1 = c2 = 1
     # invariant: |P|^2 = r, reference = 1 + 3 * 4 / 12 = 2
-    rhs = rhs_for("map-gcsf-invariant", "delta", 4, rep, family=fam)
+    rhs = rhs_for("map-gcsf-invariant", "delta", 4, rep, constants=consts)
     assert rhs == pytest.approx(rep.delta_C + 2.0, abs=1e-12)
     # anti-invariant: reference = c1
-    rhs = rhs_for("map-gcsf-antiinvariant", "delta-hat", 4, rep, family=fam)
+    rhs = rhs_for("map-gcsf-antiinvariant", "delta-hat", 4, rep, constants=consts)
     assert rhs == pytest.approx(rep.delta_hat_C + 1.0, abs=1e-12)
     # generic needs |P|^2 explicitly
-    rhs = rhs_for("map-gcsf", "delta", 4, rep, family=fam, pnorm2=2.0)
+    rhs = rhs_for("map-gcsf", "delta", 4, rep, constants=consts, pnorm2=2.0)
     assert rhs == pytest.approx(rep.delta_C + 1.5, abs=1e-12)
     with pytest.raises(DegenerateInput):
-        rhs_for("map-gcsf", "delta", 4, rep, family=fam)
+        rhs_for("map-gcsf", "delta", 4, rep, constants=consts)
 
 
 def test_rhs_for_error_paths():
@@ -128,8 +128,9 @@ def test_rhs_for_error_paths():
         rhs_for("map-general", "midpoint", 4, rep, rho_reference=0.0)
     with pytest.raises(HypothesisViolated):
         rhs_for("map-general", "delta", 2, _toy_report(3), rho_reference=0.0)
+    sasakian = family_constants(NamedFamily("sasakian", -3.0))
     with pytest.raises(BranchUndetermined):
-        rhs_for("map-gssf", "delta", 4, rep, family=NamedFamily("sasakian", -3.0), pnorm2=1.0)
+        rhs_for("map-gssf", "delta", 4, rep, constants=sasakian, pnorm2=1.0)
 
 
 def test_sphere_immersion_residual_one_sixth():
@@ -183,6 +184,12 @@ def test_family_kind_gates():
         verify_geometry("sub-hor-gcsf", "sasakian-R5-model")  # contact family on a gcsf id
     with pytest.raises(HypothesisViolated):
         verify_geometry("sub-vert-general", "sphere-immersion-S3")  # not a submersion
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_sample_count_must_be_positive(points):
+    with pytest.raises(DegenerateInput):
+        verify_geometry("map-general", "sphere-immersion-S3", points=points)
 
 
 def test_r_threshold_gate():
