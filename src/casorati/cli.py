@@ -355,7 +355,13 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--point" and re.match(r"-[0-9.]", argv[i]):
             argv[i - 1 : i + 1] = [f"--point={argv[i]}"]
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.geometry == "synthetic" and not args.geometry_file:
+        flags = ("point", "samples", "tolerance")
+        unread = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+        if unread:
+            parser.error(f"synthetic verify does not read {', '.join(unread)}; pass --geometry")
     try:
         return args.func(args)
     except CasoratiError as err:

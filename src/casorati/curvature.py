@@ -21,9 +21,12 @@ import numpy as np
 from .errors import DimensionMismatch, NearSingularMetric, OutOfDomain
 from .framecore import Frame
 
-# Default differentiation step: h = STEP_SCALE * (1 + |coordinate|).
+# Differentiation steps: h = scale * (1 + |coordinate|). Christoffel symbols
+# need first metric derivatives only, so their step sits below the curvature
+# steps and keeps the truncation error of nabla F* under the 1e-9 symmetry gates.
 STEP_SCALE = 1e-4
 REFINED_STEP_SCALE = 1e-3
+CHRISTOFFEL_STEP_SCALE = 1e-5
 # Algebraic-identity tolerance for assembled tensors, scaled by (1 + max |R|).
 TENSOR_IDENTITY_TOL = 1e-6
 MAX_METRIC_CONDITION = 1e8
@@ -118,24 +121,23 @@ class CurvatureTensor:
         return self.components.shape[0]
 
 
-def _metric_derivatives(
+def _metric_first_derivatives(
     chart: ChartMetric, p: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, dg, ddg) with dg[a] = d_a g and ddg[a,b] = d_a d_b g by central differences."""
-    n = chart.dim
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(g, gp, gm, dg): g at p and at p +- h_a e_a, and dg[a] = d_a g by central differences."""
     g0 = chart.metric_at(p)
-    gp = np.empty((n, n, n))
-    gm = np.empty((n, n, n))
-    for a in range(n):
-        ea = np.zeros(n)
-        ea[a] = h[a]
-        gp[a] = chart.metric_at(p + ea)
-        gm[a] = chart.metric_at(p - ea)
+    gp = np.array([chart.metric_at(p + e) for e in np.diag(h)])
+    gm = np.array([chart.metric_at(p - e) for e in np.diag(h)])
+    return g0, gp, gm, (gp - gm) / (2.0 * h[:, None, None])
 
-    dg = np.empty((n, n, n))
+
+def _metric_second_derivatives(
+    chart: ChartMetric, p: np.ndarray, h: np.ndarray, g0: np.ndarray, gp: np.ndarray, gm: np.ndarray
+) -> np.ndarray:
+    """ddg[a,b] = d_a d_b g by central differences, reusing the first-derivative samples."""
+    n = chart.dim
     ddg = np.empty((n, n, n, n))
     for a in range(n):
-        dg[a] = (gp[a] - gm[a]) / (2.0 * h[a])
         ddg[a, a] = (gp[a] - 2.0 * g0 + gm[a]) / (h[a] * h[a])
     for a in range(n):
         for b in range(a + 1, n):
@@ -151,7 +153,7 @@ def _metric_derivatives(
             ) / (4.0 * h[a] * h[b])
             ddg[a, b] = mixed
             ddg[b, a] = mixed
-    return g0, dg, ddg
+    return ddg
 
 
 def _check_condition(g: np.ndarray) -> None:
@@ -160,42 +162,42 @@ def _check_condition(g: np.ndarray) -> None:
         raise NearSingularMetric(f"metric condition number {cond:.3e}")
 
 
-def christoffel(
-    chart: ChartMetric, p: np.ndarray, step_scale: float = STEP_SCALE
-) -> np.ndarray:
-    """Christoffel symbols Gamma^k_{ij} at p, indexed [k, i, j]."""
-    p = np.asarray(p, dtype=float)
-    h = chart.steps_at(p, step_scale)
-    chart.require_inside(p, 2.0 * h)
-    g, dg, _ = _metric_derivatives(chart, p, h)
+def _lowered(d: np.ndarray) -> np.ndarray:
+    """Gamma_{l,ij} = (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) / 2 from d[..., a, i, j] = d_a g_{ij}.
+
+    Leading indices pass through, so the same formula lowers d_a Gamma from ddg.
+    """
+    return 0.5 * (np.einsum("...ijl->...lij", d) + np.einsum("...jil->...lij", d) - d)
+
+
+def _symbols(g: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g^{-1}, Gamma_{l,ij}, Gamma^k_{ij}) from the metric and its first derivatives."""
     _check_condition(g)
     g_inv = np.linalg.inv(g)
-    # dg is indexed [a, i, j] = d_a g_{ij}. Lowered symbols:
-    # Gamma_{l,ij} = (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) / 2.
-    low = 0.5 * (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
-    return np.einsum("kl,lij->kij", g_inv, low)
+    low = _lowered(dg)
+    return g_inv, low, np.einsum("kl,lij->kij", g_inv, low)
+
+
+def christoffel(chart: ChartMetric, p: np.ndarray) -> np.ndarray:
+    """Christoffel symbols Gamma^k_{ij} at p, indexed [k, i, j]."""
+    p = np.asarray(p, dtype=float)
+    h = chart.steps_at(p, CHRISTOFFEL_STEP_SCALE)
+    chart.require_inside(p, 2.0 * h)
+    g, _, _, dg = _metric_first_derivatives(chart, p, h)
+    return _symbols(g, dg)[2]
 
 
 def _christoffel_and_derivative(
     chart: ChartMetric, p: np.ndarray, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, Gamma^k_{ij}, d_a Gamma^k_{ij}) assembled from metric derivatives only."""
-    g, dg, ddg = _metric_derivatives(chart, p, h)
-    _check_condition(g)
-    g_inv = np.linalg.inv(g)
-    low = 0.5 * (
-        np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-    )  # Gamma_{l,ij}
-    gamma = np.einsum("kl,lij->kij", g_inv, low)
-    # d_a Gamma_{l,ij} from second derivatives of g.
-    dlow = 0.5 * (
-        np.einsum("aijl->alij", ddg) + np.einsum("ajil->alij", ddg)
-        - np.einsum("alij->alij", ddg)
-    )
+    g, gp, gm, dg = _metric_first_derivatives(chart, p, h)
+    ddg = _metric_second_derivatives(chart, p, h, g, gp, gm)
+    g_inv, low, gamma = _symbols(g, dg)
     # d_a g^{-1} = -g^{-1} (d_a g) g^{-1}
     dginv = -np.einsum("kl,alm,mn->akn", g_inv, dg, g_inv)
     dgamma = np.einsum("akl,lij->akij", dginv, low) + np.einsum(
-        "kl,alij->akij", g_inv, dlow
+        "kl,alij->akij", g_inv, _lowered(ddg)
     )
     return g, gamma, dgamma
 

@@ -24,6 +24,8 @@ from .errors import DegenerateInput, DimensionMismatch
 ORTHONORMAL_TOL = 1e-9
 GRAM_SYMMETRY_TOL = 1e-12
 UNIT_NORMAL_TOL = 1e-12
+# gram_schmidt rejects inputs whose g-whitened sigma_min <= RANK_TOL * sigma_max.
+RANK_TOL = 1e-8
 MAX_DIM = 32
 
 
@@ -39,6 +41,8 @@ class InnerProduct:
             raise DimensionMismatch(f"gram matrix must be square, got {gram.shape}")
         if gram.shape[0] > MAX_DIM:
             raise DimensionMismatch(f"dimension {gram.shape[0]} exceeds cap {MAX_DIM}")
+        if not np.all(np.isfinite(gram)):
+            raise DegenerateInput("gram matrix is not finite")
         scale = max(1.0, float(np.abs(gram).max()))
         if np.abs(gram - gram.T).max() > GRAM_SYMMETRY_TOL * scale:
             raise DegenerateInput("gram matrix is not symmetric")
@@ -205,11 +209,11 @@ def gram_schmidt(raw_vectors: np.ndarray, inner: InnerProduct) -> Frame:
     if vec.shape[0] > vec.shape[1]:
         raise DegenerateInput("more vectors than ambient dimension")
 
-    gram = vec @ inner.gram @ vec.T
-    # Scale-free rank check before any elimination.
+    # Scale-free rank check before any elimination: the singular values of
+    # the g-whitened vectors (rows of vec L with g = L L^T).
     if vec.shape[0] > 0:
-        det = np.linalg.det(gram / max(np.abs(gram).max(), 1e-300))
-        if abs(det) < 1e-12:
+        sigma = np.linalg.svd(vec @ np.linalg.cholesky(inner.gram), compute_uv=False)
+        if sigma[-1] <= RANK_TOL * sigma[0]:
             raise DegenerateInput("input vectors are (numerically) dependent")
 
     g = inner.gram

@@ -3,23 +3,26 @@
 A smooth map F between two metric charts is differentiated numerically at a
 point, the tangent space splits into vertical (ker F*) and horizontal frames,
 and the target splits into range and range-perp frames. On top of that sit
-the second fundamental form of the map, the O'Neill tensors T and A of a
-submersion, and the traced Gauss identities that feed the curvature
+one tensor per point, the second fundamental form nabla F* of the map. Its
+frame contractions are the coefficients of the inequalities: B on horizontal
+pairs against the range-perp frame, and the O'Neill tensors of a submersion,
+(nabla F*)(U, V) = -F*(T_U V) and (nabla F*)(X, U) = -F*(A_X U) for vertical
+U, V and horizontal X. The traced Gauss identities feed the curvature
 inequalities:
 
-    map:        2scal^H = 2scal^R  + ||trace B||^2 - r C      (B on horizontal pairs)
-    vertical:   2scal^V = 2scal_M1^V + ||trace T||^2 - r C    (fibers as submanifolds)
-    horizontal: 2scal_H^H = 2scal^H + 3 r C                   (A measures non-integrability)
+    horizontal: 2scal_1^H - 2scal_2^R = ||trace B||^2 - ||B||^2 - 3||A||^2
+    vertical:   2scal^V = 2scal_M1^V + ||trace T||^2 - ||T||^2   (fibers as submanifolds)
 
 Jacobians of the map use complex-step differentiation, so the coordinate
 function must accept complex input (all built-in geometries do); this gives
-machine-precision Jacobians, which the projector-field derivatives behind T
-and A need in order to meet the 1e-9 symmetry tolerance of FormCoefficients.
+machine-precision Jacobians, whose central differences give the Hessians
+behind nabla F* to ~1e-10, inside the 1e-9 symmetry tolerance of
+FormCoefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -43,7 +46,6 @@ ISOMETRY_TOL = 1e-9
 FRAME_ORTHO_TOL = 1e-9
 RANGE_RESIDUAL_TOL = 1e-6
 TRACED_IDENTITY_TOL = 1e-5
-TRACE_A_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class SmoothMap:
 
 @dataclass(frozen=True)
 class ScalarCurvaturePair:
-    """The two traced scalar curvatures of a Gauss identity, plus the trace residual."""
+    """The two traced scalar curvatures of a Gauss identity, plus the residual of its gate."""
 
     left_2scal: float
     right_2scal: float
@@ -118,12 +120,7 @@ class ScalarCurvaturePair:
         return self.right_2scal / (self.r * (self.r - 1))
 
     def to_json(self) -> dict:
-        return {
-            "left_2scal": self.left_2scal,
-            "right_2scal": self.right_2scal,
-            "r": self.r,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -207,24 +204,34 @@ class MapAtPoint:
         return riemann_at(self.smooth_map.source, self.point, refine=True)
 
     @cached_property
-    def projector_field(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Pv, dPv, Gamma): the vertical projector at the point, its first
-        derivatives, and the source Christoffel symbols that T and A share."""
+    def target_curvature(self) -> CurvatureTensor:
+        """Refined Riemann tensor of the target chart at the image point."""
+        return riemann_at(self.smooth_map.target, self.smooth_map(self.point), refine=True)
+
+    @cached_property
+    def nabla_fstar(self) -> np.ndarray:
+        """nabla F* in coordinates: [c, k, l] = (nabla F*)(d_k, d_l)^c.
+
+        (nabla F*)(d_k, d_l)^c = d_k d_l F^c + Gamma2^c_{ab} J^a_k J^b_l - Gamma1^m_{kl} J^c_m.
+        On horizontal pairs it is normal to the range (zero for a submersion);
+        the range component must vanish within a relative 1e-6 gate.
+        """
         sm = self.smooth_map
-        pv = _vertical_projector(sm, self.point, self.rank)
-        dpv = _projector_derivative(sm, self.point, self.rank)
-        # Only first metric derivatives enter here, so a step below the curvature
-        # default keeps the truncation error under the 1e-9 symmetry gates.
-        gamma = christoffel(sm.source, self.point, step_scale=1e-5)
-        return pv, dpv, gamma
-
-    @cached_property
-    def t_vectors(self) -> np.ndarray:
-        return _oneill_vectors(self, "T")
-
-    @cached_property
-    def a_vectors(self) -> np.ndarray:
-        return _oneill_vectors(self, "A")
+        j = self.derivative
+        nabla = (
+            sm.component_hessians(self.point)
+            + np.einsum("cab,ak,bl->ckl", christoffel(sm.target, sm(self.point)), j, j)
+            - np.einsum("mkl,cm->ckl", christoffel(sm.source, self.point), j)
+        )
+        e = self.horizontal_frame.vectors
+        b_vec = np.einsum("ik,jl,ckl->ijc", e, e, nabla)
+        leak = np.einsum("ijc,cd,ad->ija", b_vec, self.target_inner.gram, self.range_frame.vectors)
+        rel = float(np.abs(leak).max(initial=0.0)) / (1.0 + float(np.abs(b_vec).max(initial=0.0)))
+        if rel > RANGE_RESIDUAL_TOL:
+            raise ValidationFailed(
+                f"second fundamental form leaks into the range (relative {rel:.2e})"
+            )
+        return nabla
 
 
 def map_at_point(sm: SmoothMap, p: np.ndarray, declared_rank: int | None = None) -> MapAtPoint:
@@ -287,205 +294,100 @@ def map_at_point(sm: SmoothMap, p: np.ndarray, declared_rank: int | None = None)
     )
 
 
-def second_fundamental_form(mp: MapAtPoint) -> FormCoefficients:
-    """Coefficients of (nabla F*)(e_i, e_j) against the range-perp frame.
-
-    (nabla F*)(d_k, d_l)^c = d_k d_l F^c + Gamma2^c_{ab} J^a_k J^b_l - Gamma1^m_{kl} J^c_m,
-    contracted with the horizontal frame. The range component must vanish
-    (checked against a relative 1e-6 gate).
-    """
-    sm = mp.smooth_map
-    p = mp.point
-    j = mp.derivative
-    gamma1 = christoffel(sm.source, p)
-    gamma2 = christoffel(sm.target, sm(p))
-    hess = sm.component_hessians(p)
-    nabla = (
-        hess
-        + np.einsum("cab,ak,bl->ckl", gamma2, j, j)
-        - np.einsum("mkl,cm->ckl", gamma1, j)
+def _pairs(mp: MapAtPoint, first: Frame, second: Frame) -> np.ndarray:
+    """[i, j, d] = g2((nabla F*)(first_i, second_j), d_d): nabla F* on frame pairs, lowered."""
+    return np.einsum(
+        "ik,jl,ckl,cd->ijd", first.vectors, second.vectors, mp.nabla_fstar, mp.target_inner.gram
     )
-    e = mp.horizontal_frame.vectors
-    b_vec = np.einsum("ik,jl,ckl->ijc", e, e, nabla)
-
-    g2 = mp.target_inner.gram
-    scale = 1.0 + float(np.abs(b_vec).max())
-    if mp.range_frame.count:
-        range_comp = np.einsum("ijc,cd,ad->ija", b_vec, g2, mp.range_frame.vectors)
-        rel = float(np.abs(range_comp).max()) / scale
-        if rel > RANGE_RESIDUAL_TOL:
-            raise ValidationFailed(
-                f"second fundamental form leaks into the range (relative {rel:.2e})"
-            )
-    if mp.range_perp_frame.count:
-        coeffs = np.einsum("ijc,cd,ad->aij", b_vec, g2, mp.range_perp_frame.vectors)
-    else:
-        coeffs = np.zeros((0, mp.rank, mp.rank))
-    return FormCoefficients(ROLE_B, coeffs)
 
 
-def _vertical_projector(sm: SmoothMap, x: np.ndarray, rank: int) -> np.ndarray:
-    """g1-orthogonal projector onto ker F* at x (smooth even though the SVD basis is not)."""
-    j = sm.jacobian(x)
-    _, s, vt = np.linalg.svd(j)
-    sigma_max = float(s[0]) if s.size else 0.0
-    local_rank = int(np.sum(s > KERNEL_THRESHOLD * sigma_max)) if sigma_max > 0.0 else 0
-    if local_rank != rank:
-        raise RankDrop(f"rank changed from {rank} to {local_rank} near {x.tolist()}")
-    m1 = sm.source.dim
-    if local_rank == m1:
-        return np.zeros((m1, m1))
-    k = vt[rank:].T
-    g = sm.source.metric_at(x)
-    kgk = k.T @ g @ k
-    return k @ np.linalg.solve(kgk, k.T @ g)
-
-
-def _projector_derivative(sm: SmoothMap, p: np.ndarray, rank: int) -> np.ndarray:
-    """dPv[a] = partial_a of the vertical projector field, by finite differences.
-
-    Fourth-order stencil: the downstream antisymmetry gates sit at 1e-9 and a
-    plain central difference leaves visible truncation error on maps with
-    large third derivatives (e.g. stereographic compositions).
-    """
-    h = sm.source.steps_at(p, FD_STEP)
-    sm.source.require_inside(p, 3.0 * h)
-    m1 = sm.source.dim
-    dpv = np.empty((m1, m1, m1))
-    for a in range(m1):
-        e = np.zeros_like(p)
-        e[a] = h[a]
-        p1 = _vertical_projector(sm, p + e, rank) - _vertical_projector(sm, p - e, rank)
-        p2 = _vertical_projector(sm, p + 2.0 * e, rank) - _vertical_projector(sm, p - 2.0 * e, rank)
-        dpv[a] = (8.0 * p1 - p2) / (12.0 * h[a])
-    return dpv
-
-
-def _oneill_vectors(mp: MapAtPoint, of: str) -> np.ndarray:
-    """Full T or A vectors: out[i, j] = T_{e_i} e_j (or A_{e_i} e_j) in source coords.
-
-    Frame fields extend the frame vectors by projecting constants onto the
-    moving vertical/horizontal distribution; the covariant derivative then
-    needs only the projector field's first derivatives and the Christoffel
-    symbols at the base point.
-    """
-    mp.require_submersion(f"the O'Neill tensor {of}")
-    pv, dpv, gamma = mp.projector_field
-    if of == "T":
-        args = mp.vertical_frame.vectors
-        out_proj = np.eye(mp.m1) - pv  # horizontal part of nabla_{v_i} (Pv v~_j)
-        field_sign = 1.0
-    else:
-        args = mp.horizontal_frame.vectors
-        out_proj = pv  # vertical part of nabla_{h_i} (Ph h~_j)
-        field_sign = -1.0  # d(Ph) = -d(Pv)
-    n = args.shape[0]
-    out = np.empty((n, n, mp.m1))
-    for i in range(n):
-        for jdx in range(n):
-            drift = field_sign * np.einsum("a,alm,m->l", args[i], dpv, args[jdx])
-            conn = np.einsum("a,lam,m->l", args[i], gamma, args[jdx])
-            out[i, jdx] = out_proj @ (drift + conn)
-    return out
+def second_fundamental_form(mp: MapAtPoint) -> FormCoefficients:
+    """B coefficients: coeffs[alpha][i][j] = g2((nabla F*)(h_i, h_j), n_alpha)."""
+    pairs = _pairs(mp, mp.horizontal_frame, mp.horizontal_frame)
+    return FormCoefficients(ROLE_B, np.einsum("ijd,ad->aij", pairs, mp.range_perp_frame.vectors))
 
 
 def oneill_T(mp: MapAtPoint) -> FormCoefficients:
-    """T coefficients: coeffs[alpha][i][j] = g1(T_{v_i} v_j, h_alpha)."""
-    coeffs = np.einsum(
-        "ijl,lm,am->aij", mp.t_vectors, mp.source_inner.gram, mp.horizontal_frame.vectors
-    )
-    return FormCoefficients(ROLE_T, coeffs)
+    """T coefficients: coeffs[alpha][i][j] = g1(T_{v_i} v_j, h_alpha).
+
+    That is -g2((nabla F*)(v_i, v_j), F* h_alpha), since F* is an isometry on
+    horizontal vectors.
+    """
+    mp.require_submersion("the O'Neill tensor T")
+    pairs = _pairs(mp, mp.vertical_frame, mp.vertical_frame)
+    return FormCoefficients(ROLE_T, -np.einsum("ijd,ad->aij", pairs, mp.range_frame.vectors))
+
+
+def _a_coefficients(mp: MapAtPoint) -> np.ndarray:
+    """coeffs[alpha][i][j] = g1(A_{h_i} h_j, v_alpha) = g2((nabla F*)(h_i, v_alpha), F* h_j)."""
+    pairs = _pairs(mp, mp.horizontal_frame, mp.vertical_frame)
+    return np.einsum("iad,jd->aij", pairs, mp.range_frame.vectors)
 
 
 def oneill_A(mp: MapAtPoint) -> FormCoefficients:
     """A coefficients: coeffs[alpha][i][j] = g1(A_{h_i} h_j, v_alpha)."""
-    coeffs = np.einsum(
-        "ijl,lm,am->aij", mp.a_vectors, mp.source_inner.gram, mp.vertical_frame.vectors
-    )
-    a = FormCoefficients(ROLE_A, coeffs)
-    # The trace-vector check runs on the raw coefficients (after
-    # antisymmetrization it would be identically zero).
-    raw_traces = np.einsum("aii->a", coeffs)
-    trace_sq = float(raw_traces @ raw_traces)
-    if trace_sq > TRACE_A_TOL * (1.0 + float(np.sum(coeffs * coeffs))):
-        raise ValidationFailed(f"A has a nonzero trace vector (||trace A||^2 = {trace_sq:.2e})")
-    return a
+    mp.require_submersion("the O'Neill tensor A")
+    return FormCoefficients(ROLE_A, _a_coefficients(mp))
 
 
-def gauss_map_scalars(mp: MapAtPoint, b: FormCoefficients) -> ScalarCurvaturePair:
-    """Traced Gauss identity of a Riemannian map.
+def _horizontal_identity(
+    mp: MapAtPoint, b: FormCoefficients, a_norm_sq: float, name: str
+) -> tuple[float, float, float]:
+    """(2scal_1^H, 2scal_2^R, residual) of the traced horizontal identity
 
-    left = 2scal^H (source curvature over the horizontal frame), right =
-    2scal^R (target curvature over the range frame); their difference must
-    equal ||trace B||^2 - r C within 1e-5 relative, which ties the two
-    independently computed curvature tensors to the numeric second
-    fundamental form.
+        2scal_1^H - 2scal_2^R = ||trace B||^2 - ||B||^2 - 3||A||^2.
+
+    2scal_1^H is the source curvature over the horizontal frame and 2scal_2^R
+    the target curvature over the range frame, each measured on its own chart,
+    so the identity ties both curvature tensors to the forms of nabla F*
+    (Gauss for the range, O'Neill's 3|A_X Y|^2 for the horizontal
+    distribution). Raises GaussResidualExceeded beyond 1e-5 relative.
     """
     if b.role != ROLE_B or b.r != mp.rank:
         raise DimensionMismatch("coefficients do not belong to this map")
-    sm = mp.smooth_map
-    left = scalar_on_subspace(mp.source_curvature, mp.horizontal_frame)
-    right = scalar_on_subspace(riemann_at(sm.target, sm(mp.point), refine=True), mp.range_frame)
-    residual = left - right - b.trace_vector_norm_squared() + b.norm_squared()
-    scale = 1.0 + abs(left) + abs(right) + b.norm_squared()
+    source = scalar_on_subspace(mp.source_curvature, mp.horizontal_frame)
+    target = scalar_on_subspace(mp.target_curvature, mp.range_frame)
+    residual = source - target - b.trace_vector_norm_squared() + b.norm_squared() + 3.0 * a_norm_sq
+    scale = 1.0 + abs(source) + abs(target) + b.norm_squared() + a_norm_sq
     if abs(residual) > TRACED_IDENTITY_TOL * scale:
         raise GaussResidualExceeded(
-            f"map Gauss identity residual {residual:.3e} (scale {scale:.3e})"
+            f"{name} Gauss identity residual {residual:.3e} (scale {scale:.3e})"
         )
-    return ScalarCurvaturePair(left, right, mp.rank, residual=float(residual))
+    return source, target, float(residual)
 
 
-def gauss_submersion_vertical(
-    mp: MapAtPoint, t: FormCoefficients | None = None
-) -> ScalarCurvaturePair:
+def gauss_map_scalars(mp: MapAtPoint, b: FormCoefficients) -> ScalarCurvaturePair:
+    """Traced Gauss identity of a Riemannian map: left = 2scal^H, right = 2scal^R.
+
+    The identity is the horizontal one above; ||A||^2 is 0 unless the map
+    has a kernel.
+    """
+    a_norm_sq = float(np.sum(_a_coefficients(mp) ** 2))
+    left, right, residual = _horizontal_identity(mp, b, a_norm_sq, "map")
+    return ScalarCurvaturePair(left, right, mp.rank, residual=residual)
+
+
+def gauss_submersion_vertical(mp: MapAtPoint, t: FormCoefficients) -> ScalarCurvaturePair:
     """Fiber Gauss identity: left = 2scal^V (fiber intrinsic), right = 2scal_M1^V.
 
-    The fiber is a submanifold with second fundamental form T, so its
-    intrinsic curvature assembles from the ambient curvature and the full T
-    vectors; the reported residual compares the vector-level trace terms with
-    the coefficient-level aggregates (a completeness check on the horizontal
-    frame).
+    The fiber is a submanifold with second fundamental form T, so left is
+    defined as right + ||trace T||^2 - ||T||^2. Nothing measures the fiber
+    curvature independently, so there is no gate and ``residual`` is 0.0.
     """
-    t_vec = mp.t_vectors
-    if t is None:
-        t = oneill_T(mp)
     right = scalar_on_subspace(mp.source_curvature, mp.vertical_frame)
-    g1 = mp.source_inner.gram
-    trace_vec = np.einsum("iil->l", t_vec)
-    tr2 = float(trace_vec @ g1 @ trace_vec)
-    sq = float(np.einsum("ijl,lm,ijm->", t_vec, g1, t_vec))
-    left = right + tr2 - sq
-    residual = (tr2 - sq) - (t.trace_vector_norm_squared() - t.norm_squared())
-    scale = 1.0 + abs(left) + abs(right) + t.norm_squared()
-    if abs(residual) > TRACED_IDENTITY_TOL * scale:
-        raise GaussResidualExceeded(
-            f"vertical Gauss identity residual {residual:.3e} (scale {scale:.3e})"
-        )
-    r = mp.vertical_frame.count
-    return ScalarCurvaturePair(float(left), float(right), r, residual=float(residual))
+    left = right + t.trace_vector_norm_squared() - t.norm_squared()
+    return ScalarCurvaturePair(float(left), right, mp.vertical_frame.count)
 
 
-def gauss_submersion_horizontal(
-    mp: MapAtPoint, a: FormCoefficients | None = None
-) -> ScalarCurvaturePair:
-    """Horizontal-distribution identity: left = 2scal_H^H, right = 2scal^H.
+def gauss_submersion_horizontal(mp: MapAtPoint, a: FormCoefficients) -> ScalarCurvaturePair:
+    """Horizontal-distribution identity: left = 2scal_H^H (base), right = 2scal^H.
 
-    O'Neill's curvature relation adds 3|A_XY|^2 to every ambient horizontal
-    sectional curvature, so the traced identity is left = right + 3 r C with
-    no trace term (A has zero diagonal). The residual compares vector-level
-    and coefficient-level ||A||^2.
+    left is the target curvature over the range frame, measured on the target
+    chart; O'Neill's relation adds 3|A_X Y|^2 to every horizontal sectional
+    curvature, so left = right + 3||A||^2 (B vanishes on a submersion) is the
+    horizontal identity above, gated at 1e-5 relative.
     """
-    a_vec = mp.a_vectors
-    if a is None:
-        a = oneill_A(mp)
-    right = scalar_on_subspace(mp.source_curvature, mp.horizontal_frame)
-    g1 = mp.source_inner.gram
-    norm_sq = float(np.einsum("ijl,lm,ijm->", a_vec, g1, a_vec))
-    left = right + 3.0 * norm_sq
-    residual = 3.0 * (norm_sq - a.norm_squared())
-    scale = 1.0 + abs(left) + abs(right) + a.norm_squared()
-    if abs(residual) > TRACED_IDENTITY_TOL * scale:
-        raise GaussResidualExceeded(
-            f"horizontal Gauss identity residual {residual:.3e} (scale {scale:.3e})"
-        )
-    return ScalarCurvaturePair(float(left), float(right), mp.rank, residual=float(residual))
+    right, left, residual = _horizontal_identity(
+        mp, second_fundamental_form(mp), a.norm_squared(), "horizontal"
+    )
+    return ScalarCurvaturePair(left, right, mp.rank, residual=residual)

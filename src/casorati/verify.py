@@ -384,6 +384,11 @@ def _require_space_form(info: TheoremInfo, entry) -> None:
                 f"{theorem} reads complex-type constants; geometry {entry.id!r} "
                 f"declares the contact family {entry.family.name!r}"
             )
+    if info.side == "map" and info.model != "none" and entry.spaceform_side == "source":
+        raise HypothesisViolated(
+            f"{theorem} bounds the range by the target's space form; geometry "
+            f"{entry.id!r} declares its space form on the source"
+        )
 
 
 def _resolve_points(entry, points, seed):

@@ -7,11 +7,11 @@ up as a disagreement.
 
 import numpy as np
 
-from casorati.curvature import CurvatureTensor
-from casorati.errors import DegenerateInput, DimensionMismatch
+from casorati.curvature import CurvatureTensor, christoffel
+from casorati.errors import DegenerateInput, DimensionMismatch, RankDrop
 from casorati.framecore import Frame, Hyperplane, InnerProduct, StructureOperator
-from casorati.measures import ROLE_A, FormCoefficients
-from casorati.rmaps import MapAtPoint
+from casorati.measures import ROLE_A, ROLE_T, FormCoefficients
+from casorati.rmaps import FD_STEP, KERNEL_THRESHOLD, MapAtPoint, SmoothMap
 from casorati.spaceforms import CONTACT_FAMILIES, NamedFamily, family_constants
 from casorati.verify import model_reference_part
 
@@ -86,14 +86,90 @@ def sectional(tensor: CurvatureTensor, inner: InnerProduct, x: np.ndarray, y: np
 
 
 # --------------------------------------------------------------------------
-# O'Neill tensor A
+# O'Neill tensors T and A from the vertical projector field
 # --------------------------------------------------------------------------
+
+
+def _vertical_projector(sm: SmoothMap, x: np.ndarray, rank: int) -> np.ndarray:
+    """g1-orthogonal projector onto ker F* at x (smooth even though the SVD basis is not)."""
+    j = sm.jacobian(x)
+    _, s, vt = np.linalg.svd(j)
+    sigma_max = float(s[0]) if s.size else 0.0
+    local_rank = int(np.sum(s > KERNEL_THRESHOLD * sigma_max)) if sigma_max > 0.0 else 0
+    if local_rank != rank:
+        raise RankDrop(f"rank changed from {rank} to {local_rank} near {x.tolist()}")
+    m1 = sm.source.dim
+    if local_rank == m1:
+        return np.zeros((m1, m1))
+    k = vt[rank:].T
+    g = sm.source.metric_at(x)
+    kgk = k.T @ g @ k
+    return k @ np.linalg.solve(kgk, k.T @ g)
+
+
+def projector_field(mp: MapAtPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Pv, dPv, Gamma): the vertical projector at the point, its first derivatives
+    dPv[a] = d_a Pv, and the source Christoffel symbols.
+
+    dPv uses a fourth-order stencil: a plain central difference leaves visible
+    truncation error on maps with large third derivatives (e.g. stereographic
+    compositions).
+    """
+    sm, p, rank = mp.smooth_map, mp.point, mp.rank
+    h = sm.source.steps_at(p, FD_STEP)
+    sm.source.require_inside(p, 3.0 * h)
+    m1 = sm.source.dim
+    dpv = np.empty((m1, m1, m1))
+    for a in range(m1):
+        e = np.zeros_like(p)
+        e[a] = h[a]
+        p1 = _vertical_projector(sm, p + e, rank) - _vertical_projector(sm, p - e, rank)
+        p2 = _vertical_projector(sm, p + 2.0 * e, rank) - _vertical_projector(sm, p - 2.0 * e, rank)
+        dpv[a] = (8.0 * p1 - p2) / (12.0 * h[a])
+    return _vertical_projector(sm, p, rank), dpv, christoffel(sm.source, p)
+
+
+def _oneill_vectors(mp: MapAtPoint, of: str) -> np.ndarray:
+    """Full T or A vectors: out[i, j] = T_{e_i} e_j (or A_{e_i} e_j) in source coords.
+
+    Frame fields extend the frame vectors by projecting constants onto the
+    moving vertical/horizontal distribution; the covariant derivative then
+    needs only the projector field's first derivatives and the Christoffel
+    symbols at the base point.
+    """
+    mp.require_submersion(f"the O'Neill tensor {of}")
+    pv, dpv, gamma = projector_field(mp)
+    if of == "T":
+        args = mp.vertical_frame.vectors
+        out_proj = np.eye(mp.m1) - pv  # horizontal part of nabla_{v_i} (Pv v~_j)
+        field_sign = 1.0
+    else:
+        args = mp.horizontal_frame.vectors
+        out_proj = pv  # vertical part of nabla_{h_i} (Ph h~_j)
+        field_sign = -1.0  # d(Ph) = -d(Pv)
+    drift = field_sign * np.einsum("ia,alm,jm->ijl", args, dpv, args)
+    conn = np.einsum("ia,lam,jm->ijl", args, gamma, args)
+    return np.einsum("kl,ijl->ijk", out_proj, drift + conn)
+
+
+def oneill_T_via_projector(mp: MapAtPoint) -> FormCoefficients:
+    """T coefficients g1(T_{v_i} v_j, h_alpha) by the projector-field route."""
+    t_vec = _oneill_vectors(mp, "T")
+    coeffs = np.einsum("ijl,lm,am->aij", t_vec, mp.source_inner.gram, mp.horizontal_frame.vectors)
+    return FormCoefficients(ROLE_T, coeffs)
+
+
+def oneill_A_via_projector(mp: MapAtPoint) -> FormCoefficients:
+    """A coefficients g1(A_{h_i} h_j, v_alpha) by the projector-field route."""
+    a_vec = _oneill_vectors(mp, "A")
+    coeffs = np.einsum("ijl,lm,am->aij", a_vec, mp.source_inner.gram, mp.vertical_frame.vectors)
+    return FormCoefficients(ROLE_A, coeffs)
 
 
 def oneill_A_via_bracket(mp: MapAtPoint) -> FormCoefficients:
     """Independent A route: A_X Y = (1/2) v[X~, Y~] for horizontal field extensions."""
     mp.require_submersion("the O'Neill tensor A")
-    pv, dpv, _ = mp.projector_field
+    pv, dpv, _ = projector_field(mp)
     h_vecs = mp.horizontal_frame.vectors
     n = h_vecs.shape[0]
     out = np.empty((n, n, mp.m1))

@@ -72,7 +72,8 @@ def test_traced_gauss_identities_at_random_points(entry):
         # each helper raises GaussResidualExceeded beyond the 1e-5 gate
         if entry.kind == catalog.KIND_SUBMERSION:
             if mp.vertical_frame.count:
-                assert abs(gauss_submersion_vertical(mp).residual) <= GAUSS_SAMPLE_TOL * 100
+                pair = gauss_submersion_vertical(mp, oneill_T(mp))
+                assert abs(pair.residual) <= GAUSS_SAMPLE_TOL * 100
             pair = gauss_submersion_horizontal(mp, a=oneill_A(mp))
             assert abs(pair.residual) <= GAUSS_SAMPLE_TOL * 100
         else:

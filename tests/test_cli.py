@@ -261,3 +261,41 @@ def test_verify_all_matches_single_theorem_runs(capsys, geometry):
     assert len(together) == len(one_by_one) == 2 * 2 * len(tags)
     for joint, single in zip(together, one_by_one):
         assert joint == single
+
+
+@pytest.mark.parametrize(
+    "theorem,geometry",
+    [
+        ("map-gssf", "kenmotsu-H5-H3"),
+        ("map-gssf-invariant", "kenmotsu-H5-H3"),
+        ("map-gssf-antiinvariant", "kenmotsu-H5-H3"),
+        ("map-gcsf", "quaternionic-hopf-S7-S4"),
+    ],
+)
+def test_map_model_theorems_need_a_target_space_form(capsys, theorem, geometry):
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--geometry", geometry)
+    assert code == 4
+    assert out == ""
+    assert "declares its space form on the source" in err
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--point", "9,9,9"], "--point"),
+        (["--samples", "5"], "--samples"),
+        (["--tolerance", "5"], "--tolerance"),
+        (
+            ["--samples", "5", "--point", "9,9,9", "--tolerance", "5"],
+            "--point, --samples, --tolerance",
+        ),
+    ],
+    ids=["point", "samples", "tolerance", "all-three"],
+)
+def test_synthetic_verify_rejects_geometry_flags(capsys, flags, named):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "map-general", "--trials", "16", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"synthetic verify does not read {named}" in captured.err

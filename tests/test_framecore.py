@@ -67,6 +67,30 @@ def test_gram_schmidt_rejects_dependent_input():
         gram_schmidt(rows, inner)
 
 
+def test_gram_schmidt_accepts_well_conditioned_sets_in_eight_dimensions():
+    # det(normalized gram) shrinks with the dimension; the singular values of
+    # the whitened vectors do not. This draw (condition number 4.7e3) has
+    # det < 1e-12 and used to be rejected as dependent.
+    rows = np.random.default_rng(3127).standard_normal((8, 8))
+    frame = gram_schmidt(rows, InnerProduct.euclidean(8))
+    assert orthonormality_defect(frame) <= ORTHO_TOL
+    rows[-1] = rows[0] - 1e-10 * rows[1]
+    with pytest.raises(DegenerateInput):
+        gram_schmidt(rows, InnerProduct.euclidean(8))
+    with pytest.raises(DegenerateInput):
+        gram_schmidt(np.zeros((2, 8)), InnerProduct.euclidean(8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inner_product_rejects_non_finite_gram(bad):
+    with pytest.raises(DegenerateInput):
+        InnerProduct(np.full((2, 2), bad))
+    gram = np.eye(3)
+    gram[1, 2] = gram[2, 1] = bad
+    with pytest.raises(DegenerateInput):
+        InnerProduct(gram)
+
+
 def test_hyperplane_needs_unit_normal_and_r_at_least_3():
     inner = InnerProduct.euclidean(3)
     frame = Frame(np.eye(3), inner)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from casorati import catalog
-from casorati.errors import HypothesisViolated, RankDrop
+from casorati.errors import GaussResidualExceeded, HypothesisViolated, RankDrop
+from casorati.measures import ROLE_A, FormCoefficients
 from casorati.rmaps import (
     gauss_map_scalars,
     gauss_submersion_horizontal,
@@ -12,11 +13,18 @@ from casorati.rmaps import (
     oneill_T,
     second_fundamental_form,
 )
-from reference import oneill_A_via_bracket, orthonormality_defect
+from reference import (
+    oneill_A_via_bracket,
+    oneill_A_via_projector,
+    oneill_T_via_projector,
+    orthonormality_defect,
+)
 
 FRAME_TOL = 1e-9
 GAUSS_TOL = 1e-5
 ROUTE_AGREEMENT_TOL = 1e-7
+PROJECTOR_ROUTE_TOL = 1e-9
+SUBMERSIONS = [e for e in catalog.list_entries() if e.kind == catalog.KIND_SUBMERSION]
 
 
 def test_frames_of_the_sphere_immersion():
@@ -106,7 +114,7 @@ def test_gauss_identity_for_the_sphere_map():
 
 def test_gauss_identity_vertical_warped():
     mp = catalog.get("warped-product-R-x-R3").instantiate()
-    pair = gauss_submersion_vertical(mp)
+    pair = gauss_submersion_vertical(mp, oneill_T(mp))
     # flat fibers over ambient 2scal^V = -6: 0 = -6 + 9 - 3
     assert pair.left_2scal == pytest.approx(0.0, abs=1e-4)
     assert pair.right_2scal == pytest.approx(-6.0, abs=1e-4)
@@ -126,7 +134,7 @@ def test_gauss_identity_horizontal_hopf():
 def test_gauss_identity_vertical_hopf_fibers():
     # Totally geodesic S^3 fibers: intrinsic = ambient restriction = 6.
     mp = catalog.get("quaternionic-hopf-S7-S4").instantiate()
-    pair = gauss_submersion_vertical(mp)
+    pair = gauss_submersion_vertical(mp, oneill_T(mp))
     assert pair.left_2scal == pytest.approx(6.0, abs=1e-3)
     assert pair.right_2scal == pytest.approx(6.0, abs=1e-3)
 
@@ -134,3 +142,27 @@ def test_gauss_identity_vertical_hopf_fibers():
 def test_kenmotsu_A_vanishes():
     mp = catalog.get("kenmotsu-H5-H3").instantiate()
     assert oneill_A(mp).norm_squared() <= 1e-10
+
+
+@pytest.mark.parametrize("entry", SUBMERSIONS, ids=lambda e: e.id)
+def test_T_and_A_match_the_projector_route(entry):
+    # Contractions of nabla F* against the finite-difference derivative of the
+    # vertical projector field, at the base point and three random points.
+    assert len(SUBMERSIONS) == 6
+    sampler = entry.source_chart.interior_sampler(np.random.default_rng(4), margin=0.1)
+    for p in [np.asarray(entry.base_point, dtype=float)] + [sampler() for _ in range(3)]:
+        mp = entry.instantiate(p)
+        routes = ((oneill_T, oneill_T_via_projector), (oneill_A, oneill_A_via_projector))
+        for ours, reference in routes:
+            want = reference(mp).coeffs
+            got = ours(mp).coeffs
+            scale = 1.0 + np.abs(want).max(initial=0.0)
+            assert np.abs(got - want).max(initial=0.0) <= PROJECTOR_ROUTE_TOL * scale
+
+
+def test_horizontal_gauss_gate_fails_on_a_scaled_A():
+    mp = catalog.get("quaternionic-hopf-S7-S4").instantiate()
+    a = oneill_A(mp)
+    gauss_submersion_horizontal(mp, a)
+    with pytest.raises(GaussResidualExceeded):
+        gauss_submersion_horizontal(mp, FormCoefficients(ROLE_A, 1.01 * a.coeffs))

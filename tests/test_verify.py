@@ -221,8 +221,9 @@ def test_specialization_deviation_small():
 
 def test_verify_all_computes_each_point_once(monkeypatch, capsys):
     # Every theorem tagged on the Hopf fibration shares one evaluation per point:
-    # one map, one projector derivative, one source curvature tensor, and one
-    # extremum per (point, side), however many theorems read them.
+    # one map, one nabla F* (one set of Hessians), one source and one target
+    # curvature tensor, and one extremum per (point, side), however many
+    # theorems read them.
     counts = Counter()
 
     def counting(module, name, key):
@@ -237,7 +238,7 @@ def test_verify_all_computes_each_point_once(monkeypatch, capsys):
     entry = catalog.get("quaternionic-hopf-S7-S4")
     source = entry.source_chart
     counting(catalog, "map_at_point", lambda sm, p, **kw: (tuple(p),))
-    counting(rmaps, "_projector_derivative", lambda sm, p, rank: (tuple(p),))
+    counting(rmaps.SmoothMap, "component_hessians", lambda sm, p: (tuple(p),))
     counting(rmaps, "riemann_at", lambda chart, p, **kw: (chart is source, tuple(p)))
     counting(verify, "delta_casorati", lambda coeffs, **kw: (coeffs.role,))
 
@@ -249,7 +250,26 @@ def test_verify_all_computes_each_point_once(monkeypatch, capsys):
     assert len({r["theorem"] for r in reports}) == len(entry.hypothesis_tags) == 5
     for p in points:
         assert counts["map_at_point", p] == 1
-        assert counts["_projector_derivative", p] == 1
+        assert counts["component_hessians", p] == 1
         assert counts["riemann_at", True, p] == 1
+        assert counts["riemann_at", False, tuple(entry.smooth_map(np.asarray(p)))] == 1
     assert counts["delta_casorati", ROLE_T] == counts["delta_casorati", ROLE_A] == 2
-    assert sum(counts.values()) == 2 + 2 + 2 + 4
+    assert sum(counts.values()) == 2 + 2 + 2 + 2 + 4
+
+
+@pytest.mark.parametrize(
+    "geometry,residual", [("sasakian-R5-model", 1.0), ("quaternionic-hopf-S7-S4", 3.0)]
+)
+def test_map_general_on_submersions_carries_the_A_term(capsys, geometry, residual):
+    # B vanishes on a submersion, so the map bound's residual is the
+    # integrability term 3||A||^2 / (r(r-1)) of the horizontal Gauss identity.
+    mp = catalog.get(geometry).instantiate()
+    r = mp.rank
+    a_term = 3.0 * rmaps.oneill_A(mp).norm_squared() / (r * (r - 1))
+    assert a_term == pytest.approx(residual, abs=1e-2)
+    assert main(["verify", "--theorem", "map-general", "--geometry", geometry, "--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [rep["variant"] for rep in reports] == ["delta", "delta-hat"]
+    for rep in reports:
+        assert rep["holds"]
+        assert rep["residual"] == pytest.approx(residual, abs=1e-6)
