@@ -4,7 +4,8 @@ A chart is a smooth map ``p -> g(p)`` (symmetric positive-definite matrix) on
 a coordinate box. Christoffel symbols and the full Riemann tensor at a point
 are assembled from first and second central differences of the metric alone,
 so no finite difference is ever taken of an already-differenced quantity and
-the scheme stays cleanly second order in the step.
+the scheme stays cleanly second order in the step; one Richardson step then
+removes the leading error term of the Riemann tensor.
 
 Sign convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
 and R_{ijkl} = <R(d_i, d_j) d_k, d_l>, which gives the unit round sphere
@@ -23,9 +24,8 @@ from .framecore import Frame
 
 # Differentiation steps: h = scale * (1 + |coordinate|). Christoffel symbols
 # need first metric derivatives only, so their step sits below the curvature
-# steps and keeps the truncation error of nabla F* under the 1e-9 symmetry gates.
-STEP_SCALE = 1e-4
-REFINED_STEP_SCALE = 1e-3
+# step and keeps the truncation error of nabla F* under the 1e-9 symmetry gates.
+RIEMANN_STEP_SCALE = 1e-3
 CHRISTOFFEL_STEP_SCALE = 1e-5
 # Algebraic-identity tolerance for assembled tensors, scaled by (1 + max |R|).
 TENSOR_IDENTITY_TOL = 1e-6
@@ -60,7 +60,7 @@ class ChartMetric:
             raise DimensionMismatch(f"metric has shape {g.shape}")
         return g
 
-    def steps_at(self, p: np.ndarray, scale: float = STEP_SCALE) -> np.ndarray:
+    def steps_at(self, p: np.ndarray, scale: float) -> np.ndarray:
         return scale * (1.0 + np.abs(np.asarray(p, dtype=float)))
 
     def require_inside(self, p: np.ndarray, margin: np.ndarray | float) -> None:
@@ -202,23 +202,20 @@ def _christoffel_and_derivative(
     return g, gamma, dgamma
 
 
-def riemann_at(chart: ChartMetric, p: np.ndarray, refine: bool = False) -> CurvatureTensor:
+def riemann_at(chart: ChartMetric, p: np.ndarray) -> CurvatureTensor:
     """Full lowered Riemann tensor R_{ijkl} at p.
 
-    With ``refine=True`` a single Richardson extrapolation step combines the
-    h and h/2 results, killing the leading O(h^2) truncation term.  The
-    refined path starts from a larger step: extrapolation removes its
-    truncation error, while the halved step must stay clear of the
-    second-difference roundoff floor eps/h^2.
+    One Richardson extrapolation step combines the h and h/2 results, killing
+    the leading O(h^2) truncation term. The step starts large: extrapolation
+    removes its truncation error, while the halved step must stay clear of
+    the second-difference roundoff floor eps/h^2.
     """
     p = np.asarray(p, dtype=float)
-    h = chart.steps_at(p, REFINED_STEP_SCALE if refine else STEP_SCALE)
+    h = chart.steps_at(p, RIEMANN_STEP_SCALE)
     chart.require_inside(p, 4.0 * h)
-    comp = _riemann_components(chart, p, h)
-    if refine:
-        comp_half = _riemann_components(chart, p, 0.5 * h)
-        comp = (4.0 * comp_half - comp) / 3.0
-    return CurvatureTensor(comp)
+    coarse = _riemann_components(chart, p, h)
+    fine = _riemann_components(chart, p, 0.5 * h)
+    return CurvatureTensor((4.0 * fine - coarse) / 3.0)
 
 
 def _riemann_components(chart: ChartMetric, p: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Frame-level linear algebra.
 
 Everything downstream works pointwise with orthonormal frames of subspaces:
-orthonormalization against an arbitrary inner product, hyperplane
-parametrization by unit normal, and the squared norm of a structure operator
-restricted to a frame,
+orthonormalization against an arbitrary inner product and the squared norm
+of a structure operator restricted to a frame,
 
     ||P||^2 = sum_{i,j} <e_i, op(e_j)>^2.
 
@@ -23,7 +22,6 @@ from .errors import DegenerateInput, DimensionMismatch
 # re-orthogonalization pass; double-precision safe for dim <= 32.
 ORTHONORMAL_TOL = 1e-9
 GRAM_SYMMETRY_TOL = 1e-12
-UNIT_NORMAL_TOL = 1e-12
 # gram_schmidt rejects inputs whose g-whitened sigma_min <= RANK_TOL * sigma_max.
 RANK_TOL = 1e-8
 MAX_DIM = 32
@@ -105,30 +103,6 @@ class Frame:
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of v onto the frame's span."""
         return self.coefficients_of(v) @ self.vectors
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """A hyperplane of an r-dimensional frame, given by a unit normal in frame coefficients."""
-
-    ambient_frame: Frame
-    unit_normal: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = np.array(self.unit_normal, dtype=float)
-        r = self.ambient_frame.count
-        if r < 3:
-            raise DimensionMismatch(f"hyperplanes need ambient frame dim >= 3, got {r}")
-        if n.shape != (r,):
-            raise DimensionMismatch(f"normal has shape {n.shape}, expected ({r},)")
-        if abs(np.linalg.norm(n) - 1.0) > UNIT_NORMAL_TOL:
-            raise DegenerateInput("hyperplane normal is not unit length")
-        object.__setattr__(self, "unit_normal", n)
-        n.setflags(write=False)
-
-    @property
-    def r(self) -> int:
-        return self.ambient_frame.count
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,10 @@ Given coefficients B_alpha (one r x r matrix per normal direction alpha):
 The inf/sup run over all hyperplanes of the r-dimensional frame: in closed
 form for antisymmetric data or one normal, else by a sphere solver batched
 over many starts. Both can be certified against a dense sphere-grid oracle
-that the same solver polishes. The proof polynomials
-
-    P = r(r-1)/2 * C + (r^2-1)/2 * C^L + scal_gap
-    Q = 2r(r-1)  * C - (r-1)(2r-1)/2 * C^L + scal_gap
-
-(with scal_gap the difference of the two traced scalar curvatures entering the
-inequality) are nonnegative whenever scal_gap comes from the traced Gauss
-identity, and P vanishes exactly on the equality shape: a shared orthonormal
-basis in which every B_alpha is diag(a, ..., a, 2a) with no off-diagonal terms.
+that the same solver polishes. Equality holds exactly on the equality shape:
+a shared orthonormal basis in which every B_alpha is diag(a, ..., a, 2a) with
+no off-diagonal terms. The paper's proof polynomials P and Q, which certify
+the bounds per hyperplane, are test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
-from .framecore import Hyperplane
 
 ROLE_B = "B-map"
 ROLE_T = "T-submersion"
@@ -150,13 +144,6 @@ def casorati_C(coeffs: FormCoefficients) -> float:
     if coeffs.r < 2:
         raise DimensionMismatch("Casorati curvature needs r >= 2")
     return coeffs.norm_squared() / coeffs.r
-
-
-def casorati_on_hyperplane(coeffs: FormCoefficients, hp: Hyperplane) -> float:
-    """C^L = (1/(r-1)) * sum_alpha || B_alpha restricted to the hyperplane ||_F^2."""
-    if hp.r != coeffs.r:
-        raise DimensionMismatch("hyperplane and coefficients have different r")
-    return float(restricted_sum(coeffs.coeffs, hp.unit_normal[None])[0]) / (coeffs.r - 1)
 
 
 def delta_pair(c_val, c_l_inf, c_l_sup, r: int):
@@ -397,37 +384,6 @@ def grid_extrema(
     return float(f_min), n_min, float(f_max), n_max
 
 
-def proof_polynomial_P(coeffs: FormCoefficients, hp: Hyperplane, scal_gap: float) -> float:
-    """P = r(r-1)/2 * C + (r^2-1)/2 * C^L(hp) + scal_gap; provably >= 0."""
-    r = coeffs.r
-    c_val = casorati_C(coeffs)
-    c_l = casorati_on_hyperplane(coeffs, hp)
-    return 0.5 * r * (r - 1) * c_val + 0.5 * (r * r - 1) * c_l + scal_gap
-
-
-def proof_polynomial_Q(coeffs: FormCoefficients, hp: Hyperplane, scal_gap: float) -> float:
-    """Q = 2r(r-1) * C - (r-1)(2r-1)/2 * C^L(hp) + scal_gap; provably >= 0."""
-    r = coeffs.r
-    c_val = casorati_C(coeffs)
-    c_l = casorati_on_hyperplane(coeffs, hp)
-    return 2.0 * r * (r - 1) * c_val - 0.5 * (r - 1) * (2 * r - 1) * c_l + scal_gap
-
-
-def gauss_scal_gap(coeffs: FormCoefficients) -> float:
-    """scal_gap = ||trace||^2 is traded against rC through the traced Gauss identity.
-
-    For the symmetric roles the identity reads
-        left_2scal = right_2scal + ||trace||^2 - r C,
-    so the gap (right - left) entering P and Q is  r C - ||trace||^2.
-    For the antisymmetric role the trace vanishes and the gap is +3 r C.
-    """
-    r = coeffs.r
-    c_val = casorati_C(coeffs)
-    if coeffs.role == ROLE_A:
-        return 3.0 * r * c_val
-    return r * c_val - coeffs.trace_vector_norm_squared()
-
-
 def diagnose_equality(coeffs: FormCoefficients, tol: float = EQUALITY_TOL) -> EqualityDiagnosis:
     """Search a shared orthonormal basis realizing the equality shape.
 
@@ -479,26 +435,3 @@ def diagnose_equality(coeffs: FormCoefficients, tol: float = EQUALITY_TOL) -> Eq
         max_umbilic_defect=float(best_defect),
     )
 
-
-def make_equality_shape(
-    role: str,
-    amplitudes: np.ndarray,
-    r: int,
-    basis: np.ndarray | None = None,
-) -> FormCoefficients:
-    """Coefficients attaining equality: a_alpha * diag(1, ..., 1, 2) in a shared basis.
-
-    ``basis`` (orthonormal, rows) rotates the shape; identity by default. Only
-    meaningful for the symmetric roles — the antisymmetric equality shape is
-    identically zero, so amplitudes must vanish there.
-    """
-    amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-    if role == ROLE_A and np.any(amplitudes != 0.0):
-        raise DegenerateInput("antisymmetric equality shape is identically zero")
-    pattern = np.ones(r)
-    pattern[-1] = 2.0
-    mats = np.stack([a * np.diag(pattern) for a in amplitudes])
-    if basis is not None:
-        u = np.asarray(basis, dtype=float)
-        mats = np.einsum("pi,aij,qj->apq", u.T, mats, u.T)
-    return FormCoefficients(role, mats)

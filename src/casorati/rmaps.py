@@ -201,12 +201,12 @@ class MapAtPoint:
     @cached_property
     def source_curvature(self) -> CurvatureTensor:
         """Refined Riemann tensor of the source chart at the point."""
-        return riemann_at(self.smooth_map.source, self.point, refine=True)
+        return riemann_at(self.smooth_map.source, self.point)
 
     @cached_property
     def target_curvature(self) -> CurvatureTensor:
         """Refined Riemann tensor of the target chart at the image point."""
-        return riemann_at(self.smooth_map.target, self.smooth_map(self.point), refine=True)
+        return riemann_at(self.smooth_map.target, self.smooth_map(self.point))
 
     @cached_property
     def nabla_fstar(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Model curvature tensors of generalized complex / Sasakian space forms.
+"""Generalized complex / Sasakian space forms: constants and structures.
 
 A generalized complex space form M(c1, c2) has curvature
 
@@ -13,20 +13,16 @@ and a generalized Sasakian space form M(c1, c2, c3) adds
 The named constant families (real, complex, real-Kahler, Sasakian, Kenmotsu,
 cosymplectic, almost-C(alpha)) are all expressible through (c1, c2, c3); the
 real family uses c2 = c3 = 0 so contact-style code paths can consume it
-uniformly.
+uniformly. The verifier reads the tensor only through its trace over a frame,
+``verify.model_reference_part``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .curvature import ChartMetric, CurvatureTensor, riemann_at
-from .errors import DegenerateInput, DimensionMismatch, ValidationFailed
-from .framecore import InnerProduct, StructureOperator
-
-CHART_VALIDATION_TOL = 1e-3
+from .errors import DegenerateInput
+from .framecore import StructureOperator
 
 
 @dataclass(frozen=True)
@@ -120,92 +116,3 @@ class NamedFamily:
 def family_constants(fam: NamedFamily) -> tuple[float, float, float]:
     """(c1, c2, c3) for the family; c3 = 0 for the non-contact families."""
     return _FAMILIES[fam.name](float(fam.c), 0.0 if fam.alpha is None else float(fam.alpha))
-
-
-def model_curvature(
-    spec: SpaceFormSpec,
-    z1: np.ndarray,
-    z2: np.ndarray,
-    z3: np.ndarray,
-    inner: InnerProduct,
-) -> np.ndarray:
-    """R(Z1, Z2)Z3 of the model tensor, as a coordinate vector."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    z3 = np.asarray(z3, dtype=float)
-    if z1.shape != (spec.dim,) or z2.shape != (spec.dim,) or z3.shape != (spec.dim,):
-        raise DimensionMismatch("tangent vectors do not match the spec dimension")
-    if inner.dim != spec.dim:
-        raise DimensionMismatch("inner product does not match the spec dimension")
-
-    g = inner.dot
-    j = spec.structure.matrix
-    jz1, jz2, jz3 = j @ z1, j @ z2, j @ z3
-
-    out = spec.c1 * (g(z2, z3) * z1 - g(z1, z3) * z2)
-    out = out + spec.c2 * (
-        g(z1, jz3) * jz2 - g(z2, jz3) * jz1 + 2.0 * g(z1, jz2) * jz3
-    )
-    if spec.kind == "generalized-sasakian":
-        eta = spec.structure.eta
-        xi = spec.structure.xi
-        e1, e2, e3 = float(eta @ z1), float(eta @ z2), float(eta @ z3)
-        out = out + spec.c3 * (
-            e1 * e3 * z2 - e2 * e3 * z1 + g(z1, z3) * e2 * xi - g(z2, z3) * e1 * xi
-        )
-    return out
-
-
-def model_tensor(spec: SpaceFormSpec, inner: InnerProduct) -> CurvatureTensor:
-    """All components R_{ijkl} of the model tensor on the coordinate basis."""
-    n = spec.dim
-    comp = np.empty((n, n, n, n))
-    basis = np.eye(n)
-    for i in range(n):
-        for k in range(n):
-            for kk in range(n):
-                vec = model_curvature(spec, basis[i], basis[k], basis[kk], inner)
-                comp[i, k, kk, :] = inner.gram @ vec
-    return CurvatureTensor(comp)
-
-
-def validate_against_chart(
-    spec: SpaceFormSpec,
-    chart: ChartMetric,
-    structure_fn,
-    sample_points,
-    rng: np.random.Generator | None = None,
-    tol: float = CHART_VALIDATION_TOL,
-) -> float:
-    """Max relative residual of the chart's numeric curvature vs the model.
-
-    ``structure_fn(p) -> StructureOperator`` supplies the (possibly
-    point-dependent) structure in chart coordinates. For each sample point the
-    numeric Riemann tensor is compared against the model on random vector
-    triples; raises ValidationFailed if any residual exceeds ``tol``.
-    """
-    rng = rng or np.random.default_rng(0)
-    worst = 0.0
-    worst_point = None
-    for p in sample_points:
-        p = np.asarray(p, dtype=float)
-        g = chart.metric_at(p)
-        inner = InnerProduct(g)
-        op = structure_fn(p)
-        point_spec = SpaceFormSpec(spec.kind, spec.c1, spec.c2, op, spec.c3)
-        numeric = riemann_at(chart, p, refine=True)
-        for _ in range(8):
-            z = rng.standard_normal((3, chart.dim))
-            model = model_curvature(point_spec, z[0], z[1], z[2], inner)
-            actual = np.einsum("ijkl,i,j,k->l", numeric.components, z[0], z[1], z[2])
-            # numeric components are fully lowered; raise the last index.
-            actual = np.linalg.solve(g, actual)
-            res = np.linalg.norm(actual - model) / (1.0 + np.linalg.norm(model))
-            if res > worst:
-                worst = res
-                worst_point = p
-    if worst > tol:
-        raise ValidationFailed(
-            f"model mismatch {worst:.3e} > {tol} at {None if worst_point is None else worst_point.tolist()}"
-        )
-    return worst

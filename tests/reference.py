@@ -1,19 +1,27 @@
-"""Independent reference implementations that only the tests read.
+"""Independent reference implementations and oracles that only the tests read.
 
 Each function recomputes a quantity of the package by a different route (or
 from an independently transcribed table), so that a slip in either copy shows
-up as a disagreement.
+up as a disagreement. The hyperplane proof polynomials and the full model
+curvature tensor are oracles of the paper's arguments that the package never
+evaluates itself: the verifier reads only their traced forms.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from casorati.curvature import CurvatureTensor, christoffel
-from casorati.errors import DegenerateInput, DimensionMismatch, RankDrop
-from casorati.framecore import Frame, Hyperplane, InnerProduct, StructureOperator
-from casorati.measures import ROLE_A, ROLE_T, FormCoefficients
+from casorati.curvature import ChartMetric, CurvatureTensor, christoffel, riemann_at
+from casorati.errors import DegenerateInput, DimensionMismatch, RankDrop, ValidationFailed
+from casorati.framecore import Frame, InnerProduct, StructureOperator
+from casorati.measures import ROLE_A, ROLE_T, FormCoefficients, casorati_C, restricted_sum
 from casorati.rmaps import FD_STEP, KERNEL_THRESHOLD, MapAtPoint, SmoothMap
-from casorati.spaceforms import CONTACT_FAMILIES, NamedFamily, family_constants
+from casorati.spaceforms import CONTACT_FAMILIES, NamedFamily, SpaceFormSpec, family_constants
 from casorati.verify import model_reference_part
+
+UNIT_NORMAL_TOL = 1e-12
+CHART_VALIDATION_TOL = 1e-3
+
 
 # --------------------------------------------------------------------------
 # frames and structures
@@ -38,6 +46,30 @@ def metric_compatibility_defect(op: StructureOperator, inner: InnerProduct) -> f
     if op.kind == "almost-contact":
         rhs = rhs - np.outer(op.eta, op.eta)
     return float(np.abs(lhs - rhs).max())
+
+
+@dataclass(frozen=True)
+class Hyperplane:
+    """A hyperplane of an r-dimensional frame, given by a unit normal in frame coefficients."""
+
+    ambient_frame: Frame
+    unit_normal: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = np.array(self.unit_normal, dtype=float)
+        r = self.ambient_frame.count
+        if r < 3:
+            raise DimensionMismatch(f"hyperplanes need ambient frame dim >= 3, got {r}")
+        if n.shape != (r,):
+            raise DimensionMismatch(f"normal has shape {n.shape}, expected ({r},)")
+        if abs(np.linalg.norm(n) - 1.0) > UNIT_NORMAL_TOL:
+            raise DegenerateInput("hyperplane normal is not unit length")
+        object.__setattr__(self, "unit_normal", n)
+        n.setflags(write=False)
+
+    @property
+    def r(self) -> int:
+        return self.ambient_frame.count
 
 
 def restrict_to_hyperplane(coeffs: np.ndarray, hp: Hyperplane) -> np.ndarray:
@@ -74,6 +106,73 @@ def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# hyperplane measures and the proof polynomials
+# --------------------------------------------------------------------------
+
+
+def casorati_on_hyperplane(coeffs: FormCoefficients, hp: Hyperplane) -> float:
+    """C^L = (1/(r-1)) * sum_alpha || B_alpha restricted to the hyperplane ||_F^2."""
+    if hp.r != coeffs.r:
+        raise DimensionMismatch("hyperplane and coefficients have different r")
+    return float(restricted_sum(coeffs.coeffs, hp.unit_normal[None])[0]) / (coeffs.r - 1)
+
+
+def proof_polynomial_P(coeffs: FormCoefficients, hp: Hyperplane, scal_gap: float) -> float:
+    """P = r(r-1)/2 * C + (r^2-1)/2 * C^L(hp) + scal_gap; provably >= 0."""
+    r = coeffs.r
+    c_val = casorati_C(coeffs)
+    c_l = casorati_on_hyperplane(coeffs, hp)
+    return 0.5 * r * (r - 1) * c_val + 0.5 * (r * r - 1) * c_l + scal_gap
+
+
+def proof_polynomial_Q(coeffs: FormCoefficients, hp: Hyperplane, scal_gap: float) -> float:
+    """Q = 2r(r-1) * C - (r-1)(2r-1)/2 * C^L(hp) + scal_gap; provably >= 0."""
+    r = coeffs.r
+    c_val = casorati_C(coeffs)
+    c_l = casorati_on_hyperplane(coeffs, hp)
+    return 2.0 * r * (r - 1) * c_val - 0.5 * (r - 1) * (2 * r - 1) * c_l + scal_gap
+
+
+def gauss_scal_gap(coeffs: FormCoefficients) -> float:
+    """scal_gap = ||trace||^2 is traded against rC through the traced Gauss identity.
+
+    For the symmetric roles the identity reads
+        left_2scal = right_2scal + ||trace||^2 - r C,
+    so the gap (right - left) entering P and Q is  r C - ||trace||^2.
+    For the antisymmetric role the trace vanishes and the gap is +3 r C.
+    """
+    r = coeffs.r
+    c_val = casorati_C(coeffs)
+    if coeffs.role == ROLE_A:
+        return 3.0 * r * c_val
+    return r * c_val - coeffs.trace_vector_norm_squared()
+
+
+def make_equality_shape(
+    role: str,
+    amplitudes: np.ndarray,
+    r: int,
+    basis: np.ndarray | None = None,
+) -> FormCoefficients:
+    """Coefficients attaining equality: a_alpha * diag(1, ..., 1, 2) in a shared basis.
+
+    ``basis`` (orthonormal, rows) rotates the shape; identity by default. Only
+    meaningful for the symmetric roles — the antisymmetric equality shape is
+    identically zero, so amplitudes must vanish there.
+    """
+    amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
+    if role == ROLE_A and np.any(amplitudes != 0.0):
+        raise DegenerateInput("antisymmetric equality shape is identically zero")
+    pattern = np.ones(r)
+    pattern[-1] = 2.0
+    mats = np.stack([a * np.diag(pattern) for a in amplitudes])
+    if basis is not None:
+        u = np.asarray(basis, dtype=float)
+        mats = np.einsum("pi,aij,qj->apq", u.T, mats, u.T)
+    return FormCoefficients(role, mats)
+
+
+# --------------------------------------------------------------------------
 # curvature
 # --------------------------------------------------------------------------
 
@@ -83,6 +182,100 @@ def sectional(tensor: CurvatureTensor, inner: InnerProduct, x: np.ndarray, y: np
     num = float(np.einsum("abcd,a,b,c,d->", tensor.components, x, y, y, x))
     den = inner.dot(x, x) * inner.dot(y, y) - inner.dot(x, y) ** 2
     return num / den
+
+
+# --------------------------------------------------------------------------
+# space-form model tensors
+# --------------------------------------------------------------------------
+
+
+def model_curvature(
+    spec: SpaceFormSpec,
+    z1: np.ndarray,
+    z2: np.ndarray,
+    z3: np.ndarray,
+    inner: InnerProduct,
+) -> np.ndarray:
+    """R(Z1, Z2)Z3 of the model tensor, as a coordinate vector."""
+    z1 = np.asarray(z1, dtype=float)
+    z2 = np.asarray(z2, dtype=float)
+    z3 = np.asarray(z3, dtype=float)
+    if z1.shape != (spec.dim,) or z2.shape != (spec.dim,) or z3.shape != (spec.dim,):
+        raise DimensionMismatch("tangent vectors do not match the spec dimension")
+    if inner.dim != spec.dim:
+        raise DimensionMismatch("inner product does not match the spec dimension")
+
+    g = inner.dot
+    j = spec.structure.matrix
+    jz1, jz2, jz3 = j @ z1, j @ z2, j @ z3
+
+    out = spec.c1 * (g(z2, z3) * z1 - g(z1, z3) * z2)
+    out = out + spec.c2 * (
+        g(z1, jz3) * jz2 - g(z2, jz3) * jz1 + 2.0 * g(z1, jz2) * jz3
+    )
+    if spec.kind == "generalized-sasakian":
+        eta = spec.structure.eta
+        xi = spec.structure.xi
+        e1, e2, e3 = float(eta @ z1), float(eta @ z2), float(eta @ z3)
+        out = out + spec.c3 * (
+            e1 * e3 * z2 - e2 * e3 * z1 + g(z1, z3) * e2 * xi - g(z2, z3) * e1 * xi
+        )
+    return out
+
+
+def model_tensor(spec: SpaceFormSpec, inner: InnerProduct) -> CurvatureTensor:
+    """All components R_{ijkl} of the model tensor on the coordinate basis."""
+    n = spec.dim
+    comp = np.empty((n, n, n, n))
+    basis = np.eye(n)
+    for i in range(n):
+        for k in range(n):
+            for kk in range(n):
+                vec = model_curvature(spec, basis[i], basis[k], basis[kk], inner)
+                comp[i, k, kk, :] = inner.gram @ vec
+    return CurvatureTensor(comp)
+
+
+def validate_against_chart(
+    spec: SpaceFormSpec,
+    chart: ChartMetric,
+    structure_fn,
+    sample_points,
+    rng: np.random.Generator | None = None,
+    tol: float = CHART_VALIDATION_TOL,
+) -> float:
+    """Max relative residual of the chart's numeric curvature vs the model.
+
+    ``structure_fn(p) -> StructureOperator`` supplies the (possibly
+    point-dependent) structure in chart coordinates. For each sample point the
+    numeric Riemann tensor is compared against the model on random vector
+    triples; raises ValidationFailed if any residual exceeds ``tol``.
+    """
+    rng = rng or np.random.default_rng(0)
+    worst = 0.0
+    worst_point = None
+    for p in sample_points:
+        p = np.asarray(p, dtype=float)
+        g = chart.metric_at(p)
+        inner = InnerProduct(g)
+        op = structure_fn(p)
+        point_spec = SpaceFormSpec(spec.kind, spec.c1, spec.c2, op, spec.c3)
+        numeric = riemann_at(chart, p)
+        for _ in range(8):
+            z = rng.standard_normal((3, chart.dim))
+            model = model_curvature(point_spec, z[0], z[1], z[2], inner)
+            actual = np.einsum("ijkl,i,j,k->l", numeric.components, z[0], z[1], z[2])
+            # numeric components are fully lowered; raise the last index.
+            actual = np.linalg.solve(g, actual)
+            res = np.linalg.norm(actual - model) / (1.0 + np.linalg.norm(model))
+            if res > worst:
+                worst = res
+                worst_point = p
+    if worst > tol:
+        raise ValidationFailed(
+            f"model mismatch {worst:.3e} > {tol} at {None if worst_point is None else worst_point.tolist()}"
+        )
+    return worst
 
 
 # --------------------------------------------------------------------------

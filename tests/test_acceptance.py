@@ -14,7 +14,6 @@ from casorati import catalog
 from casorati.extremum import ExtremumProblem, solve_closed_form, solve_oracle
 from casorati.framecore import (
     Frame,
-    Hyperplane,
     InnerProduct,
     StructureOperator,
     gram_schmidt,
@@ -27,11 +26,7 @@ from casorati.measures import (
     FormCoefficients,
     delta_casorati,
     diagnose_equality,
-    gauss_scal_gap,
     grid_extrema,
-    make_equality_shape,
-    proof_polynomial_P,
-    proof_polynomial_Q,
 )
 from casorati.rmaps import (
     gauss_submersion_horizontal,
@@ -43,8 +38,6 @@ from casorati.spaceforms import (
     NamedFamily,
     SpaceFormSpec,
     family_constants,
-    model_curvature,
-    validate_against_chart,
 )
 from casorati.verify import (
     THEOREM_IDS,
@@ -53,7 +46,16 @@ from casorati.verify import (
     verify_geometry,
     verify_synthetic,
 )
-from reference import specialization_deviation
+from reference import (
+    Hyperplane,
+    gauss_scal_gap,
+    make_equality_shape,
+    model_curvature,
+    proof_polynomial_P,
+    proof_polynomial_Q,
+    specialization_deviation,
+    validate_against_chart,
+)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from casorati.rmaps import (
     oneill_T,
     second_fundamental_form,
 )
-from casorati.spaceforms import validate_against_chart
+from reference import validate_against_chart
 
 EXPECTED_IDS = {
     "euclidean-projection-5-2",

@@ -299,3 +299,35 @@ def test_synthetic_verify_rejects_geometry_flags(capsys, flags, named):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"synthetic verify does not read {named}" in captured.err
+
+
+HEISENBERG_FIBRE = {
+    "id": "heisenberg-R5-R2",
+    "kind": "riemannian-submersion",
+    "source_chart": {"builder": "heisenberg"},
+    "target_chart": {"builder": "flat", "dim": 2, "scale": 0.25, "half_width": 2.0},
+    "map": {"builder": "coordinate-projection", "indices": [0, 1]},
+    "declared_rank": 2,
+    "base_point": [0.2, 0.3, -0.1, 0.15, 0.1],
+    "family": {"name": "sasakian", "c": -3.0},
+    "spaceform_side": "source",
+    "structure": {"builder": "heisenberg"},
+}
+
+
+def test_invariant_fibre_with_tangent_reeb_field(tmp_path, capsys):
+    # The fibre spans d/dx2, d/dy2 and xi: phi-invariant with xi tangent, so
+    # |P|^2 = r - 1 and the invariant bound agrees with the generic one.
+    path = tmp_path / "heisenberg-R5-R2.json"
+    path.write_text(json.dumps(HEISENBERG_FIBRE))
+    residuals = {}
+    for theorem in ("sub-vert-gssf", "sub-vert-gssf-inv"):
+        code, out, _ = run(
+            capsys, "verify", "--theorem", theorem, "--geometry-file", str(path), "--json"
+        )
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["branch"] for r in reports] == [{"xi": "tangent", "invariance": "invariant"}] * 2
+        residuals[theorem] = [r["residual"] for r in reports]
+        assert all(0.0 <= res <= 1e-8 for res in residuals[theorem])
+    assert residuals["sub-vert-gssf-inv"] == pytest.approx(residuals["sub-vert-gssf"], abs=1e-12)

@@ -38,7 +38,7 @@ def test_christoffel_symmetric_in_lower_indices():
 def test_round_sphere_sectional_curvature(radius):
     chart = round_sphere_chart(3, radius=radius)
     p = np.array([0.25, 0.1, -0.3])
-    tensor = riemann_at(chart, p, refine=True)
+    tensor = riemann_at(chart, p)
     inner = InnerProduct(chart.metric_at(p))
     rng = np.random.default_rng(0)
     for _ in range(4):
@@ -53,9 +53,7 @@ def test_refinement_tightens_the_sphere_tensor():
     inner = InnerProduct(chart.metric_at(p))
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([0.0, 1.0, 0.0])
-    coarse = abs(sectional(riemann_at(chart, p), inner, x, y) - 1.0)
-    fine = abs(sectional(riemann_at(chart, p, refine=True), inner, x, y) - 1.0)
-    assert fine < coarse
+    fine = abs(sectional(riemann_at(chart, p), inner, x, y) - 1.0)
     assert fine <= REFINED_TOL
 
 
@@ -63,7 +61,7 @@ def test_scalar_on_subspace_full_frame_of_unit_sphere():
     # sum over ordered pairs of K = r(r-1) * 1 = 6 on a unit 3-sphere frame.
     chart = round_sphere_chart(3, radius=1.0)
     p = np.array([0.15, -0.2, 0.1])
-    tensor = riemann_at(chart, p, refine=True)
+    tensor = riemann_at(chart, p)
     g = chart.metric_at(p)
     inner = InnerProduct(g)
     basis = np.linalg.cholesky(np.linalg.inv(g)).T
@@ -76,7 +74,7 @@ def test_fubini_study_holomorphic_pinching_at_origin():
     # K(X, JX) = 4 while a totally real plane has K = 1 (c = 4 normalization).
     chart = fubini_study_chart(2)
     p = np.zeros(4)
-    tensor = riemann_at(chart, p, refine=True)
+    tensor = riemann_at(chart, p)
     inner = InnerProduct(chart.metric_at(p))
     e = np.eye(4)
     assert sectional(tensor, inner, e[0], e[1]) == pytest.approx(4.0, abs=1e-6)
@@ -106,7 +104,7 @@ def test_anisotropic_chart_matches_closed_form():
 
     chart = ChartMetric(2, metric, np.array([[-1.0, 1.0], [-1.0, 1.0]]), name="exp-strip")
     p = np.array([0.2, -0.3])
-    tensor = riemann_at(chart, p, refine=True)
+    tensor = riemann_at(chart, p)
     inner = InnerProduct(metric(p))
     assert sectional(tensor, inner, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(
         -1.0, abs=1e-7

@@ -8,7 +8,6 @@ from casorati.curvature import ChartMetric, CurvatureTensor
 from casorati.errors import DegenerateInput, DimensionMismatch
 from casorati.framecore import (
     Frame,
-    Hyperplane,
     InnerProduct,
     StructureOperator,
     gram_schmidt,
@@ -16,7 +15,12 @@ from casorati.framecore import (
 )
 from casorati.measures import ROLE_B, FormCoefficients, restricted_sum
 from casorati.rmaps import SmoothMap
-from reference import metric_compatibility_defect, orthonormality_defect, restrict_to_hyperplane
+from reference import (
+    Hyperplane,
+    metric_compatibility_defect,
+    orthonormality_defect,
+    restrict_to_hyperplane,
+)
 
 ORTHO_TOL = 1e-10
 FROB_TOL = 1e-11

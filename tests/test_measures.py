@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from casorati import measures
 from casorati.errors import DegenerateInput, DimensionMismatch
-from casorati.framecore import Frame, Hyperplane, InnerProduct
+from casorati.framecore import Frame, InnerProduct
 from casorati.measures import (
     ROLE_A,
     ROLE_B,
@@ -13,16 +13,19 @@ from casorati.measures import (
     ROLES,
     FormCoefficients,
     casorati_C,
-    casorati_on_hyperplane,
     delta_casorati,
     diagnose_equality,
-    gauss_scal_gap,
     grid_extrema,
+    restricted_sum,
+    restricted_sum_gradient,
+)
+from reference import (
+    Hyperplane,
+    casorati_on_hyperplane,
+    gauss_scal_gap,
     make_equality_shape,
     proof_polynomial_P,
     proof_polynomial_Q,
-    restricted_sum,
-    restricted_sum_gradient,
 )
 
 DESK_TOL = 1e-9

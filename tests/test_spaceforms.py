@@ -18,11 +18,9 @@ from casorati.spaceforms import (
     NamedFamily,
     SpaceFormSpec,
     family_constants,
-    model_curvature,
-    model_tensor,
-    validate_against_chart,
 )
 from casorati.verify import model_reference_part
+from reference import model_curvature, model_tensor, validate_against_chart
 
 IDENTITY_TOL = 1e-12
 

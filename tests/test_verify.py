@@ -8,11 +8,12 @@ from casorati import catalog, rmaps, verify
 from casorati.cli import main
 from casorati.errors import BranchUndetermined, DegenerateInput, HypothesisViolated
 from casorati.framecore import Frame, InnerProduct, StructureOperator
-from casorati.measures import ROLE_A, ROLE_B, ROLE_T, delta_casorati, make_equality_shape
+from casorati.measures import ROLE_A, ROLE_B, ROLE_T, delta_casorati
 from casorati.spaceforms import NamedFamily, family_constants
 from casorati.verify import (
     REGISTRY,
     THEOREM_IDS,
+    XiPosition,
     classify_invariance,
     rhs_for,
     theorem_info,
@@ -20,7 +21,7 @@ from casorati.verify import (
     verify_synthetic,
     xi_position,
 )
-from reference import specialization_deviation
+from reference import make_equality_shape, specialization_deviation
 
 RESIDUAL_SCALE_TOL = 1e-8
 EQ_TOL = 1e-7
@@ -120,6 +121,18 @@ def test_rhs_for_model_theorems():
         rhs_for("map-gcsf", "delta", 4, rep, constants=consts)
 
 
+def test_rhs_for_invariant_contact_branches():
+    rep = _toy_report(4)
+    c1, c2, c3 = consts = family_constants(NamedFamily("sasakian", -3.0))
+    # xi normal: |P|^2 = r; xi tangent: phi xi = 0 leaves |P|^2 = r - 1 and adds -2 c3 / r
+    normal = rhs_for("sub-vert-gssf-inv", "delta", 4, rep, constants=consts,
+                     xi=XiPosition("normal", 0.0))
+    assert normal == pytest.approx(rep.delta_C + c1 + 3.0 * c2 / 3.0, abs=1e-12)
+    tangent = rhs_for("sub-vert-gssf-inv", "delta", 4, rep, constants=consts,
+                      xi=XiPosition("tangent", 0.0))
+    assert tangent == pytest.approx(rep.delta_C + c1 + 3.0 * c2 / 4.0 - c3 / 2.0, abs=1e-12)
+
+
 def test_rhs_for_error_paths():
     rep = _toy_report(4)
     with pytest.raises(DegenerateInput):
@@ -207,6 +220,42 @@ def test_synthetic_fuzz_smoke(theorem):
     assert out["failures"] == 0
     assert out["min_residual"] >= -RESIDUAL_SCALE_TOL
     assert out["equality_hits"] == 2000 // 16
+
+
+@pytest.mark.parametrize("theorem", ["map-general", "sub-vert-gssf"])
+def test_synthetic_fuzz_catches_a_shrunk_delta(monkeypatch, theorem):
+    # The equality trials sit exactly on the bound, so a delta 1% too small fails there.
+    original = verify.delta_pair
+    monkeypatch.setattr(verify, "delta_pair", lambda *args: tuple(0.99 * d for d in original(*args)))
+    out = verify_synthetic(theorem, trials=2000, seed=3)
+    assert out["failures"] >= 2000 // 16
+    assert out["equality_hits"] == 0
+
+
+def test_synthetic_summary_depends_only_on_the_role():
+    # The curvature reference cancels from both sides, so ids of one role agree.
+    general = verify_synthetic("map-general", trials=2000, seed=5)
+    model = verify_synthetic("map-gssf-invariant", trials=2000, seed=5)
+    assert {**general, "theorem": None} == {**model, "theorem": None}
+
+
+@pytest.mark.parametrize(
+    "theorem,geometry",
+    [
+        ("map-gcsf", "fubini-study-CP2"),
+        ("sub-vert-gcsf", "quaternionic-hopf-S7-S4"),
+        ("sub-hor-gssf", "kenmotsu-H5-H3"),
+    ],
+)
+def test_geometries_catch_a_shifted_model_term(monkeypatch, theorem, geometry):
+    # The synthetic fuzz cannot see the model term; measured chart curvature can.
+    base = verify_geometry(theorem, geometry)
+    original = verify.model_reference_part
+    monkeypatch.setattr(verify, "model_reference_part", lambda *args: original(*args) - 0.01)
+    shifted = verify_geometry(theorem, geometry)
+    for before, after in zip(base, shifted, strict=True):
+        assert before.holds and not after.holds
+        assert after.residual == pytest.approx(before.residual - 0.01, abs=1e-12)
 
 
 def test_synthetic_fuzz_is_deterministic():
