@@ -39,6 +39,16 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of the seeds: a usage error (exit 2) unless an integer >= 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _parse_point(text: str) -> np.ndarray:
     try:
         return np.array([float(x) for x in text.split(",")], dtype=float)
@@ -188,7 +198,14 @@ def cmd_invariants(args) -> int:
 # --------------------------------------------------------------------------
 
 def _verify_synthetic(args, theorems) -> int:
-    summaries = [_verify.verify_synthetic(t, args.trials, seed=args.seed) for t in theorems]
+    # The theorem id selects only the role, so one fuzz run serves every id of a role.
+    by_role: dict[str, dict] = {}
+    summaries = []
+    for t in theorems:
+        role = _verify.theorem_info(t).role
+        if role not in by_role:
+            by_role[role] = _verify.verify_synthetic(t, args.trials, seed=args.seed)
+        summaries.append(dict(by_role[role], theorem=t))
     failures = sum(s["failures"] for s in summaries)
     report = {
         "schema": SCHEMA,
@@ -317,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--geometry", default=None, help="catalog id")
     p_inv.add_argument("--geometry-file", default=None, help="JSON geometry description")
     p_inv.add_argument("--point", default=None, help="comma-separated source coordinates")
-    p_inv.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_inv.add_argument(
+        "--seed", type=_non_negative_int, default=0,
+        help="random seed; the certification grid uses seed + 1 (default 0)",
+    )
     add_common(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
@@ -334,7 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--samples", type=_positive_int, default=None, help="number of sample points"
     )
-    p_ver.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_ver.add_argument(
+        "--seed", type=_non_negative_int, default=0,
+        help="random seed; the certification grid uses seed + 1 (default 0)",
+    )
     p_ver.add_argument("--tolerance", type=float, default=None, help="residual tolerance override")
     add_common(p_ver)
     p_ver.set_defaults(func=cmd_verify)

@@ -274,16 +274,32 @@ def _sphere_extrema(
 
 
 def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
-    """Up to k rows of dirs, lowest value first, none within ~18 degrees of an earlier pick."""
-    values = np.array(values, dtype=float)
-    picked = []
-    for _ in range(k):
-        i = int(np.argmin(values))
-        if values[i] == np.inf:
-            break
-        picked.append(dirs[i])
-        values[np.abs(dirs @ dirs[i]) > 0.95] = np.inf
-    return np.array(picked)
+    """Up to k rows of dirs, lowest value first, none within ~18 degrees of an earlier pick.
+
+    Picks come from the lowest values in (value, index) order, every tie at
+    the cut included, so they equal a greedy pass over all rows; the subset
+    widens while it yields fewer than k picks and rows remain. A +inf value
+    is never picked.
+    """
+    values = np.asarray(values, dtype=float)
+    size = 32 * k
+    while True:
+        if size < len(values):
+            cut = np.partition(values, size - 1)[size - 1]
+            subset = np.flatnonzero(values <= cut)
+        else:
+            subset = np.arange(len(values))
+        subset = subset[np.argsort(values[subset], kind="stable")]
+        candidates = dirs[subset[values[subset] < np.inf]]
+        free = np.ones(len(candidates), dtype=bool)
+        picked = []
+        while len(picked) < k and free.any():
+            pick = candidates[np.argmax(free)]
+            picked.append(pick)
+            free[np.abs(candidates @ pick) > 0.95] = False
+        if len(picked) == k or size >= len(values):
+            return np.array(picked)
+        size *= 4
 
 
 def _optimizer_starts(mats: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -359,21 +375,42 @@ def delta_casorati(
     )
 
 
+# r -> (seed, directions): the grid of the last seed used at each r.
+_GRIDS: dict[int, tuple[int, np.ndarray]] = {}
+
+
+def _grid_directions(seed: int, r: int) -> np.ndarray:
+    """The read-only unit grid directions of (seed, r), drawn on first use.
+
+    Each r keeps the grid of its last seed, GRID_PER_DIM * r * r doubles, and
+    frees it before drawing the grid of another seed.
+    """
+    kept = _GRIDS.get(r)
+    if kept is not None and kept[0] == seed:
+        return kept[1]
+    _GRIDS.pop(r, None)  # free the old grid before drawing its successor
+    rng = np.random.default_rng(seed)
+    dirs = np.vstack([rng.standard_normal((GRID_PER_DIM * r, r)), np.eye(r)])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs.setflags(write=False)
+    _GRIDS[r] = (seed, dirs)
+    return dirs
+
+
 def grid_extrema(
     coeffs: FormCoefficients, seed: int = 0
 ) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Brute-force oracle: (C_L_inf, n_inf, C_L_sup, n_sup) from a sphere grid.
 
     Uniform random directions (GRID_PER_DIM per dimension) plus coordinate
-    axes. The sphere solver polishes the POLISH_LEADERS best basin-diverse
-    directions on each side (fewer can all sit in wrong basins), never the
-    multi-starts of ``delta_casorati``.
+    axes, drawn once per (seed, r) by ``_grid_directions``. The sphere solver
+    polishes the POLISH_LEADERS best basin-diverse directions on each side
+    (fewer can all sit in wrong basins), never the multi-starts of
+    ``delta_casorati``.
     """
     r = coeffs.r
     mats = coeffs.coeffs
-    rng = np.random.default_rng(seed)
-    dirs = np.vstack([rng.standard_normal((GRID_PER_DIM * r, r)), np.eye(r)])
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _grid_directions(seed, r)
 
     # Slice by slice, so that the products for the whole grid never coexist.
     slices = np.split(dirs, range(GRID_SLICE, len(dirs), GRID_SLICE))

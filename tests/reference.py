@@ -148,6 +148,23 @@ def gauss_scal_gap(coeffs: FormCoefficients) -> float:
     return r * c_val - coeffs.trace_vector_norm_squared()
 
 
+def diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Up to k rows of dirs, lowest value first, none within ~18 degrees of an earlier pick.
+
+    The full greedy pass that ``measures._diverse_leaders`` reproduces from a
+    partial sort: each pick is a matrix-vector product and an argmin over all rows.
+    """
+    values = np.array(values, dtype=float)
+    picked = []
+    for _ in range(k):
+        i = int(np.argmin(values))
+        if values[i] == np.inf:
+            break
+        picked.append(dirs[i])
+        values[np.abs(dirs @ dirs[i]) > 0.95] = np.inf
+    return np.array(picked)
+
+
 def make_equality_shape(
     role: str,
     amplitudes: np.ndarray,

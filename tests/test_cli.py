@@ -226,6 +226,24 @@ def test_non_positive_counts_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "--theorem", "map-general", "--trials", "16"],
+        ["verify", "--theorem", "map-general", "--geometry", "sphere-immersion-S3"],
+        ["invariants", "--geometry", "sphere-immersion-S3"],
+    ],
+    ids=["verify-synthetic", "verify-geometry", "invariants"],
+)
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a non-negative integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["catalog"],
         ["extremum", "--r", "3", "--lambda1", "3", "--k", "4"],
         ["invariants", "--geometry", "sphere-immersion-S3"],

@@ -22,6 +22,7 @@ from casorati.measures import (
 from reference import (
     Hyperplane,
     casorati_on_hyperplane,
+    diverse_leaders,
     gauss_scal_gap,
     make_equality_shape,
     proof_polynomial_P,
@@ -181,6 +182,80 @@ def test_grid_polish_finds_the_true_sup():
     _, _, g_sup, _ = grid_extrema(coeffs, seed=1)
     assert g_sup == pytest.approx(5.499025, abs=1e-6)
     assert delta_casorati(coeffs, certify=True).certified
+
+
+def _so_basis(r):
+    """Every e_ij - e_ji with i < j: antisymmetric data with sum A^T A = (r - 1) I."""
+    basis = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            a = np.zeros((r, r))
+            a[i, j], a[j, i] = 1.0, -1.0
+            basis.append(a)
+    return np.array(basis)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_diverse_leaders_match_the_full_greedy_pass(monkeypatch, r):
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    dirs = measures._grid_directions(11, r)
+    rng = np.random.default_rng(r)
+    total = restricted_sum(sym_coeffs(rng, 2, r).coeffs, dirs)
+    ties = restricted_sum(_so_basis(r), dirs)  # constant up to rounding
+    some_inf = total.copy()
+    some_inf[::3] = np.inf
+    few_finite = np.full(len(dirs), np.inf)
+    few_finite[:5] = total[:5]
+    cases = [total, -total, np.full(len(dirs), 2.5), ties, -ties, some_inf, few_finite]
+    for values in cases:
+        for k in (4, 8):
+            fast = measures._diverse_leaders(dirs, values, k)
+            slow = diverse_leaders(dirs, values, k)
+            assert fast.shape == slow.shape and np.array_equal(fast, slow)
+    assert len(measures._diverse_leaders(dirs, few_finite, 8)) <= 5
+
+
+def test_diverse_leaders_widen_past_the_first_subset(monkeypatch):
+    # At r = 3 the lowest 32 k values of a smooth objective crowd into one
+    # basin, so the later picks lie beyond the first partial sort.
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    dirs = measures._grid_directions(11, 3)
+    values = restricted_sum(sym_coeffs(np.random.default_rng(5), 2, 3).coeffs, dirs)
+    k = 8
+    picks = measures._diverse_leaders(dirs, values, k)
+    assert np.array_equal(picks, diverse_leaders(dirs, values, k))
+    assert len(picks) == k
+    rank = np.empty(len(dirs), dtype=int)
+    rank[np.lexsort((np.arange(len(dirs)), values))] = np.arange(len(dirs))
+    last = np.flatnonzero((dirs == picks[-1]).all(axis=1))[0]
+    assert rank[last] >= 32 * k
+
+
+def test_certified_report_does_not_depend_on_the_grid_cache(monkeypatch):
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    rng = np.random.default_rng(8)
+    sets = [sym_coeffs(rng, 2, 4), sym_coeffs(rng, 3, 5, ROLE_T), antisym_coeffs(rng, 2, 6)]
+    cold = [delta_casorati(c, seed=0, certify=True).to_json() for c in sets]
+    warm = [delta_casorati(c, seed=0, certify=True).to_json() for c in sets]
+    for c in (sym_coeffs(rng, 2, 4), sym_coeffs(rng, 2, 3), antisym_coeffs(rng, 1, 6)):
+        delta_casorati(c, seed=4, certify=True)  # other (seed, r) grids in between
+    after = [delta_casorati(c, seed=0, certify=True).to_json() for c in sets]
+    assert cold == warm == after
+
+
+def test_grid_directions_are_kept_read_only_one_seed_per_r(monkeypatch):
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    dirs = measures._grid_directions(5, 4)
+    assert not dirs.flags.writeable
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 1.0
+    assert dirs.shape == (measures.GRID_PER_DIM * 4 + 4, 4)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert measures._grid_directions(5, 4) is dirs
+    measures._grid_directions(6, 4)
+    measures._grid_directions(6, 3)
+    assert sorted((r, seed) for r, (seed, _) in measures._GRIDS.items()) == [(3, 6), (4, 6)]
+    assert np.array_equal(measures._grid_directions(5, 4), dirs)
 
 
 def test_reported_normal_attains_reported_value(monkeypatch):

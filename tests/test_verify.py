@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from casorati import catalog, rmaps, verify
+from casorati import catalog, measures, rmaps, verify
 from casorati.cli import main
 from casorati.errors import BranchUndetermined, DegenerateInput, HypothesisViolated
 from casorati.framecore import Frame, InnerProduct, StructureOperator
@@ -304,6 +304,24 @@ def test_verify_all_computes_each_point_once(monkeypatch, capsys):
         assert counts["riemann_at", False, tuple(entry.smooth_map(np.asarray(p)))] == 1
     assert counts["delta_casorati", ROLE_T] == counts["delta_casorati", ROLE_A] == 2
     assert sum(counts.values()) == 2 + 2 + 2 + 2 + 4
+
+
+def test_verify_geometry_draws_each_grid_once(monkeypatch):
+    # Three points certify the r = 3 fibres (T) and the r = 4 horizontal
+    # spaces (A), all at grid seed 8: one draw per r, not one per point.
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    seeds = Counter()
+    default_rng = np.random.default_rng
+
+    def counting(seed=None):
+        seeds[seed] += 1
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    entry = catalog.get("quaternionic-hopf-S7-S4")
+    reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=3, seed=7)
+    assert all(r.holds for r in reports)
+    assert seeds[8] == 2
 
 
 @pytest.mark.parametrize(
