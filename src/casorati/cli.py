@@ -198,14 +198,7 @@ def cmd_invariants(args) -> int:
 # --------------------------------------------------------------------------
 
 def _verify_synthetic(args, theorems) -> int:
-    # The theorem id selects only the role, so one fuzz run serves every id of a role.
-    by_role: dict[str, dict] = {}
-    summaries = []
-    for t in theorems:
-        role = _verify.theorem_info(t).role
-        if role not in by_role:
-            by_role[role] = _verify.verify_synthetic(t, args.trials, seed=args.seed)
-        summaries.append(dict(by_role[role], theorem=t))
+    summaries = _verify.verify_synthetic_each(theorems, args.trials, seed=args.seed)
     failures = sum(s["failures"] for s in summaries)
     report = {
         "schema": SCHEMA,

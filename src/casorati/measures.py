@@ -383,7 +383,9 @@ def _grid_directions(seed: int, r: int) -> np.ndarray:
     """The read-only unit grid directions of (seed, r), drawn on first use.
 
     Each r keeps the grid of its last seed, GRID_PER_DIM * r * r doubles, and
-    frees it before drawing the grid of another seed.
+    frees it before drawing the grid of another seed. Nothing frees the slot
+    of an r, so the cache holds the sum of 80,000 * r**2 bytes over every r
+    certified in the process (about 6.9 MB for r = 3..6).
     """
     kept = _GRIDS.get(r)
     if kept is not None and kept[0] == seed:

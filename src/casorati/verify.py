@@ -554,6 +554,27 @@ def _draw_coefficients(rng, n, s, r, symmetric, equality_mask):
     return coeffs
 
 
+def _fuzzes_symmetric(theorem: str) -> bool:
+    """All that ``verify_synthetic`` reads of its theorem id: symmetric (B, T) or A data."""
+    return theorem_info(theorem).role != ROLE_A
+
+
+def verify_synthetic_each(theorems: list[str], trials: int, seed: int = 0) -> list[dict]:
+    """``verify_synthetic`` of each id, with one fuzz run per kind of data drawn.
+
+    Ids that draw the same data (``_fuzzes_symmetric``) share one run, and
+    each summary is relabelled with its own id: two runs at most.
+    """
+    runs: dict[bool, dict] = {}
+    summaries = []
+    for theorem in theorems:
+        key = _fuzzes_symmetric(theorem)
+        if key not in runs:
+            runs[key] = verify_synthetic(theorem, trials, seed=seed)
+        summaries.append(dict(runs[key], theorem=theorem))
+    return summaries
+
+
 def verify_synthetic(theorem: str, trials: int, seed: int = 0) -> dict:
     """Fuzz the Casorati bound behind one inequality on random coefficient data.
 
@@ -578,7 +599,7 @@ def verify_synthetic(theorem: str, trials: int, seed: int = 0) -> dict:
     """
     if trials < 1:
         raise DegenerateInput("trials must be >= 1")
-    symmetric = theorem_info(theorem).role != ROLE_A
+    symmetric = _fuzzes_symmetric(theorem)
     rng = np.random.default_rng(seed)
     r_arr = rng.integers(3, 7, size=trials)
     s_arr = rng.integers(1, 5, size=trials)

@@ -264,6 +264,20 @@ def test_synthetic_fuzz_is_deterministic():
     assert a == b
 
 
+def test_synthetic_each_fuzzes_once_per_kind_of_data(monkeypatch):
+    ids = list(verify.THEOREM_IDS)
+    expected = [verify_synthetic(t, trials=200, seed=4) for t in ids]
+    calls = []
+
+    def counting(theorem, trials, seed=0):
+        calls.append(theorem)
+        return verify_synthetic(theorem, trials, seed=seed)
+
+    monkeypatch.setattr(verify, "verify_synthetic", counting)
+    assert verify.verify_synthetic_each(ids, trials=200, seed=4) == expected
+    assert len(calls) == 2
+
+
 def test_specialization_deviation_small():
     assert specialization_deviation(samples=300, seed=5) <= SPECIALIZATION_TOL
 

@@ -7,9 +7,9 @@ when no ``--change`` is given. Usage, from the root of a checkout:
 
     python3 tools/bench_pair.py --base HEAD~1 --output BENCH_<n>.json
 
-Each pair runs every workload of ``BENCHMARK.json`` once per side with one
-seed (``--seed`` plus the pair's index); even pairs run the base side first
-and odd pairs the change side. The file holds the environment, each
+Each of the ten pairs runs every workload of ``BENCHMARK.json`` once per
+side for its ``run_seconds``, with one seed (``--seed`` plus the pair's
+index); even pairs run the base side first and odd pairs the change side. The file holds the environment, each
 workload's end-to-end medians and quartiles per side, the pairs the change
 won per metric, one traced ``certify`` run per side, the Tier-1 suite time
 per side, and each side's ``src/`` line count and ``__all__`` size.
@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 TRACED_WORKLOAD = "certify"
+PAIRS = 10
 RUN_TIMEOUT_S = 1800
 
 
@@ -116,26 +117,20 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default=None,
                         help="git revision of the change side (default: the working tree)")
     parser.add_argument("--output", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload")
     parser.add_argument("--seed", type=int, default=70, help="workload seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--workdir", default=None, help="where to unpack the revisions")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("quartiles need --pairs 2 or more")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     revs = {"base": rev_parse(args.base),
             "change": rev_parse(args.change) if args.change else "working tree"}
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         roots = {side: ROOT if rev == "working tree" else unpack(rev, Path(tmp) / side)
                  for side, rev in revs.items()}
         runs = {w: [] for w in workloads}
         envs = {}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 pair = {}
@@ -153,7 +148,7 @@ def main(argv=None) -> int:
 
     record = {
         **revs,
-        "settings": {"pairs": args.pairs, "seeds": [args.seed, args.seed + args.pairs - 1],
+        "settings": {"pairs": PAIRS, "seeds": [args.seed, args.seed + PAIRS - 1],
                      "seconds": seconds, "order": "base first in even pairs, change first in odd"},
         "environment": envs["change"],
         "end_to_end": summarise(runs, spec["end_to_end"]),
