@@ -39,6 +39,11 @@ CERTIFY_REL_TOL = 1e-4
 GRID_PER_DIM = 10_000
 GRID_SLICE = 8192
 POLISH_LEADERS = 8
+# Sphere solver: longest tangent step, least |curvature| (relative to the
+# scale 1 + ||B||^2) a step divides by, and the step fraction where halving stops.
+NEWTON_MAX_STEP = 0.5
+NEWTON_FLOOR = 1e-8
+NEWTON_MIN_FRACTION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -185,12 +190,26 @@ def restricted_sum(mats: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return _expand(mats, normals)[0]
 
 
-def restricted_sum_gradient(mats: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(restricted_sum, its unconstrained gradient in n), shapes (..., k) and (..., k, r)."""
+def restricted_sum_derivatives(mats: np.ndarray, normals: np.ndarray):
+    """restricted_sum with its unconstrained gradient and Hessian in n.
+
+    Shapes (..., k), (..., k, r) and (..., k, r, r). With u_alpha = (B_alpha +
+    B_alpha^T) n and q_alpha = n^T B_alpha n the gradient is -2 sum_alpha
+    (B_alpha^T B_alpha + B_alpha B_alpha^T) n + 2 sum_alpha q_alpha u_alpha,
+    and the Hessian -2 sum_alpha (B_alpha^T B_alpha + B_alpha B_alpha^T) +
+    2 sum_alpha (u_alpha u_alpha^T + q_alpha (B_alpha + B_alpha^T)).
+    """
     value, flat, flat_t, bn, btn, nbn = _expand(mats, normals)
     both = (bn + btn).reshape(nbn.shape[:-1] + mats.shape[-1:] + nbn.shape[-1:])
     grad = np.swapaxes(np.swapaxes(flat, -1, -2) @ bn + np.swapaxes(flat_t, -1, -2) @ btn, -1, -2)
-    return value, -2.0 * grad + 2.0 * np.einsum("...ak,...aik->...ki", nbn, both)
+    grad = -2.0 * grad + 2.0 * np.einsum("...ak,...aik->...ki", nbn, both)
+    gram = np.swapaxes(flat, -1, -2) @ flat + np.swapaxes(flat_t, -1, -2) @ flat_t
+    u = np.swapaxes(both, -1, -3)  # u_alpha as columns, (..., k, r, s)
+    r = mats.shape[-1]
+    sym = (mats + np.swapaxes(mats, -1, -2)).reshape(mats.shape[:-2] + (r * r,))
+    q_sym = (np.swapaxes(nbn, -1, -2) @ sym).reshape(nbn.shape[:-2] + (nbn.shape[-1], r, r))
+    hess = 2.0 * (u @ np.swapaxes(u, -1, -2) + q_sym - gram[..., None, :, :])
+    return value, grad, hess
 
 
 def closed_form_normals(mats: np.ndarray, antisymmetric: bool):
@@ -220,11 +239,40 @@ def closed_form_normals(mats: np.ndarray, antisymmetric: bool):
     return n_inf, np.take_along_axis(vecs, least, axis=-1)[..., 0]
 
 
-def _tangent_gradient(mats: np.ndarray, normals: np.ndarray, signs: np.ndarray):
-    """Signed objective and its gradient projected onto the sphere's tangent space."""
-    value, grad = restricted_sum_gradient(mats, normals)
+def _tangent_derivatives(mats: np.ndarray, normals: np.ndarray, signs: np.ndarray):
+    """Signed objective, its gradient projected onto the sphere's tangent space,
+    and its signed Hessian H - (n . grad) I, which P = I - n n^T turns into
+    the Riemannian Hessian P (H - (n . grad) I) P."""
+    value, grad, hess = restricted_sum_derivatives(mats, normals)
     grad = signs[:, None] * grad
-    return signs * value, grad - np.sum(grad * normals, axis=1, keepdims=True) * normals
+    radial = np.sum(grad * normals, axis=1)
+    hess = signs[:, None, None] * hess - radial[:, None, None] * np.eye(normals.shape[1])
+    return signs * value, grad - radial[:, None] * normals, hess
+
+
+def _newton_directions(normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, scale: float):
+    """Tangent steps -sum_i v_i w_i over the eigenpairs (lambda_i, v_i) of each
+    Riemannian Hessian P hess P, shortened to at most NEWTON_MAX_STEP.
+
+    w_i = (v_i . pg) / max(|lambda_i|, floor), so every component descends, at
+    saddles too; along curvature below -floor the quadratic model has no
+    minimum, and w_i is NEWTON_MAX_STEP with the sign of v_i . pg, which
+    leaves a maximum in a few steps where |lambda_i| would only double the
+    distance to it. The normal n is an eigenvector of P hess P with
+    eigenvalue 0; adding scale n n^T moves it out of the way, so only
+    tangent eigenvectors take part.
+    """
+    outer = normals[:, :, None] * normals[:, None, :]
+    proj = np.eye(normals.shape[1]) - outer
+    lam, vecs = np.linalg.eigh(proj @ hess @ proj + scale * outer)
+    coords = np.einsum("kij,ki->kj", vecs, pg)
+    floor = NEWTON_FLOOR * scale
+    weights = np.where(
+        lam < -floor, np.sign(coords) * NEWTON_MAX_STEP, coords / np.maximum(np.abs(lam), floor)
+    )
+    step = -np.einsum("kij,kj->ki", vecs, weights)
+    length = np.linalg.norm(step, axis=1, keepdims=True)
+    return step * np.minimum(1.0, NEWTON_MAX_STEP / np.maximum(length, NEWTON_MAX_STEP))
 
 
 def _sphere_extrema(
@@ -232,45 +280,55 @@ def _sphere_extrema(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(best minimizer, best maximizer, iterations summed over starts) in one batch.
 
-    Projected gradient on the unit sphere, minimizing from the low starts and
-    maximizing from the high ones. Each start keeps its own Barzilai-Borwein
-    step, halved when the Armijo test fails, and stops once its projected
-    gradient is within GRAD_NORM_TOL of the scale or its step collapses. The
-    Armijo test forgives rises below ROUNDING_TOL of the scale: near an
-    optimum the objective's rounding outgrows the predicted decrease long
-    before the gradient reaches its tolerance.
+    Safeguarded Riemannian Newton on the unit sphere (Absil, Mahony and
+    Sepulchre, 2008), minimizing from the low starts and maximizing from the
+    high ones. Each step evaluates the value, gradient and Hessian once at
+    the candidates and takes one batched eigh of the tangent Hessians;
+    ``_newton_directions`` turns them into a descent step of at most
+    NEWTON_MAX_STEP, retracted to the sphere by normalizing. A step that
+    fails the Armijo test is halved; an accepted one resets to the full
+    Newton step at the new point. A start stops once its projected gradient
+    is within GRAD_NORM_TOL of the scale or its step fraction falls to
+    NEWTON_MIN_FRACTION. The Armijo test forgives rises below ROUNDING_TOL
+    of the scale: near an optimum the objective's rounding outgrows the
+    predicted decrease long before the gradient reaches its tolerance.
     """
     signs = np.repeat([1.0, -1.0], [len(low_starts), len(high_starts)])
     n = np.vstack([low_starts, high_starts])
     n = n / np.linalg.norm(n, axis=1, keepdims=True)
     scale = 1.0 + float(np.sum(mats * mats))
     tol = GRAD_NORM_TOL * scale
-    f, pg = _tangent_gradient(mats, n, signs)
-    step = np.full(len(n), 1.0 / scale)
-    iters = np.zeros(len(n), dtype=int)
-    running = np.linalg.norm(pg, axis=1) > tol
+    f, pg, hess = _tangent_derivatives(mats, n, signs)
+    # The running starts: their indices, points, values, gradients, steps and step fractions.
+    idx = np.flatnonzero(np.linalg.norm(pg, axis=1) > tol)
+    x, fx, gx, sx = n[idx], f[idx], pg[idx], signs[idx]
+    step = _newton_directions(x, gx, hess[idx], scale) if idx.size else gx
+    frac = np.ones(len(idx))
+    iterations = 0
     for _ in range(SOLVER_MAX_ITER):
-        idx = np.flatnonzero(running)
         if idx.size == 0:
             break
-        n0, pg0, t0 = n[idx], pg[idx], step[idx]
-        cand = n0 - t0[:, None] * pg0
+        cand = x + frac[:, None] * step
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        fc, pgc = _tangent_gradient(mats, cand, signs[idx])
-        ok = fc <= f[idx] - 1e-4 * t0 * np.sum(pg0 * pg0, axis=1) + ROUNDING_TOL * scale
-        s_vec, y_vec = cand - n0, pgc - pg0
-        sy = np.abs(np.sum(s_vec * y_vec, axis=1))
-        yy = np.sum(y_vec * y_vec, axis=1)
-        bb = np.minimum(sy / np.where(yy > 0.0, yy, 1.0), 1e6)
-        bb = np.where((sy > 0.0) & (yy > 0.0), bb, 1.0 / scale)
-        step[idx] = np.where(ok, bb, 0.5 * t0)
-        moved = idx[ok]
-        n[moved], f[moved], pg[moved] = cand[ok], fc[ok], pgc[ok]
-        iters[idx] += 1
-        running[idx] = (np.linalg.norm(pg[idx], axis=1) > tol) & (step[idx] > 1e-18)
+        fc, pgc, hc = _tangent_derivatives(mats, cand, sx)
+        ok = fc <= fx + 1e-4 * frac * np.sum(gx * step, axis=1) + ROUNDING_TOL * scale
+        iterations += idx.size
+        if ok.all():
+            x, fx, gx = cand, fc, pgc
+            step = _newton_directions(cand, pgc, hc, scale)
+            frac = np.ones(len(idx))
+        else:
+            x[ok], fx[ok], gx[ok] = cand[ok], fc[ok], pgc[ok]
+            step[ok] = _newton_directions(cand[ok], pgc[ok], hc[ok], scale)
+            frac = np.where(ok, 1.0, 0.5 * frac)
+        keep = (np.linalg.norm(gx, axis=1) > tol) & (frac > NEWTON_MIN_FRACTION)
+        if not keep.all():
+            n[idx], f[idx] = x, fx
+            idx, x, fx, gx, sx, step, frac = (a[keep] for a in (idx, x, fx, gx, sx, step, frac))
+    n[idx], f[idx] = x, fx
     low = signs > 0
     n_min, n_max = n[np.argmin(np.where(low, f, np.inf))], n[np.argmin(np.where(low, np.inf, f))]
-    return n_min, n_max, int(iters.sum())
+    return n_min, n_max, iterations
 
 
 def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -356,7 +414,7 @@ def delta_casorati(
         if grid_sup > c_l_sup:
             c_l_sup, n_sup = grid_sup, grid_n_sup
 
-    _, pg = _tangent_gradient(mats, np.stack([n_inf, n_sup]), np.ones(2))
+    _, pg, _ = _tangent_derivatives(mats, np.stack([n_inf, n_sup]), np.ones(2))
     stationary = np.linalg.norm(pg, axis=1) <= GRAD_NORM_TOL * (1.0 + coeffs.norm_squared())
     delta_c, delta_hat_c = delta_pair(c_val, c_l_inf, c_l_sup, r)
     return CasoratiReport(

@@ -14,7 +14,17 @@ import numpy as np
 from casorati.curvature import ChartMetric, CurvatureTensor, christoffel, riemann_at
 from casorati.errors import DegenerateInput, DimensionMismatch, RankDrop, ValidationFailed
 from casorati.framecore import Frame, InnerProduct, StructureOperator
-from casorati.measures import ROLE_A, ROLE_T, FormCoefficients, casorati_C, restricted_sum
+from casorati.measures import (
+    GRAD_NORM_TOL,
+    ROLE_A,
+    ROLE_T,
+    ROUNDING_TOL,
+    SOLVER_MAX_ITER,
+    FormCoefficients,
+    casorati_C,
+    restricted_sum,
+    restricted_sum_derivatives,
+)
 from casorati.rmaps import FD_STEP, KERNEL_THRESHOLD, MapAtPoint, SmoothMap
 from casorati.spaceforms import CONTACT_FAMILIES, NamedFamily, SpaceFormSpec, family_constants
 from casorati.verify import model_reference_part
@@ -163,6 +173,54 @@ def diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
         picked.append(dirs[i])
         values[np.abs(dirs @ dirs[i]) > 0.95] = np.inf
     return np.array(picked)
+
+
+def gradient_sphere_extrema(
+    mats: np.ndarray, low_starts: np.ndarray, high_starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The projected-gradient solver that ``measures._sphere_extrema`` replaces.
+
+    Same starts, stopping rule and Armijo forgiveness; each start keeps its
+    own Barzilai-Borwein step, halved when the Armijo test fails, in place
+    of the Newton step. Returns (best minimizer, best maximizer, iterations
+    summed over starts).
+    """
+    def tangent_gradient(normals, signs):
+        value, grad, _ = restricted_sum_derivatives(mats, normals)
+        grad = signs[:, None] * grad
+        return signs * value, grad - np.sum(grad * normals, axis=1, keepdims=True) * normals
+
+    signs = np.repeat([1.0, -1.0], [len(low_starts), len(high_starts)])
+    n = np.vstack([low_starts, high_starts])
+    n = n / np.linalg.norm(n, axis=1, keepdims=True)
+    scale = 1.0 + float(np.sum(mats * mats))
+    tol = GRAD_NORM_TOL * scale
+    f, pg = tangent_gradient(n, signs)
+    step = np.full(len(n), 1.0 / scale)
+    iters = np.zeros(len(n), dtype=int)
+    running = np.linalg.norm(pg, axis=1) > tol
+    for _ in range(SOLVER_MAX_ITER):
+        idx = np.flatnonzero(running)
+        if idx.size == 0:
+            break
+        n0, pg0, t0 = n[idx], pg[idx], step[idx]
+        cand = n0 - t0[:, None] * pg0
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        fc, pgc = tangent_gradient(cand, signs[idx])
+        ok = fc <= f[idx] - 1e-4 * t0 * np.sum(pg0 * pg0, axis=1) + ROUNDING_TOL * scale
+        s_vec, y_vec = cand - n0, pgc - pg0
+        sy = np.abs(np.sum(s_vec * y_vec, axis=1))
+        yy = np.sum(y_vec * y_vec, axis=1)
+        bb = np.minimum(sy / np.where(yy > 0.0, yy, 1.0), 1e6)
+        bb = np.where((sy > 0.0) & (yy > 0.0), bb, 1.0 / scale)
+        step[idx] = np.where(ok, bb, 0.5 * t0)
+        moved = idx[ok]
+        n[moved], f[moved], pg[moved] = cand[ok], fc[ok], pgc[ok]
+        iters[idx] += 1
+        running[idx] = (np.linalg.norm(pg[idx], axis=1) > tol) & (step[idx] > 1e-18)
+    low = signs > 0
+    n_min, n_max = n[np.argmin(np.where(low, f, np.inf))], n[np.argmin(np.where(low, np.inf, f))]
+    return n_min, n_max, int(iters.sum())
 
 
 def make_equality_shape(

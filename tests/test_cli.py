@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from casorati import catalog
@@ -349,3 +350,36 @@ def test_invariant_fibre_with_tangent_reeb_field(tmp_path, capsys):
         residuals[theorem] = [r["residual"] for r in reports]
         assert all(0.0 <= res <= 1e-8 for res in residuals[theorem])
     assert residuals["sub-vert-gssf-inv"] == pytest.approx(residuals["sub-vert-gssf"], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "geometry, model_id",
+    [
+        ("quaternionic-hopf-S7-S4", "sub-hor-gcsf"),
+        ("sasakian-R5-model", "sub-hor-gssf"),
+        ("kenmotsu-H5-H3", "sub-hor-gssf"),
+    ],
+)
+def test_sub_hor_residual_beyond_the_algebra_is_the_model_term(capsys, geometry, model_id):
+    # The sub-hor residual is delta + 3C/(r-1), which is nonnegative by algebra,
+    # plus (model - measured) horizontal curvature for the model ids. Read from
+    # the JSON: the generic id leaves only the rounding of rhs - lhs (one ulp
+    # of the residual), and the model id leaves the model term.
+    def extra_terms(theorem):
+        code, out, _ = run(capsys, "verify", "--theorem", theorem, "--geometry", geometry,
+                           "--samples", "3", "--json")
+        assert code == 0
+        for rep in json.loads(out)["reports"]:
+            c = rep["casorati"]
+            delta = c["delta_C"] if rep["variant"] == "delta" else c["delta_hat_C"]
+            yield rep, rep["residual"] - (delta + 3.0 * c["C"] / (c["r"] - 1))
+
+    generic = list(extra_terms("sub-hor-general"))
+    assert len(generic) == 6
+    for rep, extra in generic:
+        ulp = np.spacing(max(abs(rep["residual"]), abs(rep["lhs"]), abs(rep["rhs"])))
+        assert abs(extra) <= ulp
+    model = list(extra_terms(model_id))
+    assert len(model) == 6
+    for rep, extra in model:
+        assert abs(extra) <= 1e-8 * (1.0 + abs(rep["rhs"]))

@@ -17,13 +17,14 @@ from casorati.measures import (
     diagnose_equality,
     grid_extrema,
     restricted_sum,
-    restricted_sum_gradient,
+    restricted_sum_derivatives,
 )
 from reference import (
     Hyperplane,
     casorati_on_hyperplane,
     diverse_leaders,
     gauss_scal_gap,
+    gradient_sphere_extrema,
     make_equality_shape,
     proof_polynomial_P,
     proof_polynomial_Q,
@@ -146,12 +147,12 @@ def test_optimizer_matches_grid_oracle(seed, r, s, role):
 
 @given(seed=st.integers(0, 10_000), r=st.integers(3, 6), s=st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
-def test_restricted_sum_gradient_matches_finite_differences(seed, r, s):
+def test_restricted_sum_derivatives_match_finite_differences(seed, r, s):
     rng = np.random.default_rng(seed)
-    mats = rng.standard_normal((s, r, r))  # no symmetry: every term of the gradient counts
+    mats = rng.standard_normal((s, r, r))  # no symmetry: every term of the derivatives counts
     normals = rng.standard_normal((4, r))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    value, grad = restricted_sum_gradient(mats, normals)
+    value, grad, hess = restricted_sum_derivatives(mats, normals)
     assert np.allclose(value, restricted_sum(mats, normals), rtol=0.0, atol=1e-12)
     h = 1e-6
     steps = h * np.eye(r)
@@ -159,9 +160,39 @@ def test_restricted_sum_gradient_matches_finite_differences(seed, r, s):
     fd = (restricted_sum(mats, shifted + steps) - restricted_sum(mats, shifted - steps)) / (2.0 * h)
     scale = 1.0 + float(np.sum(mats * mats))
     assert np.abs(grad - fd).max() <= 1e-6 * scale
+    # the Hessian against central differences of the gradient, one column per axis
+    plus = restricted_sum_derivatives(mats, shifted + steps)[1]
+    minus = restricted_sum_derivatives(mats, shifted - steps)[1]
+    fd_hess = np.swapaxes(plus - minus, -1, -2) / (2.0 * h)
+    assert hess.shape == (4, r, r)
+    assert np.abs(hess - fd_hess).max() <= 1e-6 * scale
     # per-trial batches agree with one call per trial
     batched = restricted_sum(np.stack([mats, 2.0 * mats]), np.stack([normals, normals]))
     assert np.allclose(batched, [value, 4.0 * value], rtol=1e-12, atol=1e-12)
+    b_value, b_grad, b_hess = restricted_sum_derivatives(
+        np.stack([mats, 2.0 * mats]), np.stack([normals, normals])
+    )
+    assert np.allclose(b_value, [value, 4.0 * value], rtol=1e-12, atol=1e-12)
+    assert np.allclose(b_grad, [grad, 4.0 * grad], rtol=1e-12, atol=1e-12 * scale)
+    assert np.allclose(b_hess, [hess, 4.0 * hess], rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_newton_solver_matches_the_gradient_oracle():
+    # The old projected-gradient solver, run from the same starts, reaches the
+    # same inf and sup on dense symmetric sets over four decades of scale.
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        r, s = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+        mats = 10.0 ** rng.uniform(-2.0, 2.0) * rng.standard_normal((s, r, r))
+        coeffs = FormCoefficients((ROLE_B, ROLE_T)[i % 2], 0.5 * (mats + mats.transpose(0, 2, 1)))
+        rep = delta_casorati(coeffs, seed=i)
+        starts = measures._optimizer_starts(coeffs.coeffs, r, np.random.default_rng(i))
+        n_min, n_max, _ = gradient_sphere_extrema(coeffs.coeffs, starts, starts)
+        ref_inf, ref_sup = restricted_sum(coeffs.coeffs, np.stack([n_min, n_max])) / (r - 1)
+        assert rep.converged
+        assert rep.starts == len(starts)
+        assert abs(rep.C_L_inf - ref_inf) <= 1e-9 * abs(ref_inf)
+        assert abs(rep.C_L_sup - ref_sup) <= 1e-9 * abs(ref_sup)
 
 
 def test_grid_polish_finds_the_true_sup():

@@ -8,10 +8,19 @@ sorted keys, so two dumps compare with ``diff`` or ``cmp``:
     python tools/report_dump.py --output before.jsonl   # in one checkout
     python tools/report_dump.py --output after.jsonl    # in another
     cmp before.jsonl after.jsonl
+    python tools/report_dump.py --compare before.jsonl after.jsonl
 
 The runs are ``verify --theorem all`` on every tagged catalog entry at
 SEEDS with SAMPLES points, ``invariants`` on every entry at its base point,
 and synthetic ``verify --theorem all --trials`` SYNTHETIC_TRIALS at SEEDS.
+
+``--compare`` reads two dumps line by line. It prints, for each numeric
+field (list indices folded), the largest relative and absolute change and
+the argv where the relative one occurs, then every other change: exit
+codes, booleans, strings, counts, the optimizer's ``starts``, keys and list
+lengths. Integers are compared exactly, except the solver cost
+``iterations``, which is reported with the numbers. It exits 1 if anything
+other than a number changed, else 0.
 """
 
 from __future__ import annotations
@@ -55,10 +64,76 @@ def run(argv: list[str]) -> dict:
     return {"argv": argv, "exit": code, "report": json.loads(text) if text else None}
 
 
+# Integer fields that measure cost rather than state a result.
+NUMERIC_COUNTS = ("iterations",)
+
+
+def _is_number(value, key: str) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or key in NUMERIC_COUNTS
+
+
+def _walk(before, after, path: str, key: str, numeric: dict, other: list, where: str) -> None:
+    """Put the numeric changes from ``before`` to ``after`` in ``numeric``, others in ``other``."""
+    if _is_number(before, key) and _is_number(after, key):
+        absolute = abs(after - before)
+        relative = absolute / max(abs(before), abs(after)) if absolute else 0.0
+        worst_relative, worst_absolute, worst_where = numeric.get(path, (-1.0, 0.0, where))
+        if relative > worst_relative:
+            worst_relative, worst_where = relative, where
+        numeric[path] = (worst_relative, max(worst_absolute, absolute), worst_where)
+    elif isinstance(before, dict) and isinstance(after, dict):
+        for k in sorted(before.keys() | after.keys()):
+            if k not in before or k not in after:
+                other.append(f"{where}: {path}.{k} only in {'after' if k in after else 'before'}")
+            else:
+                _walk(before[k], after[k], f"{path}.{k}", k, numeric, other, where)
+    elif isinstance(before, list) and isinstance(after, list):
+        if len(before) != len(after):
+            other.append(f"{where}: {path} has {len(before)} items before, {len(after)} after")
+        else:
+            for b, a in zip(before, after):
+                _walk(b, a, f"{path}[]", key, numeric, other, where)
+    elif type(before) is not type(after) or before != after:
+        other.append(f"{where}: {path} {json.dumps(before)} -> {json.dumps(after)}")
+
+
+def compare(before_file: str, after_file: str) -> int:
+    before = Path(before_file).read_text(encoding="utf-8").splitlines()
+    after = Path(after_file).read_text(encoding="utf-8").splitlines()
+    numeric: dict = {}
+    other: list = []
+    if len(before) != len(after):
+        other.append(f"{len(before)} lines before, {len(after)} after")
+    for old, new in zip(before, after):
+        a, b = json.loads(old), json.loads(new)
+        where = " ".join(a["argv"])
+        if a["argv"] != b["argv"]:
+            other.append(f"argv {where!r} -> {' '.join(b['argv'])!r}")
+            continue
+        _walk(a["exit"], b["exit"], "exit", "exit", numeric, other, where)
+        _walk(a["report"], b["report"], "report", "report", numeric, other, where)
+    same = sum(old == new for old, new in zip(before, after))
+    print(f"{same} of {len(after)} lines byte-identical")
+    moved = {path: v for path, v in numeric.items() if v[1]}
+    print(f"{len(moved)} of {len(numeric)} numeric fields changed")
+    for path, (relative, absolute, where) in sorted(moved.items()):
+        print(f"  {path}: relative {relative:.2e}, absolute {absolute:.2e} ({where})")
+    print(f"{len(other)} other changes")
+    for line in other:
+        print(f"  {line}")
+    return 1 if other else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="-", help="file to write (default stdout)")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two dumps instead of writing one")
     args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
     lines = [json.dumps(run(argv), sort_keys=True, separators=(",", ":")) for argv in argv_list()]
     payload = "\n".join(lines) + "\n"
     if args.output == "-":
