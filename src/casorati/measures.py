@@ -275,11 +275,34 @@ def _newton_directions(normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, sc
     return step * np.minimum(1.0, NEWTON_MAX_STEP / np.maximum(length, NEWTON_MAX_STEP))
 
 
-def _sphere_extrema(
-    mats: np.ndarray, low_starts: np.ndarray, high_starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(best minimizer, best maximizer, iterations summed over starts) in one batch.
+def _problem_derivatives(
+    mats: np.ndarray, normals: np.ndarray, signs: np.ndarray, owners: np.ndarray
+):
+    """``_tangent_derivatives`` of each row, bit for bit as a batch of only
+    its owner problem's rows gives it.
 
+    numpy hands BLAS a matrix-vector product for a single row and a matrix
+    product for more, and the two round differently; matrix products of two
+    or more rows agree column by column. So each problem that is down to one
+    row is evaluated alone, and the rows of all other problems in one batch.
+    """
+    lone = np.bincount(owners)[owners] == 1
+    if len(owners) == 1 or not lone.any():
+        return _tangent_derivatives(mats, normals, signs)
+    batches = [np.flatnonzero(~lone)] + [[i] for i in np.flatnonzero(lone)]
+    parts = [_tangent_derivatives(mats, normals[b], signs[b]) for b in batches if len(b)]
+    back = np.argsort(np.concatenate(batches))
+    return tuple(np.concatenate(each)[back] for each in zip(*parts))
+
+
+def _sphere_extrema(
+    mats: np.ndarray, *problems: tuple[np.ndarray, np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """(best minimizer, best maximizer, iterations summed over starts) per problem, in one batch.
+
+    Each problem is a pair (low starts, high starts); every start carries the
+    label of its problem and side, and each result is picked from the rows of
+    its own label only, so the problems share the batch and nothing else.
     Safeguarded Riemannian Newton on the unit sphere (Absil, Mahony and
     Sepulchre, 2008), minimizing from the low starts and maximizing from the
     high ones. Each step evaluates the value, gradient and Hessian once at
@@ -293,26 +316,28 @@ def _sphere_extrema(
     of the scale: near an optimum the objective's rounding outgrows the
     predicted decrease long before the gradient reaches its tolerance.
     """
-    signs = np.repeat([1.0, -1.0], [len(low_starts), len(high_starts)])
-    n = np.vstack([low_starts, high_starts])
+    sides = [starts for pair in problems for starts in pair]
+    labels = np.repeat(np.arange(len(sides)), [len(starts) for starts in sides])
+    signs, owners = np.where(labels % 2 == 0, 1.0, -1.0), labels // 2
+    n = np.vstack(sides)
     n = n / np.linalg.norm(n, axis=1, keepdims=True)
     scale = 1.0 + float(np.sum(mats * mats))
     tol = GRAD_NORM_TOL * scale
-    f, pg, hess = _tangent_derivatives(mats, n, signs)
+    f, pg, hess = _problem_derivatives(mats, n, signs, owners)
     # The running starts: their indices, points, values, gradients, steps and step fractions.
     idx = np.flatnonzero(np.linalg.norm(pg, axis=1) > tol)
     x, fx, gx, sx = n[idx], f[idx], pg[idx], signs[idx]
     step = _newton_directions(x, gx, hess[idx], scale) if idx.size else gx
     frac = np.ones(len(idx))
-    iterations = 0
+    steps = np.zeros(len(n), dtype=int)
     for _ in range(SOLVER_MAX_ITER):
         if idx.size == 0:
             break
         cand = x + frac[:, None] * step
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        fc, pgc, hc = _tangent_derivatives(mats, cand, sx)
+        fc, pgc, hc = _problem_derivatives(mats, cand, sx, owners[idx])
         ok = fc <= fx + 1e-4 * frac * np.sum(gx * step, axis=1) + ROUNDING_TOL * scale
-        iterations += idx.size
+        steps[idx] += 1
         if ok.all():
             x, fx, gx = cand, fc, pgc
             step = _newton_directions(cand, pgc, hc, scale)
@@ -326,38 +351,41 @@ def _sphere_extrema(
             n[idx], f[idx] = x, fx
             idx, x, fx, gx, sx, step, frac = (a[keep] for a in (idx, x, fx, gx, sx, step, frac))
     n[idx], f[idx] = x, fx
-    low = signs > 0
-    n_min, n_max = n[np.argmin(np.where(low, f, np.inf))], n[np.argmin(np.where(low, np.inf, f))]
-    return n_min, n_max, iterations
+    best = [n[np.argmin(np.where(labels == label, f, np.inf))] for label in range(len(sides))]
+    row_steps = np.bincount(owners, weights=steps, minlength=len(problems))
+    return [(best[2 * i], best[2 * i + 1], int(row_steps[i])) for i in range(len(problems))]
 
 
 def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
     """Up to k rows of dirs, lowest value first, none within ~18 degrees of an earlier pick.
 
     Picks come from the lowest values in (value, index) order, every tie at
-    the cut included, so they equal a greedy pass over all rows; the subset
-    widens while it yields fewer than k picks and rows remain. A +inf value
-    is never picked.
+    the cut included, so they equal a greedy pass over all rows: each pick is
+    the argmin over the subset, and its cap is masked to +inf. While the
+    subset yields fewer than k picks and rows remain, it widens; the picks
+    stay, and only the rows new to the subset are screened against them. A
+    +inf value is never picked.
     """
     values = np.asarray(values, dtype=float)
-    size = 32 * k
+    picked: list[np.ndarray] = []
+    size, cut = 32 * k, None
     while True:
-        if size < len(values):
-            cut = np.partition(values, size - 1)[size - 1]
-            subset = np.flatnonzero(values <= cut)
-        else:
-            subset = np.arange(len(values))
-        subset = subset[np.argsort(values[subset], kind="stable")]
-        candidates = dirs[subset[values[subset] < np.inf]]
-        free = np.ones(len(candidates), dtype=bool)
-        picked = []
-        while len(picked) < k and free.any():
-            pick = candidates[np.argmax(free)]
-            picked.append(pick)
-            free[np.abs(candidates @ pick) > 0.95] = False
+        wider = np.partition(values, size - 1)[size - 1] if size < len(values) else np.inf
+        rows = np.flatnonzero(values <= wider)
+        if cut is not None:
+            rows = rows[values[rows] > cut]  # only the rows new to the subset, in index order
+        candidates, masked = dirs[rows], values[rows]
+        for pick in picked:
+            masked[np.abs(candidates @ pick) > 0.95] = np.inf
+        while len(picked) < k and masked.size:
+            i = np.argmin(masked)
+            if masked[i] == np.inf:
+                break
+            picked.append(candidates[i])
+            masked[np.abs(candidates @ candidates[i]) > 0.95] = np.inf
         if len(picked) == k or size >= len(values):
             return np.array(picked)
-        size *= 4
+        size, cut = 4 * size, wider
 
 
 def _optimizer_starts(mats: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -382,7 +410,8 @@ def delta_casorati(
     iterations; otherwise the sphere solver runs from eigenvectors of sum
     B^T B, random directions and the leaders of a coarse sphere scan.
     ``certify=True`` checks the result against the grid oracle and reports a
-    better grid extremum with its normal. ``converged``: the projected
+    better grid extremum with its normal; the solver then runs the starts in
+    the grid polish's call, as a group of its own. ``converged``: the projected
     gradient at each reported normal is within GRAD_NORM_TOL.
     """
     r = coeffs.r
@@ -392,18 +421,24 @@ def delta_casorati(
     c_val = casorati_C(coeffs)
 
     closed = closed_form_normals(mats, coeffs.role == ROLE_A)
+    grid = None
     if closed is not None:
-        n_inf, n_sup = closed
-        starts = iterations = 0
+        (n_inf, n_sup), starts, iterations = closed, 0, 0
+        if certify:
+            grid = grid_extrema(coeffs, seed=seed + 1)
     else:
         start_dirs = _optimizer_starts(mats, r, np.random.default_rng(seed))
-        n_inf, n_sup, iterations = _sphere_extrema(mats, start_dirs, start_dirs)
         starts = len(start_dirs)
+        if certify:  # the starts ride in the grid polish's solver call, as a group of their own
+            *grid, solved = grid_extrema(coeffs, seed=seed + 1, starts=start_dirs)
+            n_inf, n_sup, iterations = solved
+        else:
+            ((n_inf, n_sup, iterations),) = _sphere_extrema(mats, (start_dirs, start_dirs))
     c_l_inf, c_l_sup = (float(v) for v in restricted_sum(mats, np.stack([n_inf, n_sup])) / (r - 1))
 
     certified: bool | None = None
-    if certify:
-        grid_inf, grid_n_inf, grid_sup, grid_n_sup = grid_extrema(coeffs, seed=seed + 1)
+    if grid is not None:
+        grid_inf, grid_n_inf, grid_sup, grid_n_sup = grid
         certified = (
             abs(c_l_inf - grid_inf) <= CERTIFY_REL_TOL * (1.0 + abs(grid_inf))
             and abs(c_l_sup - grid_sup) <= CERTIFY_REL_TOL * (1.0 + abs(grid_sup))
@@ -440,45 +475,58 @@ _GRIDS: dict[int, tuple[int, np.ndarray]] = {}
 def _grid_directions(seed: int, r: int) -> np.ndarray:
     """The read-only unit grid directions of (seed, r), drawn on first use.
 
-    Each r keeps the grid of its last seed, GRID_PER_DIM * r * r doubles, and
-    frees it before drawing the grid of another seed. Nothing frees the slot
-    of an r, so the cache holds the sum of 80,000 * r**2 bytes over every r
-    certified in the process (about 6.9 MB for r = 3..6).
+    The draw is row by row, (GRID_PER_DIM * r + r, r); it is stored as its
+    C-contiguous (r, GRID_PER_DIM * r + r) transpose, and the (N, r) view of
+    that is returned. A slice of consecutive directions is then r contiguous
+    runs, which reach the matrix products of ``restricted_sum`` as one BLAS
+    operand with no copy. Each r keeps the grid of its last seed, GRID_PER_DIM
+    * r * r doubles, and frees it before drawing the grid of another seed.
+    Nothing frees the slot of an r, so the cache holds the sum of 80,000 *
+    r**2 bytes over every r certified in the process (about 6.9 MB for
+    r = 3..6).
     """
     kept = _GRIDS.get(r)
     if kept is not None and kept[0] == seed:
         return kept[1]
     _GRIDS.pop(r, None)  # free the old grid before drawing its successor
     rng = np.random.default_rng(seed)
-    dirs = np.vstack([rng.standard_normal((GRID_PER_DIM * r, r)), np.eye(r)])
+    columns = np.empty((r, GRID_PER_DIM * r + r))
+    dirs = columns.T
+    dirs[:-r], dirs[-r:] = rng.standard_normal((GRID_PER_DIM * r, r)), np.eye(r)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs.setflags(write=False)
-    _GRIDS[r] = (seed, dirs)
-    return dirs
+    columns.setflags(write=False)
+    _GRIDS[r] = (seed, columns.T)  # a view of the read-only columns is read-only too
+    return _GRIDS[r][1]
 
 
 def grid_extrema(
-    coeffs: FormCoefficients, seed: int = 0
-) -> tuple[float, np.ndarray, float, np.ndarray]:
+    coeffs: FormCoefficients, seed: int = 0, starts: np.ndarray | None = None
+) -> tuple:
     """Brute-force oracle: (C_L_inf, n_inf, C_L_sup, n_sup) from a sphere grid.
 
     Uniform random directions (GRID_PER_DIM per dimension) plus coordinate
     axes, drawn once per (seed, r) by ``_grid_directions``. The sphere solver
     polishes the POLISH_LEADERS best basin-diverse directions on each side
-    (fewer can all sit in wrong basins), never the multi-starts of
-    ``delta_casorati``.
+    (fewer can all sit in wrong basins). ``starts``, the multi-starts of
+    ``delta_casorati``, join that one solver call as a group of their own:
+    the grid's result is picked from its leaders' rows only, so it never
+    sees them, and the return gains a fifth item, (best minimizer, best
+    maximizer, iterations) of the starts' group.
     """
     r = coeffs.r
+    if r < 2:
+        raise DimensionMismatch("the grid oracle needs r >= 2")
     mats = coeffs.coeffs
     dirs = _grid_directions(seed, r)
 
     # Slice by slice, so that the products for the whole grid never coexist.
     slices = np.split(dirs, range(GRID_SLICE, len(dirs), GRID_SLICE))
     total = np.concatenate([restricted_sum(mats, part) for part in slices])
-    low, high = (_diverse_leaders(dirs, v, POLISH_LEADERS) for v in (total, -total))
-    n_min, n_max, _ = _sphere_extrema(mats, low, high)
+    leaders = tuple(_diverse_leaders(dirs, v, POLISH_LEADERS) for v in (total, -total))
+    problems = [leaders] if starts is None else [leaders, (starts, starts)]
+    (n_min, n_max, _), *solved = _sphere_extrema(mats, *problems)
     f_min, f_max = restricted_sum(mats, np.stack([n_min, n_max])) / (r - 1)
-    return float(f_min), n_min, float(f_max), n_max
+    return (float(f_min), n_min, float(f_max), n_max, *solved)
 
 
 def diagnose_equality(coeffs: FormCoefficients, tol: float = EQUALITY_TOL) -> EqualityDiagnosis:

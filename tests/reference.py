@@ -11,17 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from casorati import measures
 from casorati.curvature import ChartMetric, CurvatureTensor, christoffel, riemann_at
 from casorati.errors import DegenerateInput, DimensionMismatch, RankDrop, ValidationFailed
 from casorati.framecore import Frame, InnerProduct, StructureOperator
 from casorati.measures import (
+    CERTIFY_REL_TOL,
     GRAD_NORM_TOL,
+    GRID_PER_DIM,
+    GRID_SLICE,
+    POLISH_LEADERS,
     ROLE_A,
     ROLE_T,
     ROUNDING_TOL,
     SOLVER_MAX_ITER,
+    CasoratiReport,
     FormCoefficients,
     casorati_C,
+    closed_form_normals,
+    delta_pair,
     restricted_sum,
     restricted_sum_derivatives,
 )
@@ -221,6 +229,61 @@ def gradient_sphere_extrema(
     low = signs > 0
     n_min, n_max = n[np.argmin(np.where(low, f, np.inf))], n[np.argmin(np.where(low, np.inf, f))]
     return n_min, n_max, int(iters.sum())
+
+
+def row_major_grid(seed: int, r: int) -> np.ndarray:
+    """The grid of ``measures._grid_directions`` as drawn, row by row, before
+    it is stored column-major."""
+    rng = np.random.default_rng(seed)
+    dirs = np.vstack([rng.standard_normal((GRID_PER_DIM * r, r)), np.eye(r)])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs
+
+
+def separate_grid_extrema(coeffs: FormCoefficients, grid: np.ndarray):
+    """``measures.grid_extrema`` on a row-major ``grid`` as it was before the
+    optimizer's starts joined its solver call: the full greedy leader pass and
+    a solver call of its own. Returns (C_L_inf, n_inf, C_L_sup, n_sup)."""
+    mats, r = coeffs.coeffs, coeffs.r
+    slices = np.split(grid, range(GRID_SLICE, len(grid), GRID_SLICE))
+    total = np.concatenate([restricted_sum(mats, part) for part in slices])
+    low, high = (diverse_leaders(grid, v, POLISH_LEADERS) for v in (total, -total))
+    ((n_min, n_max, _),) = measures._sphere_extrema(mats, (low, high))
+    f_min, f_max = restricted_sum(mats, np.stack([n_min, n_max])) / (r - 1)
+    return float(f_min), n_min, float(f_max), n_max
+
+
+def two_solve_report(coeffs: FormCoefficients, seed: int, grid: np.ndarray) -> CasoratiReport:
+    """``delta_casorati(coeffs, seed, certify=True)`` by two solver calls: the
+    optimizer's starts alone, then ``separate_grid_extrema`` on ``grid``, the
+    row-major grid of seed + 1."""
+    mats, r = coeffs.coeffs, coeffs.r
+    closed = closed_form_normals(mats, coeffs.role == ROLE_A)
+    if closed is None:
+        starts = measures._optimizer_starts(mats, r, np.random.default_rng(seed))
+        ((n_inf, n_sup, iterations),) = measures._sphere_extrema(mats, (starts, starts))
+        count = len(starts)
+    else:
+        (n_inf, n_sup), count, iterations = closed, 0, 0
+    c_l_inf, c_l_sup = (float(v) for v in restricted_sum(mats, np.stack([n_inf, n_sup])) / (r - 1))
+    grid_inf, grid_n_inf, grid_sup, grid_n_sup = separate_grid_extrema(coeffs, grid)
+    certified = (
+        abs(c_l_inf - grid_inf) <= CERTIFY_REL_TOL * (1.0 + abs(grid_inf))
+        and abs(c_l_sup - grid_sup) <= CERTIFY_REL_TOL * (1.0 + abs(grid_sup))
+    )
+    if grid_inf < c_l_inf:
+        c_l_inf, n_inf = grid_inf, grid_n_inf
+    if grid_sup > c_l_sup:
+        c_l_sup, n_sup = grid_sup, grid_n_sup
+    _, pg, _ = measures._tangent_derivatives(mats, np.stack([n_inf, n_sup]), np.ones(2))
+    stationary = np.linalg.norm(pg, axis=1) <= GRAD_NORM_TOL * (1.0 + coeffs.norm_squared())
+    delta_c, delta_hat_c = delta_pair(casorati_C(coeffs), c_l_inf, c_l_sup, r)
+    return CasoratiReport(
+        r=r, C=casorati_C(coeffs), C_L_inf=c_l_inf, C_L_sup=c_l_sup, inf_normal=n_inf,
+        sup_normal=n_sup, delta_C=delta_c, delta_hat_C=delta_hat_c,
+        converged=bool(stationary.all()), starts=count, iterations=iterations,
+        certified=certified,
+    )
 
 
 def make_equality_shape(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +30,8 @@ from reference import (
     make_equality_shape,
     proof_polynomial_P,
     proof_polynomial_Q,
+    row_major_grid,
+    two_solve_report,
 )
 
 DESK_TOL = 1e-9
@@ -277,7 +281,7 @@ def test_certified_report_does_not_depend_on_the_grid_cache(monkeypatch):
 def test_grid_directions_are_kept_read_only_one_seed_per_r(monkeypatch):
     monkeypatch.setattr(measures, "_GRIDS", {})
     dirs = measures._grid_directions(5, 4)
-    assert not dirs.flags.writeable
+    assert not dirs.flags.writeable and not dirs.base.flags.writeable
     with pytest.raises(ValueError):
         dirs[0, 0] = 1.0
     assert dirs.shape == (measures.GRID_PER_DIM * 4 + 4, 4)
@@ -287,6 +291,69 @@ def test_grid_directions_are_kept_read_only_one_seed_per_r(monkeypatch):
     measures._grid_directions(6, 3)
     assert sorted((r, seed) for r, (seed, _) in measures._GRIDS.items()) == [(3, 6), (4, 6)]
     assert np.array_equal(measures._grid_directions(5, 4), dirs)
+
+
+@pytest.mark.parametrize("r", [3, 6])
+def test_grid_is_the_row_major_draw_stored_column_major(monkeypatch, r):
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    dirs = measures._grid_directions(3, r)
+    drawn = row_major_grid(3, r)
+    assert np.array_equal(dirs, drawn)
+    # an (N, r) view of C-contiguous (r, N) memory, which it does not own
+    assert dirs.flags.f_contiguous and not dirs.flags.owndata
+    assert dirs.base.shape == (r, len(drawn)) and dirs.base.flags.c_contiguous
+    # slice views reach restricted_sum as strided BLAS operands; the values
+    # equal those of row-major copies bit for bit
+    mats = sym_coeffs(np.random.default_rng(r), 3, r).coeffs
+    cuts = range(measures.GRID_SLICE, len(dirs), measures.GRID_SLICE)
+    for view, copy in zip(np.split(dirs, cuts), np.split(drawn, cuts), strict=True):
+        assert view.base is not None and copy.flags.c_contiguous
+        assert np.array_equal(restricted_sum(mats, view), restricted_sum(mats, copy))
+
+
+def test_grid_extrema_needs_two_dimensions():
+    # At r = 1 the only hyperplane is {0}, and C^L's 1/(r - 1) is 0/0.
+    with pytest.raises(DimensionMismatch):
+        grid_extrema(FormCoefficients(ROLE_B, np.ones((2, 1, 1))))
+    f_min, _, f_max, _ = grid_extrema(FormCoefficients(ROLE_B, np.diag([1.0, 3.0])[None]))
+    assert f_min == pytest.approx(1.0) and f_max == pytest.approx(9.0)
+
+
+def test_grouped_solve_equals_one_solve_per_problem():
+    # Few starts per problem, so that problems often run down to one row;
+    # BLAS rounds a single row differently, and the group must not notice.
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        r, s = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        mats = sym_coeffs(rng, s, r).coeffs
+        problems = [
+            tuple(rng.standard_normal((int(rng.integers(1, 4)), r)) for _ in range(2))
+            for _ in range(int(rng.integers(2, 5)))
+        ]
+        together = measures._sphere_extrema(mats, *problems)
+        for problem, grouped in zip(problems, together, strict=True):
+            ((n_min, n_max, iterations),) = measures._sphere_extrema(mats, problem)
+            assert np.array_equal(grouped[0], n_min) and np.array_equal(grouped[1], n_max)
+            assert grouped[2] == iterations
+
+
+def test_one_solver_call_equals_two(monkeypatch):
+    # delta_casorati(certify=True) solves its starts and the grid's polish in
+    # one call; the two-call path of tests/reference.py gives the same JSON.
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    count = 0
+    for seed in range(4):
+        for r in range(3, 7):
+            grid = row_major_grid(seed + 1, r)
+            rng = np.random.default_rng([seed, r])
+            for s, (i, role), j in itertools.product((1, 2, 3), enumerate(ROLES), (0, 1)):
+                scale = (0.3, 1.0, 5.0)[(seed + s + i + j) % 3]
+                drawn = antisym_coeffs(rng, s, r) if role == ROLE_A else sym_coeffs(rng, s, r, role)
+                coeffs = FormCoefficients(role, scale * drawn.coeffs)
+                one = delta_casorati(coeffs, seed=seed, certify=True).to_json()
+                assert one == two_solve_report(coeffs, seed, grid).to_json()
+                count += 1
+    assert count == 288
 
 
 def test_reported_normal_attains_reported_value(monkeypatch):

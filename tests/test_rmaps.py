@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from casorati import catalog
+from casorati import catalog, rmaps
 from casorati.errors import GaussResidualExceeded, HypothesisViolated, RankDrop
 from casorati.measures import ROLE_A, FormCoefficients
 from casorati.rmaps import (
@@ -166,3 +166,47 @@ def test_horizontal_gauss_gate_fails_on_a_scaled_A():
     gauss_submersion_horizontal(mp, a)
     with pytest.raises(GaussResidualExceeded):
         gauss_submersion_horizontal(mp, FormCoefficients(ROLE_A, 1.01 * a.coeffs))
+
+
+class _SlippedNorm(FormCoefficients):
+    """B whose ||B||^2 reads 1 % high; its trace term is unchanged."""
+
+    def norm_squared(self) -> float:
+        return 1.01 * super().norm_squared()
+
+
+HORIZONTAL_SLIPS = {
+    # O'Neill's 3||A||^2 term 1 % high
+    "A": lambda identity: lambda mp, b, a_norm_sq, name: identity(mp, b, 1.01 * a_norm_sq, name),
+    # the Gauss ||B||^2 term 1 % high
+    "B": lambda identity: lambda mp, b, a_norm_sq, name: identity(
+        mp, _SlippedNorm(b.role, b.coeffs), a_norm_sq, name
+    ),
+}
+# The entries whose base point trips the horizontal gate under each slip. The
+# others have A = 0 and B = 0 there, so neither slip can move their residual.
+CATCHES_SLIP = {
+    "A": {"quaternionic-hopf-S7-S4", "complex-hopf-S3-S2", "sasakian-R5-model"},
+    "B": {"sphere-immersion-S3"},
+}
+
+
+@pytest.mark.parametrize("slip", sorted(HORIZONTAL_SLIPS))
+def test_horizontal_identity_catches_a_slipped_term(monkeypatch, slip):
+    def trips(entry) -> bool:
+        mp = entry.instantiate()
+        try:
+            if entry.kind == catalog.KIND_SUBMERSION:
+                gauss_submersion_horizontal(mp, oneill_A(mp))
+            else:
+                gauss_map_scalars(mp, second_fundamental_form(mp))
+        except GaussResidualExceeded:
+            return True
+        return False
+
+    entries = catalog.list_entries()
+    assert not any(trips(e) for e in entries)
+    monkeypatch.setattr(
+        rmaps, "_horizontal_identity", HORIZONTAL_SLIPS[slip](rmaps._horizontal_identity)
+    )
+    assert {e.id for e in entries if trips(e)} == CATCHES_SLIP[slip]
