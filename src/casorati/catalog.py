@@ -9,6 +9,7 @@ they stay analytic under the complex-step differentiation used by SmoothMap.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -644,6 +645,14 @@ _STRUCTURE_BUILDERS = {
 }
 
 
+def _section(desc: dict, key: str) -> dict:
+    """``desc[key]``, which must be a JSON object."""
+    section = desc[key]
+    if not isinstance(section, dict):
+        raise DegenerateInput(f"the key {key!r} must hold an object, not {section!r}")
+    return section
+
+
 def _chart_from_description(desc: dict) -> ChartMetric:
     kind = desc.get("builder")
     if kind not in _CHART_BUILDERS:
@@ -658,9 +667,9 @@ def entry_from_description(desc: dict) -> CatalogEntry:
     Charts and maps are named builtins with parameters; arbitrary user metric
     functions are out of scope for the file format.
     """
-    source = _chart_from_description(desc["source_chart"])
-    target = _chart_from_description(desc["target_chart"])
-    map_desc = desc["map"]
+    source = _chart_from_description(_section(desc, "source_chart"))
+    target = _chart_from_description(_section(desc, "target_chart"))
+    map_desc = _section(desc, "map")
     builder = map_desc.get("builder")
     if builder not in _MAP_BUILDERS:
         raise DegenerateInput(f"unknown map builder {builder!r}")
@@ -668,12 +677,12 @@ def entry_from_description(desc: dict) -> CatalogEntry:
 
     family = None
     if desc.get("family"):
-        fam = desc["family"]
+        fam = _section(desc, "family")
         family = NamedFamily(fam["name"], float(fam["c"]), fam.get("alpha"))
 
     structure_fn = None
     if desc.get("structure"):
-        sdesc = desc["structure"]
+        sdesc = _section(desc, "structure")
         sbuilder = sdesc.get("builder")
         if sbuilder not in _STRUCTURE_BUILDERS:
             raise DegenerateInput(f"unknown structure builder {sbuilder!r}")
@@ -697,5 +706,24 @@ def entry_from_description(desc: dict) -> CatalogEntry:
 
 
 def load_geometry_file(path: str) -> CatalogEntry:
-    with open(path, encoding="utf-8") as fh:
-        return entry_from_description(json.load(fh))
+    """The entry that a JSON geometry file describes.
+
+    A file that is missing or not JSON, lacks a key, holds a non-object
+    where a section belongs, names an unknown builder or gives one a key or
+    value it cannot take raises DegenerateInput, with the file's name and
+    the key's where there is one.
+    """
+    name = repr(os.fspath(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            desc = json.load(fh)
+    except OSError as err:
+        raise DegenerateInput(f"cannot read geometry file {name}: {err.strerror}") from None
+    except ValueError as err:
+        raise DegenerateInput(f"geometry file {name} is not valid JSON: {err}") from None
+    try:
+        return entry_from_description(desc)
+    except KeyError as err:
+        raise DegenerateInput(f"geometry file {name} lacks the key {err.args[0]!r}") from None
+    except (DegenerateInput, TypeError, ValueError) as err:
+        raise DegenerateInput(f"geometry file {name}: {err}") from None

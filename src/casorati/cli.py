@@ -2,8 +2,9 @@
 
 stdout carries the report (human-readable or JSON with a versioned schema
 field); stderr carries diagnostics.  Exit codes: 0 success, 1 counterexample
-or unclassified error, 2 out-of-domain or command-line usage error, 3 rank
-drop, 4 hypothesis violated, 5 branch undetermined, 6 proviso violated.
+or unclassified error, 2 bad input (out of domain, a malformed geometry,
+mismatched dimensions) or a command-line usage error, 3 rank drop, 4
+hypothesis violated, 5 branch undetermined, 6 proviso violated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from . import verify as _verify
-from .errors import CasoratiError, EXIT_COUNTEREXAMPLE, EXIT_OK, exit_code_for
+from .errors import CasoratiError, DegenerateInput, EXIT_COUNTEREXAMPLE, EXIT_OK, exit_code_for
 from .extremum import ExtremumProblem, solve_closed_form, solve_oracle
 
 SCHEMA = "casorati-report/1"
@@ -53,14 +54,14 @@ def _parse_point(text: str) -> np.ndarray:
     try:
         return np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError:
-        raise CasoratiError(f"cannot parse point {text!r}: expected comma-separated floats")
+        raise DegenerateInput(f"cannot parse point {text!r}: expected comma-separated floats")
 
 
 def _resolve_entry(args) -> _catalog.CatalogEntry:
     if getattr(args, "geometry_file", None):
         return _catalog.load_geometry_file(args.geometry_file)
     if not getattr(args, "geometry", None):
-        raise CasoratiError("no geometry given: use --geometry or --geometry-file")
+        raise DegenerateInput("no geometry given: use --geometry or --geometry-file")
     return _catalog.get(args.geometry)
 
 
@@ -260,7 +261,7 @@ def cmd_verify(args) -> int:
     if args.theorem == "all":
         theorems = [t for t in _verify.THEOREM_IDS if t in entry.hypothesis_tags]
         if not theorems:
-            raise CasoratiError(
+            raise DegenerateInput(
                 f"geometry {entry.id!r} declares no theorem hypotheses; "
                 "pass an explicit --theorem"
             )

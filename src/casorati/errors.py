@@ -55,12 +55,15 @@ class ValidationFailed(CasoratiError):
     """A model curvature tensor disagrees with the chart beyond tolerance."""
 
 
-# CLI exit codes. 0 = success, 1 = a verified inequality failed (counterexample).
+# CLI exit codes. 0 = success, 1 = a verified inequality failed (counterexample),
+# 2 = bad input (a point off the chart, a malformed geometry, mismatched dimensions).
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 
 EXIT_CODES: dict[type[CasoratiError], int] = {
     OutOfDomain: 2,
+    DegenerateInput: 2,
+    DimensionMismatch: 2,
     RankDrop: 3,
     HypothesisViolated: 4,
     BranchUndetermined: 5,

@@ -359,21 +359,31 @@ def _sphere_extrema(
 def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
     """Up to k rows of dirs, lowest value first, none within ~18 degrees of an earlier pick.
 
-    Picks come from the lowest values in (value, index) order, every tie at
-    the cut included, so they equal a greedy pass over all rows: each pick is
-    the argmin over the subset, and its cap is masked to +inf. While the
-    subset yields fewer than k picks and rows remain, it widens; the picks
-    stay, and only the rows new to the subset are screened against them. A
-    +inf value is never picked.
+    Picks come from a prefix of the rows in (value, index) order: the first
+    32 k rows, then 128 k, and so on. Ties at a cut go to the lower indices,
+    so a subset never outgrows its size, however flat the values. The picks
+    equal a greedy pass over all rows: each pick is the argmin over the
+    subset, in index order, and its cap is masked to +inf. While the subset
+    yields fewer than k picks and rows remain, it widens; the picks stay,
+    and only the rows new to the subset are screened against them. A +inf
+    value is never picked.
     """
     values = np.asarray(values, dtype=float)
     picked: list[np.ndarray] = []
-    size, cut = 32 * k, None
+    seen = np.zeros(len(values), dtype=bool)
+    size = 32 * k
     while True:
-        wider = np.partition(values, size - 1)[size - 1] if size < len(values) else np.inf
-        rows = np.flatnonzero(values <= wider)
-        if cut is not None:
-            rows = rows[values[rows] > cut]  # only the rows new to the subset, in index order
+        if size < len(values):
+            cut = np.partition(values, size - 1)[size - 1]
+            rows = np.flatnonzero(values <= cut)
+            if len(rows) > size:  # ties at the cut: keep those of the lowest indices
+                below = np.flatnonzero(values < cut)
+                ties = np.flatnonzero(values == cut)[: size - len(below)]
+                rows = np.sort(np.concatenate((below, ties)))
+        else:
+            rows = np.arange(len(values))
+        rows = rows[~seen[rows]]  # only the rows new to the subset, in index order
+        seen[rows] = True
         candidates, masked = dirs[rows], values[rows]
         for pick in picked:
             masked[np.abs(candidates @ pick) > 0.95] = np.inf
@@ -385,7 +395,7 @@ def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray
             masked[np.abs(candidates @ candidates[i]) > 0.95] = np.inf
         if len(picked) == k or size >= len(values):
             return np.array(picked)
-        size, cut = 4 * size, wider
+        size *= 4
 
 
 def _optimizer_starts(mats: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:

@@ -157,13 +157,13 @@ def test_verify_all_without_tags_errors(capsys):
     code, _, err = run(
         capsys, "verify", "--theorem", "all", "--geometry", "complex-hopf-S3-S2"
     )
-    assert code == 1
+    assert code == 2
     assert "no theorem hypotheses" in err
 
 
 def test_unknown_theorem_is_reported(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "map-unknown", "--geometry", "synthetic")
-    assert code == 1
+    assert code == 2
     assert "unknown theorem" in err
 
 
@@ -184,6 +184,30 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (None, "cannot read geometry file"),
+        ('{"id": "broken",', "not valid JSON"),
+        (json.dumps({k: v for k, v in GEO_DESC.items() if k != "source_chart"}),
+         "lacks the key 'source_chart'"),
+        (json.dumps(dict(GEO_DESC, source_chart={"builder": "flat", "dim": 4, "radius": 2})),
+         "unexpected keyword argument 'radius'"),
+        (json.dumps(dict(GEO_DESC, map="identity")), "the key 'map' must hold an object"),
+    ],
+    ids=["missing-file", "invalid-json", "missing-key", "unknown-builder-keyword",
+         "section-not-an-object"],
+)
+def test_malformed_geometry_file_is_an_input_error(tmp_path, capsys, text, named):
+    path = tmp_path / "geo.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "invariants", "--geometry-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert str(path) in err and named in err
 
 
 def test_submersion_check_exits_with_hypothesis_code(tmp_path, capsys):

@@ -241,7 +241,13 @@ def test_diverse_leaders_match_the_full_greedy_pass(monkeypatch, r):
     some_inf[::3] = np.inf
     few_finite = np.full(len(dirs), np.inf)
     few_finite[:5] = total[:5]
-    cases = [total, -total, np.full(len(dirs), 2.5), ties, -ties, some_inf, few_finite]
+    # 5 levels: thousands of rows tie at each level, so ties straddle every cut.
+    levels = np.round(4.0 * (total - total.min()) / np.ptp(total))
+    # About 100 rows at 0 and the rest +inf, so the cut itself falls among the +inf ties.
+    tied_inf = np.full(len(dirs), np.inf)
+    tied_inf[:: len(dirs) // 100] = 0.0
+    cases = [total, -total, np.full(len(dirs), 2.5), ties, -ties, some_inf, few_finite,
+             levels, -levels, tied_inf]
     for values in cases:
         for k in (4, 8):
             fast = measures._diverse_leaders(dirs, values, k)
@@ -264,6 +270,31 @@ def test_diverse_leaders_widen_past_the_first_subset(monkeypatch):
     rank[np.lexsort((np.arange(len(dirs)), values))] = np.arange(len(dirs))
     last = np.flatnonzero((dirs == picks[-1]).all(axis=1))[0]
     assert rank[last] >= 32 * k
+
+
+class _RowGathers(np.ndarray):
+    """A view of the grid that logs the length of every integer-array index into it."""
+
+    log: list[int] = []
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+            _RowGathers.log.append(len(key))
+        return super().__getitem__(key)
+
+
+def test_diverse_leaders_gather_no_more_than_the_first_subset_when_all_values_tie(monkeypatch):
+    # B = 0 makes every grid value 0: the leaders must come from the first
+    # 32 k rows in index order, not from a gather of all 30,003 rows.
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    monkeypatch.setattr(_RowGathers, "log", [])
+    dirs = measures._grid_directions(11, 3)
+    values = restricted_sum(np.zeros((1, 3, 3)), dirs)
+    assert len(dirs) == 30_003 and not values.any()
+    k = 8
+    picks = measures._diverse_leaders(dirs.view(_RowGathers), values, k)
+    assert np.array_equal(picks, diverse_leaders(dirs, values, k)) and len(picks) == k
+    assert _RowGathers.log and sum(_RowGathers.log) <= 32 * k
 
 
 def test_certified_report_does_not_depend_on_the_grid_cache(monkeypatch):

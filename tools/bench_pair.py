@@ -11,8 +11,9 @@ Each of the ten pairs runs every workload of ``BENCHMARK.json`` once per
 side for its ``run_seconds``, with one seed (``--seed`` plus the pair's
 index); even pairs run the base side first and odd pairs the change side. The file holds the environment, each
 workload's end-to-end medians and quartiles per side, the pairs the change
-won per metric, one traced ``certify`` run per side, the Tier-1 suite time
-per side, and each side's ``src/`` line count and ``__all__`` size.
+won per metric, one traced run per side of every workload (``traced``,
+keyed by workload), the Tier-1 suite time per side, and each side's
+``src/`` line count and ``__all__`` size.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
-TRACED_WORKLOAD = "certify"
 PAIRS = 10
 RUN_TIMEOUT_S = 1800
 
@@ -142,8 +142,8 @@ def main(argv=None) -> int:
                           f"{run['result']['metrics']['throughput_ops_s']['value']:.2f} ops/s",
                           file=sys.stderr, flush=True)
                 runs[workload].append(pair)
-        traced = {side: perfbench(roots[side], TRACED_WORKLOAD, args.seed, seconds, 1)["result"]
-                  for side in SIDES}
+        traced = {w: {side: perfbench(roots[side], w, args.seed, seconds, 1)["result"]
+                      for side in SIDES} for w in workloads}
         suite = {side: tier1(roots[side]) for side in SIDES}
 
     record = {
@@ -153,9 +153,10 @@ def main(argv=None) -> int:
         "environment": envs["change"],
         "end_to_end": summarise(runs, spec["end_to_end"]),
         "traced": {
-            "workload": TRACED_WORKLOAD, "seed": args.seed,
-            **{side: {"per_layer": {k: v["value"] for k, v in traced[side]["metrics"].items()},
-                      "correct": traced[side]["correct"]} for side in SIDES},
+            w: {"seed": args.seed,
+                **{side: {"per_layer": {k: v["value"] for k, v in run["metrics"].items()},
+                          "correct": run["correct"]} for side, run in sides.items()}}
+            for w, sides in traced.items()
         },
         "tier1": suite,
         "src": {side: {"lines": envs[side]["src_casorati_lines"],
