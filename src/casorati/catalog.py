@@ -2,8 +2,10 @@
 
 Every entry packages a coordinate chart for each side, a smooth map between
 them, a base point, and the theorem tags its geometry honestly supports.  The
-map functions below are written with plain arithmetic only (no abs/conj), so
-they stay analytic under the complex-step differentiation used by SmoothMap.
+built-in entries are geometry-file descriptions (``DESCRIPTIONS``), built
+like a user's file by ``entry_from_description``.  The map functions below
+are written with plain arithmetic only (no abs/conj), so they stay analytic
+under the complex-step differentiation used by SmoothMap.
 """
 
 from __future__ import annotations
@@ -25,16 +27,16 @@ from .spaceforms import CONTACT_FAMILIES, NamedFamily, SpaceFormSpec, family_con
 # chart builders
 # --------------------------------------------------------------------------
 
-def flat_chart(dim: int, scale: float = 1.0, half_width: float = 5.0, name: str = "") -> ChartMetric:
+def flat_chart(dim: int, scale: float = 1.0, half_width: float = 5.0) -> ChartMetric:
     """Constant metric scale * I on a centered box."""
     if scale <= 0.0:
         raise DegenerateInput("flat chart needs a positive scale")
     g = scale * np.eye(dim)
     box = np.repeat([[-half_width, half_width]], dim, axis=0)
-    return ChartMetric(dim, lambda p: g, box, name or f"flat-{dim}")
+    return ChartMetric(dim, lambda p: g, box, f"flat-{dim}")
 
 
-def round_sphere_chart(dim: int, radius: float = 1.0, half_width: float = 2.0, name: str = "") -> ChartMetric:
+def round_sphere_chart(dim: int, radius: float = 1.0, half_width: float = 2.0) -> ChartMetric:
     """Round sphere of the given radius in stereographic coordinates.
 
     g(y) = 4 R^4 / (R^2 + |y|^2)^2 * I, constant sectional curvature 1/R^2.
@@ -48,12 +50,10 @@ def round_sphere_chart(dim: int, radius: float = 1.0, half_width: float = 2.0, n
         return factor * np.eye(dim)
 
     box = np.repeat([[-half_width, half_width]], dim, axis=0)
-    return ChartMetric(dim, metric, box, name or f"sphere-{dim}-R{radius:g}")
+    return ChartMetric(dim, metric, box, f"sphere-{dim}-R{radius:g}")
 
 
-def warped_line_chart(
-    fiber_dim: int, half_t: float = 0.8, half_x: float = 1.5, name: str = ""
-) -> ChartMetric:
+def warped_line_chart(fiber_dim: int, half_t: float = 0.8, half_x: float = 1.5) -> ChartMetric:
     """Warped product line x fibers: coordinates (t, x_1..x_k), g = diag(1, e^{2t} I_k).
 
     With the exponential warping this is hyperbolic space of curvature -1 in
@@ -66,10 +66,10 @@ def warped_line_chart(
         return g
 
     box = np.vstack([[-half_t, half_t], np.repeat([[-half_x, half_x]], fiber_dim, axis=0)])
-    return ChartMetric(fiber_dim + 1, metric, box, name or f"warped-line-{fiber_dim}")
+    return ChartMetric(fiber_dim + 1, metric, box, f"warped-line-{fiber_dim}")
 
 
-def fubini_study_chart(n: int, half_width: float = 0.8, name: str = "") -> ChartMetric:
+def fubini_study_chart(n: int, half_width: float = 0.8) -> ChartMetric:
     """Complex projective n-space, holomorphic sectional curvature 4.
 
     Affine coordinates interleaved as (x_1, y_1, ..., x_n, y_n) with
@@ -90,10 +90,10 @@ def fubini_study_chart(n: int, half_width: float = 0.8, name: str = "") -> Chart
         return g
 
     box = np.repeat([[-half_width, half_width]], 2 * n, axis=0)
-    return ChartMetric(2 * n, metric, box, name or f"fubini-study-{n}")
+    return ChartMetric(2 * n, metric, box, f"fubini-study-{n}")
 
 
-def heisenberg_chart(half_width: float = 1.6, name: str = "") -> ChartMetric:
+def heisenberg_chart(half_width: float = 1.6) -> ChartMetric:
     """Standard Sasakian metric on R^5 with phi-sectional curvature -3.
 
     Coordinates (x_1, y_1, x_2, y_2, z), contact form
@@ -106,7 +106,7 @@ def heisenberg_chart(half_width: float = 1.6, name: str = "") -> ChartMetric:
         return g + np.outer(eta, eta)
 
     box = np.repeat([[-half_width, half_width]], 5, axis=0)
-    return ChartMetric(5, metric, box, name or "heisenberg-5")
+    return ChartMetric(5, metric, box, "heisenberg-5")
 
 
 def _heisenberg_eta(p: np.ndarray) -> np.ndarray:
@@ -349,256 +349,293 @@ class CatalogEntry:
         }
 
 
-def _build_entries() -> dict[str, CatalogEntry]:
-    entries: list[CatalogEntry] = []
+# --------------------------------------------------------------------------
+# geometry descriptions
+# --------------------------------------------------------------------------
 
+_CHART_BUILDERS = {
+    "flat": flat_chart,
+    "sphere": round_sphere_chart,
+    "warped-line": warped_line_chart,
+    "fubini-study": fubini_study_chart,
+    "heisenberg": heisenberg_chart,
+}
+
+_MAP_BUILDERS = {
+    "coordinate-projection": coordinate_projection,
+    "zero-padding": zero_padding,
+    "identity": identity_map,
+    "stereographic-embedding": stereographic_embedding,
+    "hopf-quaternionic": hopf_quaternionic,
+    "hopf-complex": hopf_complex,
+}
+
+# Each structure builder gets the dimension of the space-form side's chart.
+_STRUCTURE_BUILDERS = {
+    "trivial": trivial_structure,
+    "interleaved-complex": lambda dim: interleaved_complex_structure(dim // 2),
+    "heisenberg": lambda dim: heisenberg_structure(),
+    "warped-contact": lambda dim: warped_contact_structure(dim - 1),
+}
+
+
+def _family(name: str, c: float, alpha: float | None = None) -> NamedFamily:
+    """The family section as a NamedFamily, with its numbers read as floats."""
+    return NamedFamily(name, float(c), None if alpha is None else float(alpha))
+
+
+def _section(desc: dict, key: str) -> dict:
+    """``desc[key]``, which must be a JSON object."""
+    section = desc[key]
+    if not isinstance(section, dict):
+        raise DegenerateInput(f"the key {key!r} must hold an object, not {section!r}")
+    return section
+
+
+def _built(builders: dict, desc: dict, key: str, **context):
+    """``desc[key]`` built by the builder it names from its other keys; errors name ``key``."""
+    kwargs = dict(_section(desc, key))
+    builder = kwargs.pop("builder", None)
+    if builder not in builders:
+        raise DegenerateInput(f"{key}: unknown builder {builder!r}")
+    try:
+        return builders[builder](**kwargs, **context)
+    except (DegenerateInput, TypeError, ValueError) as err:
+        raise DegenerateInput(f"{key}: {err}") from None
+
+
+def entry_from_description(desc: dict) -> CatalogEntry:
+    """Build a CatalogEntry from a JSON-style description dictionary.
+
+    Charts, maps and structures are named builtins with parameters; arbitrary
+    user metric functions are out of scope for the file format. A structure
+    takes its dimension from the chart of the space-form side. The map is
+    evaluated once at the base point, so that bad map parameters fail here.
+    """
+    source = _built(_CHART_BUILDERS, desc, "source_chart")
+    target = _built(_CHART_BUILDERS, desc, "target_chart")
+    func = _built(_MAP_BUILDERS, desc, "map")
+    # The family section names no builder.
+    family = _built({None: _family}, desc, "family") if desc.get("family") else None
+    structure_fn = None
+    if desc.get("structure"):
+        side_chart = target if desc.get("spaceform_side") == "target" else source
+        structure_fn = _built(_STRUCTURE_BUILDERS, desc, "structure", dim=side_chart.dim)
+
+    entry = CatalogEntry(
+        id=desc["id"],
+        kind=desc["kind"],
+        smooth_map=SmoothMap(source, target, func, name=desc["id"]),
+        declared_rank=int(desc["declared_rank"]),
+        base_point=desc["base_point"],
+        hypothesis_tags=tuple(desc.get("tags", ())),
+        family=family,
+        spaceform_side=desc.get("spaceform_side"),
+        structure_fn=structure_fn,
+        reference_values=dict(desc.get("reference_values", {})),
+        notes=desc.get("notes", ""),
+    )
+    try:
+        entry.smooth_map(entry.base_point)
+    except (DimensionMismatch, IndexError, TypeError, ValueError) as err:
+        raise DegenerateInput(f"map: {err}") from None
+    return entry
+
+
+# --------------------------------------------------------------------------
+# built-in entries, in the geometry-file format
+# --------------------------------------------------------------------------
+
+DESCRIPTIONS = (
     # Orthogonal projection R^5 -> R^2: everything vanishes.
-    entries.append(
-        CatalogEntry(
-            id="euclidean-projection-5-2",
-            kind=KIND_SUBMERSION,
-            smooth_map=SmoothMap(
-                flat_chart(5),
-                flat_chart(2),
-                coordinate_projection([0, 1]),
-                name="euclidean-projection-5-2",
-            ),
-            declared_rank=2,
-            base_point=[0.1, -0.2, 0.3, 0.4, -0.1],
-            hypothesis_tags=("sub-vert-general", "sub-vert-gcsf", "sub-vert-gcsf-anti"),
-            family=NamedFamily("real", 0.0),
-            spaceform_side="source",
-            structure_fn=trivial_structure(5),
-            reference_values={"C_vertical": 0.0, "delta_C_vertical": 0.0},
-            notes="flat fibers in a flat total space; equality holds trivially",
-        )
-    )
-
+    {
+        "id": "euclidean-projection-5-2",
+        "kind": KIND_SUBMERSION,
+        "source_chart": {"builder": "flat", "dim": 5},
+        "target_chart": {"builder": "flat", "dim": 2},
+        "map": {"builder": "coordinate-projection", "indices": [0, 1]},
+        "declared_rank": 2,
+        "base_point": [0.1, -0.2, 0.3, 0.4, -0.1],
+        "tags": ["sub-vert-general", "sub-vert-gcsf", "sub-vert-gcsf-anti"],
+        "family": {"name": "real", "c": 0.0},
+        "spaceform_side": "source",
+        "structure": {"builder": "trivial"},
+        "reference_values": {"C_vertical": 0.0, "delta_C_vertical": 0.0},
+        "notes": "flat fibers in a flat total space; equality holds trivially",
+    },
     # Unit 3-sphere isometrically immersed in flat R^4 (umbilical, not equality).
-    entries.append(
-        CatalogEntry(
-            id="sphere-immersion-S3",
-            kind=KIND_MAP,
-            smooth_map=SmoothMap(
-                round_sphere_chart(3, 1.0, half_width=2.0),
-                flat_chart(4, half_width=2.0),
-                stereographic_embedding(1.0),
-                name="sphere-immersion-S3",
-            ),
-            declared_rank=3,
-            base_point=[0.2, 0.3, -0.1],
-            hypothesis_tags=("map-general", "map-gcsf", "map-gcsf-antiinvariant"),
-            family=NamedFamily("real", 0.0),
-            spaceform_side="target",
-            structure_fn=trivial_structure(4),
-            reference_values={
-                "C": 1.0,
-                "delta_C": 7.0 / 6.0,
-                "delta_hat_C": 7.0 / 6.0,
-                "rho_horizontal": 1.0,
-                "map_general_residual": 1.0 / 6.0,
-            },
-            notes="second fundamental form is the identity matrix on one normal",
-        )
-    )
-
+    {
+        "id": "sphere-immersion-S3",
+        "kind": KIND_MAP,
+        "source_chart": {"builder": "sphere", "dim": 3, "radius": 1.0, "half_width": 2.0},
+        "target_chart": {"builder": "flat", "dim": 4, "half_width": 2.0},
+        "map": {"builder": "stereographic-embedding", "radius": 1.0},
+        "declared_rank": 3,
+        "base_point": [0.2, 0.3, -0.1],
+        "tags": ["map-general", "map-gcsf", "map-gcsf-antiinvariant"],
+        "family": {"name": "real", "c": 0.0},
+        "spaceform_side": "target",
+        "structure": {"builder": "trivial"},
+        "reference_values": {
+            "C": 1.0,
+            "delta_C": 7.0 / 6.0,
+            "delta_hat_C": 7.0 / 6.0,
+            "rho_horizontal": 1.0,
+            "map_general_residual": 1.0 / 6.0,
+        },
+        "notes": "second fundamental form is the identity matrix on one normal",
+    },
     # Totally geodesic projective line inside the projective plane (rank 2:
     # below the theorem threshold, kept for the computation pipeline only).
-    entries.append(
-        CatalogEntry(
-            id="fubini-study-CP1-CP2",
-            kind=KIND_MAP,
-            smooth_map=SmoothMap(
-                fubini_study_chart(1, half_width=0.8),
-                fubini_study_chart(2, half_width=0.9),
-                zero_padding(2),
-                name="fubini-study-CP1-CP2",
-            ),
-            declared_rank=2,
-            base_point=[0.1, -0.2],
-            hypothesis_tags=(),
-            family=NamedFamily("complex", 4.0),
-            spaceform_side="target",
-            structure_fn=interleaved_complex_structure(2),
-            reference_values={"B_norm_sq": 0.0, "P_norm_sq": 2.0},
-            notes="invariant totally geodesic embedding; rank 2 < 3",
-        )
-    )
-
+    {
+        "id": "fubini-study-CP1-CP2",
+        "kind": KIND_MAP,
+        "source_chart": {"builder": "fubini-study", "n": 1, "half_width": 0.8},
+        "target_chart": {"builder": "fubini-study", "n": 2, "half_width": 0.9},
+        "map": {"builder": "zero-padding", "pad": 2},
+        "declared_rank": 2,
+        "base_point": [0.1, -0.2],
+        "family": {"name": "complex", "c": 4.0},
+        "spaceform_side": "target",
+        "structure": {"builder": "interleaved-complex"},
+        "reference_values": {"B_norm_sq": 0.0, "P_norm_sq": 2.0},
+        "notes": "invariant totally geodesic embedding; rank 2 < 3",
+    },
     # The projective plane mapped to itself: rank-4 map into a complex space form.
-    entries.append(
-        CatalogEntry(
-            id="fubini-study-CP2",
-            kind=KIND_MAP,
-            smooth_map=SmoothMap(
-                fubini_study_chart(2, half_width=0.8),
-                fubini_study_chart(2, half_width=0.9),
-                identity_map(),
-                name="fubini-study-CP2",
-            ),
-            declared_rank=4,
-            base_point=[0.1, -0.2, 0.15, 0.05],
-            hypothesis_tags=("map-general", "map-gcsf", "map-gcsf-invariant"),
-            family=NamedFamily("complex", 4.0),
-            spaceform_side="target",
-            structure_fn=interleaved_complex_structure(2),
-            reference_values={"rho_horizontal": 2.0, "P_norm_sq": 4.0},
-            notes="equality case: totally geodesic with invariant range",
-        )
-    )
-
+    {
+        "id": "fubini-study-CP2",
+        "kind": KIND_MAP,
+        "source_chart": {"builder": "fubini-study", "n": 2, "half_width": 0.8},
+        "target_chart": {"builder": "fubini-study", "n": 2, "half_width": 0.9},
+        "map": {"builder": "identity"},
+        "declared_rank": 4,
+        "base_point": [0.1, -0.2, 0.15, 0.05],
+        "tags": ["map-general", "map-gcsf", "map-gcsf-invariant"],
+        "family": {"name": "complex", "c": 4.0},
+        "spaceform_side": "target",
+        "structure": {"builder": "interleaved-complex"},
+        "reference_values": {"rho_horizontal": 2.0, "P_norm_sq": 4.0},
+        "notes": "equality case: totally geodesic with invariant range",
+    },
     # Hyperbolic 4-space fibered over the warped line: totally umbilical fibers.
-    entries.append(
-        CatalogEntry(
-            id="warped-product-R-x-R3",
-            kind=KIND_SUBMERSION,
-            smooth_map=SmoothMap(
-                warped_line_chart(3),
-                flat_chart(1, half_width=2.0),
-                coordinate_projection([0]),
-                name="warped-product-R-x-R3",
-            ),
-            declared_rank=1,
-            base_point=[0.0, 0.3, -0.2, 0.1],
-            hypothesis_tags=("sub-vert-general", "sub-vert-gcsf", "sub-vert-gcsf-anti"),
-            family=NamedFamily("real", -1.0),
-            spaceform_side="source",
-            structure_fn=trivial_structure(4),
-            reference_values={
-                "T_diagonal": -1.0,
-                "ambient_vertical_2scal": -6.0,
-                "fiber_2scal": 0.0,
-                "delta_C_vertical": 7.0 / 6.0,
-            },
-            notes="umbilical fibers: inequality strict, shape diagnosis negative",
-        )
-    )
-
+    {
+        "id": "warped-product-R-x-R3",
+        "kind": KIND_SUBMERSION,
+        "source_chart": {"builder": "warped-line", "fiber_dim": 3},
+        "target_chart": {"builder": "flat", "dim": 1, "half_width": 2.0},
+        "map": {"builder": "coordinate-projection", "indices": [0]},
+        "declared_rank": 1,
+        "base_point": [0.0, 0.3, -0.2, 0.1],
+        "tags": ["sub-vert-general", "sub-vert-gcsf", "sub-vert-gcsf-anti"],
+        "family": {"name": "real", "c": -1.0},
+        "spaceform_side": "source",
+        "structure": {"builder": "trivial"},
+        "reference_values": {
+            "T_diagonal": -1.0,
+            "ambient_vertical_2scal": -6.0,
+            "fiber_2scal": 0.0,
+            "delta_C_vertical": 7.0 / 6.0,
+        },
+        "notes": "umbilical fibers: inequality strict, shape diagnosis negative",
+    },
     # Quaternionic Hopf fibration: fibers are totally geodesic 3-spheres and
     # the horizontal distribution is maximally non-integrable.
-    entries.append(
-        CatalogEntry(
-            id="quaternionic-hopf-S7-S4",
-            kind=KIND_SUBMERSION,
-            smooth_map=SmoothMap(
-                round_sphere_chart(7, 1.0, half_width=0.45),
-                round_sphere_chart(4, 0.5, half_width=30.0),
-                hopf_quaternionic(),
-                name="quaternionic-hopf-S7-S4",
-            ),
-            declared_rank=4,
-            base_point=[0.12, -0.08, 0.1, 0.15, -0.11, 0.09, 0.05],
-            hypothesis_tags=(
-                "sub-vert-general",
-                "sub-vert-gcsf",
-                "sub-vert-gcsf-anti",
-                "sub-hor-general",
-                "sub-hor-gcsf",
-            ),
-            family=NamedFamily("real", 1.0),
-            spaceform_side="source",
-            structure_fn=trivial_structure(7),
-            reference_values={
-                "A_norm_sq": 12.0,
-                "C_horizontal": 3.0,
-                "C_L_horizontal": 2.0,
-                "delta_C_horizontal": 2.75,
-                "delta_hat_C_horizontal": 4.25,
-                "rho_base_horizontal": 4.0,
-                "fiber_2scal": 6.0,
-                "T_norm_sq": 0.0,
-            },
-            notes="base sphere of radius 1/2; vertical equality, horizontal strict",
-        )
-    )
-
+    {
+        "id": "quaternionic-hopf-S7-S4",
+        "kind": KIND_SUBMERSION,
+        "source_chart": {"builder": "sphere", "dim": 7, "radius": 1.0, "half_width": 0.45},
+        "target_chart": {"builder": "sphere", "dim": 4, "radius": 0.5, "half_width": 30.0},
+        "map": {"builder": "hopf-quaternionic"},
+        "declared_rank": 4,
+        "base_point": [0.12, -0.08, 0.1, 0.15, -0.11, 0.09, 0.05],
+        "tags": [
+            "sub-vert-general",
+            "sub-vert-gcsf",
+            "sub-vert-gcsf-anti",
+            "sub-hor-general",
+            "sub-hor-gcsf",
+        ],
+        "family": {"name": "real", "c": 1.0},
+        "spaceform_side": "source",
+        "structure": {"builder": "trivial"},
+        "reference_values": {
+            "A_norm_sq": 12.0,
+            "C_horizontal": 3.0,
+            "C_L_horizontal": 2.0,
+            "delta_C_horizontal": 2.75,
+            "delta_hat_C_horizontal": 4.25,
+            "rho_base_horizontal": 4.0,
+            "fiber_2scal": 6.0,
+            "T_norm_sq": 0.0,
+        },
+        "notes": "base sphere of radius 1/2; vertical equality, horizontal strict",
+    },
     # Complex Hopf fibration: both distribution dimensions sit below the
     # theorem threshold, so it only exercises the computation pipeline.
-    entries.append(
-        CatalogEntry(
-            id="complex-hopf-S3-S2",
-            kind=KIND_SUBMERSION,
-            smooth_map=SmoothMap(
-                round_sphere_chart(3, 1.0, half_width=0.45),
-                round_sphere_chart(2, 0.5, half_width=10.0),
-                hopf_complex(),
-                name="complex-hopf-S3-S2",
-            ),
-            declared_rank=2,
-            base_point=[0.1, -0.2, 0.15],
-            hypothesis_tags=(),
-            family=NamedFamily("real", 1.0),
-            spaceform_side="source",
-            structure_fn=trivial_structure(3),
-            reference_values={"A_norm_sq": 2.0},
-            notes="horizontal rank 2 < 3: theorem requests must be rejected",
-        )
-    )
-
+    {
+        "id": "complex-hopf-S3-S2",
+        "kind": KIND_SUBMERSION,
+        "source_chart": {"builder": "sphere", "dim": 3, "radius": 1.0, "half_width": 0.45},
+        "target_chart": {"builder": "sphere", "dim": 2, "radius": 0.5, "half_width": 10.0},
+        "map": {"builder": "hopf-complex"},
+        "declared_rank": 2,
+        "base_point": [0.1, -0.2, 0.15],
+        "family": {"name": "real", "c": 1.0},
+        "spaceform_side": "source",
+        "structure": {"builder": "trivial"},
+        "reference_values": {"A_norm_sq": 2.0},
+        "notes": "horizontal rank 2 < 3: theorem requests must be rejected",
+    },
     # Standard Sasakian R^5 fibered over flat C^2; the Reeb field spans the
     # vertical space, so it is normal to the horizontal distribution.
-    entries.append(
-        CatalogEntry(
-            id="sasakian-R5-model",
-            kind=KIND_SUBMERSION,
-            smooth_map=SmoothMap(
-                heisenberg_chart(),
-                flat_chart(4, scale=0.25, half_width=2.0),
-                coordinate_projection([0, 1, 2, 3]),
-                name="sasakian-R5-model",
-            ),
-            declared_rank=4,
-            base_point=[0.2, 0.3, -0.1, 0.15, 0.1],
-            hypothesis_tags=("sub-hor-general", "sub-hor-gssf"),
-            family=NamedFamily("sasakian", -3.0),
-            spaceform_side="source",
-            structure_fn=heisenberg_structure(),
-            reference_values={
-                "A_norm_sq": 4.0,
-                "C_horizontal": 1.0,
-                "C_L_horizontal": 2.0 / 3.0,
-                "delta_C_horizontal": 11.0 / 12.0,
-                "P_norm_sq": 4.0,
-                "ambient_horizontal_2scal": -12.0,
-            },
-            notes="Reeb field vertical: the structure branch without the c3 term",
-        )
-    )
-
+    {
+        "id": "sasakian-R5-model",
+        "kind": KIND_SUBMERSION,
+        "source_chart": {"builder": "heisenberg"},
+        "target_chart": {"builder": "flat", "dim": 4, "scale": 0.25, "half_width": 2.0},
+        "map": {"builder": "coordinate-projection", "indices": [0, 1, 2, 3]},
+        "declared_rank": 4,
+        "base_point": [0.2, 0.3, -0.1, 0.15, 0.1],
+        "tags": ["sub-hor-general", "sub-hor-gssf"],
+        "family": {"name": "sasakian", "c": -3.0},
+        "spaceform_side": "source",
+        "structure": {"builder": "heisenberg"},
+        "reference_values": {
+            "A_norm_sq": 4.0,
+            "C_horizontal": 1.0,
+            "C_L_horizontal": 2.0 / 3.0,
+            "delta_C_horizontal": 11.0 / 12.0,
+            "P_norm_sq": 4.0,
+            "ambient_horizontal_2scal": -12.0,
+        },
+        "notes": "Reeb field vertical: the structure branch without the c3 term",
+    },
     # Kenmotsu model H^5 -> H^3 (warped lines shared): the Reeb field d/dt is
     # horizontal and the horizontal distribution is integrable (equality).
-    entries.append(
-        CatalogEntry(
-            id="kenmotsu-H5-H3",
-            kind=KIND_SUBMERSION,
-            smooth_map=SmoothMap(
-                warped_line_chart(4, half_t=0.8, half_x=1.5),
-                warped_line_chart(2, half_t=0.9, half_x=1.8),
-                coordinate_projection([0, 1, 2]),
-                name="kenmotsu-H5-H3",
-            ),
-            declared_rank=3,
-            base_point=[0.1, 0.2, -0.3, 0.25, -0.15],
-            hypothesis_tags=("sub-hor-general", "sub-hor-gssf"),
-            family=NamedFamily("kenmotsu", -1.0),
-            spaceform_side="source",
-            structure_fn=warped_contact_structure(4),
-            reference_values={
-                "A_norm_sq": 0.0,
-                "rho_horizontal": -1.0,
-                "P_norm_sq": 2.0,
-            },
-            notes="Reeb field horizontal: the structure branch with the c3 term; equality",
-        )
-    )
+    {
+        "id": "kenmotsu-H5-H3",
+        "kind": KIND_SUBMERSION,
+        "source_chart": {"builder": "warped-line", "fiber_dim": 4, "half_t": 0.8, "half_x": 1.5},
+        "target_chart": {"builder": "warped-line", "fiber_dim": 2, "half_t": 0.9, "half_x": 1.8},
+        "map": {"builder": "coordinate-projection", "indices": [0, 1, 2]},
+        "declared_rank": 3,
+        "base_point": [0.1, 0.2, -0.3, 0.25, -0.15],
+        "tags": ["sub-hor-general", "sub-hor-gssf"],
+        "family": {"name": "kenmotsu", "c": -1.0},
+        "spaceform_side": "source",
+        "structure": {"builder": "warped-contact"},
+        "reference_values": {
+            "A_norm_sq": 0.0,
+            "rho_horizontal": -1.0,
+            "P_norm_sq": 2.0,
+        },
+        "notes": "Reeb field horizontal: the structure branch with the c3 term; equality",
+    },
+)
 
-    out = {e.id: e for e in entries}
-    if len(out) != len(entries):
-        raise DegenerateInput("duplicate catalog ids")
-    return out
-
-
-_ENTRIES = _build_entries()
+_ENTRIES = {desc["id"]: entry_from_description(desc) for desc in DESCRIPTIONS}
+if len(_ENTRIES) != len(DESCRIPTIONS):
+    raise DegenerateInput("duplicate catalog ids")
 
 
 def list_entries() -> list[CatalogEntry]:
@@ -614,103 +651,13 @@ def get(entry_id: str) -> CatalogEntry:
         raise DegenerateInput(f"unknown geometry {entry_id!r}; know {known}") from None
 
 
-# --------------------------------------------------------------------------
-# geometry-description files
-# --------------------------------------------------------------------------
-
-_CHART_BUILDERS = {
-    "flat": flat_chart,
-    "sphere": round_sphere_chart,
-    "warped-line": warped_line_chart,
-    "fubini-study": fubini_study_chart,
-    "heisenberg": heisenberg_chart,
-}
-
-_MAP_BUILDERS = {
-    "coordinate-projection": lambda spec: coordinate_projection(spec["indices"]),
-    "zero-padding": lambda spec: zero_padding(int(spec["pad"])),
-    "identity": lambda spec: identity_map(),
-    "stereographic-embedding": lambda spec: stereographic_embedding(
-        float(spec.get("radius", 1.0))
-    ),
-    "hopf-quaternionic": lambda spec: hopf_quaternionic(),
-    "hopf-complex": lambda spec: hopf_complex(),
-}
-
-_STRUCTURE_BUILDERS = {
-    "trivial": lambda spec, dim: trivial_structure(dim),
-    "interleaved-complex": lambda spec, dim: interleaved_complex_structure(dim // 2),
-    "heisenberg": lambda spec, dim: heisenberg_structure(),
-    "warped-contact": lambda spec, dim: warped_contact_structure(dim - 1),
-}
-
-
-def _section(desc: dict, key: str) -> dict:
-    """``desc[key]``, which must be a JSON object."""
-    section = desc[key]
-    if not isinstance(section, dict):
-        raise DegenerateInput(f"the key {key!r} must hold an object, not {section!r}")
-    return section
-
-
-def _chart_from_description(desc: dict) -> ChartMetric:
-    kind = desc.get("builder")
-    if kind not in _CHART_BUILDERS:
-        raise DegenerateInput(f"unknown chart builder {kind!r}")
-    kwargs = {k: v for k, v in desc.items() if k != "builder"}
-    return _CHART_BUILDERS[kind](**kwargs)
-
-
-def entry_from_description(desc: dict) -> CatalogEntry:
-    """Build a CatalogEntry from a JSON-style description dictionary.
-
-    Charts and maps are named builtins with parameters; arbitrary user metric
-    functions are out of scope for the file format.
-    """
-    source = _chart_from_description(_section(desc, "source_chart"))
-    target = _chart_from_description(_section(desc, "target_chart"))
-    map_desc = _section(desc, "map")
-    builder = map_desc.get("builder")
-    if builder not in _MAP_BUILDERS:
-        raise DegenerateInput(f"unknown map builder {builder!r}")
-    func = _MAP_BUILDERS[builder](map_desc)
-
-    family = None
-    if desc.get("family"):
-        fam = _section(desc, "family")
-        family = NamedFamily(fam["name"], float(fam["c"]), fam.get("alpha"))
-
-    structure_fn = None
-    if desc.get("structure"):
-        sdesc = _section(desc, "structure")
-        sbuilder = sdesc.get("builder")
-        if sbuilder not in _STRUCTURE_BUILDERS:
-            raise DegenerateInput(f"unknown structure builder {sbuilder!r}")
-        side = desc.get("spaceform_side", "source")
-        dim = source.dim if side == "source" else target.dim
-        structure_fn = _STRUCTURE_BUILDERS[sbuilder](sdesc, dim)
-
-    return CatalogEntry(
-        id=desc["id"],
-        kind=desc["kind"],
-        smooth_map=SmoothMap(source, target, func, name=desc["id"]),
-        declared_rank=int(desc["declared_rank"]),
-        base_point=desc["base_point"],
-        hypothesis_tags=tuple(desc.get("tags", ())),
-        family=family,
-        spaceform_side=desc.get("spaceform_side"),
-        structure_fn=structure_fn,
-        reference_values=dict(desc.get("reference_values", {})),
-        notes=desc.get("notes", ""),
-    )
-
-
 def load_geometry_file(path: str) -> CatalogEntry:
     """The entry that a JSON geometry file describes.
 
     A file that is missing or not JSON, lacks a key, holds a non-object
-    where a section belongs, names an unknown builder or gives one a key or
-    value it cannot take raises DegenerateInput, with the file's name and
+    where a section belongs, names an unknown builder, gives one a key or
+    value it cannot take or a base point of the wrong length, or whose map
+    fails at the base point raises DegenerateInput, with the file's name and
     the key's where there is one.
     """
     name = repr(os.fspath(path))
@@ -725,5 +672,5 @@ def load_geometry_file(path: str) -> CatalogEntry:
         return entry_from_description(desc)
     except KeyError as err:
         raise DegenerateInput(f"geometry file {name} lacks the key {err.args[0]!r}") from None
-    except (DegenerateInput, TypeError, ValueError) as err:
+    except (DegenerateInput, DimensionMismatch, TypeError, ValueError) as err:
         raise DegenerateInput(f"geometry file {name}: {err}") from None

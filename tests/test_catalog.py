@@ -109,7 +109,7 @@ def test_geometry_file_loader(tmp_path):
         "base_point": [0.1, 0.2, -0.3, 0.05, 0.0],
         "family": {"name": "real", "c": 0.0},
         "spaceform_side": "source",
-        "structure": {"builder": "trivial", "dim": 5},
+        "structure": {"builder": "trivial"},
     }
     path = tmp_path / "geo.json"
     path.write_text(json.dumps(desc))

@@ -196,9 +196,21 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
         (json.dumps(dict(GEO_DESC, source_chart={"builder": "flat", "dim": 4, "radius": 2})),
          "unexpected keyword argument 'radius'"),
         (json.dumps(dict(GEO_DESC, map="identity")), "the key 'map' must hold an object"),
+        (json.dumps(dict(GEO_DESC, source_chart={"builder": "flat", "dim": "five"})),
+         "source_chart: 'str' object cannot be interpreted as an integer"),
+        (json.dumps(dict(GEO_DESC, structure={"builder": "trivial", "x": 1})),
+         "structure: trivial_structure() got an unexpected keyword argument 'x'"),
+        (json.dumps(dict(GEO_DESC, map={"builder": "coordinate-projection", "indices": [0, 9]})),
+         "map: index 9 is out of bounds"),
+        (json.dumps(dict(GEO_DESC, target_chart={"builder": "flat", "dim": 3},
+                         map={"builder": "zero-padding", "pad": -1})),
+         "map: negative dimensions are not allowed"),
+        (json.dumps(dict(GEO_DESC, family={"name": "almost-C-alpha", "c": 1.0, "alpha": "x"})),
+         "family: could not convert string to float: 'x'"),
     ],
     ids=["missing-file", "invalid-json", "missing-key", "unknown-builder-keyword",
-         "section-not-an-object"],
+         "section-not-an-object", "section-value-of-the-wrong-type", "unknown-structure-keyword",
+         "projection-index-out-of-range", "negative-padding", "family-value-not-a-number"],
 )
 def test_malformed_geometry_file_is_an_input_error(tmp_path, capsys, text, named):
     path = tmp_path / "geo.json"
@@ -357,6 +369,13 @@ HEISENBERG_FIBRE = {
     "structure": {"builder": "heisenberg"},
 }
 
+# The fibre of the projection onto (x1, x2) instead spans d/dy1, d/dy2 and xi.
+HEISENBERG_ANTI_FIBRE = dict(
+    HEISENBERG_FIBRE,
+    id="heisenberg-R5-R2-anti",
+    map={"builder": "coordinate-projection", "indices": [0, 2]},
+)
+
 
 def test_invariant_fibre_with_tangent_reeb_field(tmp_path, capsys):
     # The fibre spans d/dx2, d/dy2 and xi: phi-invariant with xi tangent, so
@@ -374,6 +393,72 @@ def test_invariant_fibre_with_tangent_reeb_field(tmp_path, capsys):
         residuals[theorem] = [r["residual"] for r in reports]
         assert all(0.0 <= res <= 1e-8 for res in residuals[theorem])
     assert residuals["sub-vert-gssf-inv"] == pytest.approx(residuals["sub-vert-gssf"], abs=1e-12)
+
+
+def test_anti_invariant_fibre_with_tangent_reeb_field(tmp_path, capsys):
+    # phi maps d/dy1 and d/dy2 into the horizontal space: the fibre is
+    # anti-invariant with xi tangent, |P|^2 = 0, and the anti-invariant bound
+    # agrees with the generic one.
+    path = tmp_path / "heisenberg-R5-R2-anti.json"
+    path.write_text(json.dumps(HEISENBERG_ANTI_FIBRE))
+    residuals = {}
+    for theorem in ("sub-vert-gssf", "sub-vert-gssf-anti"):
+        code, out, _ = run(capsys, "verify", "--theorem", theorem, "--geometry-file", str(path),
+                           "--samples", "3", "--json")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["branch"] for r in reports] == [
+            {"xi": "tangent", "invariance": "anti-invariant"}
+        ] * 6
+        assert all(r["holds"] for r in reports)
+        residuals[theorem] = [r["residual"] for r in reports]
+    assert residuals["sub-vert-gssf-anti"] == pytest.approx(residuals["sub-vert-gssf"], abs=1e-12)
+    assert residuals["sub-vert-gssf-anti"][-1] == pytest.approx(2.40, abs=0.01)
+
+
+@pytest.mark.parametrize("desc", catalog.DESCRIPTIONS, ids=lambda d: d["id"])
+def test_builtin_description_is_a_geometry_file(tmp_path, capsys, desc):
+    path = tmp_path / "geo.json"
+    path.write_text(json.dumps(desc))
+    code, from_file, _ = run(capsys, "invariants", "--geometry-file", str(path), "--json")
+    assert code == 0
+    assert from_file == run(capsys, "invariants", "--geometry", desc["id"], "--json")[1]
+
+
+def _mutations(desc):
+    """(label, copy of ``desc`` with one fault) pairs of a built-in description."""
+    for key in desc:
+        yield f"drop {key}", {k: v for k, v in desc.items() if k != key}
+    for key in ("source_chart", "target_chart", "map", "family", "structure"):
+        if key in desc:
+            yield f"{key} as a string", dict(desc, **{key: "x"})
+    yield "short base point", dict(desc, base_point=desc["base_point"][:-1])
+    source_dim = len(desc["base_point"])
+    if desc["map"]["builder"] == "coordinate-projection":
+        indices = [*desc["map"]["indices"][:-1], source_dim]
+        yield "index out of range", dict(desc, map=dict(desc["map"], indices=indices))
+    if desc["map"]["builder"] == "zero-padding":
+        yield "negative pad", dict(desc, map=dict(desc["map"], pad=-1))
+    for key in ("source_chart", "target_chart"):
+        if "dim" in desc[key]:
+            yield f"{key} dim a string", dict(desc, **{key: dict(desc[key], dim="five")})
+
+
+@pytest.mark.parametrize("desc", catalog.DESCRIPTIONS, ids=lambda d: d["id"])
+def test_mutated_builtin_descriptions_exit_with_a_documented_code(tmp_path, capsys, desc):
+    path = tmp_path / "geo.json"
+    faults = []
+    for label, mutated in _mutations(desc):
+        path.write_text(json.dumps(mutated))
+        try:
+            code, _, err = run(capsys, "invariants", "--geometry-file", str(path))
+        except Exception as exc:  # a command-line run would print a traceback
+            faults.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        lines = err.strip().splitlines()
+        if code not in (0, 2, 3, 4) or (code and (len(lines) != 1 or not err.startswith("error:"))):
+            faults.append(f"{label}: exit {code}, stderr {err!r}")
+    assert faults == []
 
 
 @pytest.mark.parametrize(
