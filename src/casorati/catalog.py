@@ -27,8 +27,29 @@ from .spaceforms import CONTACT_FAMILIES, NamedFamily, SpaceFormSpec, family_con
 # chart builders
 # --------------------------------------------------------------------------
 
+# Most coordinates a chart may have. Its curvature is an (n, n, n, n) array
+# of doubles, 8 MiB at n = 32, and riemann_at peaks at about six of them
+# (48 MiB and 0.6 s per point at n = 32, against 7 MiB and 0.1 s at n = 20).
+MAX_CHART_DIM = 32
+
+
+class _BadParameter(DegenerateInput):
+    """A builder parameter out of range; ``_built`` names it after its section."""
+
+
+def _chart_size(name: str, value, low: int, high: int) -> int:
+    """``value`` if it is an integer in [low, high], the range that gives the
+    chart 1 to MAX_CHART_DIM coordinates."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise _BadParameter(f"{name} must be an integer, not {value!r}")
+    if not low <= value <= high:
+        raise _BadParameter(f"{name} must lie in {low}..{high}, not {value}")
+    return int(value)
+
+
 def flat_chart(dim: int, scale: float = 1.0, half_width: float = 5.0) -> ChartMetric:
     """Constant metric scale * I on a centered box."""
+    dim = _chart_size("dim", dim, 1, MAX_CHART_DIM)
     if scale <= 0.0:
         raise DegenerateInput("flat chart needs a positive scale")
     g = scale * np.eye(dim)
@@ -41,6 +62,7 @@ def round_sphere_chart(dim: int, radius: float = 1.0, half_width: float = 2.0) -
 
     g(y) = 4 R^4 / (R^2 + |y|^2)^2 * I, constant sectional curvature 1/R^2.
     """
+    dim = _chart_size("dim", dim, 1, MAX_CHART_DIM)
     if radius <= 0.0:
         raise DegenerateInput("sphere chart needs a positive radius")
     r2 = radius * radius
@@ -59,6 +81,7 @@ def warped_line_chart(fiber_dim: int, half_t: float = 0.8, half_x: float = 1.5) 
     With the exponential warping this is hyperbolic space of curvature -1 in
     horospherical coordinates.
     """
+    fiber_dim = _chart_size("fiber_dim", fiber_dim, 0, MAX_CHART_DIM - 1)
 
     def metric(p: np.ndarray) -> np.ndarray:
         g = np.eye(fiber_dim + 1)
@@ -77,6 +100,7 @@ def fubini_study_chart(n: int, half_width: float = 0.8) -> ChartMetric:
     h_ab = [(1 + |z|^2) delta_ab - conj(z_a) z_b] / (1 + |z|^2)^2 unpacks into
     the real metric blocks g_xx = g_yy = Re h and g_xy = Im h.
     """
+    n = _chart_size("n", n, 1, MAX_CHART_DIM // 2)
 
     def metric(p: np.ndarray) -> np.ndarray:
         z = p[0::2] + 1j * p[1::2]
@@ -393,13 +417,16 @@ def _section(desc: dict, key: str) -> dict:
 
 
 def _built(builders: dict, desc: dict, key: str, **context):
-    """``desc[key]`` built by the builder it names from its other keys; errors name ``key``."""
+    """``desc[key]`` built by the builder it names from its other keys; errors
+    name ``key``, or ``key.parameter`` for a parameter out of range."""
     kwargs = dict(_section(desc, key))
     builder = kwargs.pop("builder", None)
     if builder not in builders:
         raise DegenerateInput(f"{key}: unknown builder {builder!r}")
     try:
         return builders[builder](**kwargs, **context)
+    except _BadParameter as err:
+        raise DegenerateInput(f"{key}.{err}") from None
     except (DegenerateInput, TypeError, ValueError) as err:
         raise DegenerateInput(f"{key}: {err}") from None
 

@@ -1,7 +1,7 @@
 """Error types shared across the toolkit.
 
-Each error that the CLI can surface maps to a fixed process exit code; the
-remaining ones indicate misuse of the library API or inconsistent inputs.
+Every error maps to a fixed CLI exit code other than 1, which only a failed
+inequality (a counterexample) gives.
 """
 
 from __future__ import annotations
@@ -52,11 +52,17 @@ class IndefiniteRestriction(CasoratiError):
 
 
 class ValidationFailed(CasoratiError):
-    """A model curvature tensor disagrees with the chart beyond tolerance."""
+    """A frame, second fundamental form or model curvature tensor fails its check."""
 
 
-# CLI exit codes. 0 = success, 1 = a verified inequality failed (counterexample),
-# 2 = bad input (a point off the chart, a malformed geometry, mismatched dimensions).
+# CLI exit codes. 0 = success and 1 = a verified inequality failed (a
+# counterexample); no error exits 1. Each error exits with the code of the
+# most specific class that EXIT_CODES maps: 2 = bad input (a point off the
+# chart or where the metric is near-singular, a malformed geometry,
+# mismatched dimensions), 3 = rank drop, 4 = hypotheses not met, 5 = xi
+# oblique, 6 = the extremum lemma does not apply, 7 = a consistency gate
+# failed (a traced Gauss identity, a frame or second-fundamental-form check,
+# a model curvature check), and 8 = any other toolkit error.
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 
@@ -64,16 +70,18 @@ EXIT_CODES: dict[type[CasoratiError], int] = {
     OutOfDomain: 2,
     DegenerateInput: 2,
     DimensionMismatch: 2,
+    NearSingularMetric: 2,
     RankDrop: 3,
     HypothesisViolated: 4,
     BranchUndetermined: 5,
     ProvisoViolated: 6,
+    IndefiniteRestriction: 6,
+    GaussResidualExceeded: 7,
+    ValidationFailed: 7,
+    CasoratiError: 8,
 }
 
 
-def exit_code_for(err: BaseException) -> int:
-    """Exit code for an error raised during a CLI run (default 1)."""
-    for cls, code in EXIT_CODES.items():
-        if isinstance(err, cls):
-            return code
-    return EXIT_COUNTEREXAMPLE
+def exit_code_for(err: CasoratiError) -> int:
+    """Exit code of the most specific class of ``err`` that EXIT_CODES maps."""
+    return next(EXIT_CODES[cls] for cls in type(err).__mro__ if cls in EXIT_CODES)

@@ -37,7 +37,7 @@ SCAN_PER_DIM = 256
 EQUALITY_TOL = 1e-7
 CERTIFY_REL_TOL = 1e-4
 GRID_PER_DIM = 10_000
-GRID_SLICE = 8192
+GRID_SLICE_DOUBLES = 65_536  # most doubles in one slice's product in the grid pass
 POLISH_LEADERS = 8
 # Sphere solver: longest tangent step, least |curvature| (relative to the
 # scale 1 + ||B||^2) a step divides by, and the step fraction where halving stops.
@@ -260,17 +260,35 @@ def _newton_directions(normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, sc
     leaves a maximum in a few steps where |lambda_i| would only double the
     distance to it. The normal n is an eigenvector of P hess P with
     eigenvalue 0; adding scale n n^T moves it out of the way, so only
-    tangent eigenvectors take part.
+    tangent eigenvectors take part. On a row whose matrix has every
+    eigenvalue above the floor that sum is the plain Newton step -M^-1 pg,
+    solved without an eigendecomposition. A Cholesky factorization of M -
+    floor I proves every row of the batch definite at once; when it fails,
+    eigh classifies each row by its own smallest eigenvalue. The two tests
+    can only disagree on a row whose smallest eigenvalue lies within
+    rounding of the floor, where the two steps agree to rounding.
     """
     outer = normals[:, :, None] * normals[:, None, :]
-    proj = np.eye(normals.shape[1]) - outer
-    lam, vecs = np.linalg.eigh(proj @ hess @ proj + scale * outer)
-    coords = np.einsum("kij,ki->kj", vecs, pg)
+    eye = np.eye(normals.shape[1])
+    proj = eye - outer
+    mats = proj @ hess @ proj + scale * outer
     floor = NEWTON_FLOOR * scale
-    weights = np.where(
-        lam < -floor, np.sign(coords) * NEWTON_MAX_STEP, coords / np.maximum(np.abs(lam), floor)
-    )
-    step = -np.einsum("kij,kj->ki", vecs, weights)
+    step = np.empty_like(pg)
+    try:
+        np.linalg.cholesky(mats - floor * eye)
+        definite = np.ones(len(pg), dtype=bool)
+    except np.linalg.LinAlgError:
+        lam, vecs = np.linalg.eigh(mats)
+        definite = lam[:, 0] > floor
+        rest = ~definite
+        lam, vecs = lam[rest], vecs[rest]
+        coords = np.einsum("kij,ki->kj", vecs, pg[rest])
+        weights = np.where(
+            lam < -floor, np.sign(coords) * NEWTON_MAX_STEP, coords / np.maximum(np.abs(lam), floor)
+        )
+        step[rest] = -np.einsum("kij,kj->ki", vecs, weights)
+    if definite.any():
+        step[definite] = -np.linalg.solve(mats[definite], pg[definite, :, None])[..., 0]
     length = np.linalg.norm(step, axis=1, keepdims=True)
     return step * np.minimum(1.0, NEWTON_MAX_STEP / np.maximum(length, NEWTON_MAX_STEP))
 
@@ -306,9 +324,8 @@ def _sphere_extrema(
     Safeguarded Riemannian Newton on the unit sphere (Absil, Mahony and
     Sepulchre, 2008), minimizing from the low starts and maximizing from the
     high ones. Each step evaluates the value, gradient and Hessian once at
-    the candidates and takes one batched eigh of the tangent Hessians;
-    ``_newton_directions`` turns them into a descent step of at most
-    NEWTON_MAX_STEP, retracted to the sphere by normalizing. A step that
+    the candidates; ``_newton_directions`` turns them into a descent step of
+    at most NEWTON_MAX_STEP, retracted to the sphere by normalizing. A step that
     fails the Armijo test is halved; an accepted one resets to the full
     Newton step at the new point. A start stops once its projected gradient
     is within GRAD_NORM_TOL of the scale or its step fraction falls to
@@ -488,7 +505,7 @@ def _grid_directions(seed: int, r: int) -> np.ndarray:
     The draw is row by row, (GRID_PER_DIM * r + r, r); it is stored as its
     C-contiguous (r, GRID_PER_DIM * r + r) transpose, and the (N, r) view of
     that is returned. A slice of consecutive directions is then r contiguous
-    runs, which reach the matrix products of ``restricted_sum`` as one BLAS
+    runs, which reach the matrix product of ``_grid_values`` as one BLAS
     operand with no copy. Each r keeps the grid of its last seed, GRID_PER_DIM
     * r * r doubles, and frees it before drawing the grid of another seed.
     Nothing frees the slot of an r, so the cache holds the sum of 80,000 *
@@ -507,6 +524,39 @@ def _grid_directions(seed: int, r: int) -> np.ndarray:
     columns.setflags(write=False)
     _GRIDS[r] = (seed, columns.T)  # a view of the read-only columns is read-only too
     return _GRIDS[r][1]
+
+
+def _grid_values(mats: np.ndarray, antisymmetric: bool, dirs: np.ndarray) -> np.ndarray:
+    """``restricted_sum`` at every row of ``dirs``, as stacked quadratic forms.
+
+    With G = sum_alpha (B_alpha^T B_alpha + B_alpha B_alpha^T) the sum is
+    ||B||^2 - n^T G n + sum_alpha (n^T B_alpha n)^2. One matrix product of the
+    ((s + 1) r, r) stack [G; B_1; ...; B_s] with a slice of directions,
+    multiplied by the slice and summed over r, gives every form of the slice.
+    Antisymmetric data has n^T A n = 0, so its stack is G alone. A slice holds
+    as many directions as keep the product within GRID_SLICE_DOUBLES, a
+    multiple of 8, and the last len(dirs) % 8 directions form one more. On
+    such slices OpenBLAS rounds the column-major grid as it rounds a
+    row-major copy (seen up to r = 7), so the storage does not show.
+    """
+    s, r = mats.shape[0], mats.shape[-1]
+    flat = mats.reshape(s * r, r)
+    flat_t = mats.transpose(0, 2, 1).reshape(s * r, r)
+    gram = flat.T @ flat + flat_t.T @ flat_t
+    stack = gram if antisymmetric else np.concatenate([gram[None], mats]).reshape(-1, r)
+    rows = max(8, GRID_SLICE_DOUBLES // len(stack) // 8 * 8)
+    whole = len(dirs) - len(dirs) % 8
+    cuts = [*range(0, whole, rows), whole, len(dirs)]
+    norm = np.sum(mats * mats)
+    values = np.empty(len(dirs))
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = dirs[lo:hi].T
+        forms = (stack @ part).reshape(len(stack) // r, r, hi - lo)
+        forms *= part
+        forms = forms.sum(axis=1)  # n^T G n, then n^T B_alpha n for each alpha
+        np.subtract(norm, forms[0], out=values[lo:hi])
+        values[lo:hi] += np.einsum("ak,ak->k", forms[1:], forms[1:])
+    return values
 
 
 def grid_extrema(
@@ -529,9 +579,7 @@ def grid_extrema(
     mats = coeffs.coeffs
     dirs = _grid_directions(seed, r)
 
-    # Slice by slice, so that the products for the whole grid never coexist.
-    slices = np.split(dirs, range(GRID_SLICE, len(dirs), GRID_SLICE))
-    total = np.concatenate([restricted_sum(mats, part) for part in slices])
+    total = _grid_values(mats, coeffs.role == ROLE_A, dirs)
     leaders = tuple(_diverse_leaders(dirs, v, POLISH_LEADERS) for v in (total, -total))
     problems = [leaders] if starts is None else [leaders, (starts, starts)]
     (n_min, n_max, _), *solved = _sphere_extrema(mats, *problems)

@@ -19,7 +19,8 @@ from casorati.measures import (
     CERTIFY_REL_TOL,
     GRAD_NORM_TOL,
     GRID_PER_DIM,
-    GRID_SLICE,
+    NEWTON_FLOOR,
+    NEWTON_MAX_STEP,
     POLISH_LEADERS,
     ROLE_A,
     ROLE_T,
@@ -240,13 +241,37 @@ def row_major_grid(seed: int, r: int) -> np.ndarray:
     return dirs
 
 
+def sliced_grid_values(mats: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The grid values that ``measures._grid_values`` replaces: ``restricted_sum``
+    on slices of 8192 directions."""
+    slices = np.split(dirs, range(8192, len(dirs), 8192))
+    return np.concatenate([restricted_sum(mats, part) for part in slices])
+
+
+def newton_directions_by_eigh(
+    normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, scale: float
+) -> np.ndarray:
+    """``measures._newton_directions`` with one eigh on every row: the |lambda|
+    step of the eigenpairs, which is the plain Newton step on definite rows."""
+    outer = normals[:, :, None] * normals[:, None, :]
+    proj = np.eye(normals.shape[1]) - outer
+    lam, vecs = np.linalg.eigh(proj @ hess @ proj + scale * outer)
+    coords = np.einsum("kij,ki->kj", vecs, pg)
+    floor = NEWTON_FLOOR * scale
+    weights = np.where(
+        lam < -floor, np.sign(coords) * NEWTON_MAX_STEP, coords / np.maximum(np.abs(lam), floor)
+    )
+    step = -np.einsum("kij,kj->ki", vecs, weights)
+    length = np.linalg.norm(step, axis=1, keepdims=True)
+    return step * np.minimum(1.0, NEWTON_MAX_STEP / np.maximum(length, NEWTON_MAX_STEP))
+
+
 def separate_grid_extrema(coeffs: FormCoefficients, grid: np.ndarray):
     """``measures.grid_extrema`` on a row-major ``grid`` as it was before the
     optimizer's starts joined its solver call: the full greedy leader pass and
     a solver call of its own. Returns (C_L_inf, n_inf, C_L_sup, n_sup)."""
     mats, r = coeffs.coeffs, coeffs.r
-    slices = np.split(grid, range(GRID_SLICE, len(grid), GRID_SLICE))
-    total = np.concatenate([restricted_sum(mats, part) for part in slices])
+    total = measures._grid_values(mats, coeffs.role == ROLE_A, grid)
     low, high = (diverse_leaders(grid, v, POLISH_LEADERS) for v in (total, -total))
     ((n_min, n_max, _),) = measures._sphere_extrema(mats, (low, high))
     f_min, f_max = restricted_sum(mats, np.stack([n_min, n_max])) / (r - 1)

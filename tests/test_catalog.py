@@ -120,6 +120,19 @@ def test_geometry_file_loader(tmp_path):
     assert oneill_T(mp).norm_squared() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "builder, name, largest",
+    [(catalog.flat_chart, "dim", 32), (catalog.round_sphere_chart, "dim", 32),
+     (catalog.warped_line_chart, "fiber_dim", 31), (catalog.fubini_study_chart, "n", 16)],
+)
+def test_chart_sizes_stop_at_the_documented_bound(builder, name, largest):
+    # The largest size admitted gives MAX_CHART_DIM coordinates; one more is
+    # refused before any array is made.
+    assert builder(largest).dim == catalog.MAX_CHART_DIM == 32
+    with pytest.raises(DegenerateInput, match=f"^{name} must lie in .*, not {largest + 1}$"):
+        builder(largest + 1)
+
+
 def test_geometry_file_rejects_unknown_builder(tmp_path):
     desc = {
         "id": "x",

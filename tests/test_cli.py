@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from casorati import catalog
+from casorati import catalog, cli, errors
 from casorati.cli import main
 from casorati.verify import THEOREM_IDS
 
@@ -178,6 +178,27 @@ def test_spaced_negative_point(capsys, command):
     assert points and all(p == [-0.1, 0.2, 0.3] for p in points)
 
 
+def _with_subclasses(cls):
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _with_subclasses(child)]
+
+
+def test_no_error_exits_with_the_counterexample_code(monkeypatch, capsys):
+    # Exit 1 means "counterexample found"; every toolkit error, a bare
+    # CasoratiError included, exits with a documented code of its own.
+    classes = _with_subclasses(errors.CasoratiError)
+    assert len(classes) >= 13
+    for cls in classes:
+        def fail(args, cls=cls):
+            raise cls("planted")
+
+        monkeypatch.setattr(cli, "cmd_catalog", fail)
+        code, out, err = run(capsys, "catalog")
+        assert code != errors.EXIT_COUNTEREXAMPLE and 2 <= code <= 8, cls
+        assert out == "" and err == "error: planted\n"
+    assert errors.exit_code_for(errors.CasoratiError()) == 8
+    assert errors.exit_code_for(errors.GaussResidualExceeded()) == 7
+
+
 @pytest.mark.parametrize("command", [["invariants"], ["verify", "--theorem", "map-general"]])
 def test_non_finite_point_is_out_of_domain(capsys, command):
     code, out, err = run(capsys, *command, "--geometry", "sphere-immersion-S3", "--point", "nan,0,0")
@@ -197,7 +218,7 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
          "unexpected keyword argument 'radius'"),
         (json.dumps(dict(GEO_DESC, map="identity")), "the key 'map' must hold an object"),
         (json.dumps(dict(GEO_DESC, source_chart={"builder": "flat", "dim": "five"})),
-         "source_chart: 'str' object cannot be interpreted as an integer"),
+         "source_chart.dim must be an integer, not 'five'"),
         (json.dumps(dict(GEO_DESC, structure={"builder": "trivial", "x": 1})),
          "structure: trivial_structure() got an unexpected keyword argument 'x'"),
         (json.dumps(dict(GEO_DESC, map={"builder": "coordinate-projection", "indices": [0, 9]})),
@@ -207,10 +228,24 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
          "map: negative dimensions are not allowed"),
         (json.dumps(dict(GEO_DESC, family={"name": "almost-C-alpha", "c": 1.0, "alpha": "x"})),
          "family: could not convert string to float: 'x'"),
+        (json.dumps(dict(GEO_DESC, source_chart={"builder": "flat", "dim": 1000000000})),
+         "source_chart.dim must lie in 1..32, not 1000000000"),
+        (json.dumps(dict(GEO_DESC, target_chart={"builder": "sphere", "dim": 20000})),
+         "target_chart.dim must lie in 1..32, not 20000"),
+        (json.dumps(dict(GEO_DESC, target_chart={"builder": "flat", "dim": 0})),
+         "target_chart.dim must lie in 1..32, not 0"),
+        (json.dumps(dict(GEO_DESC, source_chart={"builder": "flat", "dim": 4.0})),
+         "source_chart.dim must be an integer, not 4.0"),
+        (json.dumps(dict(GEO_DESC, source_chart={"builder": "warped-line", "fiber_dim": 32})),
+         "source_chart.fiber_dim must lie in 0..31, not 32"),
+        (json.dumps(dict(GEO_DESC, source_chart={"builder": "fubini-study", "n": True})),
+         "source_chart.n must be an integer, not True"),
     ],
     ids=["missing-file", "invalid-json", "missing-key", "unknown-builder-keyword",
          "section-not-an-object", "section-value-of-the-wrong-type", "unknown-structure-keyword",
-         "projection-index-out-of-range", "negative-padding", "family-value-not-a-number"],
+         "projection-index-out-of-range", "negative-padding", "family-value-not-a-number",
+         "chart-dim-huge", "chart-dim-too-large", "chart-dim-zero", "chart-dim-a-float",
+         "fibre-dim-too-large", "chart-size-a-boolean"],
 )
 def test_malformed_geometry_file_is_an_input_error(tmp_path, capsys, text, named):
     path = tmp_path / "geo.json"

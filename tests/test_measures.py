@@ -28,9 +28,11 @@ from reference import (
     gauss_scal_gap,
     gradient_sphere_extrema,
     make_equality_shape,
+    newton_directions_by_eigh,
     proof_polynomial_P,
     proof_polynomial_Q,
     row_major_grid,
+    sliced_grid_values,
     two_solve_report,
 )
 
@@ -333,13 +335,88 @@ def test_grid_is_the_row_major_draw_stored_column_major(monkeypatch, r):
     # an (N, r) view of C-contiguous (r, N) memory, which it does not own
     assert dirs.flags.f_contiguous and not dirs.flags.owndata
     assert dirs.base.shape == (r, len(drawn)) and dirs.base.flags.c_contiguous
-    # slice views reach restricted_sum as strided BLAS operands; the values
-    # equal those of row-major copies bit for bit
-    mats = sym_coeffs(np.random.default_rng(r), 3, r).coeffs
-    cuts = range(measures.GRID_SLICE, len(dirs), measures.GRID_SLICE)
-    for view, copy in zip(np.split(dirs, cuts), np.split(drawn, cuts), strict=True):
-        assert view.base is not None and copy.flags.c_contiguous
-        assert np.array_equal(restricted_sum(mats, view), restricted_sum(mats, copy))
+    # a slice of directions, transposed, is an (r, k) view with unit stride
+    # along k: the grid pass hands it to BLAS with no copy. Its values equal
+    # those of the row-major copy bit for bit, for every role.
+    part = dirs[5:9].T
+    assert np.shares_memory(part, dirs.base) and part.strides == (8 * len(drawn), 8)
+    rng = np.random.default_rng(r)
+    for mats, antisymmetric in ((sym_coeffs(rng, 3, r).coeffs, False),
+                                (antisym_coeffs(rng, 2, r).coeffs, True)):
+        view = measures._grid_values(mats, antisymmetric, dirs)
+        assert np.array_equal(view, measures._grid_values(mats, antisymmetric, drawn))
+
+
+def test_grid_values_match_the_sliced_restricted_sum(monkeypatch):
+    # The stacked quadratic forms against restricted_sum on slices, on the
+    # real grids: every role, B = 0 and the equality shape.
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    rng = np.random.default_rng(12)
+    for r in range(2, 7):
+        dirs = measures._grid_directions(r, r)
+        sets = [sym_coeffs(rng, s, r, role) for s in range(1, 5) for role in (ROLE_B, ROLE_T)]
+        sets += [antisym_coeffs(rng, s, r) for s in range(1, 5)]
+        sets += [FormCoefficients(role, np.zeros((2, r, r))) for role in ROLES]
+        if r >= 3:
+            basis = np.linalg.qr(rng.standard_normal((r, r)))[0]
+            sets.append(make_equality_shape(ROLE_T, [0.7, -1.3], r, basis))
+        for coeffs in sets:
+            fast = measures._grid_values(coeffs.coeffs, coeffs.role == ROLE_A, dirs)
+            slow = sliced_grid_values(coeffs.coeffs, dirs)
+            assert np.all(np.abs(fast - slow) <= 1e-13 * (1.0 + np.abs(slow))), (r, coeffs.role)
+
+
+def _newton_batch(rng, r, s, count):
+    """Random normals with the tangent derivatives that the solver steps from."""
+    mats = sym_coeffs(rng, s, r).coeffs
+    normals = rng.standard_normal((count, r))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    signs = np.where(rng.random(count) < 0.5, 1.0, -1.0)
+    _, pg, hess = measures._tangent_derivatives(mats, normals, signs)
+    return normals, pg, hess, 1.0 + float(np.sum(mats * mats))
+
+
+def _definite(normals, hess, scale):
+    outer = normals[:, :, None] * normals[:, None, :]
+    proj = np.eye(normals.shape[1]) - outer
+    lam = np.linalg.eigvalsh(proj @ hess @ proj + scale * outer)
+    return lam[:, 0] > measures.NEWTON_FLOOR * scale
+
+
+def test_newton_step_on_definite_rows_is_the_eigh_step():
+    rng = np.random.default_rng(31)
+    batches = 0
+    for _ in range(400):
+        r, s = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+        normals, pg, hess, scale = _newton_batch(rng, r, s, 12)
+        keep = _definite(normals, hess, scale)
+        if keep.sum() < 2:
+            continue
+        normals, pg, hess = normals[keep], pg[keep], hess[keep]
+        step = measures._newton_directions(normals, pg, hess, scale)
+        expected = newton_directions_by_eigh(normals, pg, hess, scale)
+        size = np.abs(expected).max(axis=1, keepdims=True)
+        assert np.all(np.abs(step - expected) <= 1e-12 * size)
+        batches += 1
+    assert batches >= 100
+
+
+def test_newton_step_of_each_row_equals_its_step_alone():
+    rng = np.random.default_rng(32)
+    mixed = 0
+    for _ in range(100):
+        r, s = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+        normals, pg, hess, scale = _newton_batch(rng, r, s, 10)
+        definite = _definite(normals, hess, scale)
+        step = measures._newton_directions(normals, pg, hess, scale)
+        for i in range(len(normals)):
+            row = slice(i, i + 1)
+            alone = measures._newton_directions(normals[row], pg[row], hess[row], scale)
+            assert np.array_equal(step[i], alone[0])
+        expected = newton_directions_by_eigh(normals, pg, hess, scale)
+        assert np.allclose(step, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+        mixed += definite.any() and not definite.all()
+    assert mixed >= 50
 
 
 def test_grid_extrema_needs_two_dimensions():
