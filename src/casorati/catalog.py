@@ -18,7 +18,7 @@ import numpy as np
 
 from .curvature import ChartMetric
 from .errors import DegenerateInput, DimensionMismatch, HypothesisViolated
-from .framecore import StructureOperator
+from .framecore import MAX_CHART_DIM, StructureOperator
 from .rmaps import MapAtPoint, SmoothMap, map_at_point
 from .spaceforms import CONTACT_FAMILIES, NamedFamily, SpaceFormSpec, family_constants
 
@@ -26,11 +26,6 @@ from .spaceforms import CONTACT_FAMILIES, NamedFamily, SpaceFormSpec, family_con
 # --------------------------------------------------------------------------
 # chart builders
 # --------------------------------------------------------------------------
-
-# Most coordinates a chart may have. Its curvature is an (n, n, n, n) array
-# of doubles, 8 MiB at n = 32, and riemann_at peaks at about six of them
-# (48 MiB and 0.6 s per point at n = 32, against 7 MiB and 0.1 s at n = 20).
-MAX_CHART_DIM = 32
 
 
 class _BadParameter(DegenerateInput):

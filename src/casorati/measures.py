@@ -19,6 +19,8 @@ the bounds per hyperplane, are test oracles in ``tests/reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,9 +88,14 @@ class FormCoefficients:
     def normal_count(self) -> int:
         return self.coeffs.shape[0]
 
+    @cached_property
+    def stack(self) -> FormStack:
+        """The FormStack of ``coeffs``, built on first use."""
+        return form_stack(self.coeffs)
+
     def norm_squared(self) -> float:
         """||B||^2 = sum over all alpha, i, j of the squared coefficients."""
-        return float(np.sum(self.coeffs * self.coeffs))
+        return float(self.stack.norm)
 
     def trace_vector_norm_squared(self) -> float:
         """||trace B||^2 = sum_alpha (sum_i B_alpha[i,i])^2."""
@@ -158,65 +165,89 @@ def delta_pair(c_val, c_l_inf, c_l_sup, r: int):
     return delta, delta_hat
 
 
-def _expand(mats: np.ndarray, normals: np.ndarray):
-    """The restricted sum and the products its gradient reuses.
+class FormStack(NamedTuple):
+    """Coefficient matrices B, (..., s, r, r), with ||B||^2, G and their stacked forms.
 
-    B and B^T are stacked over alpha into (..., s*r, r), so that B_alpha n and
-    B_alpha^T n come out of one matrix product each, as (..., s*r, k) columns.
+    ``gram`` is G = sum_alpha (B_alpha^T B_alpha + B_alpha B_alpha^T), and
+    ``forms`` the stack [G; S_1; ...; S_s], (..., (s + 1) r, r), with S_alpha =
+    B_alpha + B_alpha^T; antisymmetric data has S = 0 exactly, and its stack
+    is G alone. Every hyperplane quantity derives from the stack: with
+    q_alpha = n^T S_alpha n / 2 and u_alpha = S_alpha n, for any B,
+
+        restricted_sum = ||B||^2 - n^T G n + sum_alpha q_alpha^2
+        gradient       = -2 G n + 2 sum_alpha q_alpha u_alpha
+        Hessian        = -2 G + 2 sum_alpha (u_alpha u_alpha^T + q_alpha S_alpha).
     """
-    s, r = mats.shape[-3], mats.shape[-1]
-    flat = mats.reshape(mats.shape[:-3] + (s * r, r))
+
+    mats: np.ndarray
+    norm: np.ndarray
+    gram: np.ndarray
+    forms: np.ndarray
+
+
+def form_stack(mats) -> FormStack:
+    """The FormStack of (..., s, r, r) coefficient matrices; a FormStack passes
+    through, so every function here takes either."""
+    if isinstance(mats, FormStack):
+        return mats
+    mats = np.asarray(mats, dtype=float)
+    r = mats.shape[-1]
+    flat = mats.reshape(mats.shape[:-3] + (-1, r))
     flat_t = np.swapaxes(mats, -1, -2).reshape(flat.shape)
-    bn = flat @ np.swapaxes(normals, -1, -2)
-    btn = flat_t @ np.swapaxes(normals, -1, -2)
-    per_alpha = bn.reshape(bn.shape[:-2] + (s, r, bn.shape[-1]))
-    nbn = np.einsum("...aik,...ki->...ak", per_alpha, normals)
-    value = (
-        np.einsum("...aij,...aij->...", mats, mats)[..., None]
-        - np.einsum("...ik,...ik->...k", bn, bn)
-        - np.einsum("...ik,...ik->...k", btn, btn)
-        + np.einsum("...ak,...ak->...k", nbn, nbn)
-    )
-    return value, flat, flat_t, bn, btn, nbn
+    gram = np.swapaxes(flat, -1, -2) @ flat + np.swapaxes(flat_t, -1, -2) @ flat_t
+    sym = flat + flat_t
+    forms = np.concatenate([gram, sym], axis=-2) if sym.any() else gram
+    return FormStack(mats, np.sum(mats * mats, axis=(-3, -2, -1)), gram, forms)
 
 
-def restricted_sum(mats: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def restricted_sum(mats, normals: np.ndarray) -> np.ndarray:
     """sum_alpha ||(I - nn^T) B_alpha (I - nn^T)||_F^2 at every unit normal n.
 
-    ``mats`` is (..., s, r, r) and ``normals`` is (..., k, r) with the same
-    leading shape; the result is (..., k). Expanding the projectors gives
-    ||B||^2 - ||B n||^2 - ||B^T n||^2 + sum_alpha (n^T B_alpha n)^2.
+    ``mats`` is (..., s, r, r) or its FormStack, and ``normals`` is (..., k,
+    r) with the same leading shape; the result is (..., k). One matrix
+    product of the stack with the normals, multiplied by the normals and
+    summed over r, gives n^T G n and every n^T S_alpha n.
     """
-    return _expand(mats, normals)[0]
+    stack = form_stack(mats)
+    (m, r), k = stack.forms.shape[-2:], normals.shape[-2]
+    cols = np.swapaxes(normals, -1, -2)
+    forms = stack.forms @ cols
+    forms = forms.reshape(forms.shape[:-2] + (m // r, r, k))
+    forms *= cols[..., None, :, :]
+    forms = forms.sum(axis=-2)  # n^T G n, then n^T S_alpha n for each alpha
+    q = 0.5 * forms[..., 1:, :]
+    return stack.norm[..., None] - forms[..., 0, :] + np.einsum("...ak,...ak->...k", q, q)
 
 
-def restricted_sum_derivatives(mats: np.ndarray, normals: np.ndarray):
+def restricted_sum_derivatives(mats, normals: np.ndarray):
     """restricted_sum with its unconstrained gradient and Hessian in n.
 
-    Shapes (..., k), (..., k, r) and (..., k, r, r). With u_alpha = (B_alpha +
-    B_alpha^T) n and q_alpha = n^T B_alpha n the gradient is -2 sum_alpha
-    (B_alpha^T B_alpha + B_alpha B_alpha^T) n + 2 sum_alpha q_alpha u_alpha,
-    and the Hessian -2 sum_alpha (B_alpha^T B_alpha + B_alpha B_alpha^T) +
-    2 sum_alpha (u_alpha u_alpha^T + q_alpha (B_alpha + B_alpha^T)).
+    Shapes (..., k), (..., k, r) and (..., k, r, r), by the FormStack
+    formulas. Every contraction is an einsum over one row at a time, so each
+    row's results are bit for bit those of a batch of that row alone; a BLAS
+    product rounds a single row differently from a batch.
     """
-    value, flat, flat_t, bn, btn, nbn = _expand(mats, normals)
-    both = (bn + btn).reshape(nbn.shape[:-1] + mats.shape[-1:] + nbn.shape[-1:])
-    grad = np.swapaxes(np.swapaxes(flat, -1, -2) @ bn + np.swapaxes(flat_t, -1, -2) @ btn, -1, -2)
-    grad = -2.0 * grad + 2.0 * np.einsum("...ak,...aik->...ki", nbn, both)
-    gram = np.swapaxes(flat, -1, -2) @ flat + np.swapaxes(flat_t, -1, -2) @ flat_t
-    u = np.swapaxes(both, -1, -3)  # u_alpha as columns, (..., k, r, s)
-    r = mats.shape[-1]
-    sym = (mats + np.swapaxes(mats, -1, -2)).reshape(mats.shape[:-2] + (r * r,))
-    q_sym = (np.swapaxes(nbn, -1, -2) @ sym).reshape(nbn.shape[:-2] + (nbn.shape[-1], r, r))
-    hess = 2.0 * (u @ np.swapaxes(u, -1, -2) + q_sym - gram[..., None, :, :])
+    stack = form_stack(mats)
+    m, r = stack.forms.shape[-2:]
+    prod = np.einsum("...mj,...kj->...km", stack.forms, normals)
+    prod = prod.reshape(prod.shape[:-1] + (m // r, r))
+    gn, u = prod[..., 0, :], prod[..., 1:, :]  # G n and u_alpha = S_alpha n
+    q = 0.5 * np.einsum("...kai,...ki->...ka", u, normals)
+    ngn = np.einsum("...ki,...ki->...k", gn, normals)
+    value = stack.norm[..., None] - ngn + np.einsum("...ka,...ka->...k", q, q)
+    grad = 2.0 * (np.einsum("...ka,...kai->...ki", q, u) - gn)
+    sym = stack.forms[..., r:, :].reshape(stack.forms.shape[:-2] + (m // r - 1, r, r))
+    hess = np.einsum("...kai,...kaj->...kij", u, u) + np.einsum("...ka,...aij->...kij", q, sym)
+    hess = 2.0 * (hess - stack.gram[..., None, :, :])
     return value, grad, hess
 
 
-def closed_form_normals(mats: np.ndarray, antisymmetric: bool):
-    """Exact (minimizing, maximizing) unit normals, batched over (..., s, r, r); else None.
+def closed_form_normals(mats, antisymmetric: bool):
+    """Exact (minimizing, maximizing) unit normals, batched over (..., s, r, r)
+    or their FormStack; else None.
 
-    Antisymmetric A, any s: n^T A n = 0, so the sum is ||A||^2 - 2 n^T (sum
-    A^T A) n, extremal at the top and bottom eigenvectors of sum A^T A.
+    Antisymmetric A, any s: n^T A n = 0, so the sum is ||A||^2 - n^T G n,
+    extremal at the top and bottom eigenvectors of G = 2 sum A^T A.
     One symmetric B (s = 1): with w_i = n_i^2 in B's eigenbasis the sum is
     ||B||^2 - 2 lambda^2.w + (lambda.w)^2. On the simplex, (lambda.w,
     lambda^2.w) fills the hull of the parabola points (lambda_i, lambda_i^2),
@@ -225,12 +256,13 @@ def closed_form_normals(mats: np.ndarray, antisymmetric: bool):
     lambda_max, at weight lambda_max / (lambda_max - lambda_min) on
     lambda_max, clipped to [0, 1]. Symmetric data with s >= 2 returns None.
     """
+    stack = form_stack(mats)
     if antisymmetric:
-        _, vecs = np.linalg.eigh(np.einsum("...aji,...ajk->...ik", mats, mats))
+        _, vecs = np.linalg.eigh(stack.gram)
         return vecs[..., -1], vecs[..., 0]
-    if mats.shape[-3] != 1:
+    if stack.mats.shape[-3] != 1:
         return None
-    lam, vecs = np.linalg.eigh(mats[..., 0, :, :])
+    lam, vecs = np.linalg.eigh(stack.mats[..., 0, :, :])
     lo, hi = lam[..., 0], lam[..., -1]
     gap = hi - lo
     t = np.clip(np.divide(hi, gap, out=np.zeros_like(gap), where=gap > 0), 0.0, 1.0)
@@ -239,7 +271,7 @@ def closed_form_normals(mats: np.ndarray, antisymmetric: bool):
     return n_inf, np.take_along_axis(vecs, least, axis=-1)[..., 0]
 
 
-def _tangent_derivatives(mats: np.ndarray, normals: np.ndarray, signs: np.ndarray):
+def _tangent_derivatives(mats, normals: np.ndarray, signs: np.ndarray):
     """Signed objective, its gradient projected onto the sphere's tangent space,
     and its signed Hessian H - (n . grad) I, which P = I - n n^T turns into
     the Riemannian Hessian P (H - (n . grad) I) P."""
@@ -293,34 +325,15 @@ def _newton_directions(normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, sc
     return step * np.minimum(1.0, NEWTON_MAX_STEP / np.maximum(length, NEWTON_MAX_STEP))
 
 
-def _problem_derivatives(
-    mats: np.ndarray, normals: np.ndarray, signs: np.ndarray, owners: np.ndarray
-):
-    """``_tangent_derivatives`` of each row, bit for bit as a batch of only
-    its owner problem's rows gives it.
-
-    numpy hands BLAS a matrix-vector product for a single row and a matrix
-    product for more, and the two round differently; matrix products of two
-    or more rows agree column by column. So each problem that is down to one
-    row is evaluated alone, and the rows of all other problems in one batch.
-    """
-    lone = np.bincount(owners)[owners] == 1
-    if len(owners) == 1 or not lone.any():
-        return _tangent_derivatives(mats, normals, signs)
-    batches = [np.flatnonzero(~lone)] + [[i] for i in np.flatnonzero(lone)]
-    parts = [_tangent_derivatives(mats, normals[b], signs[b]) for b in batches if len(b)]
-    back = np.argsort(np.concatenate(batches))
-    return tuple(np.concatenate(each)[back] for each in zip(*parts))
-
-
 def _sphere_extrema(
-    mats: np.ndarray, *problems: tuple[np.ndarray, np.ndarray]
+    mats, *problems: tuple[np.ndarray, np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """(best minimizer, best maximizer, iterations summed over starts) per problem, in one batch.
 
     Each problem is a pair (low starts, high starts); every start carries the
     label of its problem and side, and each result is picked from the rows of
-    its own label only, so the problems share the batch and nothing else.
+    its own label only. The derivatives of a row do not depend on its batch,
+    so the problems share the batch and nothing else.
     Safeguarded Riemannian Newton on the unit sphere (Absil, Mahony and
     Sepulchre, 2008), minimizing from the low starts and maximizing from the
     high ones. Each step evaluates the value, gradient and Hessian once at
@@ -338,9 +351,10 @@ def _sphere_extrema(
     signs, owners = np.where(labels % 2 == 0, 1.0, -1.0), labels // 2
     n = np.vstack(sides)
     n = n / np.linalg.norm(n, axis=1, keepdims=True)
-    scale = 1.0 + float(np.sum(mats * mats))
+    stack = form_stack(mats)
+    scale = 1.0 + float(stack.norm)
     tol = GRAD_NORM_TOL * scale
-    f, pg, hess = _problem_derivatives(mats, n, signs, owners)
+    f, pg, hess = _tangent_derivatives(stack, n, signs)
     # The running starts: their indices, points, values, gradients, steps and step fractions.
     idx = np.flatnonzero(np.linalg.norm(pg, axis=1) > tol)
     x, fx, gx, sx = n[idx], f[idx], pg[idx], signs[idx]
@@ -352,7 +366,7 @@ def _sphere_extrema(
             break
         cand = x + frac[:, None] * step
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        fc, pgc, hc = _problem_derivatives(mats, cand, sx, owners[idx])
+        fc, pgc, hc = _tangent_derivatives(stack, cand, sx)
         ok = fc <= fx + 1e-4 * frac * np.sum(gx * step, axis=1) + ROUNDING_TOL * scale
         steps[idx] += 1
         if ok.all():
@@ -415,15 +429,16 @@ def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray
         size *= 4
 
 
-def _optimizer_starts(mats: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
-    """Eigenvectors of sum_alpha B_alpha^T B_alpha, random directions, and the
-    basin-diverse leaders of a coarse sphere scan (both objective tails)."""
-    _, eigvecs = np.linalg.eigh(np.einsum("aji,ajk->ik", mats, mats))
+def _optimizer_starts(mats, r: int, rng: np.random.Generator) -> np.ndarray:
+    """Eigenvectors of G, random directions, and the basin-diverse leaders of
+    a coarse sphere scan (both objective tails); ``mats`` as for restricted_sum."""
+    stack = form_stack(mats)
+    _, eigvecs = np.linalg.eigh(stack.gram)
     randoms = rng.standard_normal((r, r))
     randoms /= np.linalg.norm(randoms, axis=1, keepdims=True)
     scan = rng.standard_normal((SCAN_PER_DIM * r, r))
     scan /= np.linalg.norm(scan, axis=1, keepdims=True)
-    total = restricted_sum(mats, scan)
+    total = restricted_sum(stack, scan)
     leaders = [_diverse_leaders(scan, total, 4), _diverse_leaders(scan, -total, 4)]
     return np.vstack([eigvecs.T, randoms, *leaders])
 
@@ -434,8 +449,8 @@ def delta_casorati(
     """Full report: C, inf/sup of C^L over all hyperplanes, delta values.
 
     Closed forms serve the A role and a single normal, with 0 starts and 0
-    iterations; otherwise the sphere solver runs from eigenvectors of sum
-    B^T B, random directions and the leaders of a coarse sphere scan.
+    iterations; otherwise the sphere solver runs from eigenvectors of G,
+    random directions and the leaders of a coarse sphere scan.
     ``certify=True`` checks the result against the grid oracle and reports a
     better grid extremum with its normal; the solver then runs the starts in
     the grid polish's call, as a group of its own. ``converged``: the projected
@@ -444,24 +459,24 @@ def delta_casorati(
     r = coeffs.r
     if r < 3:
         raise DimensionMismatch("delta-Casorati curvatures need r >= 3")
-    mats = coeffs.coeffs
+    stack = coeffs.stack
     c_val = casorati_C(coeffs)
 
-    closed = closed_form_normals(mats, coeffs.role == ROLE_A)
+    closed = closed_form_normals(stack, coeffs.role == ROLE_A)
     grid = None
     if closed is not None:
         (n_inf, n_sup), starts, iterations = closed, 0, 0
         if certify:
             grid = grid_extrema(coeffs, seed=seed + 1)
     else:
-        start_dirs = _optimizer_starts(mats, r, np.random.default_rng(seed))
+        start_dirs = _optimizer_starts(stack, r, np.random.default_rng(seed))
         starts = len(start_dirs)
         if certify:  # the starts ride in the grid polish's solver call, as a group of their own
             *grid, solved = grid_extrema(coeffs, seed=seed + 1, starts=start_dirs)
             n_inf, n_sup, iterations = solved
         else:
-            ((n_inf, n_sup, iterations),) = _sphere_extrema(mats, (start_dirs, start_dirs))
-    c_l_inf, c_l_sup = (float(v) for v in restricted_sum(mats, np.stack([n_inf, n_sup])) / (r - 1))
+            ((n_inf, n_sup, iterations),) = _sphere_extrema(stack, (start_dirs, start_dirs))
+    c_l_inf, c_l_sup = (float(v) for v in restricted_sum(stack, np.stack([n_inf, n_sup])) / (r - 1))
 
     certified: bool | None = None
     if grid is not None:
@@ -476,7 +491,7 @@ def delta_casorati(
         if grid_sup > c_l_sup:
             c_l_sup, n_sup = grid_sup, grid_n_sup
 
-    _, pg, _ = _tangent_derivatives(mats, np.stack([n_inf, n_sup]), np.ones(2))
+    _, pg, _ = _tangent_derivatives(stack, np.stack([n_inf, n_sup]), np.ones(2))
     stationary = np.linalg.norm(pg, axis=1) <= GRAD_NORM_TOL * (1.0 + coeffs.norm_squared())
     delta_c, delta_hat_c = delta_pair(c_val, c_l_inf, c_l_sup, r)
     return CasoratiReport(
@@ -526,36 +541,22 @@ def _grid_directions(seed: int, r: int) -> np.ndarray:
     return _GRIDS[r][1]
 
 
-def _grid_values(mats: np.ndarray, antisymmetric: bool, dirs: np.ndarray) -> np.ndarray:
-    """``restricted_sum`` at every row of ``dirs``, as stacked quadratic forms.
+def _grid_values(mats, dirs: np.ndarray) -> np.ndarray:
+    """``restricted_sum`` at every row of ``dirs``, one slice of directions at a time.
 
-    With G = sum_alpha (B_alpha^T B_alpha + B_alpha B_alpha^T) the sum is
-    ||B||^2 - n^T G n + sum_alpha (n^T B_alpha n)^2. One matrix product of the
-    ((s + 1) r, r) stack [G; B_1; ...; B_s] with a slice of directions,
-    multiplied by the slice and summed over r, gives every form of the slice.
-    Antisymmetric data has n^T A n = 0, so its stack is G alone. A slice holds
-    as many directions as keep the product within GRID_SLICE_DOUBLES, a
-    multiple of 8, and the last len(dirs) % 8 directions form one more. On
-    such slices OpenBLAS rounds the column-major grid as it rounds a
-    row-major copy (seen up to r = 7), so the storage does not show.
+    A slice holds as many directions as keep the product of the stack with
+    it within GRID_SLICE_DOUBLES, a multiple of 8, and the last len(dirs) % 8
+    directions form one more. On such slices OpenBLAS rounds the
+    column-major grid as it rounds a row-major copy (seen up to r = 7), so
+    the storage does not show.
     """
-    s, r = mats.shape[0], mats.shape[-1]
-    flat = mats.reshape(s * r, r)
-    flat_t = mats.transpose(0, 2, 1).reshape(s * r, r)
-    gram = flat.T @ flat + flat_t.T @ flat_t
-    stack = gram if antisymmetric else np.concatenate([gram[None], mats]).reshape(-1, r)
-    rows = max(8, GRID_SLICE_DOUBLES // len(stack) // 8 * 8)
+    stack = form_stack(mats)
+    rows = max(8, GRID_SLICE_DOUBLES // len(stack.forms) // 8 * 8)
     whole = len(dirs) - len(dirs) % 8
     cuts = [*range(0, whole, rows), whole, len(dirs)]
-    norm = np.sum(mats * mats)
     values = np.empty(len(dirs))
     for lo, hi in zip(cuts, cuts[1:]):
-        part = dirs[lo:hi].T
-        forms = (stack @ part).reshape(len(stack) // r, r, hi - lo)
-        forms *= part
-        forms = forms.sum(axis=1)  # n^T G n, then n^T B_alpha n for each alpha
-        np.subtract(norm, forms[0], out=values[lo:hi])
-        values[lo:hi] += np.einsum("ak,ak->k", forms[1:], forms[1:])
+        values[lo:hi] = restricted_sum(stack, dirs[lo:hi])
     return values
 
 
@@ -576,14 +577,14 @@ def grid_extrema(
     r = coeffs.r
     if r < 2:
         raise DimensionMismatch("the grid oracle needs r >= 2")
-    mats = coeffs.coeffs
+    stack = coeffs.stack
     dirs = _grid_directions(seed, r)
 
-    total = _grid_values(mats, coeffs.role == ROLE_A, dirs)
+    total = _grid_values(stack, dirs)
     leaders = tuple(_diverse_leaders(dirs, v, POLISH_LEADERS) for v in (total, -total))
     problems = [leaders] if starts is None else [leaders, (starts, starts)]
-    (n_min, n_max, _), *solved = _sphere_extrema(mats, *problems)
-    f_min, f_max = restricted_sum(mats, np.stack([n_min, n_max])) / (r - 1)
+    (n_min, n_max, _), *solved = _sphere_extrema(stack, *problems)
+    f_min, f_max = restricted_sum(stack, np.stack([n_min, n_max])) / (r - 1)
     return (float(f_min), n_min, float(f_max), n_max, *solved)
 
 
@@ -608,33 +609,20 @@ def diagnose_equality(coeffs: FormCoefficients, tol: float = EQUALITY_TOL) -> Eq
             max_umbilic_defect=0.0,
         )
 
-    # Joint diagonalization attempt: eigenbasis of sum_alpha B_alpha^2.
-    gram = np.zeros((r, r))
-    for b in coeffs.coeffs:
-        gram += b @ b
-    _, v = np.linalg.eigh(gram)
+    # Joint diagonalization attempt: eigenbasis of G = 2 sum_alpha B_alpha^2.
+    _, v = np.linalg.eigh(coeffs.stack.gram)
     rotated = np.einsum("pi,aij,jq->apq", v.T, coeffs.coeffs, v)
-
-    off = rotated.copy()
-    for a in range(off.shape[0]):
-        np.fill_diagonal(off[a], 0.0)
-    max_offdiag = float(np.abs(off).max()) if off.size else 0.0
-
+    max_offdiag = float(np.abs(rotated * (1.0 - np.eye(r))).max(initial=0.0))
+    # Per distinguished axis m and alpha, the fit a = (sum_{i != m} d_i + 2 d_m)
+    # / (r + 3) and the largest deviation of the diagonal d from (a, ..., 2a, ..., a).
     diags = np.einsum("aii->ai", rotated)
-    best_defect = np.inf
-    for m in range(r):
-        defect = 0.0
-        for d in diags:
-            weight = d.sum() + d[m]  # sum_{i != m} d_i + 2 d_m
-            a_fit = weight / (r + 3.0)
-            dev = np.abs(d - a_fit)
-            dev[m] = abs(d[m] - 2.0 * a_fit)
-            defect = max(defect, float(dev.max()))
-        best_defect = min(best_defect, defect)
+    fits = (diags.sum(axis=1, keepdims=True) + diags) / (r + 3.0)  # [alpha, m]
+    shapes = fits[:, :, None] * (1.0 + np.eye(r))  # [alpha, m, i]
+    best_defect = float(np.abs(diags[:, None, :] - shapes).max(axis=(0, 2), initial=0.0).min())
 
     return EqualityDiagnosis(
         is_equality_shape=max_offdiag <= scaled_tol and best_defect <= scaled_tol,
         max_offdiag=max_offdiag,
-        max_umbilic_defect=float(best_defect),
+        max_umbilic_defect=best_defect,
     )
 

@@ -33,6 +33,7 @@ from .measures import (
     delta_casorati,
     delta_pair,
     diagnose_equality,
+    form_stack,
     restricted_sum,
 )
 from .rmaps import (
@@ -513,26 +514,28 @@ def _synthetic_casorati(coeffs: np.ndarray, rng: np.random.Generator, symmetric:
     """Vectorized C and the two delta values of every trial, coeffs (n, s, r, r).
 
     Exact extrema where ``closed_form_normals`` has them; otherwise the best
-    of the candidates: eigenvectors of the summed squared form, the axes, and
-    a few random directions.  The candidate infimum upper-bounds the true
-    infimum, so any failure reported downstream is genuine; equality-shape
-    data has an axis as its optimal normal, so the bound is exact there.
+    of the candidates: eigenvectors of G, the axes, and a few random
+    directions, all from one FormStack of the group.  The candidate infimum
+    upper-bounds the true infimum, so any failure reported downstream is
+    genuine; equality-shape data has an axis as its optimal normal, so the
+    bound is exact there.
     """
     n, s, r, _ = coeffs.shape
-    c_val = np.einsum("tsab,tsab->t", coeffs, coeffs) / r
+    stack = form_stack(coeffs)
+    c_val = stack.norm / r
     # Drawn for every group, so that the data of later groups does not depend
     # on which path this one took.
     rand = rng.standard_normal((n, N_RANDOM_NORMALS, r))
 
-    closed = closed_form_normals(coeffs, antisymmetric=not symmetric)
+    closed = closed_form_normals(stack, antisymmetric=not symmetric)
     if closed is not None:
         normals = np.stack(closed, axis=1)
     else:
-        _, eigvecs = np.linalg.eigh(np.einsum("tsba,tsbc->tac", coeffs, coeffs))
+        _, eigvecs = np.linalg.eigh(stack.gram)
         rand /= np.linalg.norm(rand, axis=2, keepdims=True)
         axes = np.broadcast_to(np.eye(r), (n, r, r))
         normals = np.concatenate([eigvecs.transpose(0, 2, 1), axes, rand], axis=1)
-    values = restricted_sum(coeffs, normals)
+    values = restricted_sum(stack, normals)
 
     cl_inf = values.min(axis=1) / (r - 1)
     cl_sup = values.max(axis=1) / (r - 1)

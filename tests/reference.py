@@ -241,11 +241,28 @@ def row_major_grid(seed: int, r: int) -> np.ndarray:
     return dirs
 
 
+def expanded_restricted_sum(mats: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """``measures.restricted_sum`` by the projector expansion in B and B^T:
+    ||B||^2 - ||B n||^2 - ||B^T n||^2 + sum_alpha (n^T B_alpha n)^2, with
+    separate products for B n and B^T n in place of the stacked forms.
+    ``mats`` is (..., s, r, r) and ``normals`` (..., k, r); the result is (..., k)."""
+    cols = np.swapaxes(normals, -1, -2)[..., None, :, :]
+    bn = mats @ cols
+    btn = np.swapaxes(mats, -1, -2) @ cols
+    nbn = np.einsum("...aik,...ik->...ak", bn, cols[..., 0, :, :])
+    return (
+        np.einsum("...aij,...aij->...", mats, mats)[..., None]
+        - np.einsum("...aik,...aik->...k", bn, bn)
+        - np.einsum("...aik,...aik->...k", btn, btn)
+        + np.einsum("...ak,...ak->...k", nbn, nbn)
+    )
+
+
 def sliced_grid_values(mats: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """The grid values that ``measures._grid_values`` replaces: ``restricted_sum``
+    """The grid values of ``measures._grid_values`` by ``expanded_restricted_sum``
     on slices of 8192 directions."""
     slices = np.split(dirs, range(8192, len(dirs), 8192))
-    return np.concatenate([restricted_sum(mats, part) for part in slices])
+    return np.concatenate([expanded_restricted_sum(mats, part) for part in slices])
 
 
 def newton_directions_by_eigh(
@@ -271,7 +288,7 @@ def separate_grid_extrema(coeffs: FormCoefficients, grid: np.ndarray):
     optimizer's starts joined its solver call: the full greedy leader pass and
     a solver call of its own. Returns (C_L_inf, n_inf, C_L_sup, n_sup)."""
     mats, r = coeffs.coeffs, coeffs.r
-    total = measures._grid_values(mats, coeffs.role == ROLE_A, grid)
+    total = measures._grid_values(mats, grid)
     low, high = (diverse_leaders(grid, v, POLISH_LEADERS) for v in (total, -total))
     ((n_min, n_max, _),) = measures._sphere_extrema(mats, (low, high))
     f_min, f_max = restricted_sum(mats, np.stack([n_min, n_max])) / (r - 1)

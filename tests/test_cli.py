@@ -199,6 +199,30 @@ def test_no_error_exits_with_the_counterexample_code(monkeypatch, capsys):
     assert errors.exit_code_for(errors.GaussResidualExceeded()) == 7
 
 
+@pytest.mark.parametrize(
+    "raised", [MemoryError("planted"), FloatingPointError("planted"), ValueError("planted")]
+)
+def test_an_exception_outside_the_toolkit_exits_with_its_own_code(monkeypatch, capsys, raised):
+    def fail(args):
+        raise raised
+
+    monkeypatch.setattr(cli, "cmd_catalog", fail)
+    code, out, err = run(capsys, "catalog")
+    assert code == errors.EXIT_INTERNAL == 9
+    assert code not in errors.EXIT_CODES.values() and code != errors.EXIT_COUNTEREXAMPLE
+    assert out == "" and err == f"error: {type(raised).__name__}: planted\n"
+
+
+@pytest.mark.parametrize("raised", [SystemExit(3), KeyboardInterrupt()])
+def test_exit_and_interrupt_pass_through_the_cli(monkeypatch, raised):
+    def fail(args):
+        raise raised
+
+    monkeypatch.setattr(cli, "cmd_catalog", fail)
+    with pytest.raises(type(raised)):
+        main(["catalog"])
+
+
 @pytest.mark.parametrize("command", [["invariants"], ["verify", "--theorem", "map-general"]])
 def test_non_finite_point_is_out_of_domain(capsys, command):
     code, out, err = run(capsys, *command, "--geometry", "sphere-immersion-S3", "--point", "nan,0,0")

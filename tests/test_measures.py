@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casorati import measures
+from casorati import measures, verify
 from casorati.errors import DegenerateInput, DimensionMismatch
 from casorati.framecore import Frame, InnerProduct
 from casorati.measures import (
@@ -25,6 +25,7 @@ from reference import (
     Hyperplane,
     casorati_on_hyperplane,
     diverse_leaders,
+    expanded_restricted_sum,
     gauss_scal_gap,
     gradient_sphere_extrema,
     make_equality_shape,
@@ -159,7 +160,10 @@ def test_restricted_sum_derivatives_match_finite_differences(seed, r, s):
     normals = rng.standard_normal((4, r))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     value, grad, hess = restricted_sum_derivatives(mats, normals)
-    assert np.allclose(value, restricted_sum(mats, normals), rtol=0.0, atol=1e-12)
+    # the stacked forms against the projector expansion in B and B^T
+    expanded = expanded_restricted_sum(mats, normals)
+    assert np.allclose(value, expanded, rtol=0.0, atol=1e-12)
+    assert np.allclose(restricted_sum(mats, normals), expanded, rtol=0.0, atol=1e-12)
     h = 1e-6
     steps = h * np.eye(r)
     shifted = normals[:, None, :]
@@ -181,6 +185,51 @@ def test_restricted_sum_derivatives_match_finite_differences(seed, r, s):
     assert np.allclose(b_value, [value, 4.0 * value], rtol=1e-12, atol=1e-12)
     assert np.allclose(b_grad, [grad, 4.0 * grad], rtol=1e-12, atol=1e-12 * scale)
     assert np.allclose(b_hess, [hess, 4.0 * hess], rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_derivatives_of_a_row_do_not_depend_on_its_batch():
+    # Each row's value, gradient and Hessian equals, bit for bit, that of
+    # every sub-batch holding it, single rows included, so that the rows of
+    # one solver batch cannot see one another.
+    rng = np.random.default_rng(41)
+    for r, s in itertools.product(range(3, 7), range(1, 5)):
+        for coeffs in (sym_coeffs(rng, s, r), antisym_coeffs(rng, s, r)):
+            normals = rng.standard_normal((12, r))
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            whole = restricted_sum_derivatives(coeffs.coeffs, normals)
+            subs = [[i] for i in range(12)] + [[0, 1], list(range(3, 12))]
+            subs.append(np.sort(rng.choice(12, size=5, replace=False)))
+            for sub in subs:
+                part = restricted_sum_derivatives(coeffs.coeffs, normals[sub])
+                for together, alone in zip(whole, part, strict=True):
+                    assert np.array_equal(together[sub], alone), (r, s, coeffs.role, sub)
+
+
+def test_each_coefficient_set_builds_one_stack(monkeypatch):
+    # A certified delta_casorati, with its grid pass and solver, and the
+    # equality diagnosis share one FormStack per set; the fuzz builds one per
+    # (r, s) group. None is rebuilt per grid slice or solver iteration.
+    built = []
+    real = measures.form_stack
+
+    def counting(mats):
+        if not isinstance(mats, measures.FormStack):
+            built.append(np.shape(mats))
+        return real(mats)
+
+    monkeypatch.setattr(measures, "form_stack", counting)
+    monkeypatch.setattr(verify, "form_stack", counting)
+    rng = np.random.default_rng(9)
+    for coeffs in (sym_coeffs(rng, 3, 5), sym_coeffs(rng, 1, 4, ROLE_T), antisym_coeffs(rng, 2, 6)):
+        built.clear()
+        delta_casorati(coeffs, certify=True)
+        diagnose_equality(coeffs)
+        assert built == [coeffs.coeffs.shape]
+    built.clear()
+    verify.verify_synthetic("map-general", 1024, seed=3)
+    draw = np.random.default_rng(3)
+    r_arr, s_arr = draw.integers(3, 7, size=1024), draw.integers(1, 5, size=1024)
+    assert sorted((shape[2], shape[1]) for shape in built) == sorted(set(zip(r_arr, s_arr)))
 
 
 def test_newton_solver_matches_the_gradient_oracle():
@@ -341,10 +390,9 @@ def test_grid_is_the_row_major_draw_stored_column_major(monkeypatch, r):
     part = dirs[5:9].T
     assert np.shares_memory(part, dirs.base) and part.strides == (8 * len(drawn), 8)
     rng = np.random.default_rng(r)
-    for mats, antisymmetric in ((sym_coeffs(rng, 3, r).coeffs, False),
-                                (antisym_coeffs(rng, 2, r).coeffs, True)):
-        view = measures._grid_values(mats, antisymmetric, dirs)
-        assert np.array_equal(view, measures._grid_values(mats, antisymmetric, drawn))
+    for mats in (sym_coeffs(rng, 3, r).coeffs, antisym_coeffs(rng, 2, r).coeffs):
+        view = measures._grid_values(mats, dirs)
+        assert np.array_equal(view, measures._grid_values(mats, drawn))
 
 
 def test_grid_values_match_the_sliced_restricted_sum(monkeypatch):
@@ -361,7 +409,7 @@ def test_grid_values_match_the_sliced_restricted_sum(monkeypatch):
             basis = np.linalg.qr(rng.standard_normal((r, r)))[0]
             sets.append(make_equality_shape(ROLE_T, [0.7, -1.3], r, basis))
         for coeffs in sets:
-            fast = measures._grid_values(coeffs.coeffs, coeffs.role == ROLE_A, dirs)
+            fast = measures._grid_values(coeffs.coeffs, dirs)
             slow = sliced_grid_values(coeffs.coeffs, dirs)
             assert np.all(np.abs(fast - slow) <= 1e-13 * (1.0 + np.abs(slow))), (r, coeffs.role)
 
