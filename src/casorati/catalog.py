@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -258,30 +259,20 @@ def stereographic_embedding(radius: float = 1.0) -> callable:
     return lambda y: _stereo_to_sphere(y, radius)
 
 
-def hopf_quaternionic() -> callable:
-    """S^7(1) -> S^4(1/2) in stereographic coordinates on both sides."""
+def hopf(n: int) -> callable:
+    """S^(2n-1)(1) -> S^n(1/2) in stereographic coordinates on both sides, n = 2 or 4.
+
+    x = (q1, q2) maps to (q1 conj(q2), (|q1|^2 - |q2|^2)/2), with q1, q2
+    quaternions for n = 4 and complex numbers, the quaternions with zero j
+    and k parts, for n = 2.
+    """
+    pad = np.zeros(4 - n)
 
     def func(y: np.ndarray) -> np.ndarray:
         x = _stereo_to_sphere(y, 1.0)
-        q1, q2 = x[:4], x[4:]
-        prod = _quaternion_product(q1, _quaternion_conjugate(q2))
-        s1 = np.sum(q1 * q1)
-        s2 = np.sum(q2 * q2)
-        h = np.concatenate([prod, np.atleast_1d(0.5 * (s1 - s2))])
-        return _sphere_to_stereo(h, 0.5)
-
-    return func
-
-
-def hopf_complex() -> callable:
-    """S^3(1) -> S^2(1/2) in stereographic coordinates on both sides."""
-
-    def func(y: np.ndarray) -> np.ndarray:
-        x = _stereo_to_sphere(y, 1.0)
-        a, b, c, d = x
-        s1 = a * a + b * b
-        s2 = c * c + d * d
-        h = np.stack([a * c + b * d, b * c - a * d, 0.5 * (s1 - s2)])
+        q1, q2 = np.concatenate([x[:n], pad]), np.concatenate([x[n:], pad])
+        prod = _quaternion_product(q1, _quaternion_conjugate(q2))[:n]
+        h = np.concatenate([prod, np.atleast_1d(0.5 * (np.sum(q1 * q1) - np.sum(q2 * q2)))])
         return _sphere_to_stereo(h, 0.5)
 
     return func
@@ -385,8 +376,8 @@ _MAP_BUILDERS = {
     "zero-padding": zero_padding,
     "identity": identity_map,
     "stereographic-embedding": stereographic_embedding,
-    "hopf-quaternionic": hopf_quaternionic,
-    "hopf-complex": hopf_complex,
+    "hopf-quaternionic": partial(hopf, 4),
+    "hopf-complex": partial(hopf, 2),
 }
 
 # Each structure builder gets the dimension of the space-form side's chart.

@@ -31,24 +31,19 @@ SIDE_KEYS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the counts: a usage error (exit 2) unless an integer >= 1."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(low: int, what: str):
+    """argparse type of the counts and seeds: a usage error (exit 2) unless an
+    integer >= low, which the message calls a ``what`` integer."""
 
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
 
-def _non_negative_int(text: str) -> int:
-    """argparse type of the seeds: a usage error (exit 2) unless an integer >= 0."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return parse
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -330,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--geometry-file", default=None, help="JSON geometry description")
     p_inv.add_argument("--point", default=None, help="comma-separated source coordinates")
     p_inv.add_argument(
-        "--seed", type=_non_negative_int, default=0,
+        "--seed", type=_int_at_least(0, "non-negative"), default=0,
         help="random seed; the certification grid uses seed + 1 (default 0)",
     )
     add_common(p_inv)
@@ -343,14 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--geometry-file", default=None, help="JSON geometry description")
     p_ver.add_argument(
-        "--trials", type=_positive_int, default=1000, help="synthetic trials per theorem"
+        "--trials", type=_int_at_least(1, "positive"), default=1000,
+        help="synthetic trials per theorem",
     )
     p_ver.add_argument("--point", default=None, help="comma-separated source coordinates")
     p_ver.add_argument(
-        "--samples", type=_positive_int, default=None, help="number of sample points"
+        "--samples", type=_int_at_least(1, "positive"), default=None,
+        help="number of sample points",
     )
     p_ver.add_argument(
-        "--seed", type=_non_negative_int, default=0,
+        "--seed", type=_int_at_least(0, "non-negative"), default=0,
         help="random seed; the certification grid uses seed + 1 (default 0)",
     )
     p_ver.add_argument("--tolerance", type=float, default=None, help="residual tolerance override")

@@ -588,19 +588,19 @@ def grid_extrema(
     return (float(f_min), n_min, float(f_max), n_max, *solved)
 
 
-def diagnose_equality(coeffs: FormCoefficients, tol: float = EQUALITY_TOL) -> EqualityDiagnosis:
+def diagnose_equality(coeffs: FormCoefficients) -> EqualityDiagnosis:
     """Search a shared orthonormal basis realizing the equality shape.
 
     Equality shape: all off-diagonals vanish and every diagonal reads
-    (a, ..., a, 2a) with a shared distinguished axis. For the antisymmetric
-    role the shape forces the tensor to vanish identically, so the diagnosis
-    reduces to max |coeffs| <= tol.
+    (a, ..., a, 2a) with a shared distinguished axis, within EQUALITY_TOL
+    relative. For the antisymmetric role the shape forces the tensor to
+    vanish identically, so the diagnosis reduces to max |coeffs| within it.
     """
     r = coeffs.r
     if r < 3:
         raise DimensionMismatch("equality diagnosis needs r >= 3")
     maxabs = float(np.abs(coeffs.coeffs).max()) if coeffs.coeffs.size else 0.0
-    scaled_tol = tol * (1.0 + maxabs)
+    scaled_tol = EQUALITY_TOL * (1.0 + maxabs)
 
     if coeffs.role == ROLE_A:
         return EqualityDiagnosis(

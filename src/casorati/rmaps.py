@@ -127,6 +127,7 @@ class ScalarCurvaturePair:
 class MapAtPoint:
     """Frames and derivative data of a map at a single source point.
 
+    ``image`` is F(point), the one evaluation of the map at the point.
     Derived geometry that several consumers read is computed on first use and
     cached on the instance. ``map_at_point`` is the constructor that checks
     the horizontal isometry.
@@ -134,6 +135,7 @@ class MapAtPoint:
 
     smooth_map: SmoothMap
     point: np.ndarray
+    image: np.ndarray
     derivative: np.ndarray
     source_inner: InnerProduct
     target_inner: InnerProduct
@@ -206,7 +208,7 @@ class MapAtPoint:
     @cached_property
     def target_curvature(self) -> CurvatureTensor:
         """Refined Riemann tensor of the target chart at the image point."""
-        return riemann_at(self.smooth_map.target, self.smooth_map(self.point))
+        return riemann_at(self.smooth_map.target, self.image)
 
     @cached_property
     def nabla_fstar(self) -> np.ndarray:
@@ -220,7 +222,7 @@ class MapAtPoint:
         j = self.derivative
         nabla = (
             sm.component_hessians(self.point)
-            + np.einsum("cab,ak,bl->ckl", christoffel(sm.target, sm(self.point)), j, j)
+            + np.einsum("cab,ak,bl->ckl", christoffel(sm.target, self.image), j, j)
             - np.einsum("mkl,cm->ckl", christoffel(sm.source, self.point), j)
         )
         e = self.horizontal_frame.vectors
@@ -284,6 +286,7 @@ def map_at_point(sm: SmoothMap, p: np.ndarray, declared_rank: int | None = None)
     return MapAtPoint(
         smooth_map=sm,
         point=p,
+        image=q,
         derivative=j,
         source_inner=inner1,
         target_inner=inner2,
@@ -384,10 +387,11 @@ def gauss_submersion_horizontal(mp: MapAtPoint, a: FormCoefficients) -> ScalarCu
 
     left is the target curvature over the range frame, measured on the target
     chart; O'Neill's relation adds 3|A_X Y|^2 to every horizontal sectional
-    curvature, so left = right + 3||A||^2 (B vanishes on a submersion) is the
-    horizontal identity above, gated at 1e-5 relative.
+    curvature, so left = right + 3||A||^2 is the horizontal identity above,
+    gated at 1e-5 relative. A submersion has no range-perp normals, so its B
+    is the empty form and is not computed.
     """
-    right, left, residual = _horizontal_identity(
-        mp, second_fundamental_form(mp), a.norm_squared(), "horizontal"
-    )
+    mp.require_submersion("the horizontal Gauss identity")
+    no_normals = FormCoefficients(ROLE_B, np.zeros((0, mp.rank, mp.rank)))
+    right, left, residual = _horizontal_identity(mp, no_normals, a.norm_squared(), "horizontal")
     return ScalarCurvaturePair(left, right, mp.rank, residual=residual)

@@ -136,8 +136,9 @@ class XiPosition:
         return self.position == "tangent"
 
 
-def xi_position(xi: np.ndarray, frame: Frame, tol: float = XI_POSITION_TOL) -> XiPosition:
-    """Classify the Reeb field as tangent or normal to the frame's span.
+def xi_position(xi: np.ndarray, frame: Frame) -> XiPosition:
+    """Classify the Reeb field as tangent or normal to the frame's span,
+    within XI_POSITION_TOL relative.
 
     Raises BranchUndetermined for oblique positions: the inequalities only
     cover the two clean branches.
@@ -148,9 +149,9 @@ def xi_position(xi: np.ndarray, frame: Frame, tol: float = XI_POSITION_TOL) -> X
     scale = 1.0 + inner.norm(xi)
     tangent_defect = inner.norm(xi - proj)
     normal_defect = inner.norm(proj)
-    if tangent_defect <= tol * scale:
+    if tangent_defect <= XI_POSITION_TOL * scale:
         return XiPosition("tangent", float(tangent_defect))
-    if normal_defect <= tol * scale:
+    if normal_defect <= XI_POSITION_TOL * scale:
         return XiPosition("normal", float(normal_defect))
     raise BranchUndetermined(
         f"Reeb field is oblique: tangent defect {tangent_defect:.3e}, "
@@ -174,9 +175,8 @@ class InvarianceClass:
     pnorm2: float
 
 
-def classify_invariance(
-    frame: Frame, op: StructureOperator, tol: float = INVARIANCE_TOL
-) -> InvarianceClass:
+def classify_invariance(frame: Frame, op: StructureOperator) -> InvarianceClass:
+    """The structure class of the frame's span under ``op``, within INVARIANCE_TOL relative."""
     inner = frame.inner
     leakage = 0.0
     retention = 0.0
@@ -188,10 +188,10 @@ def classify_invariance(
         leakage = max(leakage, float(inner.norm(image - proj)))
         retention = max(retention, float(inner.norm(proj)))
     pnorm2 = structure_norm_squared(frame, op)
-    if retention <= tol * scale:
+    if retention <= INVARIANCE_TOL * scale:
         # Includes the trivial operator, whose images vanish identically.
         return InvarianceClass("anti-invariant", leakage, retention, pnorm2)
-    if leakage <= tol * scale:
+    if leakage <= INVARIANCE_TOL * scale:
         return InvarianceClass("invariant", leakage, retention, pnorm2)
     return InvarianceClass("generic", leakage, retention, pnorm2)
 
@@ -360,7 +360,7 @@ class PointEvaluation:
     @cached_property
     def spec(self) -> SpaceFormSpec:
         entry = self.entry
-        side_point = self.point if entry.spaceform_side == "source" else entry.smooth_map(self.point)
+        side_point = self.point if entry.spaceform_side == "source" else self.map.image
         return entry.space_form_spec(side_point)
 
     def invariance(self, side: str) -> InvarianceClass:

@@ -459,6 +459,45 @@ def validate_against_chart(
 
 
 # --------------------------------------------------------------------------
+# Hopf fibrations, each written out on its own
+# --------------------------------------------------------------------------
+
+
+def _stereo_to_unit_sphere(y: np.ndarray) -> np.ndarray:
+    s = np.sum(y * y)
+    return np.concatenate([2.0 * y, np.atleast_1d(s - 1.0)]) / (1.0 + s)
+
+
+def _stereo_of_half_sphere(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x[:-1] / (0.5 - x[-1])
+
+
+def hopf_complex(y: np.ndarray) -> np.ndarray:
+    """S^3(1) -> S^2(1/2): (a, b, c, d) -> (ac + bd, bc - ad, (a^2 + b^2 - c^2 - d^2)/2)."""
+    a, b, c, d = _stereo_to_unit_sphere(y)
+    h = np.stack([a * c + b * d, b * c - a * d, 0.5 * ((a * a + b * b) - (c * c + d * d))])
+    return _stereo_of_half_sphere(h)
+
+
+def hopf_quaternionic(y: np.ndarray) -> np.ndarray:
+    """S^7(1) -> S^4(1/2): (q1, q2) -> (q1 conj(q2), (|q1|^2 - |q2|^2)/2), the product expanded."""
+    x = _stereo_to_unit_sphere(y)
+    a0, a1, a2, a3 = x[:4]
+    b0, b1, b2, b3 = x[4], -x[5], -x[6], -x[7]  # conj(q2)
+    prod = np.stack(
+        [
+            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+        ]
+    )
+    s1, s2 = np.sum(x[:4] * x[:4]), np.sum(x[4:] * x[4:])
+    h = np.concatenate([prod, np.atleast_1d(0.5 * (s1 - s2))])
+    return _stereo_of_half_sphere(h)
+
+
+# --------------------------------------------------------------------------
 # O'Neill tensors T and A from the vertical projector field
 # --------------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 
 from casorati import catalog
 from casorati.errors import DegenerateInput, OutOfDomain
+from casorati.rmaps import COMPLEX_STEP
 from casorati.rmaps import (
     gauss_map_scalars,
     gauss_submersion_horizontal,
@@ -13,7 +14,7 @@ from casorati.rmaps import (
     oneill_T,
     second_fundamental_form,
 )
-from reference import validate_against_chart
+from reference import hopf_complex, hopf_quaternionic, validate_against_chart
 
 EXPECTED_IDS = {
     "euclidean-projection-5-2",
@@ -90,6 +91,24 @@ def test_reference_values_reproduced():
     refs = catalog.get("complex-hopf-S3-S2").reference_values
     mp = catalog.get("complex-hopf-S3-S2").instantiate()
     assert oneill_A(mp).norm_squared() == pytest.approx(refs["A_norm_sq"], abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "entry_id,n,oracle",
+    [("complex-hopf-S3-S2", 2, hopf_complex), ("quaternionic-hopf-S7-S4", 4, hopf_quaternionic)],
+)
+def test_hopf_matches_its_written_out_formula_bit_for_bit(entry_id, n, oracle):
+    # At random points of the chart box, on real input and on every
+    # complex-step input that the Jacobian feeds the map.
+    entry = catalog.get(entry_id)
+    box = entry.source_chart.domain_box
+    points = np.random.default_rng(n).uniform(box[:, 0], box[:, 1], size=(500, len(box)))
+    steps = 1j * COMPLEX_STEP * np.eye(len(box))
+    for func in (catalog.hopf(n), entry.smooth_map.func):
+        for p in points:
+            for x in [p, *(p + step for step in steps)]:
+                got, want = func(x), oracle(x)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_out_of_domain_point_rejected():

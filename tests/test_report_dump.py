@@ -2,6 +2,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
+from casorati import ROLE_B, FormCoefficients, delta_casorati
+
 SPEC = importlib.util.spec_from_file_location(
     "report_dump", Path(__file__).resolve().parent.parent / "tools" / "report_dump.py"
 )
@@ -38,3 +42,15 @@ def test_compare_reports_numbers_and_fails_on_other_changes(tmp_path, capsys):
         assert report_dump.compare(before, _dump(tmp_path / "bad.jsonl", [changed, _line()])) == 1
         assert "1 other changes" in capsys.readouterr().out
     assert report_dump.compare(before, _dump(tmp_path / "short.jsonl", [_line()])) == 1
+
+
+def test_certify_lines_hold_the_certified_reports_of_the_workload_sets():
+    lines = report_dump.certify_lines(seeds=(0,), rounds=1)
+    assert len(lines) == 36
+    assert len({" ".join(line["argv"]) for line in lines}) == 36
+    # The first set of a round is drawn first: role B, r = 3, s = 1.
+    assert lines[0]["argv"] == ["delta_casorati", ROLE_B, "r=3", "s=1", "seed=0", "round=0"]
+    coeffs = report_dump.workloads.random_coefficients(np.random.default_rng(0), ROLE_B, 3, 1)
+    want = delta_casorati(FormCoefficients(ROLE_B, coeffs), certify=True).to_json()
+    assert lines[0]["report"] == json.loads(json.dumps(want))
+    assert all(line["exit"] is None and line["report"]["optimizer"]["certified"] for line in lines)

@@ -60,6 +60,9 @@ def test_oneill_tensors_require_a_submersion():
         oneill_T(mp)
     with pytest.raises(HypothesisViolated):
         oneill_A(mp)
+    # The horizontal identity reads B as empty, which only a submersion's is.
+    with pytest.raises(HypothesisViolated):
+        gauss_submersion_horizontal(mp, FormCoefficients(ROLE_A, np.zeros((0, 3, 3))))
 
 
 def test_warped_product_T_is_minus_identity():

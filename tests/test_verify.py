@@ -320,6 +320,48 @@ def test_verify_all_computes_each_point_once(monkeypatch, capsys):
     assert sum(counts.values()) == 2 + 2 + 2 + 2 + 4
 
 
+def test_each_point_reads_the_map_once_and_builds_B_only_for_maps(monkeypatch, capsys):
+    # invariants on every entry and verify on every tagged one, one point per
+    # run: F is evaluated once per point (its Jacobians evaluate the function
+    # itself, not the map), and B is built once per point of a map entry and
+    # never at a point of a submersion, whose range-perp frame is empty.
+    evaluated, built = [], []
+    call = rmaps.SmoothMap.__call__
+    build_b = rmaps.second_fundamental_form
+
+    def counting_call(sm, p):
+        evaluated.append((sm.name, tuple(p)))
+        return call(sm, p)
+
+    def counting_b(mp):
+        built.append((mp.smooth_map.name, tuple(mp.point)))
+        return build_b(mp)
+
+    monkeypatch.setattr(rmaps.SmoothMap, "__call__", counting_call)
+    for module in (rmaps, verify):
+        monkeypatch.setattr(module, "second_fundamental_form", counting_b)
+
+    runs = [["invariants", "--geometry", e.id] for e in catalog.list_entries()]
+    runs += [
+        ["verify", "--theorem", "all", "--geometry", e.id, "--samples", "1"]
+        for e in catalog.list_entries() if e.hypothesis_tags
+    ]
+    assert len(runs) == 9 + 7
+    map_points = []
+    for argv in runs:
+        evaluated.clear()
+        assert main([*argv, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        points = report["reports"] if "reports" in report else [report]
+        point = tuple(points[0]["point"])
+        assert {tuple(r["point"]) for r in points} == {point}
+        assert evaluated == [(argv[argv.index("--geometry") + 1], point)], argv
+        if catalog.get(argv[argv.index("--geometry") + 1]).kind == catalog.KIND_MAP:
+            map_points.append(evaluated[0])
+    assert len(map_points) == 3 + 2
+    assert sorted(built) == sorted(map_points)
+
+
 def test_verify_geometry_draws_each_grid_once(monkeypatch):
     # Three points certify the r = 3 fibres (T) and the r = 4 horizontal
     # spaces (A), all at grid seed 8: one draw per r, not one per point.

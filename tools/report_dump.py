@@ -1,9 +1,9 @@
-"""Dump the JSON reports of a fixed set of CLI runs, one canonical line per run.
+"""Dump the JSON reports of a fixed set of runs, one canonical line per run.
 
-Each argv goes through ``casorati.cli.main`` in this process, against the
-package in this checkout's ``src/``. A line holds the argv, the exit code and
-the parsed report (``null`` when the run printed none), serialised with
-sorted keys, so two dumps compare with ``diff`` or ``cmp``:
+Each CLI argv goes through ``casorati.cli.main`` in this process, against
+the package in this checkout's ``src/``. A line holds the argv, the exit
+code and the parsed report (``null`` when the run printed none), serialised
+with sorted keys, so two dumps compare with ``diff`` or ``cmp``:
 
     python tools/report_dump.py --output before.jsonl   # in one checkout
     python tools/report_dump.py --output after.jsonl    # in another
@@ -13,6 +13,13 @@ sorted keys, so two dumps compare with ``diff`` or ``cmp``:
 The runs are ``verify --theorem all`` on every tagged catalog entry at
 SEEDS with SAMPLES points, ``invariants`` on every entry at its base point,
 and synthetic ``verify --theorem all --trials`` SYNTHETIC_TRIALS at SEEDS.
+After them come the certified extrema of the benchmark's ``certify``
+workload: one line per coefficient set of the first CERTIFY_ROUNDS rounds of
+``perfbench/workloads.py``'s ``certify_rounds(seed)`` for each seed in
+CERTIFY_SEEDS (36 sets a round, 1,440 lines). Such a line's argv is the
+request's label with its seed and round, its exit code is ``null`` (no CLI
+run), and its report is ``delta_casorati(FormCoefficients(role, c),
+certify=True).to_json()``.
 
 ``--compare`` reads two dumps line by line. It prints, for each numeric
 field (list indices folded), the largest relative and absolute change and
@@ -32,14 +39,19 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "perfbench"))
 
 import casorati  # noqa: E402
 import casorati.cli  # noqa: E402
+import workloads  # noqa: E402
 
 SEEDS = (0, 1, 2)
 SAMPLES = 2
 SYNTHETIC_TRIALS = 1024
+CERTIFY_SEEDS = (0, 1)
+CERTIFY_ROUNDS = 20
 
 
 def argv_list() -> list[list[str]]:
@@ -62,6 +74,18 @@ def run(argv: list[str]) -> dict:
         code = casorati.cli.main([*argv, "--json"])
     text = out.getvalue()
     return {"argv": argv, "exit": code, "report": json.loads(text) if text else None}
+
+
+def certify_lines(seeds=CERTIFY_SEEDS, rounds: int = CERTIFY_ROUNDS) -> list[dict]:
+    """One line per set of the first ``rounds`` rounds of ``certify_rounds(seed)``."""
+    lines = []
+    for seed in seeds:
+        for k, requests in enumerate(workloads.certify_rounds(seed)[:rounds]):
+            for request in requests:
+                _, payload = request.call()
+                argv = [*request.label.split(), f"seed={seed}", f"round={k}"]
+                lines.append({"argv": argv, "exit": None, "report": json.loads(payload)})
+    return lines
 
 
 # Integer fields that measure cost rather than state a result.
@@ -134,7 +158,10 @@ def main() -> int:
     args = parser.parse_args()
     if args.compare:
         return compare(*args.compare)
-    lines = [json.dumps(run(argv), sort_keys=True, separators=(",", ":")) for argv in argv_list()]
+    lines = [
+        json.dumps(line, sort_keys=True, separators=(",", ":"))
+        for line in [*map(run, argv_list()), *certify_lines()]
+    ]
     payload = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(payload)
