@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--point", default=None, help="comma-separated source coordinates")
     p_inv.add_argument(
         "--seed", type=_int_at_least(0, "non-negative"), default=0,
-        help="random seed; the certification grid uses seed + 1 (default 0)",
+        help="random seed (default 0)",
     )
     add_common(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "--seed", type=_int_at_least(0, "non-negative"), default=0,
-        help="random seed; the certification grid uses seed + 1 (default 0)",
+        help="random seed (default 0)",
     )
     p_ver.add_argument("--tolerance", type=float, default=None, help="residual tolerance override")
     add_common(p_ver)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndefiniteRestriction, ProvisoViolated
+from .errors import DegenerateInput, IndefiniteRestriction, ProvisoViolated
+from .framecore import MAX_CHART_DIM
 
 PROVISO_TOL = 1e-12
 ZR_CONSISTENCY_TOL = 1e-10
@@ -32,6 +33,8 @@ class ExtremumProblem:
     k: float
 
     def __post_init__(self) -> None:
+        if self.r > MAX_CHART_DIM or not np.isfinite([self.lambda1, self.lambda2, self.k]).all():
+            raise DegenerateInput(f"need r <= {MAX_CHART_DIM} and finite lambda1, lambda2, k")
         if self.r < 3:
             raise ProvisoViolated(f"need r >= 3, got {self.r}")
         if self.lambda1 <= 0 or self.lambda2 <= 0:

@@ -39,6 +39,7 @@ SCAN_PER_DIM = 256
 EQUALITY_TOL = 1e-7
 CERTIFY_REL_TOL = 1e-4
 GRID_PER_DIM = 10_000
+GRID_SEED = 1  # the one seed of every certification grid
 GRID_SLICE_DOUBLES = 65_536  # most doubles in one slice's product in the grid pass
 POLISH_LEADERS = 8
 # Sphere solver: longest tangent step, least |curvature| (relative to the
@@ -467,12 +468,12 @@ def delta_casorati(
     if closed is not None:
         (n_inf, n_sup), starts, iterations = closed, 0, 0
         if certify:
-            grid = grid_extrema(coeffs, seed=seed + 1)
+            grid = grid_extrema(coeffs)
     else:
         start_dirs = _optimizer_starts(stack, r, np.random.default_rng(seed))
         starts = len(start_dirs)
         if certify:  # the starts ride in the grid polish's solver call, as a group of their own
-            *grid, solved = grid_extrema(coeffs, seed=seed + 1, starts=start_dirs)
+            *grid, solved = grid_extrema(coeffs, starts=start_dirs)
             n_inf, n_sup, iterations = solved
         else:
             ((n_inf, n_sup, iterations),) = _sphere_extrema(stack, (start_dirs, start_dirs))
@@ -510,35 +511,30 @@ def delta_casorati(
     )
 
 
-# r -> (seed, directions): the grid of the last seed used at each r.
-_GRIDS: dict[int, tuple[int, np.ndarray]] = {}
+_GRIDS: dict[int, np.ndarray] = {}
 
 
-def _grid_directions(seed: int, r: int) -> np.ndarray:
-    """The read-only unit grid directions of (seed, r), drawn on first use.
+def _grid_directions(r: int) -> np.ndarray:
+    """The read-only unit grid directions of r, drawn from GRID_SEED on first use.
 
     The draw is row by row, (GRID_PER_DIM * r + r, r); it is stored as its
     C-contiguous (r, GRID_PER_DIM * r + r) transpose, and the (N, r) view of
     that is returned. A slice of consecutive directions is then r contiguous
     runs, which reach the matrix product of ``_grid_values`` as one BLAS
-    operand with no copy. Each r keeps the grid of its last seed, GRID_PER_DIM
-    * r * r doubles, and frees it before drawing the grid of another seed.
-    Nothing frees the slot of an r, so the cache holds the sum of 80,000 *
-    r**2 bytes over every r certified in the process (about 6.9 MB for
-    r = 3..6).
+    operand with no copy. The grid ignores the caller's seed; at seed GRID_SEED
+    the optimizer's starts share its stream, which weakens no check: the grid's
+    optimum comes from its own leader rows only, and ``certified`` fails
+    whenever it and the optimizer differ by more than CERTIFY_REL_TOL.
     """
-    kept = _GRIDS.get(r)
-    if kept is not None and kept[0] == seed:
-        return kept[1]
-    _GRIDS.pop(r, None)  # free the old grid before drawing its successor
-    rng = np.random.default_rng(seed)
-    columns = np.empty((r, GRID_PER_DIM * r + r))
-    dirs = columns.T
-    dirs[:-r], dirs[-r:] = rng.standard_normal((GRID_PER_DIM * r, r)), np.eye(r)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    columns.setflags(write=False)
-    _GRIDS[r] = (seed, columns.T)  # a view of the read-only columns is read-only too
-    return _GRIDS[r][1]
+    if r not in _GRIDS:
+        rng = np.random.default_rng(GRID_SEED)
+        columns = np.empty((r, GRID_PER_DIM * r + r))
+        dirs = columns.T
+        dirs[:-r], dirs[-r:] = rng.standard_normal((GRID_PER_DIM * r, r)), np.eye(r)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        columns.setflags(write=False)
+        _GRIDS[r] = columns.T  # a view of the read-only columns is read-only too
+    return _GRIDS[r]
 
 
 def _grid_values(mats, dirs: np.ndarray) -> np.ndarray:
@@ -560,13 +556,11 @@ def _grid_values(mats, dirs: np.ndarray) -> np.ndarray:
     return values
 
 
-def grid_extrema(
-    coeffs: FormCoefficients, seed: int = 0, starts: np.ndarray | None = None
-) -> tuple:
+def grid_extrema(coeffs: FormCoefficients, starts: np.ndarray | None = None) -> tuple:
     """Brute-force oracle: (C_L_inf, n_inf, C_L_sup, n_sup) from a sphere grid.
 
     Uniform random directions (GRID_PER_DIM per dimension) plus coordinate
-    axes, drawn once per (seed, r) by ``_grid_directions``. The sphere solver
+    axes, drawn once per r by ``_grid_directions``. The sphere solver
     polishes the POLISH_LEADERS best basin-diverse directions on each side
     (fewer can all sit in wrong basins). ``starts``, the multi-starts of
     ``delta_casorati``, join that one solver call as a group of their own:
@@ -578,7 +572,7 @@ def grid_extrema(
     if r < 2:
         raise DimensionMismatch("the grid oracle needs r >= 2")
     stack = coeffs.stack
-    dirs = _grid_directions(seed, r)
+    dirs = _grid_directions(r)
 
     total = _grid_values(stack, dirs)
     leaders = tuple(_diverse_leaders(dirs, v, POLISH_LEADERS) for v in (total, -total))

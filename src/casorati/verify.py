@@ -420,8 +420,10 @@ def verify_geometry(
     integer (that many interior samples), or explicit points. Reports come
     theorem by theorem, each over all points, and every point is evaluated once
     for all theorems. Raises HypothesisViolated naming the first failing
-    precondition.
+    precondition, and DegenerateInput unless ``tolerance`` is finite and >= 0.
     """
+    if not 0.0 <= tolerance < np.inf:
+        raise DegenerateInput(f"tolerance must be finite and >= 0, got {tolerance}")
     infos = [theorem_info(t) for t in ([theorem] if isinstance(theorem, str) else theorem)]
     entry = _catalog.get(geometry) if isinstance(geometry, str) else geometry
     evaluations = None

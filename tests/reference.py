@@ -232,10 +232,10 @@ def gradient_sphere_extrema(
     return n_min, n_max, int(iters.sum())
 
 
-def row_major_grid(seed: int, r: int) -> np.ndarray:
+def row_major_grid(r: int) -> np.ndarray:
     """The grid of ``measures._grid_directions`` as drawn, row by row, before
     it is stored column-major."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(measures.GRID_SEED)
     dirs = np.vstack([rng.standard_normal((GRID_PER_DIM * r, r)), np.eye(r)])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return dirs
@@ -297,8 +297,8 @@ def separate_grid_extrema(coeffs: FormCoefficients, grid: np.ndarray):
 
 def two_solve_report(coeffs: FormCoefficients, seed: int, grid: np.ndarray) -> CasoratiReport:
     """``delta_casorati(coeffs, seed, certify=True)`` by two solver calls: the
-    optimizer's starts alone, then ``separate_grid_extrema`` on ``grid``, the
-    row-major grid of seed + 1."""
+    optimizer's starts alone, then ``separate_grid_extrema`` on ``grid``, which
+    is ``row_major_grid(r)``."""
     mats, r = coeffs.coeffs, coeffs.r
     closed = closed_form_normals(mats, coeffs.role == ROLE_A)
     if closed is None:

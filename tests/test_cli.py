@@ -5,6 +5,7 @@ import pytest
 
 from casorati import catalog, cli, errors
 from casorati.cli import main
+from casorati.framecore import MAX_CHART_DIM
 from casorati.verify import THEOREM_IDS
 
 GEO_DESC = {
@@ -120,6 +121,23 @@ def test_exit_code_proviso(capsys):
     code, _, err = run(capsys, "extremum", "--r", "3", "--lambda1", "0.5", "--k", "1")
     assert code == 6
     assert "proviso" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--r", "3", "--lambda1", "3", "--k", "nan"],
+        ["--r", "3", "--lambda1", "3", "--k", "inf"],
+        ["--r", "3", "--lambda1", "nan", "--k", "1"],
+        ["--r", "3", "--lambda1", "inf", "--k", "1"],
+        ["--r", str(MAX_CHART_DIM + 1), "--lambda1", str(MAX_CHART_DIM + 8), "--k", "1"],
+    ],
+    ids=["k-nan", "k-inf", "lambda1-nan", "lambda1-inf", "r-above-cap"],
+)
+def test_extremum_bad_input_exits_2(capsys, flags):
+    code, out, err = run(capsys, "extremum", *flags)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_extremum_known_case(capsys):
@@ -413,6 +431,20 @@ def test_synthetic_verify_rejects_geometry_flags(capsys, flags, named):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"synthetic verify does not read {named}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "value,code", [("nan", 2), ("inf", 2), ("-inf", 2), ("-1", 2), ("0", 0)]
+)
+def test_verify_tolerance_must_be_finite_and_non_negative(capsys, value, code):
+    # The residual is +0.167: a NaN or negative tolerance used to report a
+    # counterexample (exit 1), and an infinite one to pass every report.
+    got, _, err = run(
+        capsys, "verify", "--theorem", "map-general", "--geometry", "sphere-immersion-S3",
+        f"--tolerance={value}",
+    )
+    assert got == code
+    assert ("tolerance must be finite and >= 0" in err) == bool(code)
 
 
 HEISENBERG_FIBRE = {

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casorati.errors import ProvisoViolated
+from casorati.errors import DegenerateInput, ProvisoViolated
 from casorati.extremum import ExtremumProblem, solve_closed_form, solve_oracle
+from casorati.framecore import MAX_CHART_DIM
 
 AGREE_TOL = 1e-8
 VALUE_TOL = 1e-9
@@ -30,6 +31,17 @@ def test_proviso_violation_raises():
         ExtremumProblem.from_lambda1(3, 1.0, 2.0)
     with pytest.raises(ProvisoViolated):
         ExtremumProblem.from_lambda1(5, 3.0, 1.0)  # lambda1 == r - 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(3, np.nan, 1.0, 1.0), (3, 2.0, np.inf, 1.0), (3, 2.0, 1.0, -np.inf),
+     (MAX_CHART_DIM + 1, 40.0, 1.0, 1.0)],
+    ids=["lambda1-nan", "lambda2-inf", "k-minus-inf", "r-above-cap"],
+)
+def test_problem_rejects_non_finite_input_and_r_above_the_cap(args):
+    with pytest.raises(DegenerateInput):
+        ExtremumProblem(*args)
 
 
 def test_oracle_matches_closed_form_on_frozen_case():

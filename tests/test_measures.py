@@ -145,7 +145,7 @@ def test_optimizer_matches_grid_oracle(seed, r, s, role):
     rng = np.random.default_rng(seed)
     coeffs = antisym_coeffs(rng, s, r) if role == ROLE_A else sym_coeffs(rng, s, r, role)
     rep = delta_casorati(coeffs, seed=seed)
-    g_inf, _, g_sup, _ = grid_extrema(coeffs, seed=seed + 1)
+    g_inf, _, g_sup, _ = grid_extrema(coeffs)
     assert abs(rep.C_L_inf - g_inf) <= OPT_VS_GRID_TOL * (1.0 + abs(g_inf))
     assert abs(rep.C_L_sup - g_sup) <= OPT_VS_GRID_TOL * (1.0 + abs(g_sup))
     assert rep.converged
@@ -265,7 +265,7 @@ def test_grid_polish_finds_the_true_sup():
         m[np.triu_indices(6)] = u
         m += np.triu(m, 1).T
     coeffs = FormCoefficients(ROLE_B, mats)
-    _, _, g_sup, _ = grid_extrema(coeffs, seed=1)
+    _, _, g_sup, _ = grid_extrema(coeffs)
     assert g_sup == pytest.approx(5.499025, abs=1e-6)
     assert delta_casorati(coeffs, certify=True).certified
 
@@ -284,7 +284,7 @@ def _so_basis(r):
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
 def test_diverse_leaders_match_the_full_greedy_pass(monkeypatch, r):
     monkeypatch.setattr(measures, "_GRIDS", {})
-    dirs = measures._grid_directions(11, r)
+    dirs = measures._grid_directions(r)
     rng = np.random.default_rng(r)
     total = restricted_sum(sym_coeffs(rng, 2, r).coeffs, dirs)
     ties = restricted_sum(_so_basis(r), dirs)  # constant up to rounding
@@ -311,7 +311,7 @@ def test_diverse_leaders_widen_past_the_first_subset(monkeypatch):
     # At r = 3 the lowest 32 k values of a smooth objective crowd into one
     # basin, so the later picks lie beyond the first partial sort.
     monkeypatch.setattr(measures, "_GRIDS", {})
-    dirs = measures._grid_directions(11, 3)
+    dirs = measures._grid_directions(3)
     values = restricted_sum(sym_coeffs(np.random.default_rng(5), 2, 3).coeffs, dirs)
     k = 8
     picks = measures._diverse_leaders(dirs, values, k)
@@ -339,7 +339,7 @@ def test_diverse_leaders_gather_no_more_than_the_first_subset_when_all_values_ti
     # 32 k rows in index order, not from a gather of all 30,003 rows.
     monkeypatch.setattr(measures, "_GRIDS", {})
     monkeypatch.setattr(_RowGathers, "log", [])
-    dirs = measures._grid_directions(11, 3)
+    dirs = measures._grid_directions(3)
     values = restricted_sum(np.zeros((1, 3, 3)), dirs)
     assert len(dirs) == 30_003 and not values.any()
     k = 8
@@ -355,31 +355,30 @@ def test_certified_report_does_not_depend_on_the_grid_cache(monkeypatch):
     cold = [delta_casorati(c, seed=0, certify=True).to_json() for c in sets]
     warm = [delta_casorati(c, seed=0, certify=True).to_json() for c in sets]
     for c in (sym_coeffs(rng, 2, 4), sym_coeffs(rng, 2, 3), antisym_coeffs(rng, 1, 6)):
-        delta_casorati(c, seed=4, certify=True)  # other (seed, r) grids in between
+        delta_casorati(c, seed=4, certify=True)  # other seeds and r in between
     after = [delta_casorati(c, seed=0, certify=True).to_json() for c in sets]
     assert cold == warm == after
 
 
-def test_grid_directions_are_kept_read_only_one_seed_per_r(monkeypatch):
+def test_grid_directions_are_kept_read_only_one_grid_per_r(monkeypatch):
     monkeypatch.setattr(measures, "_GRIDS", {})
-    dirs = measures._grid_directions(5, 4)
+    dirs = measures._grid_directions(4)
     assert not dirs.flags.writeable and not dirs.base.flags.writeable
     with pytest.raises(ValueError):
         dirs[0, 0] = 1.0
     assert dirs.shape == (measures.GRID_PER_DIM * 4 + 4, 4)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-15)
-    assert measures._grid_directions(5, 4) is dirs
-    measures._grid_directions(6, 4)
-    measures._grid_directions(6, 3)
-    assert sorted((r, seed) for r, (seed, _) in measures._GRIDS.items()) == [(3, 6), (4, 6)]
-    assert np.array_equal(measures._grid_directions(5, 4), dirs)
+    assert measures._grid_directions(4) is dirs
+    other = measures._grid_directions(3)
+    assert measures._grid_directions(4) is dirs and measures._grid_directions(3) is other
+    assert sorted(measures._GRIDS) == [3, 4]
 
 
 @pytest.mark.parametrize("r", [3, 6])
 def test_grid_is_the_row_major_draw_stored_column_major(monkeypatch, r):
     monkeypatch.setattr(measures, "_GRIDS", {})
-    dirs = measures._grid_directions(3, r)
-    drawn = row_major_grid(3, r)
+    dirs = measures._grid_directions(r)
+    drawn = row_major_grid(r)
     assert np.array_equal(dirs, drawn)
     # an (N, r) view of C-contiguous (r, N) memory, which it does not own
     assert dirs.flags.f_contiguous and not dirs.flags.owndata
@@ -401,7 +400,7 @@ def test_grid_values_match_the_sliced_restricted_sum(monkeypatch):
     monkeypatch.setattr(measures, "_GRIDS", {})
     rng = np.random.default_rng(12)
     for r in range(2, 7):
-        dirs = measures._grid_directions(r, r)
+        dirs = measures._grid_directions(r)
         sets = [sym_coeffs(rng, s, r, role) for s in range(1, 5) for role in (ROLE_B, ROLE_T)]
         sets += [antisym_coeffs(rng, s, r) for s in range(1, 5)]
         sets += [FormCoefficients(role, np.zeros((2, r, r))) for role in ROLES]
@@ -498,16 +497,16 @@ def test_one_solver_call_equals_two(monkeypatch):
     # one call; the two-call path of tests/reference.py gives the same JSON.
     monkeypatch.setattr(measures, "_GRIDS", {})
     count = 0
+    grids = {r: row_major_grid(r) for r in range(3, 7)}
     for seed in range(4):
         for r in range(3, 7):
-            grid = row_major_grid(seed + 1, r)
             rng = np.random.default_rng([seed, r])
             for s, (i, role), j in itertools.product((1, 2, 3), enumerate(ROLES), (0, 1)):
                 scale = (0.3, 1.0, 5.0)[(seed + s + i + j) % 3]
                 drawn = antisym_coeffs(rng, s, r) if role == ROLE_A else sym_coeffs(rng, s, r, role)
                 coeffs = FormCoefficients(role, scale * drawn.coeffs)
                 one = delta_casorati(coeffs, seed=seed, certify=True).to_json()
-                assert one == two_solve_report(coeffs, seed, grid).to_json()
+                assert one == two_solve_report(coeffs, seed, grids[r]).to_json()
                 count += 1
     assert count == 288
 

@@ -44,6 +44,23 @@ def test_compare_reports_numbers_and_fails_on_other_changes(tmp_path, capsys):
     assert report_dump.compare(before, _dump(tmp_path / "short.jsonl", [_line()])) == 1
 
 
+def test_compare_counts_flipped_and_moved_normals(tmp_path, capsys):
+    def line(inf_normal, sup_normal):
+        report = {"C_L_inf": 1.0, "inf_normal": inf_normal, "sup_normal": sup_normal}
+        return {"argv": ["delta_casorati"], "exit": None, "report": report}
+
+    before = _dump(tmp_path / "before.jsonl", [line([0.6, -0.8], [1.0, 0.0])] * 3)
+    after = [
+        line([-0.6, 0.8], [1.0, 0.0]),  # inf flipped
+        line([-0.6, 0.8 + 1e-9], [0.0, 1.0]),  # inf moved off the hyperplane, sup moved
+        line([0.6, -0.8], [-1.0, 0.0]),  # sup flipped
+    ]
+    assert report_dump.compare(before, _dump(tmp_path / "after.jsonl", after)) == 0
+    out = capsys.readouterr().out
+    assert "2 normals flipped (same hyperplane), 2 moved" in out
+    assert "0 other changes" in out
+
+
 def test_certify_lines_hold_the_certified_reports_of_the_workload_sets():
     lines = report_dump.certify_lines(seeds=(0,), rounds=1)
     assert len(lines) == 36

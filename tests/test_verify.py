@@ -362,22 +362,45 @@ def test_each_point_reads_the_map_once_and_builds_B_only_for_maps(monkeypatch, c
     assert sorted(built) == sorted(map_points)
 
 
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf, -np.inf, -1.0])
+def test_verify_geometry_rejects_a_tolerance_that_is_not_finite_and_non_negative(tolerance):
+    with pytest.raises(DegenerateInput, match="tolerance"):
+        verify.verify_geometry("map-general", "sphere-immersion-S3", tolerance=tolerance)
+
+
+def _grid_draws(monkeypatch) -> list:
+    """Every grid ``measures._grid_directions`` returns from a fresh cache, in call order."""
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    grids, grid_directions = [], measures._grid_directions
+
+    def recording(*args):
+        grids.append(grid_directions(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(measures, "_grid_directions", recording)
+    return grids
+
+
 def test_verify_geometry_draws_each_grid_once(monkeypatch):
     # Three points certify the r = 3 fibres (T) and the r = 4 horizontal
-    # spaces (A), all at grid seed 8: one draw per r, not one per point.
-    monkeypatch.setattr(measures, "_GRIDS", {})
-    seeds = Counter()
-    default_rng = np.random.default_rng
-
-    def counting(seed=None):
-        seeds[seed] += 1
-        return default_rng(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    # spaces (A): one draw per r, not one per point.
+    grids = _grid_draws(monkeypatch)
     entry = catalog.get("quaternionic-hopf-S7-S4")
     reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=3, seed=7)
     assert all(r.holds for r in reports)
-    assert seeds[8] == 2
+    assert len(grids) == 6 and len({id(g) for g in grids}) == 2
+
+
+def test_verify_geometry_draws_one_grid_per_r_whatever_the_seed(monkeypatch):
+    # The certification grid does not follow the caller's seed: two seeds
+    # (neither of them measures.GRID_SEED) share the r = 3 and r = 4 grids.
+    grids = _grid_draws(monkeypatch)
+    entry = catalog.get("quaternionic-hopf-S7-S4")
+    for seed in (7, 8):
+        reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=1, seed=seed)
+        assert all(r.holds for r in reports)
+    assert len({id(g) for g in grids}) == 2
+    assert sorted({len(g) for g in grids}) == [30_003, 40_004]
 
 
 @pytest.mark.parametrize(

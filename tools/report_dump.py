@@ -26,13 +26,16 @@ field (list indices folded), the largest relative and absolute change and
 the argv where the relative one occurs, then every other change: exit
 codes, booleans, strings, counts, the optimizer's ``starts``, keys and list
 lengths. Integers are compared exactly, except the solver cost
-``iterations``, which is reported with the numbers. It exits 1 if anything
-other than a number changed, else 0.
+``iterations``, which is reported with the numbers. Each changed
+``inf_normal`` or ``sup_normal`` is counted as flipped (n' = -n within
+FLIP_TOL, the same hyperplane) or moved (another hyperplane). It exits 1 if
+anything other than a number changed, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -90,6 +93,9 @@ def certify_lines(seeds=CERTIFY_SEEDS, rounds: int = CERTIFY_ROUNDS) -> list[dic
 
 # Integer fields that measure cost rather than state a result.
 NUMERIC_COUNTS = ("iterations",)
+# Unit normals of the attaining hyperplanes; n and -n are one hyperplane.
+NORMALS = ("inf_normal", "sup_normal")
+FLIP_TOL = 1e-12
 
 
 def _is_number(value, key: str) -> bool:
@@ -98,8 +104,10 @@ def _is_number(value, key: str) -> bool:
     return isinstance(value, float) or key in NUMERIC_COUNTS
 
 
-def _walk(before, after, path: str, key: str, numeric: dict, other: list, where: str) -> None:
-    """Put the numeric changes from ``before`` to ``after`` in ``numeric``, others in ``other``."""
+def _walk(before, after, path: str, key: str, numeric: dict, other: list, where: str,
+          normals: collections.Counter) -> None:
+    """Put the numeric changes from ``before`` to ``after`` in ``numeric``, others in
+    ``other``, and count each changed normal in ``normals`` as flipped or moved."""
     if _is_number(before, key) and _is_number(after, key):
         absolute = abs(after - before)
         relative = absolute / max(abs(before), abs(after)) if absolute else 0.0
@@ -112,13 +120,16 @@ def _walk(before, after, path: str, key: str, numeric: dict, other: list, where:
             if k not in before or k not in after:
                 other.append(f"{where}: {path}.{k} only in {'after' if k in after else 'before'}")
             else:
-                _walk(before[k], after[k], f"{path}.{k}", k, numeric, other, where)
+                _walk(before[k], after[k], f"{path}.{k}", k, numeric, other, where, normals)
     elif isinstance(before, list) and isinstance(after, list):
         if len(before) != len(after):
             other.append(f"{where}: {path} has {len(before)} items before, {len(after)} after")
         else:
+            if key in NORMALS and before != after:
+                flipped = max(abs(b + a) for b, a in zip(before, after)) <= FLIP_TOL
+                normals["flipped" if flipped else "moved"] += 1
             for b, a in zip(before, after):
-                _walk(b, a, f"{path}[]", key, numeric, other, where)
+                _walk(b, a, f"{path}[]", key, numeric, other, where, normals)
     elif type(before) is not type(after) or before != after:
         other.append(f"{where}: {path} {json.dumps(before)} -> {json.dumps(after)}")
 
@@ -128,6 +139,7 @@ def compare(before_file: str, after_file: str) -> int:
     after = Path(after_file).read_text(encoding="utf-8").splitlines()
     numeric: dict = {}
     other: list = []
+    normals: collections.Counter = collections.Counter()
     if len(before) != len(after):
         other.append(f"{len(before)} lines before, {len(after)} after")
     for old, new in zip(before, after):
@@ -136,14 +148,15 @@ def compare(before_file: str, after_file: str) -> int:
         if a["argv"] != b["argv"]:
             other.append(f"argv {where!r} -> {' '.join(b['argv'])!r}")
             continue
-        _walk(a["exit"], b["exit"], "exit", "exit", numeric, other, where)
-        _walk(a["report"], b["report"], "report", "report", numeric, other, where)
+        _walk(a["exit"], b["exit"], "exit", "exit", numeric, other, where, normals)
+        _walk(a["report"], b["report"], "report", "report", numeric, other, where, normals)
     same = sum(old == new for old, new in zip(before, after))
     print(f"{same} of {len(after)} lines byte-identical")
     moved = {path: v for path, v in numeric.items() if v[1]}
     print(f"{len(moved)} of {len(numeric)} numeric fields changed")
     for path, (relative, absolute, where) in sorted(moved.items()):
         print(f"  {path}: relative {relative:.2e}, absolute {absolute:.2e} ({where})")
+    print(f"{normals['flipped']} normals flipped (same hyperplane), {normals['moved']} moved")
     print(f"{len(other)} other changes")
     for line in other:
         print(f"  {line}")
