@@ -33,14 +33,28 @@ class _BadParameter(DegenerateInput):
     """A builder parameter out of range; ``_built`` names it after its section."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _chart_size(name: str, value, low: int, high: int) -> int:
     """``value`` if it is an integer in [low, high], the range that gives the
     chart 1 to MAX_CHART_DIM coordinates."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise _BadParameter(f"{name} must be an integer, not {value!r}")
     if not low <= value <= high:
         raise _BadParameter(f"{name} must lie in {low}..{high}, not {value}")
     return int(value)
+
+
+def _squared_norm(v: np.ndarray, v_left: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise v_left . v over the last axis (v . v by default).
+
+    A stacked matmul gives, row by row, the bits that ``v_left @ v`` gives on
+    one row, which an ``einsum`` or ``sum`` does not in general.
+    """
+    v_left = v if v_left is None else v_left
+    return (v_left[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def flat_chart(dim: int, scale: float = 1.0, half_width: float = 5.0) -> ChartMetric:
@@ -50,7 +64,11 @@ def flat_chart(dim: int, scale: float = 1.0, half_width: float = 5.0) -> ChartMe
         raise DegenerateInput("flat chart needs a positive scale")
     g = scale * np.eye(dim)
     box = np.repeat([[-half_width, half_width]], dim, axis=0)
-    return ChartMetric(dim, lambda p: g, box, f"flat-{dim}")
+
+    def metric(p: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(g, p.shape[:-1] + g.shape)
+
+    return ChartMetric(dim, metric, box, f"flat-{dim}")
 
 
 def round_sphere_chart(dim: int, radius: float = 1.0, half_width: float = 2.0) -> ChartMetric:
@@ -64,8 +82,10 @@ def round_sphere_chart(dim: int, radius: float = 1.0, half_width: float = 2.0) -
     r2 = radius * radius
 
     def metric(p: np.ndarray) -> np.ndarray:
-        factor = 4.0 * r2 * r2 / (r2 + float(p @ p)) ** 2
-        return factor * np.eye(dim)
+        # float_power, like Python's float ** 2, calls pow(); ** 2 on an array
+        # squares, which differs from it in the last bit on about 1 point in 1,000.
+        factor = 4.0 * r2 * r2 / np.float_power(r2 + _squared_norm(p), 2)
+        return factor[..., None, None] * np.eye(dim)
 
     box = np.repeat([[-half_width, half_width]], dim, axis=0)
     return ChartMetric(dim, metric, box, f"sphere-{dim}-R{radius:g}")
@@ -80,8 +100,8 @@ def warped_line_chart(fiber_dim: int, half_t: float = 0.8, half_x: float = 1.5) 
     fiber_dim = _chart_size("fiber_dim", fiber_dim, 0, MAX_CHART_DIM - 1)
 
     def metric(p: np.ndarray) -> np.ndarray:
-        g = np.eye(fiber_dim + 1)
-        g[1:, 1:] *= np.exp(2.0 * p[0])
+        g = np.tile(np.eye(fiber_dim + 1), p.shape[:-1] + (1, 1))
+        g[..., 1:, 1:] *= np.exp(2.0 * p[..., 0, None, None])
         return g
 
     box = np.vstack([[-half_t, half_t], np.repeat([[-half_x, half_x]], fiber_dim, axis=0)])
@@ -99,14 +119,15 @@ def fubini_study_chart(n: int, half_width: float = 0.8) -> ChartMetric:
     n = _chart_size("n", n, 1, MAX_CHART_DIM // 2)
 
     def metric(p: np.ndarray) -> np.ndarray:
-        z = p[0::2] + 1j * p[1::2]
-        s = 1.0 + float(np.real(np.conj(z) @ z))
-        h = (s * np.eye(n) - np.outer(np.conj(z), z)) / (s * s)
-        g = np.empty((2 * n, 2 * n))
-        g[0::2, 0::2] = h.real
-        g[1::2, 1::2] = h.real
-        g[0::2, 1::2] = h.imag
-        g[1::2, 0::2] = -h.imag
+        z = p[..., 0::2] + 1j * p[..., 1::2]
+        zbar = np.conj(z)
+        s = (1.0 + _squared_norm(z, zbar).real)[..., None, None]
+        h = (s * np.eye(n) - zbar[..., :, None] * z[..., None, :]) / (s * s)
+        g = np.empty(p.shape[:-1] + (2 * n, 2 * n))
+        g[..., 0::2, 0::2] = h.real
+        g[..., 1::2, 1::2] = h.real
+        g[..., 0::2, 1::2] = h.imag
+        g[..., 1::2, 0::2] = -h.imag
         return g
 
     box = np.repeat([[-half_width, half_width]], 2 * n, axis=0)
@@ -119,18 +140,19 @@ def heisenberg_chart(half_width: float = 1.6) -> ChartMetric:
     Coordinates (x_1, y_1, x_2, y_2, z), contact form
     eta = (dz - y_1 dx_1 - y_2 dx_2)/2 and g = (dx^2 + dy^2)/4 + eta (x) eta.
     """
+    g = 0.25 * np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
 
     def metric(p: np.ndarray) -> np.ndarray:
         eta = _heisenberg_eta(p)
-        g = 0.25 * np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
-        return g + np.outer(eta, eta)
+        return g + eta[..., :, None] * eta[..., None, :]
 
     box = np.repeat([[-half_width, half_width]], 5, axis=0)
     return ChartMetric(5, metric, box, "heisenberg-5")
 
 
 def _heisenberg_eta(p: np.ndarray) -> np.ndarray:
-    return 0.5 * np.array([-p[1], 0.0, -p[3], 0.0, 1.0])
+    zero = np.zeros_like(p[..., 0])
+    return 0.5 * np.stack([-p[..., 1], zero, -p[..., 3], zero, zero + 1.0], axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -205,47 +227,64 @@ def warped_contact_structure(fiber_dim: int):
 # --------------------------------------------------------------------------
 
 def _quaternion_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
+    """Quaternion product over the last axis."""
+    a0, a1, a2, a3 = np.moveaxis(a, -1, 0)
+    b0, b1, b2, b3 = np.moveaxis(b, -1, 0)
     return np.stack(
         [
             a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
             a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
             a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def _quaternion_conjugate(a: np.ndarray) -> np.ndarray:
-    return np.stack([a[0], -a[1], -a[2], -a[3]])
+    return np.concatenate([a[..., :1], -a[..., 1:]], axis=-1)
 
 
 def _stereo_to_sphere(y: np.ndarray, radius: float) -> np.ndarray:
     """Inverse stereographic projection onto the sphere |x| = radius."""
     r2 = radius * radius
-    s = np.sum(y * y)
-    top = np.concatenate([2.0 * r2 * y, np.atleast_1d(radius * (s - r2))])
+    s = np.sum(y * y, axis=-1, keepdims=True)
+    top = np.concatenate([2.0 * r2 * y, radius * (s - r2)], axis=-1)
     return top / (r2 + s)
 
 
 def _sphere_to_stereo(x: np.ndarray, radius: float) -> np.ndarray:
     """Stereographic coordinates of a point on the sphere |x| = radius."""
-    return radius * x[:-1] / (radius - x[-1])
+    return radius * x[..., :-1] / (radius - x[..., -1:])
 
 
-def coordinate_projection(indices) -> callable:
-    idx = np.asarray(indices, dtype=int)
+def coordinate_projection(indices, source_dim: int) -> callable:
+    """The source coordinates ``indices``, in that order."""
+    if not isinstance(indices, (list, tuple)):
+        raise _BadParameter(f"indices: expected a list of coordinates, not {indices!r}")
+    for i in indices:
+        if not (_is_int(i) and 0 <= i < source_dim):
+            raise _BadParameter(
+                f"indices: {i!r} is not a coordinate of the {source_dim}-dimensional source chart"
+            )
+    idx = np.array(indices, dtype=int)
 
     def func(p: np.ndarray) -> np.ndarray:
-        return p[idx]
+        return p[..., idx]
 
     return func
 
 
-def zero_padding(pad: int) -> callable:
+def zero_padding(pad: int, source_dim: int, target_dim: int) -> callable:
+    """The source coordinates followed by ``pad`` zeros."""
+    if not (_is_int(pad) and 0 <= pad == target_dim - source_dim):
+        raise _BadParameter(
+            f"pad: {pad!r} does not take the {source_dim}-dimensional source chart to "
+            f"the {target_dim}-dimensional target chart"
+        )
+
     def func(p: np.ndarray) -> np.ndarray:
-        return np.concatenate([p, np.zeros(pad, dtype=p.dtype)])
+        return np.concatenate([p, np.zeros(p.shape[:-1] + (pad,), dtype=p.dtype)], axis=-1)
 
     return func
 
@@ -266,14 +305,16 @@ def hopf(n: int) -> callable:
     quaternions for n = 4 and complex numbers, the quaternions with zero j
     and k parts, for n = 2.
     """
-    pad = np.zeros(4 - n)
 
     def func(y: np.ndarray) -> np.ndarray:
         x = _stereo_to_sphere(y, 1.0)
-        q1, q2 = np.concatenate([x[:n], pad]), np.concatenate([x[n:], pad])
-        prod = _quaternion_product(q1, _quaternion_conjugate(q2))[:n]
-        h = np.concatenate([prod, np.atleast_1d(0.5 * (np.sum(q1 * q1) - np.sum(q2 * q2)))])
-        return _sphere_to_stereo(h, 0.5)
+        pad = np.zeros(x.shape[:-1] + (4 - n,))
+        q1 = np.concatenate([x[..., :n], pad], axis=-1)
+        q2 = np.concatenate([x[..., n:], pad], axis=-1)
+        prod = _quaternion_product(q1, _quaternion_conjugate(q2))[..., :n]
+        s1 = np.sum(q1 * q1, axis=-1, keepdims=True)
+        s2 = np.sum(q2 * q2, axis=-1, keepdims=True)
+        return _sphere_to_stereo(np.concatenate([prod, 0.5 * (s1 - s2)], axis=-1), 0.5)
 
     return func
 
@@ -371,13 +412,22 @@ _CHART_BUILDERS = {
     "heisenberg": heisenberg_chart,
 }
 
+def _without_dims(builder):
+    """``builder`` as the map table calls it, with the chart dimensions it does not read."""
+    return lambda source_dim, target_dim, **params: builder(**params)
+
+
+# Each map builder gets the dimensions of both charts; the fixed-size maps
+# read them to name a parameter that does not fit.
 _MAP_BUILDERS = {
-    "coordinate-projection": coordinate_projection,
+    "coordinate-projection": lambda source_dim, target_dim, **params: coordinate_projection(
+        **params, source_dim=source_dim
+    ),
     "zero-padding": zero_padding,
-    "identity": identity_map,
-    "stereographic-embedding": stereographic_embedding,
-    "hopf-quaternionic": partial(hopf, 4),
-    "hopf-complex": partial(hopf, 2),
+    "identity": _without_dims(identity_map),
+    "stereographic-embedding": _without_dims(stereographic_embedding),
+    "hopf-quaternionic": _without_dims(partial(hopf, 4)),
+    "hopf-complex": _without_dims(partial(hopf, 2)),
 }
 
 # Each structure builder gets the dimension of the space-form side's chart.
@@ -427,7 +477,7 @@ def entry_from_description(desc: dict) -> CatalogEntry:
     """
     source = _built(_CHART_BUILDERS, desc, "source_chart")
     target = _built(_CHART_BUILDERS, desc, "target_chart")
-    func = _built(_MAP_BUILDERS, desc, "map")
+    func = _built(_MAP_BUILDERS, desc, "map", source_dim=source.dim, target_dim=target.dim)
     # The family section names no builder.
     family = _built({None: _family}, desc, "family") if desc.get("family") else None
     structure_fn = None

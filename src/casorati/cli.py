@@ -67,8 +67,13 @@ def _emit(report: dict, args, text: str) -> None:
     else:
         payload = text if text.endswith("\n") else text + "\n"
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as err:
+            raise DegenerateInput(
+                f"cannot write the report to {args.output!r}: {err.strerror}"
+            ) from None
     else:
         sys.stdout.write(payload)
 

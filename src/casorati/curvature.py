@@ -15,12 +15,13 @@ sectional curvature +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, NearSingularMetric, OutOfDomain
-from .framecore import Frame
+from .framecore import MAX_CHART_DIM, Frame
 
 # Differentiation steps: h = scale * (1 + |coordinate|). Christoffel symbols
 # need first metric derivatives only, so their step sits below the curvature
@@ -36,6 +37,8 @@ MAX_METRIC_CONDITION = 1e8
 class ChartMetric:
     """A coordinate chart: metric function plus a validity box.
 
+    ``metric_fn`` takes points of shape (..., dim) and returns the metric at
+    each, of shape (..., dim, dim), so that a stencil is one call.
     ``domain_box`` has shape (dim, 2) with rows (lo, hi); points (and all
     finite-difference samples around them) must stay inside.
     """
@@ -55,9 +58,11 @@ class ChartMetric:
         box.setflags(write=False)
 
     def metric_at(self, p: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.metric_fn(np.asarray(p, dtype=float)), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"metric has shape {g.shape}")
+        """The metric at points of shape (..., dim), as an array (..., dim, dim)."""
+        p = np.asarray(p, dtype=float)
+        g = np.asarray(self.metric_fn(p), dtype=float)
+        if g.shape != p.shape[:-1] + (self.dim, self.dim):
+            raise DimensionMismatch(f"metric has shape {g.shape} at points of shape {p.shape}")
         return g
 
     def steps_at(self, p: np.ndarray, scale: float) -> np.ndarray:
@@ -121,38 +126,56 @@ class CurvatureTensor:
         return self.components.shape[0]
 
 
-def _metric_first_derivatives(
-    chart: ChartMetric, p: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(g, gp, gm, dg): g at p and at p +- h_a e_a, and dg[a] = d_a g by central differences."""
-    g0 = chart.metric_at(p)
-    gp = np.array([chart.metric_at(p + e) for e in np.diag(h)])
-    gm = np.array([chart.metric_at(p - e) for e in np.diag(h)])
-    return g0, gp, gm, (gp - gm) / (2.0 * h[:, None, None])
+@lru_cache(maxsize=MAX_CHART_DIM)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (a, b) of the pairs a < b of n coordinates, in row-major order."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
-def _metric_second_derivatives(
-    chart: ChartMetric, p: np.ndarray, h: np.ndarray, g0: np.ndarray, gp: np.ndarray, gm: np.ndarray
-) -> np.ndarray:
-    """ddg[a,b] = d_a d_b g by central differences, reusing the first-derivative samples."""
-    n = chart.dim
+def _stencil(p: np.ndarray, h: np.ndarray, mixed: bool) -> np.ndarray:
+    """Central-difference sample points around p, one per row.
+
+    Rows: p, then p + h_a e_a and p - h_a e_a for each a; with ``mixed``,
+    then (p + s h_a e_a) + t h_b e_b for a < b and signs (s, t) = (+, +),
+    (+, -), (-, +), (-, -) in turn. Each row is p with one or two coordinates
+    replaced, so its entries are those that adding h_a e_a gives.
+    """
+    n = p.size
+    plus, minus = p + h, p - h
+    eye = np.eye(n, dtype=bool)
+    rows = [p[None, :], np.where(eye, plus, p), np.where(eye, minus, p)]
+    if mixed:
+        a, b = _upper_pairs(n)
+        pairs = np.arange(a.size)
+        quad = np.tile(p, (4, a.size, 1))
+        quad[:, pairs, a] = [plus[a], plus[a], minus[a], minus[a]]
+        quad[:, pairs, b] = [plus[b], minus[b], plus[b], minus[b]]
+        rows.append(quad.reshape(-1, n))
+    return np.concatenate(rows)
+
+
+def _first_derivatives(samples: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, dg) from the metric on ``_stencil`` rows: g at p and dg[a] = d_a g."""
+    n = h.size
+    gp, gm = samples[1 : n + 1], samples[n + 1 : 2 * n + 1]
+    return samples[0], (gp - gm) / (2.0 * h[:, None, None])
+
+
+def _second_derivatives(samples: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """ddg[a, b] = d_a d_b g from the metric on mixed ``_stencil`` rows."""
+    n = h.size
+    g0, gp, gm = samples[0], samples[1 : n + 1], samples[n + 1 : 2 * n + 1]
     ddg = np.empty((n, n, n, n))
-    for a in range(n):
-        ddg[a, a] = (gp[a] - 2.0 * g0 + gm[a]) / (h[a] * h[a])
-    for a in range(n):
-        for b in range(a + 1, n):
-            ea = np.zeros(n)
-            eb = np.zeros(n)
-            ea[a] = h[a]
-            eb[b] = h[b]
-            mixed = (
-                chart.metric_at(p + ea + eb)
-                - chart.metric_at(p + ea - eb)
-                - chart.metric_at(p - ea + eb)
-                + chart.metric_at(p - ea - eb)
-            ) / (4.0 * h[a] * h[b])
-            ddg[a, b] = mixed
-            ddg[b, a] = mixed
+    diag = np.arange(n)
+    ddg[diag, diag] = (gp - 2.0 * g0 + gm) / (h * h)[:, None, None]
+    a, b = _upper_pairs(n)
+    pp, pm, mp, mm = samples[2 * n + 1 :].reshape(4, a.size, n, n)
+    mixed = (pp - pm - mp + mm) / (4.0 * h[a] * h[b])[:, None, None]
+    ddg[a, b] = mixed
+    ddg[b, a] = mixed
     return ddg
 
 
@@ -183,23 +206,8 @@ def christoffel(chart: ChartMetric, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     h = chart.steps_at(p, CHRISTOFFEL_STEP_SCALE)
     chart.require_inside(p, 2.0 * h)
-    g, _, _, dg = _metric_first_derivatives(chart, p, h)
+    g, dg = _first_derivatives(chart.metric_at(_stencil(p, h, mixed=False)), h)
     return _symbols(g, dg)[2]
-
-
-def _christoffel_and_derivative(
-    chart: ChartMetric, p: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, Gamma^k_{ij}, d_a Gamma^k_{ij}) assembled from metric derivatives only."""
-    g, gp, gm, dg = _metric_first_derivatives(chart, p, h)
-    ddg = _metric_second_derivatives(chart, p, h, g, gp, gm)
-    g_inv, low, gamma = _symbols(g, dg)
-    # d_a g^{-1} = -g^{-1} (d_a g) g^{-1}
-    dginv = -np.einsum("kl,alm,mn->akn", g_inv, dg, g_inv)
-    dgamma = np.einsum("akl,lij->akij", dginv, low) + np.einsum(
-        "kl,alij->akij", g_inv, _lowered(ddg)
-    )
-    return g, gamma, dgamma
 
 
 def riemann_at(chart: ChartMetric, p: np.ndarray) -> CurvatureTensor:
@@ -208,18 +216,29 @@ def riemann_at(chart: ChartMetric, p: np.ndarray) -> CurvatureTensor:
     One Richardson extrapolation step combines the h and h/2 results, killing
     the leading O(h^2) truncation term. The step starts large: extrapolation
     removes its truncation error, while the halved step must stay clear of
-    the second-difference roundoff floor eps/h^2.
+    the second-difference roundoff floor eps/h^2. The stencils of both steps
+    go to the metric in one call.
     """
     p = np.asarray(p, dtype=float)
     h = chart.steps_at(p, RIEMANN_STEP_SCALE)
     chart.require_inside(p, 4.0 * h)
-    coarse = _riemann_components(chart, p, h)
-    fine = _riemann_components(chart, p, 0.5 * h)
+    steps = (h, 0.5 * h)
+    samples = chart.metric_at(np.concatenate([_stencil(p, step, mixed=True) for step in steps]))
+    coarse, fine = (
+        _riemann_components(*_first_derivatives(part, step), _second_derivatives(part, step))
+        for part, step in zip(np.split(samples, 2), steps)
+    )
     return CurvatureTensor((4.0 * fine - coarse) / 3.0)
 
 
-def _riemann_components(chart: ChartMetric, p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    g, gamma, dgamma = _christoffel_and_derivative(chart, p, h)
+def _riemann_components(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+    """R_{ijkl} from the metric g, dg[a] = d_a g and ddg[a, b] = d_a d_b g at a point."""
+    g_inv, low, gamma = _symbols(g, dg)
+    # d_a g^{-1} = -g^{-1} (d_a g) g^{-1}
+    dginv = -np.einsum("kl,alm,mn->akn", g_inv, dg, g_inv)
+    dgamma = np.einsum("akl,lij->akij", dginv, low) + np.einsum(
+        "kl,alij->akij", g_inv, _lowered(ddg)
+    )
     # R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
     #             + Gamma^m_{jk} Gamma^l_{im} - Gamma^m_{ik} Gamma^l_{jm}
     term1 = dgamma.transpose(1, 0, 2, 3)  # [l, i, j, k] = d_i Gamma^l_{jk}

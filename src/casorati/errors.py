@@ -59,7 +59,8 @@ class ValidationFailed(CasoratiError):
 # counterexample); no error exits 1. Each error exits with the code of the
 # most specific class that EXIT_CODES maps: 2 = bad input (a point off the
 # chart or where the metric is near-singular, a malformed geometry,
-# mismatched dimensions), 3 = rank drop, 4 = hypotheses not met, 5 = xi
+# mismatched dimensions, numbers that overflow, an --output path that cannot
+# be written), 3 = rank drop, 4 = hypotheses not met, 5 = xi
 # oblique, 6 = the extremum lemma does not apply, 7 = a consistency gate
 # failed (a traced Gauss identity, a frame or second-fundamental-form check,
 # a model curvature check), and 8 = any other toolkit error. An exception

@@ -8,7 +8,8 @@ Minimize, over the hyperplane z_1 + ... + z_r = k,
 Provided lambda2 = (r-1) / (lambda1 - r + 2), the global minimum is attained at
 z_1 = ... = z_{r-1} = k/(lambda1+1), z_r = k/(lambda2+1), where f = 0. The
 closed form is cross-checked against a direct solve of the (r+1) x (r+1) KKT
-system, which needs no proviso at all.
+system, which needs no proviso at all. A |k| so large that either route
+overflows is bad input, not a failed proviso.
 """
 
 from __future__ import annotations
@@ -67,6 +68,12 @@ class ExtremumProblem:
         return float(z @ self.hessian_half() @ z)
 
 
+def _require_finite(prob: ExtremumProblem, *values: float) -> None:
+    """Raise DegenerateInput if a value computed for ``prob`` overflowed."""
+    if not np.isfinite(values).all():
+        raise DegenerateInput(f"|k| = {abs(prob.k):g} is too large: the extremum overflows")
+
+
 def solve_closed_form(prob: ExtremumProblem) -> tuple[np.ndarray, float]:
     """The lemma's minimizer and the value of f there (evaluated, not assumed)."""
     if not prob.satisfies_proviso():
@@ -79,13 +86,22 @@ def solve_closed_form(prob: ExtremumProblem) -> tuple[np.ndarray, float]:
     # The lemma states three equivalent expressions for z_r; they must agree.
     alt1 = k * (r - 1.0) / ((l1 + 1.0) * l2)
     alt2 = k * (l1 - r + 2.0) / (l1 + 1.0)
+    _require_finite(prob, alt1, alt2)
     scale = 1.0 + abs(z_r)
     if abs(z_r - alt1) > ZR_CONSISTENCY_TOL * scale or abs(z_r - alt2) > ZR_CONSISTENCY_TOL * scale:
         raise ProvisoViolated(
             f"inconsistent z_r expressions ({z_r}, {alt1}, {alt2}): proviso violated"
         )
     z[-1] = z_r
-    return z, prob.value(z)
+    return z, _value(prob, z)
+
+
+def _value(prob: ExtremumProblem, z: np.ndarray) -> float:
+    """f(z), which must not overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = prob.value(z)
+    _require_finite(prob, f)
+    return f
 
 
 def solve_oracle(prob: ExtremumProblem) -> tuple[np.ndarray, float]:
@@ -118,12 +134,14 @@ def solve_oracle(prob: ExtremumProblem) -> tuple[np.ndarray, float]:
     sol = np.linalg.solve(kkt, rhs)
     z = sol[:r]
 
-    stationarity = np.abs(2.0 * m @ z - sol[r]).max()
-    constraint = abs(z.sum() - prob.k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stationarity = np.abs(2.0 * m @ z - sol[r]).max()
+        constraint = abs(z.sum() - prob.k)
+    _require_finite(prob, stationarity, constraint)
     if stationarity > KKT_RESIDUAL_TOL * (1.0 + abs(prob.k)) or constraint > 1e-10 * (
         1.0 + abs(prob.k)
     ):
         raise IndefiniteRestriction(
             f"KKT solve failed (stationarity {stationarity:.2e}, constraint {constraint:.2e})"
         )
-    return z, prob.value(z)
+    return z, _value(prob, z)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from casorati import measures
+from casorati import curvature, measures
 from casorati.curvature import ChartMetric, CurvatureTensor, christoffel, riemann_at
 from casorati.errors import DegenerateInput, DimensionMismatch, RankDrop, ValidationFailed
 from casorati.framecore import Frame, InnerProduct, StructureOperator
@@ -34,7 +34,7 @@ from casorati.measures import (
     restricted_sum,
     restricted_sum_derivatives,
 )
-from casorati.rmaps import FD_STEP, KERNEL_THRESHOLD, MapAtPoint, SmoothMap
+from casorati.rmaps import COMPLEX_STEP, FD_STEP, KERNEL_THRESHOLD, MapAtPoint, SmoothMap
 from casorati.spaceforms import CONTACT_FAMILIES, NamedFamily, SpaceFormSpec, family_constants
 from casorati.verify import model_reference_part
 
@@ -669,3 +669,81 @@ _FAMILY_SAMPLERS = {
         "almost-C-alpha", float(rng.normal(0.0, 2.0)), float(rng.normal(0.0, 2.0))
     ),
 }
+
+
+# --------------------------------------------------------------------------
+# Per-point stencils: one metric call per sample point and one map call per
+# Jacobian column, the loops that the batched calls replace
+# --------------------------------------------------------------------------
+
+
+def metric_derivatives_by_loops(
+    chart: ChartMetric, p: np.ndarray, h: np.ndarray, mixed: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(g, dg, ddg) at p by central differences, the metric called point by
+    point; ddg[a, b] = d_a d_b g is None unless ``mixed``."""
+    n = chart.dim
+    g0 = chart.metric_at(p)
+    gp = np.array([chart.metric_at(p + e) for e in np.diag(h)])
+    gm = np.array([chart.metric_at(p - e) for e in np.diag(h)])
+    dg = (gp - gm) / (2.0 * h[:, None, None])
+    if not mixed:
+        return g0, dg, None
+    ddg = np.empty((n, n, n, n))
+    for a in range(n):
+        ddg[a, a] = (gp[a] - 2.0 * g0 + gm[a]) / (h[a] * h[a])
+    for a in range(n):
+        for b in range(a + 1, n):
+            ea = np.zeros(n)
+            eb = np.zeros(n)
+            ea[a] = h[a]
+            eb[b] = h[b]
+            second = (
+                chart.metric_at(p + ea + eb)
+                - chart.metric_at(p + ea - eb)
+                - chart.metric_at(p - ea + eb)
+                + chart.metric_at(p - ea - eb)
+            ) / (4.0 * h[a] * h[b])
+            ddg[a, b] = second
+            ddg[b, a] = second
+    return g0, dg, ddg
+
+
+def riemann_by_loops(chart: ChartMetric, p: np.ndarray) -> np.ndarray:
+    """``riemann_at``'s components from per-point stencils at both Richardson steps."""
+    h = chart.steps_at(p, curvature.RIEMANN_STEP_SCALE)
+    coarse, fine = (
+        curvature._riemann_components(*metric_derivatives_by_loops(chart, p, step))
+        for step in (h, 0.5 * h)
+    )
+    return (4.0 * fine - coarse) / 3.0
+
+
+def christoffel_by_loops(chart: ChartMetric, p: np.ndarray) -> np.ndarray:
+    """``christoffel`` from a per-point stencil."""
+    h = chart.steps_at(p, curvature.CHRISTOFFEL_STEP_SCALE)
+    g, dg, _ = metric_derivatives_by_loops(chart, p, h, mixed=False)
+    return curvature._symbols(g, dg)[2]
+
+
+def jacobian_by_columns(sm: SmoothMap, p: np.ndarray) -> np.ndarray:
+    """dF at p, one complex-step call of the map per column."""
+    cols = []
+    for k in range(sm.source.dim):
+        z = p.astype(complex)
+        z[k] += 1j * COMPLEX_STEP
+        cols.append(np.asarray(sm.func(z)).imag / COMPLEX_STEP)
+    return np.column_stack(cols)
+
+
+def component_hessians_by_columns(sm: SmoothMap, p: np.ndarray) -> np.ndarray:
+    """``component_hessians`` from per-column Jacobians at p +- h_a e_a."""
+    m1 = sm.source.dim
+    h = sm.source.steps_at(p, FD_STEP)
+    dj = np.empty((m1, sm.target.dim, m1))
+    for a in range(m1):
+        e = np.zeros_like(p)
+        e[a] = h[a]
+        dj[a] = (jacobian_by_columns(sm, p + e) - jacobian_by_columns(sm, p - e)) / (2.0 * h[a])
+    hessians = dj.transpose(1, 0, 2)
+    return 0.5 * (hessians + hessians.transpose(0, 2, 1))

@@ -131,13 +131,25 @@ def test_exit_code_proviso(capsys):
         ["--r", "3", "--lambda1", "nan", "--k", "1"],
         ["--r", "3", "--lambda1", "inf", "--k", "1"],
         ["--r", str(MAX_CHART_DIM + 1), "--lambda1", str(MAX_CHART_DIM + 8), "--k", "1"],
+        ["--r", "3", "--lambda1", "3", "--k", "1e308"],
+        ["--r", "3", "--lambda1", "3", "--k=-1e308"],
+        ["--r", "4", "--lambda1", "40", "--k", "1e200"],
     ],
-    ids=["k-nan", "k-inf", "lambda1-nan", "lambda1-inf", "r-above-cap"],
+    ids=["k-nan", "k-inf", "lambda1-nan", "lambda1-inf", "r-above-cap", "k-overflows",
+         "negative-k-overflows", "f-overflows"],
 )
 def test_extremum_bad_input_exits_2(capsys, flags):
     code, out, err = run(capsys, "extremum", *flags)
     assert code == 2
-    assert out == "" and err.startswith("error:")
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_extremum_large_k_that_does_not_overflow_exits_0(capsys):
+    code, out, err = run(capsys, "extremum", "--r", "3", "--lambda1", "3", "--k", "1e200", "--json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["minimizer"] == pytest.approx([2.5e199, 2.5e199, 5e199])
+    assert report["agrees"]
 
 
 def test_extremum_known_case(capsys):
@@ -159,6 +171,19 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(target.read_text())
     assert report["minimizer"] == pytest.approx([1.4, 1.4, 1.4, 2.8], abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "where", ["missing-dir/x.json", "."], ids=["missing-directory", "a-directory"]
+)
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, where):
+    target = tmp_path / where
+    code, out, err = run(
+        capsys, "invariants", "--geometry", "fubini-study-CP2", "--json", "--output", str(target)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write the report to") and str(target) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_all_on_geometry_uses_declared_tags(capsys):
@@ -264,10 +289,19 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
         (json.dumps(dict(GEO_DESC, structure={"builder": "trivial", "x": 1})),
          "structure: trivial_structure() got an unexpected keyword argument 'x'"),
         (json.dumps(dict(GEO_DESC, map={"builder": "coordinate-projection", "indices": [0, 9]})),
-         "map: index 9 is out of bounds"),
+         "map.indices: 9 is not a coordinate of the 4-dimensional source chart"),
+        (json.dumps(dict(GEO_DESC, map={"builder": "coordinate-projection", "indices": [0, True]})),
+         "map.indices: True is not a coordinate of the 4-dimensional source chart"),
+        (json.dumps(dict(GEO_DESC, map={"builder": "coordinate-projection", "indices": 1})),
+         "map.indices: expected a list of coordinates, not 1"),
         (json.dumps(dict(GEO_DESC, target_chart={"builder": "flat", "dim": 3},
                          map={"builder": "zero-padding", "pad": -1})),
-         "map: negative dimensions are not allowed"),
+         "map.pad: -1 does not take the 4-dimensional source chart to the 3-dimensional"),
+        (json.dumps(dict(GEO_DESC, target_chart={"builder": "flat", "dim": 6},
+                         map={"builder": "zero-padding", "pad": 2.0})),
+         "map.pad: 2.0 does not take the 4-dimensional source chart to the 6-dimensional"),
+        (json.dumps(dict(GEO_DESC, map={"builder": "identity", "x": 1})),
+         "map: identity_map() got an unexpected keyword argument 'x'"),
         (json.dumps(dict(GEO_DESC, family={"name": "almost-C-alpha", "c": 1.0, "alpha": "x"})),
          "family: could not convert string to float: 'x'"),
         (json.dumps(dict(GEO_DESC, source_chart={"builder": "flat", "dim": 1000000000})),
@@ -285,7 +319,9 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
     ],
     ids=["missing-file", "invalid-json", "missing-key", "unknown-builder-keyword",
          "section-not-an-object", "section-value-of-the-wrong-type", "unknown-structure-keyword",
-         "projection-index-out-of-range", "negative-padding", "family-value-not-a-number",
+         "projection-index-out-of-range", "projection-index-a-boolean",
+         "projection-indices-not-a-list", "negative-padding", "padding-a-float",
+         "unknown-map-keyword", "family-value-not-a-number",
          "chart-dim-huge", "chart-dim-too-large", "chart-dim-zero", "chart-dim-a-float",
          "fibre-dim-too-large", "chart-size-a-boolean"],
 )

@@ -98,9 +98,13 @@ def test_chart_domain_enforcement():
 
 def test_anisotropic_chart_matches_closed_form():
     # g = diag(1, e^{2x}) on R^2 is hyperbolic-like with K = -1:
-    # R_1212 = -e^{2x} in coordinates.
+    # R_1212 = -e^{2x} in coordinates. Like every chart metric it takes
+    # points of shape (..., 2).
     def metric(p):
-        return np.diag([1.0, np.exp(2.0 * p[0])])
+        g = np.zeros(p.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = np.exp(2.0 * p[..., 0])
+        return g
 
     chart = ChartMetric(2, metric, np.array([[-1.0, 1.0], [-1.0, 1.0]]), name="exp-strip")
     p = np.array([0.2, -0.3])

@@ -26,6 +26,23 @@ def test_known_minimizer_r4():
     assert abs(f) <= VALUE_TOL
 
 
+@pytest.mark.parametrize(
+    "solve, r, lambda1, k",
+    [
+        # The cross-check k (r - 1) / ((lambda1 + 1) lambda2) = 2k overflows,
+        # although every input is finite.
+        (solve_closed_form, 3, 3.0, 1e308),
+        # f(z) = z^T M z overflows on both routes.
+        (solve_closed_form, 4, 40.0, 1e200),
+        (solve_oracle, 4, 40.0, 1e200),
+    ],
+    ids=["cross-check", "closed-form-value", "oracle-value"],
+)
+def test_an_overflowing_k_is_bad_input_not_a_proviso_violation(solve, r, lambda1, k):
+    with pytest.raises(DegenerateInput, match="too large"):
+        solve(ExtremumProblem.from_lambda1(r, lambda1, k))
+
+
 def test_proviso_violation_raises():
     with pytest.raises(ProvisoViolated):
         ExtremumProblem.from_lambda1(3, 1.0, 2.0)

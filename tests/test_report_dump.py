@@ -61,6 +61,27 @@ def test_compare_counts_flipped_and_moved_normals(tmp_path, capsys):
     assert "0 other changes" in out
 
 
+def test_compare_counts_rotated_and_moved_frames(tmp_path, capsys):
+    def line(horizontal):
+        frames = {"horizontal": horizontal, "range": [[1.0, 0.0]], "vertical": []}
+        return {"argv": ["invariants"], "exit": 0, "report": {"C": 1.0, "frames": frames}}
+
+    before = _dump(tmp_path / "before.jsonl", [line([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])] * 2)
+    rotated = line([[0.6, 0.8, 0.0], [-0.8, 0.6, 0.0]])  # another basis of the same plane
+    moved = line([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])  # another plane
+
+    assert report_dump.compare(before, _dump(tmp_path / "rotated.jsonl", [rotated] * 2)) == 0
+    out = capsys.readouterr().out
+    assert "2 frames rotated (same span), 0 moved" in out
+    assert "0 of 2 numeric fields changed" in out  # C and the range; the rotated frame is none
+
+    assert report_dump.compare(before, _dump(tmp_path / "mixed.jsonl", [rotated, moved])) == 0
+    out = capsys.readouterr().out
+    assert "1 frames rotated (same span), 1 moved" in out
+    assert "report.frames.horizontal[][]: relative" in out
+    assert "0 other changes" in out
+
+
 def test_certify_lines_hold_the_certified_reports_of_the_workload_sets():
     lines = report_dump.certify_lines(seeds=(0,), rounds=1)
     assert len(lines) == 36

@@ -28,7 +28,10 @@ codes, booleans, strings, counts, the optimizer's ``starts``, keys and list
 lengths. Integers are compared exactly, except the solver cost
 ``iterations``, which is reported with the numbers. Each changed
 ``inf_normal`` or ``sup_normal`` is counted as flipped (n' = -n within
-FLIP_TOL, the same hyperplane) or moved (another hyperplane). It exits 1 if
+FLIP_TOL, the same hyperplane) or moved (another hyperplane). Each changed
+frame of an ``invariants`` report (``frames.*``) is counted as rotated (its
+rows span the same subspace: their orthogonal projectors agree within
+FLIP_TOL), whose numbers are then no numeric change, or moved. It exits 1 if
 anything other than a number changed, else 0.
 """
 
@@ -41,6 +44,8 @@ import io
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -95,6 +100,8 @@ def certify_lines(seeds=CERTIFY_SEEDS, rounds: int = CERTIFY_ROUNDS) -> list[dic
 NUMERIC_COUNTS = ("iterations",)
 # Unit normals of the attaining hyperplanes; n and -n are one hyperplane.
 NORMALS = ("inf_normal", "sup_normal")
+# Frames of invariants reports: rows of vectors whose span is what they state.
+FRAMES = tuple(f"report.frames.{name}" for name in ("vertical", "horizontal", "range"))
 FLIP_TOL = 1e-12
 
 
@@ -104,10 +111,17 @@ def _is_number(value, key: str) -> bool:
     return isinstance(value, float) or key in NUMERIC_COUNTS
 
 
+def _projector(rows: list) -> np.ndarray:
+    """The orthogonal projector onto the span of ``rows``."""
+    vectors = np.array(rows, dtype=float)
+    return np.linalg.pinv(vectors) @ vectors
+
+
 def _walk(before, after, path: str, key: str, numeric: dict, other: list, where: str,
-          normals: collections.Counter) -> None:
+          kinds: collections.Counter) -> None:
     """Put the numeric changes from ``before`` to ``after`` in ``numeric``, others in
-    ``other``, and count each changed normal in ``normals`` as flipped or moved."""
+    ``other``, and count in ``kinds`` each changed normal as flipped or moved and
+    each changed frame as rotated or moved."""
     if _is_number(before, key) and _is_number(after, key):
         absolute = abs(after - before)
         relative = absolute / max(abs(before), abs(after)) if absolute else 0.0
@@ -120,16 +134,22 @@ def _walk(before, after, path: str, key: str, numeric: dict, other: list, where:
             if k not in before or k not in after:
                 other.append(f"{where}: {path}.{k} only in {'after' if k in after else 'before'}")
             else:
-                _walk(before[k], after[k], f"{path}.{k}", k, numeric, other, where, normals)
+                _walk(before[k], after[k], f"{path}.{k}", k, numeric, other, where, kinds)
     elif isinstance(before, list) and isinstance(after, list):
         if len(before) != len(after):
             other.append(f"{where}: {path} has {len(before)} items before, {len(after)} after")
         else:
             if key in NORMALS and before != after:
                 flipped = max(abs(b + a) for b, a in zip(before, after)) <= FLIP_TOL
-                normals["flipped" if flipped else "moved"] += 1
+                kinds["normal flipped" if flipped else "normal moved"] += 1
+            if path in FRAMES and before != after:
+                gap = np.abs(_projector(before) - _projector(after)).max()
+                if gap <= FLIP_TOL:
+                    kinds["frame rotated"] += 1
+                    return
+                kinds["frame moved"] += 1
             for b, a in zip(before, after):
-                _walk(b, a, f"{path}[]", key, numeric, other, where, normals)
+                _walk(b, a, f"{path}[]", key, numeric, other, where, kinds)
     elif type(before) is not type(after) or before != after:
         other.append(f"{where}: {path} {json.dumps(before)} -> {json.dumps(after)}")
 
@@ -139,7 +159,7 @@ def compare(before_file: str, after_file: str) -> int:
     after = Path(after_file).read_text(encoding="utf-8").splitlines()
     numeric: dict = {}
     other: list = []
-    normals: collections.Counter = collections.Counter()
+    kinds: collections.Counter = collections.Counter()
     if len(before) != len(after):
         other.append(f"{len(before)} lines before, {len(after)} after")
     for old, new in zip(before, after):
@@ -148,15 +168,17 @@ def compare(before_file: str, after_file: str) -> int:
         if a["argv"] != b["argv"]:
             other.append(f"argv {where!r} -> {' '.join(b['argv'])!r}")
             continue
-        _walk(a["exit"], b["exit"], "exit", "exit", numeric, other, where, normals)
-        _walk(a["report"], b["report"], "report", "report", numeric, other, where, normals)
+        _walk(a["exit"], b["exit"], "exit", "exit", numeric, other, where, kinds)
+        _walk(a["report"], b["report"], "report", "report", numeric, other, where, kinds)
     same = sum(old == new for old, new in zip(before, after))
     print(f"{same} of {len(after)} lines byte-identical")
     moved = {path: v for path, v in numeric.items() if v[1]}
     print(f"{len(moved)} of {len(numeric)} numeric fields changed")
     for path, (relative, absolute, where) in sorted(moved.items()):
         print(f"  {path}: relative {relative:.2e}, absolute {absolute:.2e} ({where})")
-    print(f"{normals['flipped']} normals flipped (same hyperplane), {normals['moved']} moved")
+    print(f"{kinds['normal flipped']} normals flipped (same hyperplane), "
+          f"{kinds['normal moved']} moved")
+    print(f"{kinds['frame rotated']} frames rotated (same span), {kinds['frame moved']} moved")
     print(f"{len(other)} other changes")
     for line in other:
         print(f"  {line}")
