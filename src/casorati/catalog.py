@@ -463,7 +463,7 @@ def _built(builders: dict, desc: dict, key: str, **context):
         return builders[builder](**kwargs, **context)
     except _BadParameter as err:
         raise DegenerateInput(f"{key}.{err}") from None
-    except (DegenerateInput, TypeError, ValueError) as err:
+    except (DegenerateInput, TypeError, ValueError, OverflowError) as err:
         raise DegenerateInput(f"{key}: {err}") from None
 
 
@@ -500,7 +500,7 @@ def entry_from_description(desc: dict) -> CatalogEntry:
     )
     try:
         entry.smooth_map(entry.base_point)
-    except (DimensionMismatch, IndexError, TypeError, ValueError) as err:
+    except (DimensionMismatch, IndexError, TypeError, ValueError, OverflowError) as err:
         raise DegenerateInput(f"map: {err}") from None
     return entry
 
@@ -735,5 +735,5 @@ def load_geometry_file(path: str) -> CatalogEntry:
         return entry_from_description(desc)
     except KeyError as err:
         raise DegenerateInput(f"geometry file {name} lacks the key {err.args[0]!r}") from None
-    except (DegenerateInput, DimensionMismatch, TypeError, ValueError) as err:
+    except (DegenerateInput, DimensionMismatch, TypeError, ValueError, OverflowError) as err:
         raise DegenerateInput(f"geometry file {name}: {err}") from None

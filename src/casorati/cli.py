@@ -297,7 +297,7 @@ def cmd_extremum(args) -> int:
     }
     text = (
         f"lambda2 = {prob.lambda2:.12g} (from the proviso)\n"
-        f"minimizer = {np.round(z_cf, 12).tolist()}\n"
+        f"minimizer = {[round(z, 12) for z in report['minimizer']]}\n"
         f"f_min = {f_cf:.3e}\n"
         f"oracle agreement = {agreement:.3e} ({'ok' if agrees else 'MISMATCH'})"
     )
@@ -320,6 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
         p.add_argument("--output", default=None, help="write the report to a file instead of stdout")
 
+    def add_geometry_inputs(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--geometry-file", default=None, help="JSON geometry description")
+        p.add_argument("--point", default=None, help="comma-separated source coordinates")
+        p.add_argument(
+            "--seed", type=_int_at_least(0, "non-negative"), default=0,
+            help="random seed (default 0)",
+        )
+
     p_cat = sub.add_parser("catalog", help="list built-in geometries")
     p_cat.add_argument("--tag", default=None, help="only entries declaring this theorem tag")
     add_common(p_cat)
@@ -327,12 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="compute invariants of a geometry at a point")
     p_inv.add_argument("--geometry", default=None, help="catalog id")
-    p_inv.add_argument("--geometry-file", default=None, help="JSON geometry description")
-    p_inv.add_argument("--point", default=None, help="comma-separated source coordinates")
-    p_inv.add_argument(
-        "--seed", type=_int_at_least(0, "non-negative"), default=0,
-        help="random seed (default 0)",
-    )
+    add_geometry_inputs(p_inv)
     add_common(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
@@ -341,19 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--geometry", default="synthetic", help="catalog id or 'synthetic' (default)"
     )
-    p_ver.add_argument("--geometry-file", default=None, help="JSON geometry description")
+    add_geometry_inputs(p_ver)
     p_ver.add_argument(
         "--trials", type=_int_at_least(1, "positive"), default=1000,
         help="synthetic trials per theorem",
     )
-    p_ver.add_argument("--point", default=None, help="comma-separated source coordinates")
     p_ver.add_argument(
         "--samples", type=_int_at_least(1, "positive"), default=None,
         help="number of sample points",
-    )
-    p_ver.add_argument(
-        "--seed", type=_int_at_least(0, "non-negative"), default=0,
-        help="random seed (default 0)",
     )
     p_ver.add_argument("--tolerance", type=float, default=None, help="residual tolerance override")
     add_common(p_ver)
@@ -385,11 +383,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CasoratiError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return exit_code_for(err)
+        code, text = exit_code_for(err), str(err)
     except Exception as err:  # SystemExit and KeyboardInterrupt pass through
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, text = EXIT_INTERNAL, f"{type(err).__name__}: {err}"
+    # One line: an unprintable character, such as a line break in a key of a
+    # geometry file, is written as its escape.
+    print("error: " + "".join(c if c.isprintable() else repr(c)[1:-1] for c in text),
+          file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
 
-# Orthonormality tolerance after modified Gram-Schmidt with one
-# re-orthogonalization pass.
+# Orthonormality tolerance of every Frame, whether its rows come from an SVD
+# in orthonormal coordinates (the frames of a map) or from gram_schmidt.
 ORTHONORMAL_TOL = 1e-9
 GRAM_SYMMETRY_TOL = 1e-12
 # gram_schmidt rejects inputs whose g-whitened sigma_min <= RANK_TOL * sigma_max.

@@ -36,7 +36,7 @@ from .errors import (
     RankDrop,
     ValidationFailed,
 )
-from .framecore import Frame, InnerProduct, gram_schmidt
+from .framecore import Frame, InnerProduct
 from .measures import ROLE_A, ROLE_B, ROLE_T, FormCoefficients
 
 COMPLEX_STEP = 1e-150
@@ -244,11 +244,14 @@ class MapAtPoint:
 
 
 def map_at_point(sm: SmoothMap, p: np.ndarray, declared_rank: int | None = None) -> MapAtPoint:
-    """Differentiate the map at p and build all four frames.
+    """Differentiate the map at p and build all four frames from one SVD.
 
-    The kernel comes from an SVD of the derivative (threshold 1e-8 relative to
-    the largest singular value); RankDrop is raised when the numerical rank
-    disagrees with ``declared_rank``.
+    With g = L L^T on each side, L2^T J L1^-T = U S V^T. The rows of V^T L1^-1
+    are g1-orthonormal, horizontal for the first ``rank`` and vertical after;
+    those of U^T L2^-1 after ``rank`` span the range-perp. The range frame is
+    J applied to the horizontal rows. ``rank`` counts the singular values
+    above 1e-8 of the largest (all 1 for a Riemannian map); RankDrop is raised
+    when it disagrees with ``declared_rank``.
     """
     p = np.asarray(p, dtype=float)
     sm.source.require_inside(p, 0.0)
@@ -259,36 +262,22 @@ def map_at_point(sm: SmoothMap, p: np.ndarray, declared_rank: int | None = None)
     inner1, inner2 = InnerProduct(g1), InnerProduct(g2)
 
     j = sm.jacobian(p)
-    _, s, vt = np.linalg.svd(j)
+    l1, l2 = np.linalg.cholesky(inner1.gram), np.linalg.cholesky(inner2.gram)
+    u, s, vt = np.linalg.svd(l2.T @ np.linalg.solve(l1, j.T).T)
     sigma_max = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > KERNEL_THRESHOLD * sigma_max)) if sigma_max > 0.0 else 0
     if declared_rank is not None and rank != declared_rank:
         raise RankDrop(f"numerical rank {rank} != declared rank {declared_rank} at {p.tolist()}")
 
-    m1, m2 = sm.source.dim, sm.target.dim
-    if rank < m1:
-        vertical = gram_schmidt(vt[rank:], inner1)
-    else:
-        vertical = Frame(np.zeros((0, m1)), inner1)
-    # (ker F*)^perp w.r.t. g1 is g1^{-1} applied to the row space of the derivative.
-    horizontal = gram_schmidt(np.linalg.solve(g1, vt[:rank].T).T, inner1)
-
+    source_basis = np.linalg.solve(l1.T, vt.T).T
+    horizontal = Frame(source_basis[:rank], inner1)
     pushed = horizontal.vectors @ j.T
-    if rank:
-        gram = pushed @ g2 @ pushed.T
-        iso_defect = float(np.abs(gram - np.eye(rank)).max())
-        if iso_defect > ISOMETRY_TOL:
-            raise HypothesisViolated(
-                f"map {sm.name!r} is not Riemannian at {p.tolist()}: "
-                f"isometry defect {iso_defect:.2e}"
-            )
-    range_frame = Frame(pushed, inner2)
-    if rank < m2:
-        # w is g2-orthogonal to the range iff (range g2) w = 0.
-        _, _, wt = np.linalg.svd(pushed @ g2)
-        range_perp = gram_schmidt(wt[rank:], inner2)
-    else:
-        range_perp = Frame(np.zeros((0, m2)), inner2)
+    iso_defect = float(np.abs(pushed @ g2 @ pushed.T - np.eye(rank)).max(initial=0.0))
+    if iso_defect > ISOMETRY_TOL:
+        raise HypothesisViolated(
+            f"map {sm.name!r} is not Riemannian at {p.tolist()}: "
+            f"isometry defect {iso_defect:.2e}"
+        )
 
     return MapAtPoint(
         smooth_map=sm,
@@ -297,10 +286,10 @@ def map_at_point(sm: SmoothMap, p: np.ndarray, declared_rank: int | None = None)
         derivative=j,
         source_inner=inner1,
         target_inner=inner2,
-        vertical_frame=vertical,
+        vertical_frame=Frame(source_basis[rank:], inner1),
         horizontal_frame=horizontal,
-        range_frame=range_frame,
-        range_perp_frame=range_perp,
+        range_frame=Frame(pushed, inner2),
+        range_perp_frame=Frame(np.linalg.solve(l2.T, u).T[rank:], inner2),
     )
 
 
@@ -341,24 +330,23 @@ def oneill_A(mp: MapAtPoint) -> FormCoefficients:
 
 
 def _horizontal_identity(
-    mp: MapAtPoint, b: FormCoefficients, a_norm_sq: float, name: str
+    mp: MapAtPoint, trace_sq: float, b_norm_sq: float, a_norm_sq: float, name: str
 ) -> tuple[float, float, float]:
     """(2scal_1^H, 2scal_2^R, residual) of the traced horizontal identity
 
-        2scal_1^H - 2scal_2^R = ||trace B||^2 - ||B||^2 - 3||A||^2.
+        2scal_1^H - 2scal_2^R = trace_sq - b_norm_sq - 3 a_norm_sq,
 
-    2scal_1^H is the source curvature over the horizontal frame and 2scal_2^R
-    the target curvature over the range frame, each measured on its own chart,
-    so the identity ties both curvature tensors to the forms of nabla F*
-    (Gauss for the range, O'Neill's 3|A_X Y|^2 for the horizontal
-    distribution). Raises GaussResidualExceeded beyond 1e-5 relative.
+    that is ||trace B||^2 - ||B||^2 - 3||A||^2. 2scal_1^H is the source
+    curvature over the horizontal frame and 2scal_2^R the target curvature
+    over the range frame, each measured on its own chart, so the identity ties
+    both curvature tensors to the forms of nabla F* (Gauss for the range,
+    O'Neill's 3|A_X Y|^2 for the horizontal distribution). Raises
+    GaussResidualExceeded beyond 1e-5 relative.
     """
-    if b.role != ROLE_B or b.r != mp.rank:
-        raise DimensionMismatch("coefficients do not belong to this map")
     source = scalar_on_subspace(mp.source_curvature, mp.horizontal_frame)
     target = scalar_on_subspace(mp.target_curvature, mp.range_frame)
-    residual = source - target - b.trace_vector_norm_squared() + b.norm_squared() + 3.0 * a_norm_sq
-    scale = 1.0 + abs(source) + abs(target) + b.norm_squared() + a_norm_sq
+    residual = source - target - trace_sq + b_norm_sq + 3.0 * a_norm_sq
+    scale = 1.0 + abs(source) + abs(target) + b_norm_sq + a_norm_sq
     if abs(residual) > TRACED_IDENTITY_TOL * scale:
         raise GaussResidualExceeded(
             f"{name} Gauss identity residual {residual:.3e} (scale {scale:.3e})"
@@ -372,8 +360,12 @@ def gauss_map_scalars(mp: MapAtPoint, b: FormCoefficients) -> ScalarCurvaturePai
     The identity is the horizontal one above; ||A||^2 is 0 unless the map
     has a kernel.
     """
+    if b.role != ROLE_B or b.r != mp.rank:
+        raise DimensionMismatch("coefficients do not belong to this map")
     a_norm_sq = float(np.sum(_a_coefficients(mp) ** 2))
-    left, right, residual = _horizontal_identity(mp, b, a_norm_sq, "map")
+    left, right, residual = _horizontal_identity(
+        mp, b.trace_vector_norm_squared(), b.norm_squared(), a_norm_sq, "map"
+    )
     return ScalarCurvaturePair(left, right, mp.rank, residual=residual)
 
 
@@ -395,10 +387,9 @@ def gauss_submersion_horizontal(mp: MapAtPoint, a: FormCoefficients) -> ScalarCu
     left is the target curvature over the range frame, measured on the target
     chart; O'Neill's relation adds 3|A_X Y|^2 to every horizontal sectional
     curvature, so left = right + 3||A||^2 is the horizontal identity above,
-    gated at 1e-5 relative. A submersion has no range-perp normals, so its B
-    is the empty form and is not computed.
+    gated at 1e-5 relative. A submersion has no range-perp normals, so both
+    B terms are 0.
     """
     mp.require_submersion("the horizontal Gauss identity")
-    no_normals = FormCoefficients(ROLE_B, np.zeros((0, mp.rank, mp.rank)))
-    right, left, residual = _horizontal_identity(mp, no_normals, a.norm_squared(), "horizontal")
+    right, left, residual = _horizontal_identity(mp, 0.0, 0.0, a.norm_squared(), "horizontal")
     return ScalarCurvaturePair(left, right, mp.rank, residual=residual)

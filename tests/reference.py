@@ -13,8 +13,14 @@ import numpy as np
 
 from casorati import curvature, measures
 from casorati.curvature import ChartMetric, CurvatureTensor, christoffel, riemann_at
-from casorati.errors import DegenerateInput, DimensionMismatch, RankDrop, ValidationFailed
-from casorati.framecore import Frame, InnerProduct, StructureOperator
+from casorati.errors import (
+    DegenerateInput,
+    DimensionMismatch,
+    HypothesisViolated,
+    RankDrop,
+    ValidationFailed,
+)
+from casorati.framecore import Frame, InnerProduct, StructureOperator, gram_schmidt
 from casorati.measures import (
     CERTIFY_REL_TOL,
     GRAD_NORM_TOL,
@@ -34,7 +40,14 @@ from casorati.measures import (
     restricted_sum,
     restricted_sum_derivatives,
 )
-from casorati.rmaps import COMPLEX_STEP, FD_STEP, KERNEL_THRESHOLD, MapAtPoint, SmoothMap
+from casorati.rmaps import (
+    COMPLEX_STEP,
+    FD_STEP,
+    ISOMETRY_TOL,
+    KERNEL_THRESHOLD,
+    MapAtPoint,
+    SmoothMap,
+)
 from casorati.spaceforms import CONTACT_FAMILIES, NamedFamily, SpaceFormSpec, family_constants
 from casorati.verify import model_reference_part
 
@@ -495,6 +508,67 @@ def hopf_quaternionic(y: np.ndarray) -> np.ndarray:
     s1, s2 = np.sum(x[:4] * x[:4]), np.sum(x[4:] * x[4:])
     h = np.concatenate([prod, np.atleast_1d(0.5 * (s1 - s2))])
     return _stereo_of_half_sphere(h)
+
+
+# --------------------------------------------------------------------------
+# the four frames of a map by Gram-Schmidt
+# --------------------------------------------------------------------------
+
+
+def map_at_point_by_gram_schmidt(
+    sm: SmoothMap, p: np.ndarray, declared_rank: int | None = None
+) -> MapAtPoint:
+    """``rmaps.map_at_point`` by another route: each frame orthonormalized on its own.
+
+    The kernel comes from an SVD of the coordinate derivative J, the horizontal
+    frame from g1^{-1} applied to its row space, the range frame is J applied
+    to the horizontal one, and the range-perp from a second SVD: w is
+    g2-orthogonal to the range iff (range g2) w = 0. Every set goes through
+    modified Gram-Schmidt. The spans are those of ``map_at_point``; the bases
+    within them differ.
+    """
+    p = np.asarray(p, dtype=float)
+    g1 = sm.source.metric_at(p)
+    q = sm(p)
+    g2 = sm.target.metric_at(q)
+    inner1, inner2 = InnerProduct(g1), InnerProduct(g2)
+
+    j = sm.jacobian(p)
+    _, s, vt = np.linalg.svd(j)
+    sigma_max = float(s[0]) if s.size else 0.0
+    rank = int(np.sum(s > KERNEL_THRESHOLD * sigma_max)) if sigma_max > 0.0 else 0
+    if declared_rank is not None and rank != declared_rank:
+        raise RankDrop(f"numerical rank {rank} != declared rank {declared_rank} at {p.tolist()}")
+
+    m1, m2 = sm.source.dim, sm.target.dim
+    if rank < m1:
+        vertical = gram_schmidt(vt[rank:], inner1)
+    else:
+        vertical = Frame(np.zeros((0, m1)), inner1)
+    horizontal = gram_schmidt(np.linalg.solve(g1, vt[:rank].T).T, inner1)
+
+    pushed = horizontal.vectors @ j.T
+    if rank:
+        iso_defect = float(np.abs(pushed @ g2 @ pushed.T - np.eye(rank)).max())
+        if iso_defect > ISOMETRY_TOL:
+            raise HypothesisViolated(f"isometry defect {iso_defect:.2e} at {p.tolist()}")
+    if rank < m2:
+        _, _, wt = np.linalg.svd(pushed @ g2)
+        range_perp = gram_schmidt(wt[rank:], inner2)
+    else:
+        range_perp = Frame(np.zeros((0, m2)), inner2)
+    return MapAtPoint(
+        smooth_map=sm,
+        point=p,
+        image=q,
+        derivative=j,
+        source_inner=inner1,
+        target_inner=inner2,
+        vertical_frame=vertical,
+        horizontal_frame=horizontal,
+        range_frame=Frame(pushed, inner2),
+        range_perp_frame=range_perp,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from casorati import catalog, cli, errors
 from casorati.cli import main
@@ -150,6 +154,18 @@ def test_extremum_large_k_that_does_not_overflow_exits_0(capsys):
     report = json.loads(out)
     assert report["minimizer"] == pytest.approx([2.5e199, 2.5e199, 5e199])
     assert report["agrees"]
+
+
+def test_extremum_text_of_a_huge_minimizer_is_finite(capsys):
+    # Rounding the text to 12 places must not overflow where the JSON holds the values.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would exit 9 with an error line
+        code, out, err = run(capsys, "extremum", "--r", "3", "--lambda1", "3", "--k", "1e300")
+        assert code == 0 and err == ""
+        assert "minimizer = [2.5e+299, 2.5e+299, 5e+299]" in out
+        code, out, err = run(capsys, "extremum", "--r", "3", "--lambda1", "3", "--k", "4")
+        assert code == 0 and err == ""
+        assert "minimizer = [1.0, 1.0, 2.0]" in out
 
 
 def test_extremum_known_case(capsys):
@@ -316,6 +332,13 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
          "source_chart.fiber_dim must lie in 0..31, not 32"),
         (json.dumps(dict(GEO_DESC, source_chart={"builder": "fubini-study", "n": True})),
          "source_chart.n must be an integer, not True"),
+        (json.dumps(dict(GEO_DESC, target_chart={"builder": "flat", "dim": 2,
+                                                 "half_width": 10**400})),
+         "target_chart: int too large to convert to float"),
+        (json.dumps(dict(GEO_DESC, declared_rank=float("inf"))),
+         "cannot convert float infinity to integer"),
+        (json.dumps(dict(GEO_DESC, source_chart={"builder": "flat", "dim": 4, "a\nb": 1})),
+         "source_chart: flat_chart() got an unexpected keyword argument 'a\\nb'"),
     ],
     ids=["missing-file", "invalid-json", "missing-key", "unknown-builder-keyword",
          "section-not-an-object", "section-value-of-the-wrong-type", "unknown-structure-keyword",
@@ -323,7 +346,8 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
          "projection-indices-not-a-list", "negative-padding", "padding-a-float",
          "unknown-map-keyword", "family-value-not-a-number",
          "chart-dim-huge", "chart-dim-too-large", "chart-dim-zero", "chart-dim-a-float",
-         "fibre-dim-too-large", "chart-size-a-boolean"],
+         "fibre-dim-too-large", "chart-size-a-boolean", "chart-width-a-huge-integer",
+         "rank-infinite", "keyword-with-a-line-break"],
 )
 def test_malformed_geometry_file_is_an_input_error(tmp_path, capsys, text, named):
     path = tmp_path / "geo.json"
@@ -586,6 +610,47 @@ def test_mutated_builtin_descriptions_exit_with_a_documented_code(tmp_path, caps
         if code not in (0, 2, 3, 4) or (code and (len(lines) != 1 or not err.startswith("error:"))):
             faults.append(f"{label}: exit {code}, stderr {err!r}")
     assert faults == []
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(2**80)])
+    | st.floats() | st.text(max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _malformed_descriptions(draw):
+    """A built-in description with one to three keys, at the top or in a section,
+    set to a random JSON value: NaN, infinities, huge integers, strings, lists,
+    null and nested objects among them."""
+    desc = copy.deepcopy(draw(st.sampled_from(catalog.DESCRIPTIONS)))
+    for _ in range(draw(st.integers(1, 3))):
+        sections = [k for k, v in desc.items() if isinstance(v, dict)]
+        section = draw(st.sampled_from([None, *sections]))
+        target = desc if section is None else desc[section]
+        key = draw(st.one_of(*map(st.just, sorted(target)), st.text(max_size=6)))
+        target[key] = draw(_JSON_VALUES)
+    return desc
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(desc=_malformed_descriptions())
+def test_random_values_in_a_geometry_file_exit_with_a_documented_code(tmp_path, capsys, desc):
+    path = tmp_path / "geo.json"
+    path.write_text(json.dumps(desc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning on stderr would be a second line
+        code, _, err = run(capsys, "invariants", "--geometry-file", str(path))
+    assert code == 0 or code in errors.EXIT_CODES.values(), err
+    if code:
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,27 @@ def test_compare_counts_flipped_and_moved_normals(tmp_path, capsys):
     assert "0 other changes" in out
 
 
+def test_compare_counts_moved_normals_on_flat_optima(tmp_path, capsys):
+    def line(c_l_sup, sup_normal):
+        block = {"C_L_inf": 2.0, "C_L_sup": c_l_sup, "inf_normal": [1.0, 0.0],
+                 "sup_normal": sup_normal}
+        return {"argv": ["invariants"], "exit": 0, "report": {"coefficients": {"B": block}}}
+
+    flat, steep = 2.0 + 2e-8, 2.0 + 4e-8  # C_L_sup - C_L_inf within 1e-8 (1 + 2) or not
+    before = [line(flat, [1.0, 0.0]), line(flat, [1.0, 0.0]), line(steep, [1.0, 0.0])]
+    after = [
+        line(flat, [0.0, 1.0]),  # moved on a flat optimum
+        line(steep, [0.0, 1.0]),  # moved; flat before, steep after
+        line(steep, [-1.0, 0.0]),  # flipped
+    ]
+    assert report_dump.compare(
+        _dump(tmp_path / "before.jsonl", before), _dump(tmp_path / "after.jsonl", after)
+    ) == 0
+    assert "1 normals flipped (same hyperplane), 2 moved, 1 of them on a flat optimum" in (
+        capsys.readouterr().out
+    )
+
+
 def test_compare_counts_rotated_and_moved_frames(tmp_path, capsys):
     def line(horizontal):
         frames = {"horizontal": horizontal, "range": [[1.0, 0.0]], "vertical": []}

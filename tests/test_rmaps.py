@@ -2,18 +2,27 @@ import numpy as np
 import pytest
 
 from casorati import catalog, rmaps
+from casorati.catalog import (
+    coordinate_projection,
+    flat_chart,
+    round_sphere_chart,
+    stereographic_embedding,
+    warped_line_chart,
+)
 from casorati.errors import GaussResidualExceeded, HypothesisViolated, RankDrop
-from casorati.measures import ROLE_A, FormCoefficients
+from casorati.measures import ROLE_A, FormCoefficients, delta_casorati
 from casorati.rmaps import (
     gauss_map_scalars,
     gauss_submersion_horizontal,
     gauss_submersion_vertical,
+    SmoothMap,
     map_at_point,
     oneill_A,
     oneill_T,
     second_fundamental_form,
 )
 from reference import (
+    map_at_point_by_gram_schmidt,
     oneill_A_via_bracket,
     oneill_A_via_projector,
     oneill_T_via_projector,
@@ -24,6 +33,7 @@ FRAME_TOL = 1e-9
 GAUSS_TOL = 1e-5
 ROUTE_AGREEMENT_TOL = 1e-7
 PROJECTOR_ROUTE_TOL = 1e-9
+ORACLE_FRAME_TOL = 1e-12
 SUBMERSIONS = [e for e in catalog.list_entries() if e.kind == catalog.KIND_SUBMERSION]
 
 
@@ -46,6 +56,61 @@ def test_sphere_second_fundamental_form_is_metric_multiple():
     assert b.normal_count == 1
     assert b.norm_squared() == pytest.approx(3.0, abs=1e-7)
     assert np.allclose(np.abs(b.coeffs[0]), np.eye(3), atol=1e-7)
+
+
+def _projector(frame) -> np.ndarray:
+    """The g-orthogonal projector onto the frame's span: v -> sum_i <e_i, v> e_i."""
+    return frame.vectors.T @ frame.vectors @ frame.inner.gram
+
+
+def _sides(entry, mp):
+    if entry.kind == catalog.KIND_SUBMERSION:
+        return (oneill_T(mp), oneill_A(mp))
+    return (second_fundamental_form(mp),)
+
+
+@pytest.mark.parametrize("entry", catalog.list_entries(), ids=lambda e: e.id)
+def test_frames_span_what_the_gram_schmidt_oracle_spans(entry):
+    # One SVD in orthonormal coordinates against each frame orthonormalized on
+    # its own: the same subspaces, and the same basis-free numbers on each side.
+    sampler = entry.source_chart.interior_sampler(np.random.default_rng(5), margin=0.1)
+    for p in [np.asarray(entry.base_point, dtype=float)] + [sampler() for _ in range(3)]:
+        mp = entry.instantiate(p)
+        oracle = map_at_point_by_gram_schmidt(entry.smooth_map, p, entry.declared_rank)
+        for name in ("vertical_frame", "horizontal_frame", "range_frame", "range_perp_frame"):
+            got, want = getattr(mp, name), getattr(oracle, name)
+            assert got.count == want.count
+            assert np.abs(_projector(got) - _projector(want)).max() <= ORACLE_FRAME_TOL
+        for got, want in zip(_sides(entry, mp), _sides(entry, oracle)):
+            assert got.role == want.role and got.r == want.r
+            pairs = [(got.norm_squared(), want.norm_squared())]
+            if got.r >= 3:
+                a, b = delta_casorati(got), delta_casorati(want)
+                pairs += [(getattr(a, k), getattr(b, k))
+                          for k in ("C", "C_L_inf", "C_L_sup", "delta_C", "delta_hat_C")]
+            for x, y in pairs:
+                assert abs(x - y) <= ORACLE_FRAME_TOL
+
+
+@pytest.mark.parametrize(
+    "sm, rank",
+    [
+        (SmoothMap(warped_line_chart(31), warped_line_chart(15),
+                   coordinate_projection(list(range(16)), 32), "warped-line-32-16"), 16),
+        (SmoothMap(round_sphere_chart(31), flat_chart(32), stereographic_embedding(), "S31-R32"),
+         31),
+    ],
+    ids=["warped-line-32-to-16", "sphere-31-in-flat-32"],
+)
+def test_frames_pass_every_gate_on_32_coordinate_charts(sm, rank):
+    p = np.linspace(-0.3, 0.4, sm.source.dim)
+    mp = map_at_point(sm, p, declared_rank=rank)
+    assert (mp.m1, mp.m2, mp.rank) == (sm.source.dim, 32 if rank == 31 else 16, rank)
+    assert mp.vertical_frame.count == mp.m1 - rank
+    assert mp.range_perp_frame.count == mp.m2 - rank
+    for frame in (mp.vertical_frame, mp.horizontal_frame, mp.range_frame, mp.range_perp_frame):
+        assert orthonormality_defect(frame) <= FRAME_TOL
+    assert mp.nabla_fstar.shape == (mp.m2, mp.m1, mp.m1)  # the range-leak gate passes
 
 
 def test_rank_drop_detection():
@@ -171,19 +236,14 @@ def test_horizontal_gauss_gate_fails_on_a_scaled_A():
         gauss_submersion_horizontal(mp, FormCoefficients(ROLE_A, 1.01 * a.coeffs))
 
 
-class _SlippedNorm(FormCoefficients):
-    """B whose ||B||^2 reads 1 % high; its trace term is unchanged."""
-
-    def norm_squared(self) -> float:
-        return 1.01 * super().norm_squared()
-
-
 HORIZONTAL_SLIPS = {
     # O'Neill's 3||A||^2 term 1 % high
-    "A": lambda identity: lambda mp, b, a_norm_sq, name: identity(mp, b, 1.01 * a_norm_sq, name),
+    "A": lambda identity: lambda mp, trace_sq, b_norm_sq, a_norm_sq, name: identity(
+        mp, trace_sq, b_norm_sq, 1.01 * a_norm_sq, name
+    ),
     # the Gauss ||B||^2 term 1 % high
-    "B": lambda identity: lambda mp, b, a_norm_sq, name: identity(
-        mp, _SlippedNorm(b.role, b.coeffs), a_norm_sq, name
+    "B": lambda identity: lambda mp, trace_sq, b_norm_sq, a_norm_sq, name: identity(
+        mp, trace_sq, 1.01 * b_norm_sq, a_norm_sq, name
     ),
 }
 # The entries whose base point trips the horizontal gate under each slip. The

@@ -28,7 +28,10 @@ codes, booleans, strings, counts, the optimizer's ``starts``, keys and list
 lengths. Integers are compared exactly, except the solver cost
 ``iterations``, which is reported with the numbers. Each changed
 ``inf_normal`` or ``sup_normal`` is counted as flipped (n' = -n within
-FLIP_TOL, the same hyperplane) or moved (another hyperplane). Each changed
+FLIP_TOL, the same hyperplane) or moved (another hyperplane); a moved normal
+is also counted as on a flat optimum when its block has C_L_sup - C_L_inf <=
+FLAT_TOL * (1 + |C_L_sup|) in both dumps, where every hyperplane attains
+nearly the same value and rounding picks the one reported. Each changed
 frame of an ``invariants`` report (``frames.*``) is counted as rotated (its
 rows span the same subspace: their orthogonal projectors agree within
 FLIP_TOL), whose numbers are then no numeric change, or moved. It exits 1 if
@@ -103,6 +106,7 @@ NORMALS = ("inf_normal", "sup_normal")
 # Frames of invariants reports: rows of vectors whose span is what they state.
 FRAMES = tuple(f"report.frames.{name}" for name in ("vertical", "horizontal", "range"))
 FLIP_TOL = 1e-12
+FLAT_TOL = 1e-8
 
 
 def _is_number(value, key: str) -> bool:
@@ -117,11 +121,18 @@ def _projector(rows: list) -> np.ndarray:
     return np.linalg.pinv(vectors) @ vectors
 
 
+def _is_flat(block: dict) -> bool:
+    """Whether C^L over hyperplanes varies by at most FLAT_TOL of its sup in ``block``."""
+    if not {"C_L_inf", "C_L_sup"} <= block.keys():
+        return False
+    return block["C_L_sup"] - block["C_L_inf"] <= FLAT_TOL * (1.0 + abs(block["C_L_sup"]))
+
+
 def _walk(before, after, path: str, key: str, numeric: dict, other: list, where: str,
           kinds: collections.Counter) -> None:
     """Put the numeric changes from ``before`` to ``after`` in ``numeric``, others in
-    ``other``, and count in ``kinds`` each changed normal as flipped or moved and
-    each changed frame as rotated or moved."""
+    ``other``, and count in ``kinds`` each changed normal as flipped or moved (and
+    whether on a flat optimum) and each changed frame as rotated or moved."""
     if _is_number(before, key) and _is_number(after, key):
         absolute = abs(after - before)
         relative = absolute / max(abs(before), abs(after)) if absolute else 0.0
@@ -134,14 +145,18 @@ def _walk(before, after, path: str, key: str, numeric: dict, other: list, where:
             if k not in before or k not in after:
                 other.append(f"{where}: {path}.{k} only in {'after' if k in after else 'before'}")
             else:
-                _walk(before[k], after[k], f"{path}.{k}", k, numeric, other, where, kinds)
+                old, new = before[k], after[k]
+                if k in NORMALS and old != new and len(old) == len(new):
+                    if max(abs(b + a) for b, a in zip(old, new)) <= FLIP_TOL:
+                        kinds["normal flipped"] += 1
+                    else:
+                        kinds["normal moved"] += 1
+                        kinds["normal moved flat"] += _is_flat(before) and _is_flat(after)
+                _walk(old, new, f"{path}.{k}", k, numeric, other, where, kinds)
     elif isinstance(before, list) and isinstance(after, list):
         if len(before) != len(after):
             other.append(f"{where}: {path} has {len(before)} items before, {len(after)} after")
         else:
-            if key in NORMALS and before != after:
-                flipped = max(abs(b + a) for b, a in zip(before, after)) <= FLIP_TOL
-                kinds["normal flipped" if flipped else "normal moved"] += 1
             if path in FRAMES and before != after:
                 gap = np.abs(_projector(before) - _projector(after)).max()
                 if gap <= FLIP_TOL:
@@ -177,7 +192,7 @@ def compare(before_file: str, after_file: str) -> int:
     for path, (relative, absolute, where) in sorted(moved.items()):
         print(f"  {path}: relative {relative:.2e}, absolute {absolute:.2e} ({where})")
     print(f"{kinds['normal flipped']} normals flipped (same hyperplane), "
-          f"{kinds['normal moved']} moved")
+          f"{kinds['normal moved']} moved, {kinds['normal moved flat']} of them on a flat optimum")
     print(f"{kinds['frame rotated']} frames rotated (same span), {kinds['frame moved']} moved")
     print(f"{len(other)} other changes")
     for line in other:
