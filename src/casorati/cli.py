@@ -5,11 +5,16 @@ field); stderr carries diagnostics.  Exit code 0 is success and 1 a
 counterexample; an error prints one ``error:`` line and exits with its code
 in ``errors.EXIT_CODES``, any other exception with ``errors.EXIT_INTERNAL``,
 and a command-line usage error with argparse's 2.
+
+``main`` may be called many times in one process: it builds its parser once,
+on the first call, and looks up the ``cmd_<subcommand>`` function of each
+call by name when the call runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -54,7 +59,7 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _resolve_entry(args) -> _catalog.CatalogEntry:
-    if getattr(args, "geometry_file", None):
+    if args.geometry_file is not None:
         return _catalog.load_geometry_file(args.geometry_file)
     if not getattr(args, "geometry", None):
         raise DegenerateInput("no geometry given: use --geometry or --geometry-file")
@@ -136,7 +141,7 @@ def _structure_block(ev: _verify.PointEvaluation, side: str) -> dict:
 
 def cmd_invariants(args) -> int:
     entry = _resolve_entry(args)
-    p = _parse_point(args.point) if args.point else entry.base_point
+    p = entry.base_point if args.point is None else _parse_point(args.point)
     ev = _verify.PointEvaluation(entry, p, seed=args.seed)
     mp = ev.map
     sides = ("map",) if entry.kind == _catalog.KIND_MAP else ("sub-vert", "sub-hor")
@@ -223,7 +228,7 @@ def _verify_synthetic(args, theorems) -> int:
 
 def _verify_geometry(args, theorems, entry) -> int:
     points = None
-    if args.point:
+    if args.point is not None:
         points = [_parse_point(args.point)]
     elif args.samples is not None:
         points = args.samples
@@ -253,7 +258,7 @@ def _verify_geometry(args, theorems, entry) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.geometry == "synthetic" and not args.geometry_file:
+    if args.geometry == "synthetic" and args.geometry_file is None:
         theorems = list(_verify.THEOREM_IDS) if args.theorem == "all" else [args.theorem]
         for t in theorems:
             _verify.theorem_info(t)
@@ -331,13 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat = sub.add_parser("catalog", help="list built-in geometries")
     p_cat.add_argument("--tag", default=None, help="only entries declaring this theorem tag")
     add_common(p_cat)
-    p_cat.set_defaults(func=cmd_catalog)
 
     p_inv = sub.add_parser("invariants", help="compute invariants of a geometry at a point")
     p_inv.add_argument("--geometry", default=None, help="catalog id")
     add_geometry_inputs(p_inv)
     add_common(p_inv)
-    p_inv.set_defaults(func=cmd_invariants)
 
     p_ver = sub.add_parser("verify", help="verify inequalities on a geometry or synthetic data")
     p_ver.add_argument("--theorem", required=True, help="registry id or 'all'")
@@ -355,33 +358,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--tolerance", type=float, default=None, help="residual tolerance override")
     add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
 
     p_ext = sub.add_parser("extremum", help="solve the constrained quadratic minimum")
     p_ext.add_argument("--r", type=int, required=True, help="number of variables (>= 3)")
     p_ext.add_argument("--lambda1", type=float, required=True, help="leading coefficient")
     p_ext.add_argument("--k", type=float, required=True, help="constraint value")
     add_common(p_ext)
-    p_ext.set_defaults(func=cmd_extremum)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """``build_parser()`` once per process, built by the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a separate "-0.1,..." as an option; bind it to --point.
+    # argparse reads a separate negative value such as "-4e0", "-inf" or
+    # "-0.1,0.2" as an option; bind it to the flag before it.
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--point" and re.match(r"-[0-9.]", argv[i]):
-            argv[i - 1 : i + 1] = [f"--point={argv[i]}"]
-    parser = build_parser()
+        if re.fullmatch(r"--[^=]+", argv[i - 1]) and re.match(r"-([0-9.]|inf|nan)", argv[i], re.I):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    parser = _shared_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.geometry == "synthetic" and not args.geometry_file:
+    if args.command == "verify" and args.geometry == "synthetic" and args.geometry_file is None:
         flags = ("point", "samples", "tolerance")
         unread = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
         if unread:
             parser.error(f"synthetic verify does not read {', '.join(unread)}; pass --geometry")
+    elif (getattr(args, "geometry_file", None) is not None
+          and args.geometry not in (None, "synthetic")):
+        parser.error("--geometry and --geometry-file each name a geometry; pass one")
+    elif getattr(args, "samples", None) is not None and args.point is not None:
+        parser.error("--point and --samples each choose the sample points; pass one")
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except CasoratiError as err:
         code, text = exit_code_for(err), str(err)
     except Exception as err:  # SystemExit and KeyboardInterrupt pass through

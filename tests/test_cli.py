@@ -1,4 +1,8 @@
+import argparse
+import contextlib
 import copy
+import functools
+import io
 import json
 import warnings
 
@@ -237,6 +241,77 @@ def test_spaced_negative_point(capsys, command):
     assert points and all(p == [-0.1, 0.2, 0.3] for p in points)
 
 
+EXTREMUM_ARGV = ["extremum", "--r", "3", "--lambda1", "3", "--json"]
+SPHERE_VERIFY_ARGV = ["verify", "--theorem", "map-general", "--geometry", "sphere-immersion-S3"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, code",
+    [
+        (EXTREMUM_ARGV, "--k", "-4e0", 0),
+        (EXTREMUM_ARGV, "--k", "-.5e1", 0),
+        (EXTREMUM_ARGV, "--k", "-4E-0", 0),
+        (SPHERE_VERIFY_ARGV, "--tolerance", "-1e-3", 2),
+        (SPHERE_VERIFY_ARGV, "--tolerance", "-inf", 2),
+    ],
+    ids=["k-exponent", "k-exponent-no-leading-digit", "k-capital-exponent",
+         "tolerance-exponent", "tolerance-minus-infinity"],
+)
+def test_spaced_negative_value_binds_to_its_flag(capsys, argv, flag, value, code):
+    # argparse's own negative-number pattern has no exponent and no infinity.
+    spaced = run(capsys, *argv, flag, value)
+    assert spaced == run(capsys, *argv, f"{flag}={value}")
+    got, out, err = spaced
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: tolerance must be finite and >= 0")
+    else:
+        assert json.loads(out)["k"] == float(value)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["verify", "--theorem", "all", "--geometry", "sphere-immersion-S3",
+          "--point", "0.1,0.2,0.3", "--samples", "3"], "--point and --samples"),
+        (["invariants", "--geometry", "sphere-immersion-S3", "--geometry-file", "GEO"],
+         "--geometry and --geometry-file"),
+        (["verify", "--theorem", "map-general", "--geometry", "sphere-immersion-S3",
+          "--geometry-file", "GEO"], "--geometry and --geometry-file"),
+    ],
+    ids=["verify-point-and-samples", "invariants-two-geometries", "verify-two-geometries"],
+)
+def test_inputs_that_one_run_cannot_both_read_are_usage_errors(tmp_path, capsys, argv, named):
+    # Each pair used to run with one of its flags silently dropped.
+    path = tmp_path / "geo.json"
+    path.write_text(json.dumps(GEO_DESC))
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if arg == "GEO" else arg for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {named} each" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["invariants", "--geometry", "sphere-immersion-S3", "--point="], "cannot parse point ''"),
+        (["verify", "--theorem", "map-general", "--geometry", "sphere-immersion-S3", "--point="],
+         "cannot parse point ''"),
+        (["invariants", "--geometry-file="], "cannot read geometry file ''"),
+        (["verify", "--theorem", "all", "--geometry-file="], "cannot read geometry file ''"),
+    ],
+    ids=["invariants-point", "verify-point", "invariants-file", "verify-file"],
+)
+def test_an_empty_value_is_not_a_missing_flag(capsys, argv, named):
+    # An empty --point used to mean the base point, and an empty
+    # --geometry-file no file: verify ran the synthetic fuzz instead.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {named}") and len(err.splitlines()) == 1
+
+
 def _with_subclasses(cls):
     return [cls] + [sub for child in cls.__subclasses__() for sub in _with_subclasses(child)]
 
@@ -280,6 +355,68 @@ def test_exit_and_interrupt_pass_through_the_cli(monkeypatch, raised):
     monkeypatch.setattr(cli, "cmd_catalog", fail)
     with pytest.raises(type(raised)):
         main(["catalog"])
+
+
+def test_main_builds_one_parser_tree(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser()
+    tree = len(built)
+    assert tree == 5  # the program and its four subcommands
+    built.clear()
+    cli._shared_parser.cache_clear()
+    for argv in (["catalog"], ["catalog", "--json"], [*EXTREMUM_ARGV, "--k", "4"],
+                 ["invariants", "--geometry", "sphere-immersion-S3"], ["catalog", "--bogus"]):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert len(built) == tree
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["verify", "--theorem", "all", "--geometry", "sasakian-R5-model", "--samples", "0"],
+        ["verify", "--theorem", "all", "--geometry", "sasakian-R5-model", "--point", "0,0,0,0,0",
+         "--samples", "1"],
+        ["verify", "--theorem", "all", "--samples", "1"],
+        ["verify", "--geometry", "sasakian-R5-model"],
+        ["invariants", "--bogus"],
+    ],
+    ids=["bad-value", "two-point-sources", "synthetic-samples", "missing-theorem", "unknown-flag"],
+)
+def test_a_usage_error_leaves_no_state_in_the_parser(capsys, bad):
+    valid = ["verify", "--theorem", "all", "--geometry", "sasakian-R5-model",
+             "--samples", "1", "--seed", "4", "--json"]
+    first = run(capsys, *valid)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *valid) == first
+
+
+@pytest.mark.parametrize("command", [[], ["catalog"], ["invariants"], ["verify"], ["extremum"]],
+                         ids=["program", "catalog", "invariants", "verify", "extremum"])
+def test_help_matches_a_freshly_built_parser(capsys, command):
+    run(capsys, "catalog")  # the shared parser exists and has parsed a call
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    shared = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([*command, "--help"])
+    assert shared == capsys.readouterr().out
+    assert shared.startswith(f"usage: {' '.join(['casorati', *command])} ")
 
 
 @pytest.mark.parametrize("command", [["invariants"], ["verify", "--theorem", "map-general"]])
@@ -684,3 +821,132 @@ def test_sub_hor_residual_beyond_the_algebra_is_the_model_term(capsys, geometry,
     assert len(model) == 6
     for rep, extra in model:
         assert abs(extra) <= 1e-8 * (1.0 + abs(rep["rhs"]))
+
+
+# Flag values for the argv property test: special numbers, text that is no
+# number, and values each flag takes. --trials and --samples take small
+# counts only, so that every example runs in milliseconds.
+_SPECIAL = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e309", "-1e309", str(10**30),
+                            str(-(10**30)), "-4e0", "-.5e1", "", "0", "-1", "x", "1,2"])
+_NUMBERS = st.one_of(_SPECIAL, _SPECIAL, st.floats().map(repr), st.integers(-50, 50).map(str))
+_COORDINATES = st.sampled_from(["nan", "inf", "-inf", "1e309", "-4e0", "", "x"]) | st.floats(
+    -0.5, 0.5).map(repr)
+_COUNTS = st.integers(1, 3).map(str) | st.sampled_from(["0", "-1", "", "1e3", "nan", "2.0", "x"])
+_THEOREMS = st.sampled_from([*THEOREM_IDS, "all", "all", "all", "nope", ""])
+_COMMAND_FLAGS = {
+    "catalog": ("--tag",),
+    "invariants": ("--geometry", "--geometry-file", "--point", "--seed"),
+    "verify": ("--theorem", "--geometry", "--geometry-file", "--point", "--seed", "--trials",
+               "--samples", "--tolerance"),
+    "extremum": ("--r", "--lambda1", "--k"),
+}
+# Out of ten examples, how many give each flag of the subcommand; any other
+# flag is given in three.
+_GIVEN_IN = {"--theorem": 9, "--r": 9, "--lambda1": 9, "--k": 9, "--geometry": 8, "--point": 5}
+
+
+def _mostly(good):
+    """A value of ``good`` three times in four, else one of ``_NUMBERS``."""
+    return st.integers(0, 3).flatmap(lambda i: good if i else _NUMBERS)
+
+
+def _flag_values(tmp_path):
+    """flag -> strategy of its value (None: the flag takes none); a value that
+    names a file stays in ``tmp_path``."""
+    geo = tmp_path / "geo.json"
+    geo.write_text(json.dumps(GEO_DESC))
+    return {
+        "--json": None,
+        "--output": st.sampled_from(["", "-", str(tmp_path)]),
+        "--tag": _THEOREMS,
+        "--geometry": st.sampled_from([e["id"] for e in catalog.DESCRIPTIONS]
+                                      + ["synthetic", "nope", ""]),
+        "--geometry-file": st.sampled_from(
+            [str(geo), str(tmp_path), str(tmp_path / "missing.json"), ""]
+        ),
+        # Comma lists of the right length for some chart, and of the wrong one.
+        "--point": _mostly(st.lists(_COORDINATES, min_size=1, max_size=8).map(",".join)),
+        "--seed": _mostly(st.integers(0, 2**70).map(str)),
+        "--theorem": _THEOREMS,
+        "--trials": _COUNTS | st.just("64"),
+        "--samples": _COUNTS,
+        "--tolerance": _mostly(st.floats(0, 1).map(repr)),
+        "--r": _mostly(st.integers(3, 8).map(str)),
+        "--lambda1": _mostly(st.floats(0, 40).map(repr)),  # the proviso asks lambda1 > r - 2
+        "--k": _mostly(st.floats(-10, 10).map(repr)),
+        "--bogus": _NUMBERS,
+    }
+
+
+@st.composite
+def _argv_lists(draw, command, values):
+    """``command`` with some of its flags (the required ones mostly given),
+    then up to two faults: a flag of another subcommand or an unknown one, a
+    flag without its value, a stray value, an unknown subcommand."""
+    chosen = [flag for flag in (*_COMMAND_FLAGS[command], "--json", "--output")
+              if draw(st.integers(0, 9)) < _GIVEN_IN.get(flag, 3)]
+    argv = [command]
+    for flag in draw(st.permutations(chosen)):
+        if values[flag] is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.extend([flag, draw(values[flag])])
+        else:
+            argv.append(f"{flag}={draw(values[flag])}")
+    for _ in range(draw(st.integers(0, 2)) if draw(st.integers(0, 3)) == 0 else 0):
+        flag = draw(st.sampled_from(sorted(values)))
+        fault = draw(st.sampled_from(["flag", "missing value", "stray value", "subcommand"]))
+        where = draw(st.integers(1, len(argv)))
+        if fault == "subcommand":
+            argv[0] = "nope"
+        elif fault == "stray value" or values[flag] is None:
+            argv.insert(where, draw(_NUMBERS))
+        elif fault == "missing value":
+            argv.append(flag)
+        else:
+            argv[where:where] = [flag, draw(values[flag])]
+    return argv
+
+
+@functools.cache
+def _catalog_json() -> str:
+    """``catalog --json`` through a parser of its own."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.cmd_catalog(cli.build_parser().parse_args(["catalog", "--json"])) == 0
+    return out.getvalue()
+
+
+def _shows_a_counterexample(out: str) -> bool:
+    try:
+        report = json.loads(out)
+    except ValueError:
+        return "FAIL" in out or "MISMATCH" in out
+    return report.get("total_failures", 0) > 0 or report.get("agrees") is False
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+@settings(max_examples=50, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_random_argv_exits_with_a_documented_code(tmp_path, capsys, command, data):
+    argv = data.draw(_argv_lists(command, _flag_values(tmp_path)), label="argv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning on stderr would be a second line
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2
+            code = None
+    out, err = capsys.readouterr()
+    if code is None:
+        assert out == "" and [line for line in err.splitlines() if "error:" in line] == [
+            err.splitlines()[-1]
+        ]
+    elif code in (0, 1):
+        assert err == ""
+        assert code == 0 or (argv[0] in ("verify", "extremum") and _shows_a_counterexample(out))
+    else:
+        assert code in errors.EXIT_CODES.values(), err
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert run(capsys, "catalog", "--json") == (0, _catalog_json(), "")
