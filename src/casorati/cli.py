@@ -257,8 +257,14 @@ def _verify_geometry(args, theorems, entry) -> int:
     return EXIT_OK if not failing else EXIT_COUNTEREXAMPLE
 
 
+def _synthetic(args) -> bool:
+    """Whether a verify call runs the synthetic fuzz: no --geometry-file, and
+    --geometry absent or 'synthetic'."""
+    return args.geometry in (None, "synthetic") and args.geometry_file is None
+
+
 def cmd_verify(args) -> int:
-    if args.geometry == "synthetic" and args.geometry_file is None:
+    if _synthetic(args):
         theorems = list(_verify.THEOREM_IDS) if args.theorem == "all" else [args.theorem]
         for t in theorems:
             _verify.theorem_info(t)
@@ -314,7 +320,8 @@ def cmd_extremum(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """A fresh parser tree: the program's parser and each subcommand's, by name."""
     parser = argparse.ArgumentParser(
         prog="casorati",
         description="Casorati curvature bounds for Riemannian maps and submersions",
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="verify inequalities on a geometry or synthetic data")
     p_ver.add_argument("--theorem", required=True, help="registry id or 'all'")
     p_ver.add_argument(
-        "--geometry", default="synthetic", help="catalog id or 'synthetic' (default)"
+        "--geometry", default=None, help="catalog id or 'synthetic' (default)"
     )
     add_geometry_inputs(p_ver)
     p_ver.add_argument(
@@ -365,13 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--k", type=float, required=True, help="constraint value")
     add_common(p_ext)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser tree; ``main`` uses one shared tree per process."""
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """``build_parser()`` once per process, built by the first ``main`` call."""
-    return build_parser()
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """``_build_parsers()`` once per process, built by the first ``main`` call."""
+    return _build_parsers()
 
 
 def main(argv=None) -> int:
@@ -381,18 +393,18 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if re.fullmatch(r"--[^=]+", argv[i - 1]) and re.match(r"-([0-9.]|inf|nan)", argv[i], re.I):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    parser = _shared_parser()
+    parser, commands = _shared_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.geometry == "synthetic" and args.geometry_file is None:
+    usage_error = commands[args.command].error  # prints the subcommand's usage line
+    if args.command == "verify" and _synthetic(args):
         flags = ("point", "samples", "tolerance")
         unread = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
         if unread:
-            parser.error(f"synthetic verify does not read {', '.join(unread)}; pass --geometry")
-    elif (getattr(args, "geometry_file", None) is not None
-          and args.geometry not in (None, "synthetic")):
-        parser.error("--geometry and --geometry-file each name a geometry; pass one")
+            usage_error(f"synthetic verify does not read {', '.join(unread)}; pass --geometry")
+    elif getattr(args, "geometry_file", None) is not None and args.geometry is not None:
+        usage_error("--geometry and --geometry-file each name a geometry; pass one")
     elif getattr(args, "samples", None) is not None and args.point is not None:
-        parser.error("--point and --samples each choose the sample points; pass one")
+        usage_error("--point and --samples each choose the sample points; pass one")
     try:
         return globals()[f"cmd_{args.command}"](args)
     except CasoratiError as err:

@@ -19,10 +19,11 @@ the bounds per hyperplane, are test oracles in ``tests/reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateInput, DimensionMismatch
 
@@ -42,6 +43,7 @@ GRID_PER_DIM = 10_000
 GRID_SEED = 1  # the one seed of every certification grid
 GRID_SLICE_DOUBLES = 65_536  # most doubles in one slice's product in the grid pass
 POLISH_LEADERS = 8
+LEADER_SAMPLE_STRIDE = 16  # every 16th value places the cuts of _diverse_leaders
 # Sphere solver: longest tangent step, least |curvature| (relative to the
 # scale 1 + ||B||^2) a step divides by, and the step fraction where halving stops.
 NEWTON_MAX_STEP = 0.5
@@ -272,6 +274,20 @@ def closed_form_normals(mats, antisymmetric: bool):
     return n_inf, np.take_along_axis(vecs, least, axis=-1)[..., 0]
 
 
+@cache
+def _identity(r: int) -> np.ndarray:
+    """The read-only r x r identity that every solver step shares."""
+    eye = np.eye(r)
+    eye.setflags(write=False)
+    return eye
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) of a float (k, r) array, the same sqrt of
+    add.reduce, without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def _tangent_derivatives(mats, normals: np.ndarray, signs: np.ndarray):
     """Signed objective, its gradient projected onto the sphere's tangent space,
     and its signed Hessian H - (n . grad) I, which P = I - n n^T turns into
@@ -279,8 +295,24 @@ def _tangent_derivatives(mats, normals: np.ndarray, signs: np.ndarray):
     value, grad, hess = restricted_sum_derivatives(mats, normals)
     grad = signs[:, None] * grad
     radial = np.sum(grad * normals, axis=1)
-    hess = signs[:, None, None] * hess - radial[:, None, None] * np.eye(normals.shape[1])
+    hess = signs[:, None, None] * hess - radial[:, None, None] * _identity(normals.shape[1])
     return signs * value, grad - radial[:, None] * normals, hess
+
+
+def _cholesky_succeeds(mats: np.ndarray) -> np.ndarray:
+    """Per row of a (k, r, r) stack: whether np.linalg.cholesky of that row
+    alone succeeds.
+
+    np.linalg.cholesky calls the ``cholesky_lo`` gufunc and raises for the
+    whole stack when any row fails. The gufunc itself fills a failed row
+    with NaN and goes on to the next, while a factor that succeeds has the
+    (0, 0) entry sqrt(m_00) > 0; a NaN there marks exactly the rows that
+    np.linalg.cholesky refuses alone. The floating-point flags that the
+    wrapper reads are ignored here.
+    """
+    with np.errstate(all="ignore"):
+        factors = _umath_linalg.cholesky_lo(mats)
+    return ~np.isnan(factors[:, 0, 0])
 
 
 def _newton_directions(normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, scale: float):
@@ -296,33 +328,29 @@ def _newton_directions(normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, sc
     tangent eigenvectors take part. On a row whose matrix has every
     eigenvalue above the floor that sum is the plain Newton step -M^-1 pg,
     solved without an eigendecomposition. A Cholesky factorization of M -
-    floor I proves every row of the batch definite at once; when it fails,
-    eigh classifies each row by its own smallest eigenvalue. The two tests
-    can only disagree on a row whose smallest eigenvalue lies within
-    rounding of the floor, where the two steps agree to rounding.
+    floor I, row by row, proves a row definite; eigh runs on the rows where
+    it fails only. The two tests can only disagree on a row whose smallest
+    eigenvalue lies within rounding of the floor, where the two steps agree
+    to rounding. Each row's step is the step of a batch of that row alone.
     """
+    eye = _identity(normals.shape[1])
     outer = normals[:, :, None] * normals[:, None, :]
-    eye = np.eye(normals.shape[1])
     proj = eye - outer
     mats = proj @ hess @ proj + scale * outer
     floor = NEWTON_FLOOR * scale
+    definite = _cholesky_succeeds(mats - floor * eye)
     step = np.empty_like(pg)
-    try:
-        np.linalg.cholesky(mats - floor * eye)
-        definite = np.ones(len(pg), dtype=bool)
-    except np.linalg.LinAlgError:
-        lam, vecs = np.linalg.eigh(mats)
-        definite = lam[:, 0] > floor
-        rest = ~definite
-        lam, vecs = lam[rest], vecs[rest]
+    if definite.any():
+        step[definite] = -np.linalg.solve(mats[definite], pg[definite, :, None])[..., 0]
+    rest = ~definite
+    if rest.any():
+        lam, vecs = np.linalg.eigh(mats[rest])
         coords = np.einsum("kij,ki->kj", vecs, pg[rest])
         weights = np.where(
             lam < -floor, np.sign(coords) * NEWTON_MAX_STEP, coords / np.maximum(np.abs(lam), floor)
         )
         step[rest] = -np.einsum("kij,kj->ki", vecs, weights)
-    if definite.any():
-        step[definite] = -np.linalg.solve(mats[definite], pg[definite, :, None])[..., 0]
-    length = np.linalg.norm(step, axis=1, keepdims=True)
+    length = _row_norms(step)[:, None]
     return step * np.minimum(1.0, NEWTON_MAX_STEP / np.maximum(length, NEWTON_MAX_STEP))
 
 
@@ -351,13 +379,13 @@ def _sphere_extrema(
     labels = np.repeat(np.arange(len(sides)), [len(starts) for starts in sides])
     signs, owners = np.where(labels % 2 == 0, 1.0, -1.0), labels // 2
     n = np.vstack(sides)
-    n = n / np.linalg.norm(n, axis=1, keepdims=True)
+    n = n / _row_norms(n)[:, None]
     stack = form_stack(mats)
     scale = 1.0 + float(stack.norm)
     tol = GRAD_NORM_TOL * scale
     f, pg, hess = _tangent_derivatives(stack, n, signs)
     # The running starts: their indices, points, values, gradients, steps and step fractions.
-    idx = np.flatnonzero(np.linalg.norm(pg, axis=1) > tol)
+    idx = np.flatnonzero(_row_norms(pg) > tol)
     x, fx, gx, sx = n[idx], f[idx], pg[idx], signs[idx]
     step = _newton_directions(x, gx, hess[idx], scale) if idx.size else gx
     frac = np.ones(len(idx))
@@ -366,7 +394,7 @@ def _sphere_extrema(
         if idx.size == 0:
             break
         cand = x + frac[:, None] * step
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        cand /= _row_norms(cand)[:, None]
         fc, pgc, hc = _tangent_derivatives(stack, cand, sx)
         ok = fc <= fx + 1e-4 * frac * np.sum(gx * step, axis=1) + ROUNDING_TOL * scale
         steps[idx] += 1
@@ -378,7 +406,7 @@ def _sphere_extrema(
             x[ok], fx[ok], gx[ok] = cand[ok], fc[ok], pgc[ok]
             step[ok] = _newton_directions(cand[ok], pgc[ok], hc[ok], scale)
             frac = np.where(ok, 1.0, 0.5 * frac)
-        keep = (np.linalg.norm(gx, axis=1) > tol) & (frac > NEWTON_MIN_FRACTION)
+        keep = (_row_norms(gx) > tol) & (frac > NEWTON_MIN_FRACTION)
         if not keep.all():
             n[idx], f[idx] = x, fx
             idx, x, fx, gx, sx, step, frac = (a[keep] for a in (idx, x, fx, gx, sx, step, frac))
@@ -391,27 +419,34 @@ def _sphere_extrema(
 def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
     """Up to k rows of dirs, lowest value first, none within ~18 degrees of an earlier pick.
 
-    Picks come from a prefix of the rows in (value, index) order: the first
-    32 k rows, then 128 k, and so on. Ties at a cut go to the lower indices,
-    so a subset never outgrows its size, however flat the values. The picks
-    equal a greedy pass over all rows: each pick is the argmin over the
-    subset, in index order, and its cap is masked to +inf. While the subset
-    yields fewer than k picks and rows remain, it widens; the picks stay,
-    and only the rows new to the subset are screened against them. A +inf
-    value is never picked.
+    Picks come from a prefix of the rows in (value, index) order, of about
+    32 k rows, then 128 k, and so on. Such a prefix is every row of value <=
+    t, with t read from one sorted sample of every LEADER_SAMPLE_STRIDE-th
+    value: the sample's (size / stride)-th value. When that gathers more than
+    4 times the wanted size (ties, flat data, a skewed sample), the prefix is
+    cut exactly at the size-th value, and ties at that cut go to the lower
+    indices, so a subset stays within 4 times its size, however flat the
+    values. The picks equal a greedy pass over all rows: each pick is the
+    argmin over the subset, in index order, and its cap is masked to +inf.
+    While the subset yields fewer than k picks and rows remain, it widens;
+    the picks stay, and only the rows new to the subset are screened against
+    them. A +inf value is never picked.
     """
     values = np.asarray(values, dtype=float)
+    sample = np.sort(values[::LEADER_SAMPLE_STRIDE])
     picked: list[np.ndarray] = []
     seen = np.zeros(len(values), dtype=bool)
     size = 32 * k
     while True:
         if size < len(values):
-            cut = np.partition(values, size - 1)[size - 1]
-            rows = np.flatnonzero(values <= cut)
-            if len(rows) > size:  # ties at the cut: keep those of the lowest indices
-                below = np.flatnonzero(values < cut)
-                ties = np.flatnonzero(values == cut)[: size - len(below)]
-                rows = np.sort(np.concatenate((below, ties)))
+            rows = np.flatnonzero(values <= sample[size // LEADER_SAMPLE_STRIDE - 1])
+            if len(rows) > 4 * size:
+                cut = np.partition(values, size - 1)[size - 1]
+                rows = np.flatnonzero(values <= cut)
+                if len(rows) > size:  # ties at the cut: keep those of the lowest indices
+                    below = np.flatnonzero(values < cut)
+                    ties = np.flatnonzero(values == cut)[: size - len(below)]
+                    rows = np.sort(np.concatenate((below, ties)))
         else:
             rows = np.arange(len(values))
         rows = rows[~seen[rows]]  # only the rows new to the subset, in index order

@@ -278,8 +278,11 @@ def test_spaced_negative_value_binds_to_its_flag(capsys, argv, flag, value, code
          "--geometry and --geometry-file"),
         (["verify", "--theorem", "map-general", "--geometry", "sphere-immersion-S3",
           "--geometry-file", "GEO"], "--geometry and --geometry-file"),
+        (["verify", "--theorem", "map-general", "--geometry", "synthetic",
+          "--geometry-file", "GEO"], "--geometry and --geometry-file"),
     ],
-    ids=["verify-point-and-samples", "invariants-two-geometries", "verify-two-geometries"],
+    ids=["verify-point-and-samples", "invariants-two-geometries", "verify-two-geometries",
+         "verify-synthetic-and-file"],
 )
 def test_inputs_that_one_run_cannot_both_read_are_usage_errors(tmp_path, capsys, argv, named):
     # Each pair used to run with one of its flags silently dropped.
@@ -310,6 +313,35 @@ def test_an_empty_value_is_not_a_missing_flag(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {named}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "all", "--samples", "2"],
+        ["verify", "--theorem", "all", "--geometry", "sphere-immersion-S3", "--point", "0,0,0",
+         "--samples", "2"],
+        ["verify", "--theorem", "all", "--geometry", "synthetic", "--geometry-file", "g.json"],
+        ["invariants", "--geometry", "sphere-immersion-S3", "--geometry-file", "g.json"],
+    ],
+    ids=["synthetic-samples", "point-and-samples", "verify-two-geometries",
+         "invariants-two-geometries"],
+)
+def test_usage_errors_of_main_print_the_subcommands_usage(capsys, argv):
+    # The usage that argparse prints for an error of its own in the same subcommand.
+    command = argv[0]
+    with pytest.raises(SystemExit):
+        main([command, "--seed", "x"])
+    theirs = capsys.readouterr().err
+    usage = theirs[: theirs.index(f"casorati {command}: error: ")]
+    assert usage.startswith(f"usage: casorati {command} ")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    ours = capsys.readouterr()
+    assert ours.out == "" and ours.err.startswith(usage)
+    assert ours.err[len(usage):].startswith(f"casorati {command}: error: ")
+    assert len(ours.err[len(usage):].splitlines()) == 1
 
 
 def _with_subclasses(cls):

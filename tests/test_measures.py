@@ -297,8 +297,20 @@ def test_diverse_leaders_match_the_full_greedy_pass(monkeypatch, r):
     # About 100 rows at 0 and the rest +inf, so the cut itself falls among the +inf ties.
     tied_inf = np.full(len(dirs), np.inf)
     tied_inf[:: len(dirs) // 100] = 0.0
+    # Against the sorted sample of every LEADER_SAMPLE_STRIDE-th value that
+    # places each cut: sampled rows lowest, so a cut gathers too few rows and
+    # the prefix widens; sampled rows highest, so a cut gathers nearly every
+    # row and falls back to the exact cut; and the ranks 128 to 512 tied at
+    # the value of the first k = 8 cut, so ties straddle it.
+    stride, spread = measures.LEADER_SAMPLE_STRIDE, np.ptp(total) + 1.0
+    sampled_low, sampled_high = total.copy(), total.copy()
+    sampled_low[::stride] -= spread
+    sampled_high[::stride] += spread
+    order = np.sort(total)
+    cut = np.sort(total[::stride])[32 * 8 // stride - 1]
+    tied_at_cut = np.where((total >= order[128]) & (total <= order[512]), cut, total)
     cases = [total, -total, np.full(len(dirs), 2.5), ties, -ties, some_inf, few_finite,
-             levels, -levels, tied_inf]
+             levels, -levels, tied_inf, sampled_low, sampled_high, tied_at_cut]
     for values in cases:
         for k in (4, 8):
             fast = measures._diverse_leaders(dirs, values, k)
@@ -332,6 +344,24 @@ class _RowGathers(np.ndarray):
         if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
             _RowGathers.log.append(len(key))
         return super().__getitem__(key)
+
+
+def test_diverse_leaders_widen_past_a_low_sample_and_cut_exactly_past_a_high_one(monkeypatch):
+    # The first cut reads the sample's (32 k / stride)-th value. When the
+    # sampled rows hold the lowest values, it gathers just those sampled rows
+    # and later cuts widen the prefix; when they hold the highest, it would
+    # gather nearly every row, and the exact cut of 32 k rows stands in.
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    dirs = measures._grid_directions(3)
+    values = restricted_sum(sym_coeffs(np.random.default_rng(6), 2, 3).coeffs, dirs)
+    stride, spread, k = measures.LEADER_SAMPLE_STRIDE, np.ptp(values) + 1.0, 8
+    for shift, first in ((-spread, 32 * k // stride), (spread, 32 * k)):
+        skewed = values.copy()
+        skewed[::stride] += shift
+        monkeypatch.setattr(_RowGathers, "log", [])
+        picks = measures._diverse_leaders(dirs.view(_RowGathers), skewed, k)
+        assert np.array_equal(picks, diverse_leaders(dirs, skewed, k)) and len(picks) == k
+        assert _RowGathers.log[0] == first and len(_RowGathers.log) > 1
 
 
 def test_diverse_leaders_gather_no_more_than_the_first_subset_when_all_values_tie(monkeypatch):
@@ -464,6 +494,68 @@ def test_newton_step_of_each_row_equals_its_step_alone():
         assert np.allclose(step, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
         mixed += definite.any() and not definite.all()
     assert mixed >= 50
+
+
+def _newton_matrices(normals, hess, scale):
+    """The matrices P hess P + scale n n^T that ``_newton_directions`` factors,
+    less the floor: positive definite exactly where it takes a Newton solve."""
+    outer = normals[:, :, None] * normals[:, None, :]
+    eye = np.eye(normals.shape[1])
+    proj = eye - outer
+    return proj @ hess @ proj + scale * outer - measures.NEWTON_FLOOR * scale * eye
+
+
+def _cholesky_alone(mats):
+    """Whether np.linalg.cholesky of each row alone succeeds."""
+    succeeds = []
+    for m in mats:
+        try:
+            np.linalg.cholesky(m)
+            succeeds.append(True)
+        except np.linalg.LinAlgError:
+            succeeds.append(False)
+    return np.array(succeeds)
+
+
+def test_definite_flag_of_each_row_is_cholesky_of_that_row_alone():
+    rng = np.random.default_rng(33)
+    planted = []
+    for _ in range(100):
+        r, s = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+        normals, pg, hess, scale = _newton_batch(rng, r, s, 12)
+        mats = _newton_matrices(normals, hess, scale)
+        # Planted rows: shift a row by its smallest eigenvalue, give or take
+        # a few units in the last place of the scale, so that it is definite
+        # or not by rounding alone.
+        near = mats[:4] - np.linalg.eigvalsh(mats[:4])[:, :1, None] * np.eye(r)
+        near += (rng.integers(-4, 5, size=4) * np.spacing(scale))[:, None, None] * np.eye(r)
+        stack = np.concatenate([mats, near])
+        flags = measures._cholesky_succeeds(stack)
+        assert flags.dtype == bool and np.array_equal(flags, _cholesky_alone(stack))
+        planted.extend(flags[12:])
+    assert 0 < sum(planted) < len(planted)
+
+
+def test_eigh_sees_only_the_rows_that_fail_cholesky(monkeypatch):
+    seen = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        seen.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(34)
+    mixed = 0
+    for _ in range(60):
+        r, s = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+        normals, pg, hess, scale = _newton_batch(rng, r, s, 10)
+        failed = int(np.sum(~_cholesky_alone(_newton_matrices(normals, hess, scale))))
+        seen.clear()
+        measures._newton_directions(normals, pg, hess, scale)
+        assert sum(seen) == failed and len(seen) == (failed > 0)
+        mixed += 0 < failed < len(normals)
+    assert mixed >= 20
 
 
 def test_grid_extrema_needs_two_dimensions():
