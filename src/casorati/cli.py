@@ -394,8 +394,11 @@ def main(argv=None) -> int:
         if re.fullmatch(r"--[^=]+", argv[i - 1]) and re.match(r"-([0-9.]|inf|nan)", argv[i], re.I):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser, commands = _shared_parser()
-    args = parser.parse_args(argv)
+    args, leftovers = parser.parse_known_args(argv)
     usage_error = commands[args.command].error  # prints the subcommand's usage line
+    if leftovers:  # argparse lists the program's own, those before the subcommand, first
+        before = leftovers[0] in argv[: argv.index(args.command)]
+        (parser.error if before else usage_error)(f"unrecognized arguments: {' '.join(leftovers)}")
     if args.command == "verify" and _synthetic(args):
         flags = ("point", "samples", "tolerance")
         unread = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]

@@ -4,8 +4,10 @@ A chart is a smooth map ``p -> g(p)`` (symmetric positive-definite matrix) on
 a coordinate box. Christoffel symbols and the full Riemann tensor at a point
 are assembled from first and second central differences of the metric alone,
 so no finite difference is ever taken of an already-differenced quantity and
-the scheme stays cleanly second order in the step; one Richardson step then
-removes the leading error term of the Riemann tensor.
+the scheme stays cleanly second order in the step. For the Riemann tensor one
+Richardson step removes the leading error term of those differences, which
+are linear in the samples, and the fully lowered coordinate formula then
+assembles the tensor once.
 
 Sign convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
 and R_{ijkl} = <R(d_i, d_j) d_k, d_l>, which gives the unit round sphere
@@ -115,9 +117,8 @@ class CurvatureTensor:
         }
         worst = max(defects.values())
         if worst > tol:
-            raise DimensionMismatch(
-                f"curvature tensor identities violated: {defects} (tol {tol:.2e})"
-            )
+            named = ", ".join(f"{name} {value:.2e}" for name, value in defects.items())
+            raise DimensionMismatch(f"curvature tensor identities violated: {named}, tol {tol:.2e}")
         object.__setattr__(self, "components", comp)
         comp.setflags(write=False)
 
@@ -185,20 +186,16 @@ def _check_condition(g: np.ndarray) -> None:
         raise NearSingularMetric(f"metric condition number {cond:.3e}")
 
 
-def _lowered(d: np.ndarray) -> np.ndarray:
-    """Gamma_{l,ij} = (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) / 2 from d[..., a, i, j] = d_a g_{ij}.
-
-    Leading indices pass through, so the same formula lowers d_a Gamma from ddg.
-    """
-    return 0.5 * (np.einsum("...ijl->...lij", d) + np.einsum("...jil->...lij", d) - d)
+def _lowered(dg: np.ndarray) -> np.ndarray:
+    """Gamma_{l,ij} = (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) / 2 from dg[a, i, j] = d_a g_{ij}."""
+    return 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)
 
 
-def _symbols(g: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g^{-1}, Gamma_{l,ij}, Gamma^k_{ij}) from the metric and its first derivatives."""
+def _symbols(g: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma_{l,ij}, Gamma^k_{ij}) from the metric and its first derivatives."""
     _check_condition(g)
-    g_inv = np.linalg.inv(g)
     low = _lowered(dg)
-    return g_inv, low, np.einsum("kl,lij->kij", g_inv, low)
+    return low, np.einsum("kl,lij->kij", np.linalg.inv(g), low)
 
 
 def christoffel(chart: ChartMetric, p: np.ndarray) -> np.ndarray:
@@ -207,46 +204,43 @@ def christoffel(chart: ChartMetric, p: np.ndarray) -> np.ndarray:
     h = chart.steps_at(p, CHRISTOFFEL_STEP_SCALE)
     chart.require_inside(p, 2.0 * h)
     g, dg = _first_derivatives(chart.metric_at(_stencil(p, h, mixed=False)), h)
-    return _symbols(g, dg)[2]
+    return _symbols(g, dg)[1]
 
 
 def riemann_at(chart: ChartMetric, p: np.ndarray) -> CurvatureTensor:
     """Full lowered Riemann tensor R_{ijkl} at p.
 
-    One Richardson extrapolation step combines the h and h/2 results, killing
-    the leading O(h^2) truncation term. The step starts large: extrapolation
-    removes its truncation error, while the halved step must stay clear of
-    the second-difference roundoff floor eps/h^2. The stencils of both steps
-    go to the metric in one call.
+    One Richardson extrapolation step combines the metric derivatives of the
+    h and h/2 stencils, killing their leading O(h^2) truncation term, and the
+    tensor is assembled once from the result. The step starts large:
+    extrapolation removes its truncation error, while the halved step must
+    stay clear of the second-difference roundoff floor eps/h^2. The stencils
+    of both steps go to the metric in one call.
     """
     p = np.asarray(p, dtype=float)
     h = chart.steps_at(p, RIEMANN_STEP_SCALE)
     chart.require_inside(p, 4.0 * h)
     steps = (h, 0.5 * h)
     samples = chart.metric_at(np.concatenate([_stencil(p, step, mixed=True) for step in steps]))
-    coarse, fine = (
-        _riemann_components(*_first_derivatives(part, step), _second_derivatives(part, step))
+    (g, dg_coarse, ddg_coarse), (_, dg_fine, ddg_fine) = (
+        (*_first_derivatives(part, step), _second_derivatives(part, step))
         for part, step in zip(np.split(samples, 2), steps)
     )
-    return CurvatureTensor((4.0 * fine - coarse) / 3.0)
+    dg, ddg = (4.0 * dg_fine - dg_coarse) / 3.0, (4.0 * ddg_fine - ddg_coarse) / 3.0
+    return CurvatureTensor(_riemann_components(g, dg, ddg))
 
 
 def _riemann_components(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
-    """R_{ijkl} from the metric g, dg[a] = d_a g and ddg[a, b] = d_a d_b g at a point."""
-    g_inv, low, gamma = _symbols(g, dg)
-    # d_a g^{-1} = -g^{-1} (d_a g) g^{-1}
-    dginv = -np.einsum("kl,alm,mn->akn", g_inv, dg, g_inv)
-    dgamma = np.einsum("akl,lij->akij", dginv, low) + np.einsum(
-        "kl,alij->akij", g_inv, _lowered(ddg)
-    )
-    # R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
-    #             + Gamma^m_{jk} Gamma^l_{im} - Gamma^m_{ik} Gamma^l_{jm}
-    term1 = dgamma.transpose(1, 0, 2, 3)  # [l, i, j, k] = d_i Gamma^l_{jk}
-    term2 = term1.transpose(0, 2, 1, 3)  # d_j Gamma^l_{ik}
-    term3 = np.einsum("mjk,lim->lijk", gamma, gamma)
-    term4 = np.einsum("mik,ljm->lijk", gamma, gamma)
-    r_up = term1 - term2 + term3 - term4
-    return np.einsum("lm,mijk->ijkl", g, r_up)
+    """R_{ijkl} from the metric g, dg[a] = d_a g and ddg[a, b] = d_a d_b g at a point:
+
+    R_{ijkl} = (d_i d_k g_{jl} - d_i d_l g_{jk} - d_j d_k g_{il} + d_j d_l g_{ik}) / 2
+               + Gamma_{m,jl} Gamma^m_{ik} - Gamma_{m,il} Gamma^m_{jk}.
+    """
+    low, gamma = _symbols(g, dg)
+    dd = ddg.transpose(0, 2, 1, 3)  # [i, j, k, l] = d_i d_k g_{jl}
+    # The terms whose first factor carries i; swapping i and j gives the rest.
+    s = 0.5 * (dd - dd.transpose(0, 1, 3, 2)) + np.einsum("mjl,mik->ijkl", low, gamma)
+    return s - s.transpose(1, 0, 2, 3)
 
 
 def scalar_on_subspace(tensor: CurvatureTensor, frame: Frame) -> float:

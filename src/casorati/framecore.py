@@ -26,8 +26,9 @@ GRAM_SYMMETRY_TOL = 1e-12
 RANK_TOL = 1e-8
 # Most coordinates a chart, and so an inner product, may have. Up to here
 # ORTHONORMAL_TOL is safe in double precision, and riemann_at's (n, n, n, n)
-# curvature arrays stay small: 8 MiB each at n = 32, where it peaks at about
-# six of them (48 MiB and 0.6 s per point, against 7 MiB and 0.1 s at n = 20).
+# curvature arrays stay small: 8 MiB each at n = 32, where a point peaks at
+# 89 MiB (32 MiB of stencil metrics beside about seven such arrays) and takes
+# 0.1 s, against 14 MiB and 0.02 s at n = 20 (2-core x86-64, numpy 2.4).
 MAX_CHART_DIM = 32
 
 

@@ -14,7 +14,12 @@ from casorati.rmaps import (
     oneill_T,
     second_fundamental_form,
 )
-from reference import hopf_complex, hopf_quaternionic, validate_against_chart
+from reference import (
+    CHART_VALIDATION_TOL,
+    hopf_complex,
+    hopf_quaternionic,
+    validate_against_chart,
+)
 
 EXPECTED_IDS = {
     "euclidean-projection-5-2",
@@ -28,7 +33,6 @@ EXPECTED_IDS = {
     "kenmotsu-H5-H3",
 }
 
-MODEL_TOL = 1e-3
 GAUSS_SAMPLE_TOL = 1e-5
 
 
@@ -61,7 +65,7 @@ def test_entry_matches_declared_space_form(entry):
     sampler = chart.interior_sampler(rng, margin=0.05)
     points = [side_point] + [sampler() for _ in range(2)]
     worst = validate_against_chart(spec, chart, entry.structure_fn, points, rng=rng)
-    assert worst <= MODEL_TOL
+    assert worst <= CHART_VALIDATION_TOL
 
 
 @pytest.mark.parametrize("entry", catalog.list_entries(), ids=lambda e: e.id)

@@ -323,9 +323,11 @@ def test_an_empty_value_is_not_a_missing_flag(capsys, argv, named):
          "--samples", "2"],
         ["verify", "--theorem", "all", "--geometry", "synthetic", "--geometry-file", "g.json"],
         ["invariants", "--geometry", "sphere-immersion-S3", "--geometry-file", "g.json"],
+        ["invariants", "--bogus"],
+        ["verify", "--theorem", "all", "--geometry", "sphere-immersion-S3", "extra"],
     ],
     ids=["synthetic-samples", "point-and-samples", "verify-two-geometries",
-         "invariants-two-geometries"],
+         "invariants-two-geometries", "invariants-unknown-flag", "verify-extra-argument"],
 )
 def test_usage_errors_of_main_print_the_subcommands_usage(capsys, argv):
     # The usage that argparse prints for an error of its own in the same subcommand.
@@ -342,6 +344,15 @@ def test_usage_errors_of_main_print_the_subcommands_usage(capsys, argv):
     assert ours.out == "" and ours.err.startswith(usage)
     assert ours.err[len(usage):].startswith(f"casorati {command}: error: ")
     assert len(ours.err[len(usage):].splitlines()) == 1
+
+
+def test_an_unknown_argument_before_the_subcommand_prints_the_programs_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "invariants", "--extra"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: casorati [-h] {")
+    assert err.endswith("casorati: error: unrecognized arguments: --bogus --extra\n")
 
 
 def _with_subclasses(cls):

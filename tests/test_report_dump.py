@@ -44,6 +44,22 @@ def test_compare_reports_numbers_and_fails_on_other_changes(tmp_path, capsys):
     assert report_dump.compare(before, _dump(tmp_path / "short.jsonl", [_line()])) == 1
 
 
+def test_compare_states_a_change_across_zero_on_the_gates_scale(tmp_path, capsys):
+    # A residual that moves from 4.6e-12 to -4.7e-12 changes by 1e-12 relative to
+    # 1 + |before|, where its relative change |a - b| / max(|a|, |b|) reads near 2.
+    before = _dump(tmp_path / "before.jsonl", [_line(c_l_inf=4.6e-12)])
+    after = _dump(tmp_path / "after.jsonl", [_line(c_l_inf=-4.7e-12)])
+    assert report_dump.compare(before, after) == 0
+    out = capsys.readouterr().out
+    assert "C_L_inf: relative 1.98e+00, to 1 + |before| 9.30e-12, absolute 9.30e-12" in out
+
+    moved = _dump(tmp_path / "moved.jsonl", [_line(c_l_inf=3.0)])
+    assert report_dump.compare(_dump(tmp_path / "one.jsonl", [_line(c_l_inf=1.0)]), moved) == 0
+    assert "C_L_inf: relative 6.67e-01, to 1 + |before| 1.00e+00, absolute 2.00e+00" in (
+        capsys.readouterr().out
+    )
+
+
 def test_compare_counts_flipped_and_moved_normals(tmp_path, capsys):
     def line(inf_normal, sup_normal):
         report = {"C_L_inf": 1.0, "inf_normal": inf_normal, "sup_normal": sup_normal}

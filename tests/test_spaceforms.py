@@ -20,7 +20,7 @@ from casorati.spaceforms import (
     family_constants,
 )
 from casorati.verify import model_reference_part
-from reference import model_curvature, model_tensor, validate_against_chart
+from reference import CHART_VALIDATION_TOL, model_curvature, model_tensor, validate_against_chart
 
 IDENTITY_TOL = 1e-12
 
@@ -176,7 +176,7 @@ def test_validate_sphere_chart_against_real_model():
     sampler = chart.interior_sampler(rng, margin=0.2)
     points = [sampler() for _ in range(4)]
     worst = validate_against_chart(spec, chart, trivial_structure(4), points, rng=rng)
-    assert worst <= 1e-3
+    assert worst <= CHART_VALIDATION_TOL
 
 
 def test_validate_rejects_wrong_constant():
@@ -194,4 +194,4 @@ def test_heisenberg_chart_is_sasakian_minus_three():
     op = heisenberg_structure()(p)
     spec = SpaceFormSpec("generalized-sasakian", c1, c2, op, c3=c3)
     worst = validate_against_chart(spec, chart, heisenberg_structure(), [p])
-    assert worst <= 1e-3
+    assert worst <= CHART_VALIDATION_TOL

@@ -22,8 +22,11 @@ run), and its report is ``delta_casorati(FormCoefficients(role, c),
 certify=True).to_json()``.
 
 ``--compare`` reads two dumps line by line. It prints, for each numeric
-field (list indices folded), the largest relative and absolute change and
-the argv where the relative one occurs, then every other change: exit
+field (list indices folded), the largest relative change |a - b| / max(|a|,
+|b|) and the argv where it occurs, the largest change relative to 1 +
+|before|, the scale of the package's tolerance gates (a value that moves
+across zero is a relative change near 1 but may be a small one on that
+scale), and the largest absolute change, then every other change: exit
 codes, booleans, strings, counts, the optimizer's ``starts``, keys and list
 lengths. Integers are compared exactly, except the solver cost
 ``iterations``, which is reported with the numbers. Each changed
@@ -136,10 +139,14 @@ def _walk(before, after, path: str, key: str, numeric: dict, other: list, where:
     if _is_number(before, key) and _is_number(after, key):
         absolute = abs(after - before)
         relative = absolute / max(abs(before), abs(after)) if absolute else 0.0
-        worst_relative, worst_absolute, worst_where = numeric.get(path, (-1.0, 0.0, where))
+        worst_relative, worst_absolute, worst_where, worst_gate = numeric.get(
+            path, (-1.0, 0.0, where, 0.0)
+        )
         if relative > worst_relative:
             worst_relative, worst_where = relative, where
-        numeric[path] = (worst_relative, max(worst_absolute, absolute), worst_where)
+        gate = absolute / (1.0 + abs(before))
+        numeric[path] = (worst_relative, max(worst_absolute, absolute), worst_where,
+                         max(worst_gate, gate))
     elif isinstance(before, dict) and isinstance(after, dict):
         for k in sorted(before.keys() | after.keys()):
             if k not in before or k not in after:
@@ -189,8 +196,9 @@ def compare(before_file: str, after_file: str) -> int:
     print(f"{same} of {len(after)} lines byte-identical")
     moved = {path: v for path, v in numeric.items() if v[1]}
     print(f"{len(moved)} of {len(numeric)} numeric fields changed")
-    for path, (relative, absolute, where) in sorted(moved.items()):
-        print(f"  {path}: relative {relative:.2e}, absolute {absolute:.2e} ({where})")
+    for path, (relative, absolute, where, gate) in sorted(moved.items()):
+        print(f"  {path}: relative {relative:.2e}, to 1 + |before| {gate:.2e}, "
+              f"absolute {absolute:.2e} ({where})")
     print(f"{kinds['normal flipped']} normals flipped (same hyperplane), "
           f"{kinds['normal moved']} moved, {kinds['normal moved flat']} of them on a flat optimum")
     print(f"{kinds['frame rotated']} frames rotated (same span), {kinds['frame moved']} moved")
