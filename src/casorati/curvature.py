@@ -238,7 +238,7 @@ def _riemann_components(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.nd
     """
     low, gamma = _symbols(g, dg)
     dd = ddg.transpose(0, 2, 1, 3)  # [i, j, k, l] = d_i d_k g_{jl}
-    # The terms whose first factor carries i; swapping i and j gives the rest.
+    # s holds the terms with d_i or Gamma^m_{ik}; the other three are -s with i and j swapped.
     s = 0.5 * (dd - dd.transpose(0, 1, 3, 2)) + np.einsum("mjl,mik->ijkl", low, gamma)
     return s - s.transpose(1, 0, 2, 3)
 
