@@ -1,13 +1,13 @@
 """Chart-based metric geometry by numerical differentiation.
 
 A chart is a smooth map ``p -> g(p)`` (symmetric positive-definite matrix) on
-a coordinate box. Christoffel symbols and the full Riemann tensor at a point
-are assembled from first and second central differences of the metric alone,
-so no finite difference is ever taken of an already-differenced quantity and
-the scheme stays cleanly second order in the step. For the Riemann tensor one
-Richardson step removes the leading error term of those differences, which
-are linear in the samples, and the fully lowered coordinate formula then
-assembles the tensor once.
+a coordinate box. The Christoffel symbols and the full Riemann tensor at a
+point come from one pass of first and second central differences of the
+metric alone, so no finite difference is ever taken of an already-differenced
+quantity and the scheme stays cleanly second order in the step. One Richardson
+step removes the leading error term of those differences, which are linear in
+the samples; the symbols are formed from the result, and the fully lowered
+coordinate formula assembles the tensor once.
 
 Sign convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
 and R_{ijkl} = <R(d_i, d_j) d_k, d_l>, which gives the unit round sphere
@@ -25,11 +25,8 @@ import numpy as np
 from .errors import DimensionMismatch, NearSingularMetric, OutOfDomain
 from .framecore import MAX_CHART_DIM, Frame
 
-# Differentiation steps: h = scale * (1 + |coordinate|). Christoffel symbols
-# need first metric derivatives only, so their step sits below the curvature
-# step and keeps the truncation error of nabla F* under the 1e-9 symmetry gates.
+# Differentiation step: h = scale * (1 + |coordinate|), then h/2.
 RIEMANN_STEP_SCALE = 1e-3
-CHRISTOFFEL_STEP_SCALE = 1e-5
 # Algebraic-identity tolerance for assembled tensors, scaled by (1 + max |R|).
 TENSOR_IDENTITY_TOL = 1e-6
 MAX_METRIC_CONDITION = 1e8
@@ -97,9 +94,12 @@ class ChartMetric:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """R_{ijkl} components at a point, validated against the algebraic identities."""
+    """R_{ijkl} components at a point, validated against the algebraic identities, and
+    the Christoffel symbols Gamma^k_{ij} [k, i, j] that ``riemann_at`` formed with them
+    (None for a tensor built from components alone)."""
 
     components: np.ndarray
+    christoffel: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         comp = np.array(self.components, dtype=float)
@@ -116,11 +116,15 @@ class CurvatureTensor:
             ).max(),
         }
         worst = max(defects.values())
-        if worst > tol:
+        # NaN compares False against tol, so the test is written to fail on it.
+        if not worst <= tol:
             named = ", ".join(f"{name} {value:.2e}" for name, value in defects.items())
             raise DimensionMismatch(f"curvature tensor identities violated: {named}, tol {tol:.2e}")
         object.__setattr__(self, "components", comp)
         comp.setflags(write=False)
+        if self.christoffel is not None:
+            object.__setattr__(self, "christoffel", np.array(self.christoffel, dtype=float))
+            self.christoffel.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -136,37 +140,29 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _stencil(p: np.ndarray, h: np.ndarray, mixed: bool) -> np.ndarray:
+def _stencil(p: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Central-difference sample points around p, one per row.
 
-    Rows: p, then p + h_a e_a and p - h_a e_a for each a; with ``mixed``,
-    then (p + s h_a e_a) + t h_b e_b for a < b and signs (s, t) = (+, +),
-    (+, -), (-, +), (-, -) in turn. Each row is p with one or two coordinates
+    Rows: p, then p + h_a e_a and p - h_a e_a for each a, then
+    (p + s h_a e_a) + t h_b e_b for a < b and signs (s, t) = (+, +), (+, -),
+    (-, +), (-, -) in turn. Each row is p with one or two coordinates
     replaced, so its entries are those that adding h_a e_a gives.
     """
     n = p.size
     plus, minus = p + h, p - h
     eye = np.eye(n, dtype=bool)
-    rows = [p[None, :], np.where(eye, plus, p), np.where(eye, minus, p)]
-    if mixed:
-        a, b = _upper_pairs(n)
-        pairs = np.arange(a.size)
-        quad = np.tile(p, (4, a.size, 1))
-        quad[:, pairs, a] = [plus[a], plus[a], minus[a], minus[a]]
-        quad[:, pairs, b] = [plus[b], minus[b], plus[b], minus[b]]
-        rows.append(quad.reshape(-1, n))
-    return np.concatenate(rows)
+    a, b = _upper_pairs(n)
+    pairs = np.arange(a.size)
+    quad = np.tile(p, (4, a.size, 1))
+    quad[:, pairs, a] = [plus[a], plus[a], minus[a], minus[a]]
+    quad[:, pairs, b] = [plus[b], minus[b], plus[b], minus[b]]
+    return np.concatenate([p[None, :], np.where(eye, plus, p), np.where(eye, minus, p),
+                           quad.reshape(-1, n)])
 
 
-def _first_derivatives(samples: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g, dg) from the metric on ``_stencil`` rows: g at p and dg[a] = d_a g."""
-    n = h.size
-    gp, gm = samples[1 : n + 1], samples[n + 1 : 2 * n + 1]
-    return samples[0], (gp - gm) / (2.0 * h[:, None, None])
-
-
-def _second_derivatives(samples: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """ddg[a, b] = d_a d_b g from the metric on mixed ``_stencil`` rows."""
+def _derivatives(samples: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, dg, ddg) from the metric on ``_stencil`` rows: g at p, dg[a] = d_a g
+    and ddg[a, b] = d_a d_b g."""
     n = h.size
     g0, gp, gm = samples[0], samples[1 : n + 1], samples[n + 1 : 2 * n + 1]
     ddg = np.empty((n, n, n, n))
@@ -177,7 +173,7 @@ def _second_derivatives(samples: np.ndarray, h: np.ndarray) -> np.ndarray:
     mixed = (pp - pm - mp + mm) / (4.0 * h[a] * h[b])[:, None, None]
     ddg[a, b] = mixed
     ddg[b, a] = mixed
-    return ddg
+    return g0, (gp - gm) / (2.0 * h[:, None, None]), ddg
 
 
 def _check_condition(g: np.ndarray) -> None:
@@ -199,44 +195,42 @@ def _symbols(g: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def christoffel(chart: ChartMetric, p: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma^k_{ij} at p, indexed [k, i, j]."""
-    p = np.asarray(p, dtype=float)
-    h = chart.steps_at(p, CHRISTOFFEL_STEP_SCALE)
-    chart.require_inside(p, 2.0 * h)
-    g, dg = _first_derivatives(chart.metric_at(_stencil(p, h, mixed=False)), h)
-    return _symbols(g, dg)[1]
+    """Christoffel symbols Gamma^k_{ij} at p, indexed [k, i, j], as ``riemann_at`` forms them."""
+    return riemann_at(chart, p).christoffel
 
 
 def riemann_at(chart: ChartMetric, p: np.ndarray) -> CurvatureTensor:
-    """Full lowered Riemann tensor R_{ijkl} at p.
+    """Full lowered Riemann tensor R_{ijkl} at p, with the Christoffel symbols there.
 
     One Richardson extrapolation step combines the metric derivatives of the
-    h and h/2 stencils, killing their leading O(h^2) truncation term, and the
-    tensor is assembled once from the result. The step starts large:
-    extrapolation removes its truncation error, while the halved step must
-    stay clear of the second-difference roundoff floor eps/h^2. The stencils
-    of both steps go to the metric in one call.
+    h and h/2 stencils, killing their leading O(h^2) truncation term; the
+    Christoffel symbols and then the tensor are formed once from the result.
+    The step starts large: extrapolation removes its truncation error, while
+    the halved step must stay clear of the second-difference roundoff floor
+    eps/h^2. The stencils of both steps go to the metric in one call.
     """
     p = np.asarray(p, dtype=float)
     h = chart.steps_at(p, RIEMANN_STEP_SCALE)
     chart.require_inside(p, 4.0 * h)
     steps = (h, 0.5 * h)
-    samples = chart.metric_at(np.concatenate([_stencil(p, step, mixed=True) for step in steps]))
+    samples = chart.metric_at(np.concatenate([_stencil(p, step) for step in steps]))
+    if not np.all(np.isfinite(samples)):
+        raise NearSingularMetric(
+            f"metric not finite on the stencil at {p.tolist()} (chart {chart.name!r})")
     (g, dg_coarse, ddg_coarse), (_, dg_fine, ddg_fine) = (
-        (*_first_derivatives(part, step), _second_derivatives(part, step))
-        for part, step in zip(np.split(samples, 2), steps)
+        _derivatives(part, step) for part, step in zip(np.split(samples, 2), steps)
     )
     dg, ddg = (4.0 * dg_fine - dg_coarse) / 3.0, (4.0 * ddg_fine - ddg_coarse) / 3.0
-    return CurvatureTensor(_riemann_components(g, dg, ddg))
+    low, gamma = _symbols(g, dg)
+    return CurvatureTensor(_riemann_components(low, gamma, ddg), gamma)
 
 
-def _riemann_components(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
-    """R_{ijkl} from the metric g, dg[a] = d_a g and ddg[a, b] = d_a d_b g at a point:
+def _riemann_components(low: np.ndarray, gamma: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+    """R_{ijkl} from the symbols Gamma_{m,ij} and Gamma^m_{ij} and ddg[a, b] = d_a d_b g:
 
     R_{ijkl} = (d_i d_k g_{jl} - d_i d_l g_{jk} - d_j d_k g_{il} + d_j d_l g_{ik}) / 2
                + Gamma_{m,jl} Gamma^m_{ik} - Gamma_{m,il} Gamma^m_{jk}.
     """
-    low, gamma = _symbols(g, dg)
     dd = ddg.transpose(0, 2, 1, 3)  # [i, j, k, l] = d_i d_k g_{jl}
     # s holds the terms with d_i or Gamma^m_{ik}; the other three are -s with i and j swapped.
     s = 0.5 * (dd - dd.transpose(0, 1, 3, 2)) + np.einsum("mjl,mik->ijkl", low, gamma)

@@ -28,7 +28,8 @@ RANK_TOL = 1e-8
 # ORTHONORMAL_TOL is safe in double precision, and riemann_at's (n, n, n, n)
 # curvature arrays stay small: 8 MiB each at n = 32, where a point peaks at
 # 89 MiB (32 MiB of stencil metrics beside about seven such arrays) and takes
-# 0.1 s, against 14 MiB and 0.02 s at n = 20 (2-core x86-64, numpy 2.4).
+# 0.08 s, against 14 MiB and 0.015 s at n = 20 (2-core x86-64, numpy 2.4).
+# christoffel reads riemann_at's symbols, so it costs the same.
 MAX_CHART_DIM = 32
 
 

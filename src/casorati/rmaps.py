@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import ChartMetric, CurvatureTensor, christoffel, riemann_at, scalar_on_subspace
+from .curvature import ChartMetric, CurvatureTensor, riemann_at, scalar_on_subspace
 from .errors import (
     DimensionMismatch,
     GaussResidualExceeded,
@@ -221,16 +221,17 @@ class MapAtPoint:
     def nabla_fstar(self) -> np.ndarray:
         """nabla F* in coordinates: [c, k, l] = (nabla F*)(d_k, d_l)^c.
 
-        (nabla F*)(d_k, d_l)^c = d_k d_l F^c + Gamma2^c_{ab} J^a_k J^b_l - Gamma1^m_{kl} J^c_m.
-        On horizontal pairs it is normal to the range (zero for a submersion);
-        the range component must vanish within a relative 1e-6 gate.
+        (nabla F*)(d_k, d_l)^c = d_k d_l F^c + Gamma2^c_{ab} J^a_k J^b_l - Gamma1^m_{kl} J^c_m,
+        the symbols read from the cached curvature tensors. On horizontal pairs
+        it is normal to the range (zero for a submersion); the range component
+        must vanish within a relative 1e-6 gate.
         """
         sm = self.smooth_map
         j = self.derivative
         nabla = (
             sm.component_hessians(self.point)
-            + np.einsum("cab,ak,bl->ckl", christoffel(sm.target, self.image), j, j)
-            - np.einsum("mkl,cm->ckl", christoffel(sm.source, self.point), j)
+            + np.einsum("cab,ak,bl->ckl", self.target_curvature.christoffel, j, j)
+            - np.einsum("mkl,cm->ckl", self.source_curvature.christoffel, j)
         )
         e = self.horizontal_frame.vectors
         b_vec = np.einsum("ik,jl,ckl->ijc", e, e, nabla)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from casorati import curvature, measures
-from casorati.curvature import ChartMetric, CurvatureTensor, christoffel, riemann_at
+from casorati.curvature import ChartMetric, CurvatureTensor, riemann_at
 from casorati.errors import (
     DegenerateInput,
     DimensionMismatch,
@@ -653,7 +653,7 @@ def projector_field(mp: MapAtPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         p1 = _vertical_projector(sm, p + e, rank) - _vertical_projector(sm, p - e, rank)
         p2 = _vertical_projector(sm, p + 2.0 * e, rank) - _vertical_projector(sm, p - 2.0 * e, rank)
         dpv[a] = (8.0 * p1 - p2) / (12.0 * h[a])
-    return _vertical_projector(sm, p, rank), dpv, christoffel(sm.source, p)
+    return _vertical_projector(sm, p, rank), dpv, mp.source_curvature.christoffel
 
 
 def _oneill_vectors(mp: MapAtPoint, of: str) -> np.ndarray:
@@ -793,17 +793,15 @@ _FAMILY_SAMPLERS = {
 
 
 def metric_derivatives_by_loops(
-    chart: ChartMetric, p: np.ndarray, h: np.ndarray, mixed: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    chart: ChartMetric, p: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, dg, ddg) at p by central differences, the metric called point by
-    point; ddg[a, b] = d_a d_b g is None unless ``mixed``."""
+    point; dg[a] = d_a g and ddg[a, b] = d_a d_b g."""
     n = chart.dim
     g0 = chart.metric_at(p)
     gp = np.array([chart.metric_at(p + e) for e in np.diag(h)])
     gm = np.array([chart.metric_at(p - e) for e in np.diag(h)])
     dg = (gp - gm) / (2.0 * h[:, None, None])
-    if not mixed:
-        return g0, dg, None
     ddg = np.empty((n, n, n, n))
     for a in range(n):
         ddg[a, a] = (gp[a] - 2.0 * g0 + gm[a]) / (h[a] * h[a])
@@ -824,22 +822,26 @@ def metric_derivatives_by_loops(
     return g0, dg, ddg
 
 
-def riemann_by_loops(chart: ChartMetric, p: np.ndarray) -> np.ndarray:
-    """``riemann_at``'s components from per-point stencils: the metric derivatives
-    of both Richardson steps, extrapolated, then one assembly."""
+def _extrapolated_by_loops(chart: ChartMetric, p: np.ndarray):
+    """(g, dg, ddg) at p: the metric derivatives of both Richardson steps of
+    ``riemann_at`` from per-point stencils, extrapolated."""
     h = chart.steps_at(p, curvature.RIEMANN_STEP_SCALE)
     (g, dg_coarse, ddg_coarse), (_, dg_fine, ddg_fine) = (
         metric_derivatives_by_loops(chart, p, step) for step in (h, 0.5 * h)
     )
-    dg, ddg = (4.0 * dg_fine - dg_coarse) / 3.0, (4.0 * ddg_fine - ddg_coarse) / 3.0
-    return curvature._riemann_components(g, dg, ddg)
+    return g, (4.0 * dg_fine - dg_coarse) / 3.0, (4.0 * ddg_fine - ddg_coarse) / 3.0
+
+
+def riemann_by_loops(chart: ChartMetric, p: np.ndarray) -> np.ndarray:
+    """``riemann_at``'s components from per-point stencils: the extrapolated
+    metric derivatives, then one assembly."""
+    g, dg, ddg = _extrapolated_by_loops(chart, p)
+    return curvature._riemann_components(*curvature._symbols(g, dg), ddg)
 
 
 def christoffel_by_loops(chart: ChartMetric, p: np.ndarray) -> np.ndarray:
-    """``christoffel`` from a per-point stencil."""
-    h = chart.steps_at(p, curvature.CHRISTOFFEL_STEP_SCALE)
-    g, dg, _ = metric_derivatives_by_loops(chart, p, h, mixed=False)
-    return curvature._symbols(g, dg)[1]
+    """``christoffel``: the symbols of ``riemann_by_loops``' extrapolated derivatives."""
+    return curvature._symbols(*_extrapolated_by_loops(chart, p)[:2])[1]
 
 
 def jacobian_by_columns(sm: SmoothMap, p: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from casorati.curvature import (
     riemann_at,
     scalar_on_subspace,
 )
-from casorati.errors import DimensionMismatch, OutOfDomain
+from casorati.errors import DimensionMismatch, NearSingularMetric, OutOfDomain
 from casorati.framecore import Frame, InnerProduct
 from reference import riemann_through_christoffel_derivatives, sectional
 
@@ -23,7 +23,24 @@ REFINED_TOL = 1e-8
 # Largest measured gap to the oracle route, 1.3e-11 of (1 + max |R|) over the
 # base point and ten sampled points of every catalog chart; 8x headroom.
 ORACLE_REL_TOL = 1e-10
+# Largest measured gap to the analytic conformal symbols, 6.4e-12 of
+# (1 + max |Gamma|) over the base point and three sampled points of every
+# catalog sphere chart; a separate first-difference stencil gave 1.0e-10 to 5.3e-10.
+SPHERE_SYMBOLS_TOL = 2e-11
 SIDES = [(e, side) for e in catalog.list_entries() for side in ("source", "target")]
+SPHERE_SIDES = [
+    (catalog.get(desc["id"]), side, desc[f"{side}_chart"].get("radius", 1.0))
+    for desc in catalog.DESCRIPTIONS
+    for side in ("source", "target")
+    if desc[f"{side}_chart"]["builder"] == "sphere"
+]
+
+
+def _side(entry, side):
+    """The chart of one side and a point on it: the base point or its image."""
+    if side == "source":
+        return entry.source_chart, entry.base_point
+    return entry.target_chart, entry.smooth_map(entry.base_point)
 
 
 def test_flat_chart_has_zero_curvature():
@@ -33,6 +50,24 @@ def test_flat_chart_has_zero_curvature():
     assert np.abs(tensor.components).max() <= FLAT_TOL
     gamma = christoffel(chart, p)
     assert np.abs(gamma).max() <= FLAT_TOL
+
+
+@pytest.mark.parametrize(
+    "entry, side, radius", SPHERE_SIDES, ids=[f"{e.id}-{s}" for e, s, _ in SPHERE_SIDES]
+)
+def test_christoffel_matches_the_conformal_sphere_symbols(entry, side, radius):
+    # g = e^{2 phi} I with e^phi = 2R^2 / (R^2 + |y|^2), so d_a phi = -2 y_a / (R^2 + |y|^2)
+    # and Gamma^k_{ij} = delta_ki d_j phi + delta_kj d_i phi - delta_ij d_k phi.
+    chart, base = _side(entry, side)
+    box = chart.domain_box
+    sampled = np.random.default_rng(7).uniform(0.5 * box[:, 0], 0.5 * box[:, 1], (3, chart.dim))
+    eye = np.eye(chart.dim)
+    for p in [base, *sampled]:
+        dphi = -2.0 * p / (radius**2 + p @ p)
+        want = (np.einsum("ki,j->kij", eye, dphi) + np.einsum("kj,i->kij", eye, dphi)
+                - np.einsum("ij,k->kij", eye, dphi))
+        got = christoffel(chart, p)
+        assert np.abs(got - want).max() <= SPHERE_SYMBOLS_TOL * (1.0 + np.abs(want).max())
 
 
 def test_christoffel_symmetric_in_lower_indices():
@@ -125,16 +160,33 @@ def test_riemann_at_matches_the_route_through_christoffel_derivatives(entry, sid
     # Richardson on the metric derivatives before one lowered assembly, against
     # the mixed-index assembly at each step with Richardson on the components:
     # the two differ by rounding and a higher-order remainder of the steps.
-    if side == "source":
-        chart, base = entry.source_chart, entry.base_point
-    else:
-        chart, base = entry.target_chart, entry.smooth_map(entry.base_point)
+    chart, base = _side(entry, side)
     box = chart.domain_box
     sampled = np.random.default_rng(7).uniform(0.5 * box[:, 0], 0.5 * box[:, 1], (3, chart.dim))
     for p in [base, *sampled]:
         want = riemann_through_christoffel_derivatives(chart, p)
         got = riemann_at(chart, p).components
         assert np.abs(got - want).max() <= ORACLE_REL_TOL * (1.0 + np.abs(want).max())
+
+
+def test_a_nan_tensor_violates_the_identities():
+    with pytest.raises(DimensionMismatch, match="identities violated"):
+        CurvatureTensor(np.full((2, 2, 2, 2), np.nan))
+
+
+def test_a_metric_that_is_not_finite_on_the_stencil_is_refused():
+    # Finite at p, NaN from x_0 = 0.1001 on: the step h = 1.1e-3 reaches past it.
+    def metric(p):
+        g = np.tile(np.eye(2), p.shape[:-1] + (1, 1))
+        g[..., 0, 0] = np.where(p[..., 0] > 0.1001, np.nan, 1.0)
+        return g
+
+    chart = ChartMetric(2, metric, np.array([[-1.0, 1.0], [-1.0, 1.0]]), name="nan-edge")
+    p = np.array([0.1, 0.0])
+    assert np.isfinite(chart.metric_at(p)).all()
+    for measure in (riemann_at, christoffel):
+        with pytest.raises(NearSingularMetric, match="not finite .*'nan-edge'"):
+            measure(chart, p)
 
 
 def test_chart_domain_enforcement():

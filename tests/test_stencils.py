@@ -29,6 +29,7 @@ from casorati.curvature import ChartMetric, christoffel, riemann_at
 from casorati.errors import DimensionMismatch
 from casorati.framecore import MAX_CHART_DIM
 from casorati.rmaps import FD_STEP, SmoothMap
+from casorati.verify import PointEvaluation
 from reference import (
     christoffel_by_loops,
     component_hessians_by_columns,
@@ -132,6 +133,27 @@ def test_each_stencil_is_one_call(monkeypatch):
     christoffel(chart, p)
     sm.component_hessians(p)
     assert calls == ["metric_at", "metric_at", "jacobian"]
+
+
+@pytest.mark.parametrize(
+    "entry_id", ["quaternionic-hopf-S7-S4", "warped-product-R-x-R3", "sphere-immersion-S3"]
+)
+def test_each_chart_is_differentiated_once_per_point(monkeypatch, entry_id):
+    # g1 and g2 for the frames, then one stencil per chart: its curvature
+    # tensor carries the Christoffel symbols that nabla F* reads.
+    calls = []
+    original = ChartMetric.metric_at
+    monkeypatch.setattr(
+        ChartMetric, "metric_at", lambda self, p: calls.append(np.shape(p)) or original(self, p)
+    )
+    entry = catalog.get(entry_id)
+    ev = PointEvaluation(entry, entry.base_point)
+    sides = ("map", "sub-vert", "sub-hor") if entry.kind == catalog.KIND_SUBMERSION else ("map",)
+    for side in sides:
+        ev.coefficients(side)
+        ev.pair(side)
+    assert len(calls) == 4
+    assert calls[:2] == [(entry.source_chart.dim,), (entry.target_chart.dim,)]
 
 
 def test_a_metric_that_does_not_broadcast_is_a_dimension_mismatch():
