@@ -38,8 +38,8 @@ def _is_int(value) -> bool:
 
 
 def _chart_size(name: str, value, low: int, high: int) -> int:
-    """``value`` if it is an integer in [low, high], the range that gives the
-    chart 1 to MAX_CHART_DIM coordinates."""
+    """``value`` if it is an integer in [low, high]: a chart size, in the range
+    that gives the chart 1 to MAX_CHART_DIM coordinates, or the declared rank."""
     if not _is_int(value):
         raise _BadParameter(f"{name} must be an integer, not {value!r}")
     if not low <= value <= high:
@@ -370,20 +370,19 @@ class CatalogEntry:
         p = self.base_point if point is None else np.asarray(point, dtype=float)
         return map_at_point(self.smooth_map, p, declared_rank=self.declared_rank)
 
-    def structure_at(self, side_point: np.ndarray) -> StructureOperator:
-        if self.structure_fn is None:
-            raise HypothesisViolated(f"geometry {self.id!r} declares no structure operator")
-        return self.structure_fn(np.asarray(side_point, dtype=float))
-
     def space_form_spec(self, side_point: np.ndarray) -> SpaceFormSpec:
         """Model-curvature constants + structure at a point of the declared side."""
         if self.family is None or self.spaceform_side is None:
             raise HypothesisViolated(f"geometry {self.id!r} declares no space-form side")
-        c1, c2, c3 = family_constants(self.family)
-        op = self.structure_at(side_point)
-        if self.family.name in CONTACT_FAMILIES:
-            return SpaceFormSpec("generalized-sasakian", c1, c2, op, c3)
-        return SpaceFormSpec("generalized-complex", c1, c2, op, None)
+        if self.structure_fn is None:
+            raise HypothesisViolated(f"geometry {self.id!r} declares no structure operator")
+        op = self.structure_fn(np.asarray(side_point, dtype=float))
+        if (self.family.name in CONTACT_FAMILIES) != (op.kind == "almost-contact"):
+            raise DegenerateInput(
+                f"geometry {self.id!r}: the family {self.family.name!r} and the structure "
+                f"of kind {op.kind!r} differ in contact type"
+            )
+        return SpaceFormSpec(*family_constants(self.family), op)
 
     def summary(self) -> dict:
         return {
@@ -489,7 +488,7 @@ def entry_from_description(desc: dict) -> CatalogEntry:
         id=desc["id"],
         kind=desc["kind"],
         smooth_map=SmoothMap(source, target, func, name=desc["id"]),
-        declared_rank=int(desc["declared_rank"]),
+        declared_rank=_chart_size("declared_rank", desc["declared_rank"], 0, MAX_CHART_DIM),
         base_point=desc["base_point"],
         hypothesis_tags=tuple(desc.get("tags", ())),
         family=family,
@@ -717,16 +716,22 @@ def get(entry_id: str) -> CatalogEntry:
 def load_geometry_file(path: str) -> CatalogEntry:
     """The entry that a JSON geometry file describes.
 
-    A file that is missing or not JSON, lacks a key, holds a non-object
-    where a section belongs, names an unknown builder, gives one a key or
-    value it cannot take or a base point of the wrong length, or whose map
-    fails at the base point raises DegenerateInput, with the file's name and
-    the key's where there is one.
+    A file that is missing or not JSON, holds a non-finite number (NaN, an
+    infinity, 1e400) or a non-object where a section belongs, lacks a key,
+    names an unknown builder, gives one a key or value it cannot take, or a
+    non-integer rank or a base point of the wrong length, or whose map fails
+    at the base point raises DegenerateInput naming the file and any key.
     """
     name = repr(os.fspath(path))
+
+    def finite(text: str) -> float:
+        if not np.isfinite(value := float(text)):
+            raise DegenerateInput(f"geometry file {name} holds {text}, not a finite number")
+        return value
+
     try:
         with open(path, encoding="utf-8") as fh:
-            desc = json.load(fh)
+            desc = json.load(fh, parse_constant=finite, parse_float=finite)
     except OSError as err:
         raise DegenerateInput(f"cannot read geometry file {name}: {err.strerror}") from None
     except ValueError as err:

@@ -133,7 +133,7 @@ def _structure_block(ev: _verify.PointEvaluation, side: str) -> dict:
         "leakage_defect": klass.leakage_defect,
         "retention_defect": klass.retention_defect,
     }
-    if ev.spec.structure.kind == "almost-contact":
+    if ev.spec.contact:
         pos = ev.xi(side)
         block["xi"] = {"position": pos.position, "defect": pos.projection_defect}
     return block
@@ -271,6 +271,8 @@ def cmd_verify(args) -> int:
         return _verify_synthetic(args, theorems)
     entry = _resolve_entry(args)
     if args.theorem == "all":
+        for tag in entry.hypothesis_tags:
+            _verify.theorem_info(tag)
         theorems = [t for t in _verify.THEOREM_IDS if t in entry.hypothesis_tags]
         if not theorems:
             raise DegenerateInput(

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NearSingularMetric, OutOfDomain
+from .errors import DegenerateInput, DimensionMismatch, NearSingularMetric, OutOfDomain
 from .framecore import MAX_CHART_DIM, Frame
 
 # Differentiation step: h = scale * (1 + |coordinate|), then h/2.
@@ -38,8 +38,8 @@ class ChartMetric:
 
     ``metric_fn`` takes points of shape (..., dim) and returns the metric at
     each, of shape (..., dim, dim), so that a stencil is one call.
-    ``domain_box`` has shape (dim, 2) with rows (lo, hi); points (and all
-    finite-difference samples around them) must stay inside.
+    ``domain_box`` has shape (dim, 2) with finite rows (lo, hi), lo < hi;
+    points (and all finite-difference samples around them) must stay inside.
     """
 
     dim: int
@@ -53,6 +53,8 @@ class ChartMetric:
             raise DimensionMismatch(
                 f"domain_box shape {box.shape}, expected ({self.dim}, 2)"
             )
+        if not (np.isfinite(box).all() and (box[:, 0] < box[:, 1]).all()):
+            raise DegenerateInput(f"domain_box {box.tolist()} needs finite rows lo < hi")
         object.__setattr__(self, "domain_box", box)
         box.setflags(write=False)
 

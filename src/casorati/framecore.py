@@ -63,12 +63,6 @@ class InnerProduct:
     def euclidean(cls, dim: int) -> "InnerProduct":
         return cls(np.eye(dim))
 
-    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.asarray(u) @ self.gram @ np.asarray(v))
-
-    def norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(max(self.dot(u, u), 0.0)))
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -101,14 +95,6 @@ class Frame:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def coefficients_of(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients of the projection of v onto the frame's span."""
-        return self.vectors @ self.inner.gram @ np.asarray(v, dtype=float)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of v onto the frame's span."""
-        return self.coefficients_of(v) @ self.vectors
 
 
 @dataclass(frozen=True)
@@ -172,9 +158,6 @@ class StructureOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=float)
 
 
 def gram_schmidt(raw_vectors: np.ndarray, inner: InnerProduct) -> Frame:

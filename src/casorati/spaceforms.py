@@ -10,15 +10,17 @@ and a generalized Sasakian space form M(c1, c2, c3) adds
                 + c3 { eta(Z1) eta(Z3) Z2 - eta(Z2) eta(Z3) Z1
                        + g(Z1,Z3) eta(Z2) xi - g(Z2,Z3) eta(Z1) xi }.
 
-The named constant families (real, complex, real-Kahler, Sasakian, Kenmotsu,
-cosymplectic, almost-C(alpha)) are all expressible through (c1, c2, c3); the
-real family uses c2 = c3 = 0 so contact-style code paths can consume it
-uniformly. The verifier reads the tensor only through its trace over a frame,
-``verify.model_reference_part``.
+A ``SpaceFormSpec`` holds (c1, c2, c3) and the structure operator, and is
+of contact (generalized Sasakian) type exactly when its structure is
+almost-contact; c3 = 0 otherwise. The named constant families (real,
+complex, real-Kahler, Sasakian, Kenmotsu, cosymplectic, almost-C(alpha))
+are all expressible through (c1, c2, c3). The verifier reads the tensor
+only through its trace over a frame, ``verify.model_reference_part``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DegenerateInput
@@ -27,46 +29,35 @@ from .framecore import StructureOperator
 
 @dataclass(frozen=True)
 class SpaceFormSpec:
-    """Constants plus structure operator for a model curvature tensor."""
+    """Constants plus structure operator for a model curvature tensor. The
+    dimension's parity needs no check: ``StructureOperator`` refuses J in odd
+    dimension (det J^2 >= 0 > det(-I)) and phi in even dimension (phi on
+    ker eta is a complex structure)."""
 
-    kind: str  # "generalized-complex" | "generalized-sasakian"
     c1: float
     c2: float
+    c3: float
     structure: StructureOperator
-    c3: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "generalized-complex":
-            if self.c3 is not None:
-                raise DegenerateInput("c3 is only meaningful for the sasakian kind")
-            if self.structure.kind == "trivial":
-                # Real space forms: the c2 block vanishes identically, so a zero
-                # operator is admissible and the dimension parity is unrestricted.
-                if self.c2 != 0.0:
-                    raise DegenerateInput("a trivial structure requires c2 == 0")
-            elif self.structure.kind == "almost-complex":
-                if self.structure.dim % 2 != 0:
-                    raise DegenerateInput("almost-complex structures need even dimension")
-            else:
-                raise DegenerateInput("generalized-complex spec needs an almost-complex J")
-        elif self.kind == "generalized-sasakian":
-            if self.c3 is None:
-                raise DegenerateInput("generalized-sasakian spec needs c3")
-            if self.structure.kind != "almost-contact":
-                raise DegenerateInput(
-                    "generalized-sasakian spec needs an almost-contact structure"
-                )
-            if self.structure.dim % 2 != 1:
-                raise DegenerateInput("almost-contact structures need odd dimension")
-        else:
-            raise DegenerateInput(f"unknown space form kind {self.kind!r}")
+        if not all(map(math.isfinite, self.constants())):
+            raise DegenerateInput(f"space-form constants must be finite, got {self.constants()}")
+        if self.c3 != 0.0 and not self.contact:
+            raise DegenerateInput("c3 != 0 needs an almost-contact structure")
+        if self.c2 != 0.0 and self.structure.kind == "trivial":  # real space forms
+            raise DegenerateInput("a trivial structure requires c2 == 0")
+
+    @property
+    def contact(self) -> bool:
+        """Whether the form is a generalized Sasakian one: its structure is almost-contact."""
+        return self.structure.kind == "almost-contact"
 
     @property
     def dim(self) -> int:
         return self.structure.dim
 
     def constants(self) -> tuple[float, float, float]:
-        return float(self.c1), float(self.c2), float(self.c3 or 0.0)
+        return float(self.c1), float(self.c2), float(self.c3)
 
 
 # (c1, c2, c3) for the named families; alpha enters only where noted.

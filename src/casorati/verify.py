@@ -115,7 +115,7 @@ THEOREM_IDS = tuple(REGISTRY)
 def theorem_info(theorem_id: str) -> TheoremInfo:
     try:
         return REGISTRY[theorem_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable tag of a geometry file
         known = ", ".join(THEOREM_IDS)
         raise DegenerateInput(f"unknown theorem {theorem_id!r}; know {known}") from None
 
@@ -123,6 +123,15 @@ def theorem_info(theorem_id: str) -> TheoremInfo:
 # --------------------------------------------------------------------------
 # branch detection
 # --------------------------------------------------------------------------
+
+def _frame_split(frame: Frame, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """g-norms of the rows of ``vectors``, of their projections onto the
+    frame's span and of the rest, in one pass."""
+    g = frame.inner.gram
+    inside = vectors @ (frame.vectors @ g).T @ frame.vectors
+    parts = (vectors, inside, vectors - inside)
+    return tuple(np.sqrt(np.maximum(np.sum((v @ g) * v, axis=1), 0.0)) for v in parts)
+
 
 @dataclass(frozen=True)
 class XiPosition:
@@ -143,12 +152,10 @@ def xi_position(xi: np.ndarray, frame: Frame) -> XiPosition:
     Raises BranchUndetermined for oblique positions: the inequalities only
     cover the two clean branches.
     """
-    xi = np.asarray(xi, dtype=float)
-    inner = frame.inner
-    proj = frame.project(xi)
-    scale = 1.0 + inner.norm(xi)
-    tangent_defect = inner.norm(xi - proj)
-    normal_defect = inner.norm(proj)
+    (size,), (normal_defect,), (tangent_defect,) = _frame_split(
+        frame, np.asarray(xi, dtype=float)[None, :]
+    )
+    scale = 1.0 + size
     if tangent_defect <= XI_POSITION_TOL * scale:
         return XiPosition("tangent", float(tangent_defect))
     if normal_defect <= XI_POSITION_TOL * scale:
@@ -177,17 +184,11 @@ class InvarianceClass:
 
 def classify_invariance(frame: Frame, op: StructureOperator) -> InvarianceClass:
     """The structure class of the frame's span under ``op``, within INVARIANCE_TOL relative."""
-    inner = frame.inner
-    leakage = 0.0
-    retention = 0.0
-    scale = 1.0
-    for v in frame.vectors:
-        image = op(v)
-        proj = frame.project(image)
-        scale = max(scale, 1.0 + inner.norm(image))
-        leakage = max(leakage, float(inner.norm(image - proj)))
-        retention = max(retention, float(inner.norm(proj)))
     pnorm2 = structure_norm_squared(frame, op)
+    sizes, inside, outside = _frame_split(frame, frame.vectors @ op.matrix.T)
+    scale = 1.0 + sizes.max(initial=0.0)
+    leakage = float(outside.max(initial=0.0))
+    retention = float(inside.max(initial=0.0))
     if retention <= INVARIANCE_TOL * scale:
         # Includes the trivial operator, whose images vanish identically.
         return InvarianceClass("anti-invariant", leakage, retention, pnorm2)

@@ -49,7 +49,7 @@ from casorati.rmaps import (
     SmoothMap,
 )
 from casorati.spaceforms import CONTACT_FAMILIES, NamedFamily, SpaceFormSpec, family_constants
-from casorati.verify import model_reference_part
+from casorati.verify import INVARIANCE_TOL, XI_POSITION_TOL, model_reference_part
 
 UNIT_NORMAL_TOL = 1e-12
 # Chart curvature against the space-form models: the largest residual measured
@@ -82,6 +82,49 @@ def metric_compatibility_defect(op: StructureOperator, inner: InnerProduct) -> f
     if op.kind == "almost-contact":
         rhs = rhs - np.outer(op.eta, op.eta)
     return float(np.abs(lhs - rhs).max())
+
+
+def _g_norm(u: np.ndarray, g: np.ndarray) -> float:
+    return float(np.sqrt(max(u @ g @ u, 0.0)))
+
+
+def _project(frame: Frame, v: np.ndarray) -> np.ndarray:
+    """The g-orthogonal projection of v onto the frame's span."""
+    return (frame.vectors @ frame.inner.gram @ v) @ frame.vectors
+
+
+def invariance_by_loops(frame: Frame, op: StructureOperator) -> tuple[str, float, float]:
+    """(label, leakage, retention) of ``verify.classify_invariance``, one
+    structure image at a time."""
+    g = frame.inner.gram
+    leakage = retention = 0.0
+    scale = 1.0
+    for v in frame.vectors:
+        image = op.matrix @ v
+        proj = _project(frame, image)
+        scale = max(scale, 1.0 + _g_norm(image, g))
+        leakage = max(leakage, _g_norm(image - proj, g))
+        retention = max(retention, _g_norm(proj, g))
+    if retention <= INVARIANCE_TOL * scale:
+        return "anti-invariant", leakage, retention
+    if leakage <= INVARIANCE_TOL * scale:
+        return "invariant", leakage, retention
+    return "generic", leakage, retention
+
+
+def xi_position_by_loops(xi: np.ndarray, frame: Frame) -> tuple[str, float, float]:
+    """(position, tangent defect, normal defect) of ``verify.xi_position``,
+    with the position "oblique" where it raises BranchUndetermined."""
+    g = frame.inner.gram
+    proj = _project(frame, xi)
+    scale = 1.0 + _g_norm(xi, g)
+    tangent_defect = _g_norm(xi - proj, g)
+    normal_defect = _g_norm(proj, g)
+    if tangent_defect <= XI_POSITION_TOL * scale:
+        return "tangent", tangent_defect, normal_defect
+    if normal_defect <= XI_POSITION_TOL * scale:
+        return "normal", tangent_defect, normal_defect
+    return "oblique", tangent_defect, normal_defect
 
 
 @dataclass(frozen=True)
@@ -377,7 +420,8 @@ def make_equality_shape(
 def sectional(tensor: CurvatureTensor, inner: InnerProduct, x: np.ndarray, y: np.ndarray) -> float:
     """Sectional curvature of span{x, y}."""
     num = float(np.einsum("abcd,a,b,c,d->", tensor.components, x, y, y, x))
-    den = inner.dot(x, x) * inner.dot(y, y) - inner.dot(x, y) ** 2
+    g = inner.gram
+    den = (x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2
     return num / den
 
 
@@ -439,7 +483,9 @@ def model_curvature(
     if inner.dim != spec.dim:
         raise DimensionMismatch("inner product does not match the spec dimension")
 
-    g = inner.dot
+    def g(u: np.ndarray, v: np.ndarray) -> float:
+        return float(u @ inner.gram @ v)
+
     j = spec.structure.matrix
     jz1, jz2, jz3 = j @ z1, j @ z2, j @ z3
 
@@ -447,7 +493,7 @@ def model_curvature(
     out = out + spec.c2 * (
         g(z1, jz3) * jz2 - g(z2, jz3) * jz1 + 2.0 * g(z1, jz2) * jz3
     )
-    if spec.kind == "generalized-sasakian":
+    if spec.contact:
         eta = spec.structure.eta
         xi = spec.structure.xi
         e1, e2, e3 = float(eta @ z1), float(eta @ z2), float(eta @ z3)
@@ -493,7 +539,7 @@ def validate_against_chart(
         g = chart.metric_at(p)
         inner = InnerProduct(g)
         op = structure_fn(p)
-        point_spec = SpaceFormSpec(spec.kind, spec.c1, spec.c2, op, spec.c3)
+        point_spec = SpaceFormSpec(spec.c1, spec.c2, spec.c3, op)
         numeric = riemann_at(chart, p)
         for _ in range(8):
             z = rng.standard_normal((3, chart.dim))

@@ -220,7 +220,7 @@ def test_criterion_4_space_form_trace_identity():
         if contact:
             xi = q[:, -1]
             op = StructureOperator(q @ s @ q.T, "almost-contact", xi=xi, eta=xi)
-            spec = SpaceFormSpec("generalized-sasakian", c1, c2, op, c3=c3)
+            spec = SpaceFormSpec(c1, c2, c3, op)
             tangent = bool(rng.integers(0, 2))
             perp = q[:, :-1].T
             if tangent:
@@ -229,7 +229,7 @@ def test_criterion_4_space_form_trace_identity():
                 raw = rng.standard_normal((r, dim - 1)) @ perp
         else:
             op = StructureOperator(q @ s @ q.T, "almost-complex")
-            spec = SpaceFormSpec("generalized-complex", c1, c2, op)
+            spec = SpaceFormSpec(c1, c2, 0.0, op)
             c3, tangent = 0.0, False
             raw = rng.standard_normal((r, dim))
         frame = gram_schmidt(raw, inner)
@@ -250,9 +250,7 @@ def test_criterion_5_chart_cross_validation():
     results = {}
 
     sphere = catalog.round_sphere_chart(4, radius=1.0)
-    spec = SpaceFormSpec(
-        "generalized-complex", 1.0, 0.0, catalog.trivial_structure(4)(np.zeros(4))
-    )
+    spec = SpaceFormSpec(1.0, 0.0, 0.0, catalog.trivial_structure(4)(np.zeros(4)))
     pts = [sphere.interior_sampler(rng, margin=0.2)() for _ in range(20)]
     results["S4(c=1)"] = validate_against_chart(
         spec, sphere, catalog.trivial_structure(4), pts, rng=rng
@@ -260,7 +258,7 @@ def test_criterion_5_chart_cross_validation():
 
     cp2 = catalog.fubini_study_chart(2)
     j = catalog.interleaved_complex_structure(2)
-    spec = SpaceFormSpec("generalized-complex", 1.0, 1.0, j(np.zeros(4)))
+    spec = SpaceFormSpec(1.0, 1.0, 0.0, j(np.zeros(4)))
     pts = [cp2.interior_sampler(rng, margin=0.1)() for _ in range(20)]
     results["CP2(c=4)"] = validate_against_chart(spec, cp2, j, pts, rng=rng)
 
@@ -268,7 +266,7 @@ def test_criterion_5_chart_cross_validation():
     structure = catalog.heisenberg_structure()
     c1, c2, c3 = family_constants(NamedFamily("sasakian", -3.0))
     base = np.zeros(5)
-    spec = SpaceFormSpec("generalized-sasakian", c1, c2, structure(base), c3=c3)
+    spec = SpaceFormSpec(c1, c2, c3, structure(base))
     pts = [heis.interior_sampler(rng, margin=0.2)() for _ in range(20)]
     results["Sasakian R5(c=-3)"] = validate_against_chart(spec, heis, structure, pts, rng=rng)
 

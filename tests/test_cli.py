@@ -516,7 +516,11 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
                                                  "half_width": 10**400})),
          "target_chart: int too large to convert to float"),
         (json.dumps(dict(GEO_DESC, declared_rank=float("inf"))),
-         "cannot convert float infinity to integer"),
+         "holds Infinity, not a finite number"),
+        (json.dumps(dict(GEO_DESC, declared_rank=2.5)), "declared_rank must be an integer, not 2.5"),
+        (json.dumps(dict(GEO_DESC, declared_rank="2")), "declared_rank must be an integer, not '2'"),
+        (json.dumps(dict(GEO_DESC, declared_rank=True)),
+         "declared_rank must be an integer, not True"),
         (json.dumps(dict(GEO_DESC, source_chart={"builder": "flat", "dim": 4, "a\nb": 1})),
          "source_chart: flat_chart() got an unexpected keyword argument 'a\\nb'"),
     ],
@@ -527,7 +531,8 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
          "unknown-map-keyword", "family-value-not-a-number",
          "chart-dim-huge", "chart-dim-too-large", "chart-dim-zero", "chart-dim-a-float",
          "fibre-dim-too-large", "chart-size-a-boolean", "chart-width-a-huge-integer",
-         "rank-infinite", "keyword-with-a-line-break"],
+         "rank-infinite", "rank-a-float", "rank-a-string", "rank-a-boolean",
+         "keyword-with-a-line-break"],
 )
 def test_malformed_geometry_file_is_an_input_error(tmp_path, capsys, text, named):
     path = tmp_path / "geo.json"
@@ -747,6 +752,84 @@ def test_anti_invariant_fibre_with_tangent_reeb_field(tmp_path, capsys):
     assert residuals["sub-vert-gssf-anti"][-1] == pytest.approx(2.40, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "family, structure",
+    [
+        ({"name": "complex", "c": 4.0}, {"builder": "heisenberg"}),
+        ({"name": "sasakian", "c": -3.0}, {"builder": "trivial"}),
+        # c3 = 0 here, so only the family names the contact type.
+        ({"name": "sasakian", "c": 1.0}, {"builder": "trivial"}),
+    ],
+    ids=["complex-family-contact-structure", "contact-family-trivial-structure",
+         "contact-family-with-c3-zero-trivial-structure"],
+)
+def test_a_family_and_structure_of_different_types_are_an_input_error(
+    tmp_path, capsys, family, structure
+):
+    path = tmp_path / "geo.json"
+    path.write_text(json.dumps(dict(HEISENBERG_FIBRE, family=family, structure=structure)))
+    code, out, err = run(capsys, "invariants", "--geometry-file", str(path))
+    assert code == 2 and out == ""
+    assert "differ in contact type" in err
+
+
+def test_space_form_constants_that_overflow_are_an_input_error(tmp_path, capsys):
+    # Finite numbers whose constants are not: c1 = (c + 3 alpha^2)/4 = inf.
+    path = tmp_path / "geo.json"
+    family = {"name": "almost-C-alpha", "c": 1.0, "alpha": 1e200}
+    path.write_text(json.dumps(dict(HEISENBERG_FIBRE, family=family)))
+    code, out, err = run(
+        capsys, "verify", "--theorem", "sub-vert-gssf", "--geometry-file", str(path)
+    )
+    assert code == 2 and out == ""
+    assert "space-form constants must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "tag, named",
+    [("map-gcsf-antinvariant", "unknown theorem 'map-gcsf-antinvariant'"),
+     (["map-gcsf"], "unknown theorem ['map-gcsf']")],
+    ids=["misspelled", "a-list"],
+)
+def test_a_tag_that_is_not_a_theorem_id_is_an_input_error(tmp_path, capsys, tag, named):
+    path = tmp_path / "geo.json"
+    desc = next(d for d in catalog.DESCRIPTIONS if d["id"] == "sphere-immersion-S3")
+    path.write_text(json.dumps(dict(desc, tags=["map-general", tag])))
+    code, out, err = run(capsys, "verify", "--theorem", "all", "--geometry-file", str(path))
+    assert code == 2 and out == ""
+    assert named in err
+
+
+def _numeric_leaves(node, path=()):
+    """Paths of the numbers (not booleans) in a JSON-style value."""
+    if isinstance(node, dict):
+        return [p for key, value in node.items() for p in _numeric_leaves(value, (*path, key))]
+    if isinstance(node, list):
+        return [p for i, value in enumerate(node) for p in _numeric_leaves(value, (*path, i))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("desc", catalog.DESCRIPTIONS, ids=lambda d: d["id"])
+def test_a_number_that_is_not_finite_in_a_geometry_file_is_an_input_error(
+    tmp_path, capsys, desc, number
+):
+    path = tmp_path / "geo.json"
+    faults = []
+    for leaf in _numeric_leaves(desc):
+        mutated = copy.deepcopy(desc)
+        node = mutated
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = "__number__"
+        path.write_text(json.dumps(mutated).replace('"__number__"', number))
+        for argv in (["invariants"], ["verify", "--theorem", "all", "--samples", "1"]):
+            code, out, err = run(capsys, *argv, "--geometry-file", str(path))
+            if code != 2 or out or f"holds {number}, not a finite number" not in err:
+                faults.append(f"{argv[0]} with {leaf}: exit {code}, stderr {err!r}")
+    assert faults == []
+
+
 @pytest.mark.parametrize("desc", catalog.DESCRIPTIONS, ids=lambda d: d["id"])
 def test_builtin_description_is_a_geometry_file(tmp_path, capsys, desc):
     path = tmp_path / "geo.json"
@@ -825,12 +908,15 @@ def _malformed_descriptions(draw):
 def test_random_values_in_a_geometry_file_exit_with_a_documented_code(tmp_path, capsys, desc):
     path = tmp_path / "geo.json"
     path.write_text(json.dumps(desc))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning on stderr would be a second line
-        code, _, err = run(capsys, "invariants", "--geometry-file", str(path))
-    assert code == 0 or code in errors.EXIT_CODES.values(), err
-    if code:
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    # verify reads the family constants and samples the box, which invariants
+    # at the base point does not.
+    for argv in (["invariants"], ["verify", "--theorem", "all", "--samples", "1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning on stderr would be a second line
+            code, _, err = run(capsys, *argv, "--geometry-file", str(path))
+        assert code in (0, 1) or code in errors.EXIT_CODES.values(), err
+        if code > 1:
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

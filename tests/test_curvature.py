@@ -13,7 +13,7 @@ from casorati.curvature import (
     riemann_at,
     scalar_on_subspace,
 )
-from casorati.errors import DimensionMismatch, NearSingularMetric, OutOfDomain
+from casorati.errors import DegenerateInput, DimensionMismatch, NearSingularMetric, OutOfDomain
 from casorati.framecore import Frame, InnerProduct
 from reference import riemann_through_christoffel_derivatives, sectional
 
@@ -195,6 +195,22 @@ def test_chart_domain_enforcement():
         riemann_at(chart, np.array([5.0, 0.0]))
     with pytest.raises(OutOfDomain):
         chart.require_inside(np.array([0.999, 0.0]), 0.1)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [[[-1.0, np.nan]], [[-np.inf, 1.0]], [[-1.0, np.inf]], [[1.0, 1.0]], [[1.0, -1.0]]],
+    ids=["nan", "minus-infinity", "infinity", "empty", "reversed"],
+)
+def test_a_box_that_is_not_finite_or_has_lo_not_below_hi_is_refused(box):
+    with pytest.raises(DegenerateInput, match="needs finite rows lo < hi"):
+        ChartMetric(1, lambda p: np.ones(p.shape + (1,)), box)
+
+
+@pytest.mark.parametrize("half_width", [np.nan, np.inf, 0.0, -1.0])
+def test_a_builder_half_width_that_gives_no_box_is_refused(half_width):
+    with pytest.raises(DegenerateInput, match="needs finite rows lo < hi"):
+        round_sphere_chart(2, half_width=half_width)
 
 
 def test_anisotropic_chart_matches_closed_form():

@@ -62,18 +62,55 @@ def test_named_family_alpha_validation():
         NamedFamily("lorentzian", 1.0)
 
 
-def test_spec_constructor_gates():
+def test_spec_reads_its_type_from_the_structure():
     j4 = interleaved_complex_structure(2)(np.zeros(4))
+    phi5 = heisenberg_structure()(np.zeros(5))
+    assert not SpaceFormSpec(1.0, 1.0, 0.0, j4).contact
+    assert not SpaceFormSpec(1.0, 0.0, 0.0, trivial_structure(3)(np.zeros(3))).contact
+    spec = SpaceFormSpec(0.0, -1.0, -1.0, phi5)
+    assert spec.contact and spec.dim == 5 and spec.constants() == (0.0, -1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "c1, c2, c3, structure",
+    [
+        (1.0, 1.0, 0.5, "complex"),
+        (1.0, 0.0, 0.5, "trivial"),
+        (1.0, 1.0, 0.0, "trivial"),
+        (np.nan, 0.0, 0.0, "trivial"),
+        (1.0, np.inf, 0.0, "complex"),
+        (1.0, 0.0, -np.inf, "contact"),
+        (0.0, 0.0, np.nan, "contact"),
+    ],
+    ids=["c3-without-contact", "c3-on-trivial", "c2-on-trivial", "c1-nan", "c2-infinite",
+         "c3-minus-infinite", "c3-nan"],
+)
+def test_spec_constructor_gates(c1, c2, c3, structure):
+    op = {
+        "complex": interleaved_complex_structure(2)(np.zeros(4)),
+        "trivial": trivial_structure(4)(np.zeros(4)),
+        "contact": heisenberg_structure()(np.zeros(5)),
+    }[structure]
     with pytest.raises(DegenerateInput):
-        SpaceFormSpec("generalized-complex", 1.0, 1.0, j4, c3=0.5)
+        SpaceFormSpec(c1, c2, c3, op)
+
+
+def test_structures_of_the_wrong_parity_cannot_be_built():
+    # The checks that SpaceFormSpec no longer makes: J in odd dimension and
+    # phi in even dimension fail the structure identities themselves.
+    j3 = np.zeros((3, 3))
+    j3[0, 1], j3[1, 0] = -1.0, 1.0
     with pytest.raises(DegenerateInput):
-        SpaceFormSpec("generalized-sasakian", 1.0, 1.0, j4, c3=0.5)  # even dim
+        StructureOperator(j3, "almost-complex")
+    phi4 = np.zeros((4, 4))
+    phi4[0, 1], phi4[1, 0] = -1.0, 1.0
+    xi = np.eye(4)[3]
     with pytest.raises(DegenerateInput):
-        SpaceFormSpec("generalized-complex", 1.0, 1.0, trivial_structure(4)(np.zeros(4)))
+        StructureOperator(phi4, "almost-contact", xi=xi, eta=xi)
 
 
 def test_model_curvature_real_space_form():
-    spec = SpaceFormSpec("generalized-complex", 2.0, 0.0, trivial_structure(3)(np.zeros(3)))
+    spec = SpaceFormSpec(2.0, 0.0, 0.0, trivial_structure(3)(np.zeros(3)))
     inner = InnerProduct.euclidean(3)
     z1, z2, z3 = np.eye(3)
     out = model_curvature(spec, z1, z2, z3, inner)
@@ -112,7 +149,7 @@ def test_traced_identity_complex_kind(seed, r):
     n += n % 2
     op = _random_complex_structure(rng, n // 2)
     c1, c2 = rng.normal(size=2)
-    spec = SpaceFormSpec("generalized-complex", c1, c2, op)
+    spec = SpaceFormSpec(c1, c2, 0.0, op)
     inner = InnerProduct.euclidean(n)
     frame = gram_schmidt(rng.standard_normal((r, n)), inner)
     pnorm2 = structure_norm_squared(frame, op)
@@ -139,7 +176,7 @@ def test_traced_identity_contact_kind(seed, r, tangent):
     n = 2 * max(r, 4) + 1
     op = _random_contact_structure(rng, (n - 1) // 2)
     c1, c2, c3 = rng.normal(size=3)
-    spec = SpaceFormSpec("generalized-sasakian", c1, c2, op, c3=c3)
+    spec = SpaceFormSpec(c1, c2, c3, op)
     inner = InnerProduct.euclidean(n)
 
     # Perpendicular complement of xi, as rows.
@@ -164,14 +201,14 @@ def test_traced_identity_contact_kind(seed, r, tangent):
 def test_model_tensor_satisfies_curvature_identities():
     rng = np.random.default_rng(3)
     op = _random_complex_structure(rng, 2)
-    spec = SpaceFormSpec("generalized-complex", 0.7, -0.4, op)
+    spec = SpaceFormSpec(0.7, -0.4, 0.0, op)
     tensor = model_tensor(spec, InnerProduct.euclidean(4))  # constructor validates
     assert tensor.dim == 4
 
 
 def test_validate_sphere_chart_against_real_model():
     chart = round_sphere_chart(4, radius=1.0)
-    spec = SpaceFormSpec("generalized-complex", 1.0, 0.0, trivial_structure(4)(np.zeros(4)))
+    spec = SpaceFormSpec(1.0, 0.0, 0.0, trivial_structure(4)(np.zeros(4)))
     rng = np.random.default_rng(1)
     sampler = chart.interior_sampler(rng, margin=0.2)
     points = [sampler() for _ in range(4)]
@@ -181,7 +218,7 @@ def test_validate_sphere_chart_against_real_model():
 
 def test_validate_rejects_wrong_constant():
     chart = round_sphere_chart(3, radius=1.0)
-    spec = SpaceFormSpec("generalized-complex", 2.0, 0.0, trivial_structure(3)(np.zeros(3)))
+    spec = SpaceFormSpec(2.0, 0.0, 0.0, trivial_structure(3)(np.zeros(3)))
     rng = np.random.default_rng(2)
     with pytest.raises(ValidationFailed):
         validate_against_chart(spec, chart, trivial_structure(3), [np.array([0.2, 0.1, -0.3])], rng=rng)
@@ -192,6 +229,6 @@ def test_heisenberg_chart_is_sasakian_minus_three():
     c1, c2, c3 = family_constants(NamedFamily("sasakian", -3.0))
     p = np.array([0.2, -0.1, 0.3, 0.1, 0.05])
     op = heisenberg_structure()(p)
-    spec = SpaceFormSpec("generalized-sasakian", c1, c2, op, c3=c3)
+    spec = SpaceFormSpec(c1, c2, c3, op)
     worst = validate_against_chart(spec, chart, heisenberg_structure(), [p])
     assert worst <= CHART_VALIDATION_TOL
