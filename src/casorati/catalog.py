@@ -21,7 +21,7 @@ from .curvature import ChartMetric
 from .errors import DegenerateInput, DimensionMismatch, HypothesisViolated
 from .framecore import MAX_CHART_DIM, StructureOperator
 from .rmaps import MapAtPoint, SmoothMap, map_at_point
-from .spaceforms import CONTACT_FAMILIES, NamedFamily, SpaceFormSpec, family_constants
+from .spaceforms import NamedFamily, SpaceFormSpec, spec_for
 
 
 # --------------------------------------------------------------------------
@@ -376,13 +376,7 @@ class CatalogEntry:
             raise HypothesisViolated(f"geometry {self.id!r} declares no space-form side")
         if self.structure_fn is None:
             raise HypothesisViolated(f"geometry {self.id!r} declares no structure operator")
-        op = self.structure_fn(np.asarray(side_point, dtype=float))
-        if (self.family.name in CONTACT_FAMILIES) != (op.kind == "almost-contact"):
-            raise DegenerateInput(
-                f"geometry {self.id!r}: the family {self.family.name!r} and the structure "
-                f"of kind {op.kind!r} differ in contact type"
-            )
-        return SpaceFormSpec(*family_constants(self.family), op)
+        return spec_for(self.family, self.structure_fn(np.asarray(side_point, dtype=float)))
 
     def summary(self) -> dict:
         return {

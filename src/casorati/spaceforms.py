@@ -107,3 +107,13 @@ class NamedFamily:
 def family_constants(fam: NamedFamily) -> tuple[float, float, float]:
     """(c1, c2, c3) for the family; c3 = 0 for the non-contact families."""
     return _FAMILIES[fam.name](float(fam.c), 0.0 if fam.alpha is None else float(fam.alpha))
+
+
+def spec_for(fam: NamedFamily, structure: StructureOperator) -> SpaceFormSpec:
+    """The space form of a named family on a structure of the same contact type."""
+    if (fam.name in CONTACT_FAMILIES) != (structure.kind == "almost-contact"):
+        raise DegenerateInput(
+            f"the family {fam.name!r} and the structure of kind {structure.kind!r} "
+            "differ in contact type"
+        )
+    return SpaceFormSpec(*family_constants(fam), structure)
