@@ -59,9 +59,15 @@ class ChartMetric:
         box.setflags(write=False)
 
     def metric_at(self, p: np.ndarray) -> np.ndarray:
-        """The metric at points of shape (..., dim), as an array (..., dim, dim)."""
+        """The metric at points of shape (..., dim), as an array (..., dim, dim).
+
+        Overflow and invalid operations inside ``metric_fn`` (a huge
+        parameter) raise no floating-point warning: they leave inf or NaN,
+        which every caller rejects with a typed error.
+        """
         p = np.asarray(p, dtype=float)
-        g = np.asarray(self.metric_fn(p), dtype=float)
+        with np.errstate(all="ignore"):
+            g = np.asarray(self.metric_fn(p), dtype=float)
         if g.shape != p.shape[:-1] + (self.dim, self.dim):
             raise DimensionMismatch(f"metric has shape {g.shape} at points of shape {p.shape}")
         return g

@@ -9,11 +9,13 @@ Given coefficients B_alpha (one r x r matrix per normal direction alpha):
 
 The inf/sup run over all hyperplanes of the r-dimensional frame: in closed
 form for antisymmetric data or one normal, else by a sphere solver batched
-over many starts. Both can be certified against a dense sphere-grid oracle
-that the same solver polishes. Equality holds exactly on the equality shape:
-a shared orthonormal basis in which every B_alpha is diag(a, ..., a, 2a) with
-no off-diagonal terms. The paper's proof polynomials P and Q, which certify
-the bounds per hyperplane, are test oracles in ``tests/reference.py``.
+over many starts. A closed form is certified by proved bounds on the inf
+and sup: eigenvalue brackets, each end proved by one Cholesky
+factorization. The solver's extrema are certified against a dense sphere
+grid that the same solver polishes. Equality holds exactly on the equality
+shape: a shared orthonormal basis in which every B_alpha is diag(a, ..., a,
+2a) with no off-diagonal terms. The paper's proof polynomials P and Q, which
+certify the bounds per hyperplane, are test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -250,7 +252,8 @@ def closed_form_normals(mats, antisymmetric: bool):
     or their FormStack; else None.
 
     Antisymmetric A, any s: n^T A n = 0, so the sum is ||A||^2 - n^T G n,
-    extremal at the top and bottom eigenvectors of G = 2 sum A^T A.
+    extremal at the top and bottom eigenvectors of G = 2 sum A^T A. So is
+    symmetric data with no normal (s = 0), where the sum is 0.
     One symmetric B (s = 1): with w_i = n_i^2 in B's eigenbasis the sum is
     ||B||^2 - 2 lambda^2.w + (lambda.w)^2. On the simplex, (lambda.w,
     lambda^2.w) fills the hull of the parabola points (lambda_i, lambda_i^2),
@@ -260,7 +263,7 @@ def closed_form_normals(mats, antisymmetric: bool):
     lambda_max, clipped to [0, 1]. Symmetric data with s >= 2 returns None.
     """
     stack = form_stack(mats)
-    if antisymmetric:
+    if antisymmetric or stack.mats.shape[-3] == 0:
         _, vecs = np.linalg.eigh(stack.gram)
         return vecs[..., -1], vecs[..., 0]
     if stack.mats.shape[-3] != 1:
@@ -272,6 +275,75 @@ def closed_form_normals(mats, antisymmetric: bool):
     n_inf = np.sqrt(1.0 - t)[..., None] * vecs[..., 0] + np.sqrt(t)[..., None] * vecs[..., -1]
     least = np.argmin(lam * lam, axis=-1)[..., None, None]
     return n_inf, np.take_along_axis(vecs, least, axis=-1)[..., 0]
+
+
+def closed_form_bounds(mats, antisymmetric: bool):
+    """Proved (lower bound on inf f, upper bound on sup f, proved) of f =
+    restricted_sum, batched over (..., s, r, r) or their FormStack, for the
+    data that ``closed_form_normals`` serves; else None.
+
+    Each needed eigenvalue is bracketed, and each end of the bracket is
+    proved by ``_proved_lower_bounds``; ``proved`` is False where any
+    factorization fails, and the bounds then prove nothing. With N = ||B||^2:
+    - antisymmetric (or s = 0), [a, b] bracketing G: f = N - n^T G n, so
+      inf f >= N - b and sup f <= N - a.
+    - one symmetric B, sup: with x = n^T B n and y = n^T B^2 n, f = N - 2y +
+      x^2 and x^2 <= y, so f <= N - y <= N - a_G / 2, where a_G < lambda_min(G)
+      and G = 2 B^2.
+    - one symmetric B, inf, [a, b] bracketing B: (lambda - a)(lambda - b) <= 0
+      on the spectrum gives y <= (a + b) x - ab, and the least of N - 2y + x^2
+      over x in [a, b] is N - a^2 - b^2 when a <= 0 <= b, else N - max(a^2, b^2).
+    The bounds hold for the stored G and B; forming G and N from B rounds at
+    the level of r s eps ||B||^2, far below CERTIFY_REL_TOL.
+    """
+    stack = form_stack(mats)
+    if antisymmetric or stack.mats.shape[-3] == 0:
+        lam = np.linalg.eigvalsh(stack.gram)
+        low, ok = _proved_lower_bounds(
+            np.stack([stack.gram, -stack.gram], axis=-3),
+            np.stack([lam[..., 0], -lam[..., -1]], axis=-1),
+        )
+        return stack.norm + low[..., 1], stack.norm - low[..., 0], ok.all(axis=-1)
+    if stack.mats.shape[-3] != 1:
+        return None
+    b_mat = stack.mats[..., 0, :, :]
+    lam = np.linalg.eigvalsh(b_mat)
+    low, ok = _proved_lower_bounds(
+        np.stack([stack.gram, b_mat, -b_mat], axis=-3),
+        np.stack([2.0 * np.min(lam * lam, axis=-1), lam[..., 0], -lam[..., -1]], axis=-1),
+    )
+    a, b = low[..., 1], -low[..., 2]
+    chord = np.where((a <= 0.0) & (b >= 0.0), a * a + b * b, np.maximum(a * a, b * b))
+    return stack.norm - chord, stack.norm - 0.5 * low[..., 0], ok.all(axis=-1)
+
+
+def _proved_lower_bounds(mats: np.ndarray, least: np.ndarray):
+    """(a, proved): per symmetric matrix S of a (..., r, r) stack, given an
+    estimate ``least`` of its least eigenvalue, a bound a that
+    lambda_min(S) > a wherever ``proved`` is True.
+
+    a = least - w, with the bracket half-width w = 8 r (r + 2) eps (1 +
+    ||S||_F), and the proof is one Cholesky factorization of M = S - (a + c) I,
+    with c = 2 (r + 2) eps (|trace S - r a| + |a|). When floating-point
+    Cholesky of M runs to completion, R^T R = M + E with |E| <= gamma_{r+1}
+    |R^T| |R| (Higham, Accuracy and Stability of Numerical Algorithms, Thm
+    10.3), so ||E||_2 <= gamma_{r+1} ||R||_F^2, about (r + 1) eps trace M.
+    c covers that, the rounding of forming M and the rounding of a + c, so
+    success proves S - a I positive definite (Rump, Acta Numerica 2010).
+    The soundness rests on c alone; w only decides whether the factorization
+    succeeds. It must exceed the error of ``least`` (a few r eps ||S||_2 for
+    LAPACK's eigvalsh) plus c, which is at most about 4 r (r + 2) eps ||S||_2.
+    Underflow is not counted; the floor of 1 in w keeps M far from it.
+    """
+    r = mats.shape[-1]
+    eps = np.finfo(float).eps
+    width = 8.0 * r * (r + 2) * eps * (1.0 + np.sqrt(np.sum(mats * mats, axis=(-2, -1))))
+    bound = least - width
+    trace = np.trace(mats, axis1=-2, axis2=-1)
+    shift = bound + 2.0 * (r + 2) * eps * (np.abs(trace - r * bound) + np.abs(bound))
+    factored = mats - shift[..., None, None] * _identity(r)
+    proved = _cholesky_succeeds(factored.reshape(-1, r, r)).reshape(bound.shape)
+    return bound, proved
 
 
 @cache
@@ -484,10 +556,14 @@ def delta_casorati(
 ) -> CasoratiReport:
     """Full report: C, inf/sup of C^L over all hyperplanes, delta values.
 
-    Closed forms serve the A role and a single normal, with 0 starts and 0
-    iterations; otherwise the sphere solver runs from eigenvectors of G,
+    Closed forms serve the A role and symmetric data with one normal or none,
+    with 0 starts and 0 iterations; otherwise the sphere solver runs from eigenvectors of G,
     random directions and the leaders of a coarse sphere scan.
-    ``certify=True`` checks the result against the grid oracle and reports a
+    ``certify=True`` on a closed form proves bounds on the inf and sup by
+    ``closed_form_bounds``, with no grid; ``certified`` is True when both
+    were proved and each lies within CERTIFY_REL_TOL of the reported value,
+    which stays the closed form's. On the solver's extrema (symmetric data,
+    s >= 2) it checks the result against the grid oracle and reports a
     better grid extremum with its normal; the solver then runs the starts in
     the grid polish's call, as a group of its own. ``converged``: the projected
     gradient at each reported normal is within GRAD_NORM_TOL.
@@ -498,12 +574,11 @@ def delta_casorati(
     stack = coeffs.stack
     c_val = casorati_C(coeffs)
 
-    closed = closed_form_normals(stack, coeffs.role == ROLE_A)
+    antisymmetric = coeffs.role == ROLE_A
+    closed = closed_form_normals(stack, antisymmetric)
     grid = None
     if closed is not None:
         (n_inf, n_sup), starts, iterations = closed, 0, 0
-        if certify:
-            grid = grid_extrema(coeffs)
     else:
         start_dirs = _optimizer_starts(stack, r, np.random.default_rng(seed))
         starts = len(start_dirs)
@@ -515,12 +590,16 @@ def delta_casorati(
     c_l_inf, c_l_sup = (float(v) for v in restricted_sum(stack, np.stack([n_inf, n_sup])) / (r - 1))
 
     certified: bool | None = None
-    if grid is not None:
-        grid_inf, grid_n_inf, grid_sup, grid_n_sup = grid
+    if closed is not None and certify:
+        low, high, proved = closed_form_bounds(stack, antisymmetric)
         certified = (
-            abs(c_l_inf - grid_inf) <= CERTIFY_REL_TOL * (1.0 + abs(grid_inf))
-            and abs(c_l_sup - grid_sup) <= CERTIFY_REL_TOL * (1.0 + abs(grid_sup))
+            bool(proved)
+            and _certifies(c_l_inf, float(low) / (r - 1))
+            and _certifies(c_l_sup, float(high) / (r - 1))
         )
+    elif grid is not None:
+        grid_inf, grid_n_inf, grid_sup, grid_n_sup = grid
+        certified = _certifies(c_l_inf, grid_inf) and _certifies(c_l_sup, grid_sup)
         # The grid may genuinely beat the multi-start; keep the better value.
         if grid_inf < c_l_inf:
             c_l_inf, n_inf = grid_inf, grid_n_inf
@@ -544,6 +623,11 @@ def delta_casorati(
         iterations=iterations,
         certified=certified,
     )
+
+
+def _certifies(value: float, reference: float) -> bool:
+    """Whether ``value`` lies within CERTIFY_REL_TOL (1 + |reference|) of ``reference``."""
+    return bool(abs(value - reference) <= CERTIFY_REL_TOL * (1.0 + abs(reference)))
 
 
 _GRIDS: dict[int, np.ndarray] = {}

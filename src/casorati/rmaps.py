@@ -30,6 +30,7 @@ import numpy as np
 
 from .curvature import ChartMetric, CurvatureTensor, riemann_at, scalar_on_subspace
 from .errors import (
+    DegenerateInput,
     DimensionMismatch,
     GaussResidualExceeded,
     HypothesisViolated,
@@ -63,7 +64,8 @@ class SmoothMap:
     name: str = ""
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
-        q = np.asarray(self.func(np.asarray(p)))
+        with np.errstate(all="ignore"):  # inf or NaN fails the target's require_inside
+            q = np.asarray(self.func(np.asarray(p)))
         if q.shape != (self.target.dim,):
             raise DimensionMismatch(
                 f"map {self.name!r} returned shape {q.shape}, target dim {self.target.dim}"
@@ -81,12 +83,16 @@ class SmoothMap:
         z = np.repeat(p[..., None, :].astype(complex), m1, axis=-2)
         diag = np.arange(m1)
         z[..., diag, diag] += 1j * COMPLEX_STEP
-        f = np.asarray(self.func(z))
-        if f.shape != z.shape[:-1] + (m2,):
-            raise DimensionMismatch(
-                f"map {self.name!r} returned shape {f.shape} at points of shape {z.shape}"
-            )
-        return np.swapaxes(f.imag / COMPLEX_STEP, -1, -2)
+        with np.errstate(all="ignore"):  # overflow leaves inf or NaN, refused below
+            f = np.asarray(self.func(z))
+            if f.shape != z.shape[:-1] + (m2,):
+                raise DimensionMismatch(
+                    f"map {self.name!r} returned shape {f.shape} at points of shape {z.shape}"
+                )
+            jac = np.swapaxes(f.imag / COMPLEX_STEP, -1, -2)
+        if not np.all(np.isfinite(jac)):
+            raise DegenerateInput(f"map {self.name!r} has a derivative that is not finite")
+        return jac
 
     def component_hessians(self, p: np.ndarray) -> np.ndarray:
         """d2F[c, k, l] = second partials of each target component.

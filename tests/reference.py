@@ -35,6 +35,7 @@ from casorati.measures import (
     CasoratiReport,
     FormCoefficients,
     casorati_C,
+    closed_form_bounds,
     closed_form_normals,
     delta_pair,
     restricted_sum,
@@ -358,7 +359,8 @@ def separate_grid_extrema(coeffs: FormCoefficients, grid: np.ndarray):
 def two_solve_report(coeffs: FormCoefficients, seed: int, grid: np.ndarray) -> CasoratiReport:
     """``delta_casorati(coeffs, seed, certify=True)`` by two solver calls: the
     optimizer's starts alone, then ``separate_grid_extrema`` on ``grid``, which
-    is ``row_major_grid(r)``."""
+    is ``row_major_grid(r)``. A closed form takes the certificate route, as
+    there: ``closed_form_bounds`` and no grid."""
     mats, r = coeffs.coeffs, coeffs.r
     closed = closed_form_normals(mats, coeffs.role == ROLE_A)
     if closed is None:
@@ -368,15 +370,21 @@ def two_solve_report(coeffs: FormCoefficients, seed: int, grid: np.ndarray) -> C
     else:
         (n_inf, n_sup), count, iterations = closed, 0, 0
     c_l_inf, c_l_sup = (float(v) for v in restricted_sum(mats, np.stack([n_inf, n_sup])) / (r - 1))
-    grid_inf, grid_n_inf, grid_sup, grid_n_sup = separate_grid_extrema(coeffs, grid)
-    certified = (
-        abs(c_l_inf - grid_inf) <= CERTIFY_REL_TOL * (1.0 + abs(grid_inf))
-        and abs(c_l_sup - grid_sup) <= CERTIFY_REL_TOL * (1.0 + abs(grid_sup))
+    if closed is None:
+        inf_ref, grid_n_inf, sup_ref, grid_n_sup = separate_grid_extrema(coeffs, grid)
+        proved = True
+    else:
+        low, high, proved = closed_form_bounds(mats, coeffs.role == ROLE_A)
+        inf_ref, sup_ref = float(low) / (r - 1), float(high) / (r - 1)
+    certified = bool(
+        proved
+        and abs(c_l_inf - inf_ref) <= CERTIFY_REL_TOL * (1.0 + abs(inf_ref))
+        and abs(c_l_sup - sup_ref) <= CERTIFY_REL_TOL * (1.0 + abs(sup_ref))
     )
-    if grid_inf < c_l_inf:
-        c_l_inf, n_inf = grid_inf, grid_n_inf
-    if grid_sup > c_l_sup:
-        c_l_sup, n_sup = grid_sup, grid_n_sup
+    if closed is None and inf_ref < c_l_inf:
+        c_l_inf, n_inf = inf_ref, grid_n_inf
+    if closed is None and sup_ref > c_l_sup:
+        c_l_sup, n_sup = sup_ref, grid_n_sup
     _, pg, _ = measures._tangent_derivatives(mats, np.stack([n_inf, n_sup]), np.ones(2))
     stationary = np.linalg.norm(pg, axis=1) <= GRAD_NORM_TOL * (1.0 + coeffs.norm_squared())
     delta_c, delta_hat_c = delta_pair(casorati_C(coeffs), c_l_inf, c_l_sup, r)

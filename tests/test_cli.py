@@ -921,6 +921,49 @@ def test_random_values_in_a_geometry_file_exit_with_a_documented_code(tmp_path, 
 
 
 @pytest.mark.parametrize(
+    "geometry, chart, key, number",
+    [
+        ("sphere-immersion-S3", "source_chart", "radius", 1e77),
+        ("sphere-immersion-S3", "source_chart", "half_width", 1e300),
+        ("kenmotsu-H5-H3", "source_chart", "half_t", 1e300),
+    ],
+    ids=["sphere-radius", "sphere-half-width", "warped-line-half-t"],
+)
+@pytest.mark.parametrize("as_errors", [False, True], ids=["warnings-shown", "warnings-as-errors"])
+def test_huge_chart_parameters_give_one_error_line(tmp_path, capsys, geometry, chart, key, number,
+                                                   as_errors):
+    # Finite parameters whose metric or map overflows: the chart and map
+    # builders' inf and NaN are refused with one error line and exit 2, and no
+    # numpy warning reaches stderr (under -W error it would exit 9).
+    desc = copy.deepcopy(next(d for d in catalog.DESCRIPTIONS if d["id"] == geometry))
+    desc[chart][key] = number
+    path = tmp_path / "geo.json"
+    path.write_text(json.dumps(desc))
+    for argv in (["invariants"], ["verify", "--theorem", "all", "--samples", "1"]):
+        with warnings.catch_warnings(record=not as_errors) as shown:
+            warnings.simplefilter("error" if as_errors else "always")
+            code, out, err = run(capsys, *argv, "--geometry-file", str(path))
+        assert not shown
+        if code == 0:  # this parameter leaves the base point's geometry finite
+            assert argv[0] == "invariants" and out
+            continue
+        assert code == 2 and out == "", err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+
+
+def test_a_map_derivative_that_overflows_is_an_input_error():
+    # Finite at the point, the complex step's imaginary part overflows:
+    # d/dp (p + 1e308 p^2) = 1 + 2e308 at p = 1.
+    from casorati.rmaps import SmoothMap
+
+    chart = catalog.flat_chart(1, half_width=1.5e308)
+    sm = SmoothMap(chart, chart, lambda z: z + 1e308 * z * z, "overflowing")
+    assert np.isfinite(sm(np.array([1.0]))).all()
+    with pytest.raises(errors.DegenerateInput, match="derivative that is not finite"):
+        sm.jacobian(np.array([1.0]))
+
+
+@pytest.mark.parametrize(
     "geometry, model_id",
     [
         ("quaternionic-hopf-S7-S4", "sub-hor-gcsf"),

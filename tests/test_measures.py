@@ -1,11 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casorati import measures, verify
+from casorati import catalog, measures, verify
 from casorati.errors import DegenerateInput, DimensionMismatch
 from casorati.framecore import Frame, InnerProduct
 from casorati.measures import (
@@ -631,6 +632,157 @@ def test_converged_is_false_when_the_solver_is_cut_short(monkeypatch):
     rep = delta_casorati(coeffs)
     assert not rep.converged
     assert rep.iterations <= 2 * 2 * rep.starts
+
+
+def _no_grid(monkeypatch) -> list:
+    """Make ``measures.grid_extrema`` record the role and s of every call."""
+    calls, grid_extrema_of = [], measures.grid_extrema
+
+    def recording(coeffs, *args, **kwargs):
+        calls.append((coeffs.role, coeffs.normal_count))
+        return grid_extrema_of(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "grid_extrema", recording)
+    return calls
+
+
+def test_closed_forms_are_proved_without_the_grid(monkeypatch):
+    # Each closed-form set of three rounds of the benchmark's certify mix
+    # (every r 3-6, s 1-3, roles B, T, A in turn) is certified by its proof
+    # alone, and its report keeps the closed form's normals and values.
+    calls = _no_grid(monkeypatch)
+    rng = np.random.default_rng(24)
+    proved = 0
+    for _ in range(3):
+        for r, s, role in itertools.product(range(3, 7), (1, 2, 3), ROLES):
+            coeffs = antisym_coeffs(rng, s, r) if role == ROLE_A else sym_coeffs(rng, s, r, role)
+            closed = measures.closed_form_normals(coeffs.stack, role == ROLE_A)
+            if closed is None:
+                continue
+            rep = delta_casorati(coeffs, certify=True)
+            plain = delta_casorati(coeffs)
+            assert rep.certified is True and rep.starts == 0
+            assert rep.to_json() == {**plain.to_json(), "optimizer": rep.to_json()["optimizer"]}
+            assert np.array_equal(rep.inf_normal, closed[0])
+            assert np.array_equal(rep.sup_normal, closed[1])
+            proved += 1
+    assert calls == [] and proved == 3 * 4 * (3 + 2)
+
+
+@pytest.mark.parametrize("geometry", [e.id for e in catalog.list_entries() if e.hypothesis_tags])
+def test_catalog_reaches_the_grid_only_for_symmetric_data_with_several_normals(monkeypatch, geometry):
+    calls = _no_grid(monkeypatch)
+    entry = catalog.get(geometry)
+    reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=2, seed=3)
+    assert reports and all(rep.casorati.certified is True for rep in reports)
+    assert all(role != ROLE_A and s >= 2 for role, s in calls)
+
+
+@pytest.mark.parametrize("role, s", [(ROLE_A, 2), (ROLE_B, 1), (ROLE_T, 2)])
+def test_certified_is_a_python_bool(role, s):
+    rng = np.random.default_rng(5)
+    coeffs = antisym_coeffs(rng, s, 4) if role == ROLE_A else sym_coeffs(rng, s, 4, role)
+    rep = delta_casorati(coeffs, certify=True)
+    assert type(rep.certified) is bool and rep.certified
+    assert json.loads(json.dumps(rep.to_json()))["optimizer"]["certified"] is True
+
+
+def _chord_set(rng, r):
+    """One symmetric B whose spectrum straddles 0, so its inf normal is an inner chord point."""
+    while True:
+        coeffs = sym_coeffs(rng, 1, r)
+        lam = np.linalg.eigvalsh(coeffs.coeffs[0])
+        if lam[0] < -0.5 and lam[-1] > 0.5:
+            return coeffs
+
+
+def test_a_wrong_chord_weight_fails_the_certificate(monkeypatch):
+    # The chord weight t on lambda_max, moved by 0.2: f moves by (0.2 (lambda_max -
+    # lambda_min))^2, well past CERTIFY_REL_TOL. (A 1 % error moves f only to
+    # second order, below it.)
+    rng = np.random.default_rng(31)
+    sets = [_chord_set(rng, r) for r in (3, 4, 5, 6) for _ in range(3)]
+    assert all(delta_casorati(c, certify=True).certified for c in sets)
+    closed = measures.closed_form_normals
+
+    def planted(mats, antisymmetric):
+        _, n_sup = closed(mats, antisymmetric)
+        lam, vecs = np.linalg.eigh(measures.form_stack(mats).mats[0])
+        t = lam[-1] / (lam[-1] - lam[0]) + 0.2 * (1 if lam[-1] < -lam[0] else -1)
+        return np.sqrt(1.0 - t) * vecs[:, 0] + np.sqrt(t) * vecs[:, -1], n_sup
+
+    monkeypatch.setattr(measures, "closed_form_normals", planted)
+    for coeffs in sets:
+        rep = delta_casorati(coeffs, certify=True)
+        assert rep.certified is False
+        assert delta_casorati(coeffs).certified is None
+
+
+def test_an_A_normal_from_the_wrong_end_of_G_fails_the_certificate(monkeypatch):
+    rng = np.random.default_rng(32)
+    sets = [antisym_coeffs(rng, s, r) for r in (3, 4, 5, 6) for s in (1, 2, 3)]
+    assert all(delta_casorati(c, certify=True).certified for c in sets)
+    closed = measures.closed_form_normals
+
+    def wrong_end(mats, antisymmetric):
+        n_inf, n_sup = closed(mats, antisymmetric)
+        return n_sup, n_sup  # the inf normal from lambda_min(G), not lambda_max(G)
+
+    monkeypatch.setattr(measures, "closed_form_normals", wrong_end)
+    for coeffs in sets:
+        lam = np.linalg.eigvalsh(coeffs.stack.gram)
+        assert lam[-1] - lam[0] > 1e-2  # the ends differ, so the value moves
+        assert delta_casorati(coeffs, certify=True).certified is False
+
+
+def test_a_failed_proof_is_not_certified(monkeypatch):
+    rng = np.random.default_rng(33)
+    sets = [antisym_coeffs(rng, 2, 4), sym_coeffs(rng, 1, 5), sym_coeffs(rng, 1, 3, ROLE_T)]
+    assert all(delta_casorati(c, certify=True).certified is True for c in sets)
+    monkeypatch.setattr(measures, "_cholesky_succeeds", lambda mats: np.zeros(len(mats), bool))
+    for coeffs in sets:
+        assert delta_casorati(coeffs, certify=True).certified is False
+        assert not measures.closed_form_bounds(coeffs.stack, coeffs.role == ROLE_A)[2]
+
+
+def test_a_bracket_end_inside_the_spectrum_is_not_proved():
+    # _proved_lower_bounds proves lambda_min(S) > a only when that holds:
+    # an estimate above lambda_min by more than the bracket's half-width fails.
+    rng = np.random.default_rng(34)
+    for r in (3, 4, 6):
+        for scale in (1e-3, 1.0, 1e3):
+            m = scale * rng.standard_normal((r, r))
+            s = m + m.T
+            lam = np.linalg.eigvalsh(s)
+            ests = np.array([lam[0], lam[0] + 1e-9 * (1.0 + np.abs(lam).max()), lam[1]])
+            bound, proved = measures._proved_lower_bounds(np.stack([s, s, s]), ests)
+            assert proved.tolist() == [True, False, False]
+            assert lam[0] - bound[0] > 0.0
+
+
+def test_proved_bounds_agree_with_the_grid_on_criterion_7_closed_forms():
+    # Criterion 7's draw (seed 99, r 3-6, s 1-3, role B); its s = 1 sets have
+    # a closed form. Each proved bound lies within CERTIFY_REL_TOL of the grid's
+    # extremum, on the right side of it within rounding, and of the closed form.
+    rng = np.random.default_rng(99)
+    checked = 0
+    for _ in range(1000):
+        r, s = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+        mats = rng.standard_normal((s, r, r))
+        if s != 1:
+            continue
+        coeffs = FormCoefficients(ROLE_B, 0.5 * (mats + mats.transpose(0, 2, 1)))
+        low, high, proved = measures.closed_form_bounds(coeffs.stack, False)
+        low, high = float(low) / (r - 1), float(high) / (r - 1)
+        g_inf, _, g_sup, _ = grid_extrema(coeffs)
+        rep = delta_casorati(coeffs, certify=True)
+        assert proved and rep.certified is True
+        for bound, grid, value in ((low, g_inf, rep.C_L_inf), (high, g_sup, rep.C_L_sup)):
+            assert abs(bound - grid) <= measures.CERTIFY_REL_TOL * (1.0 + abs(bound))
+            assert abs(bound - value) <= 1e-10 * (1.0 + abs(bound))
+        assert low <= g_inf + 1e-12 and g_sup <= high + 1e-12
+        checked += 1
+    assert checked > 300
 
 
 @given(seed=st.integers(0, 10_000), r=st.integers(3, 6), s=st.integers(1, 3), antisym=st.booleans())

@@ -468,25 +468,33 @@ def _grid_draws(monkeypatch) -> list:
 
 
 def test_verify_geometry_draws_each_grid_once(monkeypatch):
-    # Three points certify the r = 3 fibres (T) and the r = 4 horizontal
-    # spaces (A): one draw per r, not one per point.
+    # Three points certify the r = 3 fibres (T, s = 4) against the grid: one
+    # draw, not one per point. The r = 4 horizontal spaces (A) have a closed
+    # form, which is proved, and draw no grid.
     grids = _grid_draws(monkeypatch)
     entry = catalog.get("quaternionic-hopf-S7-S4")
     reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=3, seed=7)
     assert all(r.holds for r in reports)
-    assert len(grids) == 6 and len({id(g) for g in grids}) == 2
+    assert len(grids) == 3 and len({id(g) for g in grids}) == 1
+    assert {len(g) for g in grids} == {30_003}
+    horizontal = [rep for rep in reports if rep.theorem.startswith("sub-hor")]
+    assert horizontal and all(rep.casorati.certified is True for rep in horizontal)
 
 
 def test_verify_geometry_draws_one_grid_per_r_whatever_the_seed(monkeypatch):
     # The certification grid does not follow the caller's seed: two seeds
-    # (neither of them measures.GRID_SEED) share the r = 3 and r = 4 grids.
+    # (neither of them measures.GRID_SEED) share one r = 3 grid across the
+    # sides that still reach it, the Hopf fibres (T, s = 4) and the vertical
+    # spaces of the projection (T, s = 2). The r = 4 sides of the Hopf map (A)
+    # and of CP^2 (B, s = 0) have closed forms and draw none.
     grids = _grid_draws(monkeypatch)
-    entry = catalog.get("quaternionic-hopf-S7-S4")
-    for seed in (7, 8):
-        reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=1, seed=seed)
-        assert all(r.holds for r in reports)
-    assert len({id(g) for g in grids}) == 2
-    assert sorted({len(g) for g in grids}) == [30_003, 40_004]
+    for geometry in ("quaternionic-hopf-S7-S4", "euclidean-projection-5-2", "fubini-study-CP2"):
+        entry = catalog.get(geometry)
+        for seed in (7, 8):
+            reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=1, seed=seed)
+            assert all(r.holds and r.casorati.certified is True for r in reports)
+    assert len(grids) == 4 and len({id(g) for g in grids}) == 1
+    assert {len(g) for g in grids} == {30_003}
 
 
 @pytest.mark.parametrize(
