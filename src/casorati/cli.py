@@ -89,7 +89,8 @@ def _emit(report: dict, args, text: str) -> None:
 
 def cmd_catalog(args) -> int:
     entries = _catalog.list_entries()
-    if args.tag:
+    if args.tag is not None:
+        _verify.theorem_info(args.tag)  # an unknown tag is bad input, as in verify --theorem
         entries = [e for e in entries if args.tag in e.hypothesis_tags]
     rows = [e.summary() for e in entries]
     report = {"schema": SCHEMA, "command": "catalog", "entries": rows}

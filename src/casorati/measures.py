@@ -12,10 +12,11 @@ form for antisymmetric data or one normal, else by a sphere solver batched
 over many starts. A closed form is certified by proved bounds on the inf
 and sup: eigenvalue brackets, each end proved by one Cholesky
 factorization. The solver's extrema are certified against a dense sphere
-grid that the same solver polishes. Equality holds exactly on the equality
-shape: a shared orthonormal basis in which every B_alpha is diag(a, ..., a,
-2a) with no off-diagonal terms. The paper's proof polynomials P and Q, which
-certify the bounds per hyperplane, are test oracles in ``tests/reference.py``.
+grid, whose leaders the starts' solver call polishes as a group of their
+own. Equality holds exactly on the equality shape: a shared orthonormal
+basis in which every B_alpha is diag(a, ..., a, 2a) with no off-diagonal
+terms. The paper's proof polynomials P and Q, which certify the bounds per
+hyperplane, are test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ class FormCoefficients:
     ``coeffs`` has shape (normal_count, r, r). Matrices are symmetric for the
     B and T roles and antisymmetric (zero diagonal) for the A role. The input
     must be finite and (anti)symmetric within SYMMETRY_TOL of its scale; the
-    stored array is its exactly (anti)symmetrized, read-only copy.
+    stored array is its exactly (anti)symmetrized, read-only copy. Its largest
+    |entry| m must keep 8 m^2 size <= sqrt(float max): the engine squares
+    gradient norms up to 8 ||B||^2, and ||B||^2 <= m^2 size.
     """
 
     role: str
@@ -77,8 +80,11 @@ class FormCoefficients:
         sign = -1.0 if self.role == ROLE_A else 1.0
         flipped = sign * c.transpose(0, 2, 1)
         if c.size:
+            largest = float(np.abs(c).max())
+            if 8.0 * c.size * largest * largest > np.sqrt(np.finfo(float).max):
+                raise DegenerateInput(f"{self.role} coefficients too large ({largest:.2e})")
             defect = float(np.abs(c - flipped).max())
-            if defect > SYMMETRY_TOL * (1.0 + float(np.abs(c).max())):
+            if defect > SYMMETRY_TOL * (1.0 + largest):
                 kind = "antisymmetric" if self.role == ROLE_A else "symmetric"
                 raise DegenerateInput(f"{self.role} coefficients not {kind} ({defect:.2e})")
         cleaned = 0.5 * (c + flipped)
@@ -563,10 +569,11 @@ def delta_casorati(
     ``closed_form_bounds``, with no grid; ``certified`` is True when both
     were proved and each lies within CERTIFY_REL_TOL of the reported value,
     which stays the closed form's. On the solver's extrema (symmetric data,
-    s >= 2) it checks the result against the grid oracle and reports a
-    better grid extremum with its normal; the solver then runs the starts in
-    the grid polish's call, as a group of its own. ``converged``: the projected
-    gradient at each reported normal is within GRAD_NORM_TOL.
+    s >= 2) the starts' solver call polishes the leaders of ``grid_extrema``
+    as a group of their own; ``certified`` is True when the two agree within
+    CERTIFY_REL_TOL, and a better grid extremum is reported with its normal.
+    ``converged``: the projected gradient at each reported normal is within
+    GRAD_NORM_TOL.
     """
     r = coeffs.r
     if r < 3:
@@ -576,29 +583,29 @@ def delta_casorati(
 
     antisymmetric = coeffs.role == ROLE_A
     closed = closed_form_normals(stack, antisymmetric)
-    grid = None
     if closed is not None:
         (n_inf, n_sup), starts, iterations = closed, 0, 0
     else:
         start_dirs = _optimizer_starts(stack, r, np.random.default_rng(seed))
         starts = len(start_dirs)
-        if certify:  # the starts ride in the grid polish's solver call, as a group of their own
-            *grid, solved = grid_extrema(coeffs, starts=start_dirs)
-            n_inf, n_sup, iterations = solved
-        else:
-            ((n_inf, n_sup, iterations),) = _sphere_extrema(stack, (start_dirs, start_dirs))
+        (n_inf, n_sup, iterations), *grid = _sphere_extrema(
+            stack, (start_dirs, start_dirs), *([grid_extrema(coeffs)] if certify else [])
+        )
     c_l_inf, c_l_sup = (float(v) for v in restricted_sum(stack, np.stack([n_inf, n_sup])) / (r - 1))
 
     certified: bool | None = None
-    if closed is not None and certify:
+    if certify and closed is not None:
         low, high, proved = closed_form_bounds(stack, antisymmetric)
         certified = (
             bool(proved)
             and _certifies(c_l_inf, float(low) / (r - 1))
             and _certifies(c_l_sup, float(high) / (r - 1))
         )
-    elif grid is not None:
-        grid_inf, grid_n_inf, grid_sup, grid_n_sup = grid
+    elif certify:
+        ((grid_n_inf, grid_n_sup, _),) = grid
+        grid_inf, grid_sup = (
+            float(v) for v in restricted_sum(stack, np.stack([grid_n_inf, grid_n_sup])) / (r - 1)
+        )
         certified = _certifies(c_l_inf, grid_inf) and _certifies(c_l_sup, grid_sup)
         # The grid may genuinely beat the multi-start; keep the better value.
         if grid_inf < c_l_inf:
@@ -675,30 +682,14 @@ def _grid_values(mats, dirs: np.ndarray) -> np.ndarray:
     return values
 
 
-def grid_extrema(coeffs: FormCoefficients, starts: np.ndarray | None = None) -> tuple:
-    """Brute-force oracle: (C_L_inf, n_inf, C_L_sup, n_sup) from a sphere grid.
-
-    Uniform random directions (GRID_PER_DIM per dimension) plus coordinate
-    axes, drawn once per r by ``_grid_directions``. The sphere solver
-    polishes the POLISH_LEADERS best basin-diverse directions on each side
-    (fewer can all sit in wrong basins). ``starts``, the multi-starts of
-    ``delta_casorati``, join that one solver call as a group of their own:
-    the grid's result is picked from its leaders' rows only, so it never
-    sees them, and the return gains a fifth item, (best minimizer, best
-    maximizer, iterations) of the starts' group.
-    """
-    r = coeffs.r
-    if r < 2:
-        raise DimensionMismatch("the grid oracle needs r >= 2")
-    stack = coeffs.stack
-    dirs = _grid_directions(r)
-
-    total = _grid_values(stack, dirs)
-    leaders = tuple(_diverse_leaders(dirs, v, POLISH_LEADERS) for v in (total, -total))
-    problems = [leaders] if starts is None else [leaders, (starts, starts)]
-    (n_min, n_max, _), *solved = _sphere_extrema(stack, *problems)
-    f_min, f_max = restricted_sum(stack, np.stack([n_min, n_max])) / (r - 1)
-    return (float(f_min), n_min, float(f_max), n_max, *solved)
+def grid_extrema(coeffs: FormCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """(low leaders, high leaders): the POLISH_LEADERS best basin-diverse
+    directions on each side (fewer can all sit in wrong basins) of the
+    certification grid, GRID_PER_DIM random directions per dimension plus
+    the axes, drawn once per r by ``_grid_directions``."""
+    dirs = _grid_directions(coeffs.r)
+    total = _grid_values(coeffs.stack, dirs)
+    return tuple(_diverse_leaders(dirs, v, POLISH_LEADERS) for v in (total, -total))
 
 
 def diagnose_equality(coeffs: FormCoefficients) -> EqualityDiagnosis:

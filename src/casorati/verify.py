@@ -398,13 +398,17 @@ def _require_space_form(info: TheoremInfo, entry) -> None:
 def _resolve_points(entry, points, seed):
     if points is None:
         return [np.asarray(entry.base_point, dtype=float)]
-    if isinstance(points, (int, np.integer)):
-        if points < 1:
-            raise DegenerateInput(f"points must be a positive count, got {points}")
+    if _catalog._is_int(points) and points >= 1:
         rng = np.random.default_rng(seed)
         sampler = entry.source_chart.interior_sampler(rng, margin=0.1)
         return [sampler() for _ in range(int(points))]
-    return [np.asarray(p, dtype=float) for p in points]
+    try:
+        resolved = [np.asarray(p, dtype=float) for p in points]
+    except (TypeError, ValueError):  # a count below 1, a bool, a float, a point that is not numbers
+        resolved = []
+    if not resolved:
+        raise DegenerateInput(f"points must be a positive count or some points, not {points!r}")
+    return resolved
 
 
 def verify_geometry(
@@ -421,11 +425,14 @@ def verify_geometry(
     integer (that many interior samples), or explicit points. Reports come
     theorem by theorem, each over all points, and every point is evaluated once
     for all theorems. Raises HypothesisViolated naming the first failing
-    precondition, and DegenerateInput unless ``tolerance`` is finite and >= 0.
+    precondition, and DegenerateInput for no theorem, no point, or a
+    ``tolerance`` that is not finite and >= 0.
     """
     if not 0.0 <= tolerance < np.inf:
         raise DegenerateInput(f"tolerance must be finite and >= 0, got {tolerance}")
     infos = [theorem_info(t) for t in ([theorem] if isinstance(theorem, str) else theorem)]
+    if not infos:
+        raise DegenerateInput("no theorem to verify")
     entry = _catalog.get(geometry) if isinstance(geometry, str) else geometry
     evaluations = None
     reports: list[InequalityReport] = []
@@ -603,8 +610,8 @@ def verify_synthetic(theorem: str, trials: int, seed: int = 0) -> dict:
     counterexample of the encoded formulas (the candidate optimum never
     under-reports the right side).
     """
-    if trials < 1:
-        raise DegenerateInput("trials must be >= 1")
+    if not (_catalog._is_int(trials) and trials >= 1):
+        raise DegenerateInput(f"trials must be a positive integer, got {trials!r}")
     symmetric = _fuzzes_symmetric(theorem)
     rng = np.random.default_rng(seed)
     r_arr = rng.integers(3, 7, size=trials)

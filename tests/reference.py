@@ -344,16 +344,25 @@ def newton_directions_by_eigh(
     return step * np.minimum(1.0, NEWTON_MAX_STEP / np.maximum(length, NEWTON_MAX_STEP))
 
 
-def separate_grid_extrema(coeffs: FormCoefficients, grid: np.ndarray):
-    """``measures.grid_extrema`` on a row-major ``grid`` as it was before the
-    optimizer's starts joined its solver call: the full greedy leader pass and
-    a solver call of its own. Returns (C_L_inf, n_inf, C_L_sup, n_sup)."""
-    mats, r = coeffs.coeffs, coeffs.r
-    total = measures._grid_values(mats, grid)
-    low, high = (diverse_leaders(grid, v, POLISH_LEADERS) for v in (total, -total))
-    ((n_min, n_max, _),) = measures._sphere_extrema(mats, (low, high))
-    f_min, f_max = restricted_sum(mats, np.stack([n_min, n_max])) / (r - 1)
+def _polished(coeffs: FormCoefficients, leaders: tuple) -> tuple:
+    """(C_L_inf, n_inf, C_L_sup, n_sup) of the (low, high) ``leaders`` polished
+    in a solver call of their own."""
+    ((n_min, n_max, _),) = measures._sphere_extrema(coeffs.coeffs, leaders)
+    f_min, f_max = restricted_sum(coeffs.coeffs, np.stack([n_min, n_max])) / (coeffs.r - 1)
     return float(f_min), n_min, float(f_max), n_max
+
+
+def grid_extrema(coeffs: FormCoefficients) -> tuple:
+    """The grid oracle, (C_L_inf, n_inf, C_L_sup, n_sup): the leaders of
+    ``measures.grid_extrema`` polished without the optimizer's starts."""
+    return _polished(coeffs, measures.grid_extrema(coeffs))
+
+
+def separate_grid_extrema(coeffs: FormCoefficients, grid: np.ndarray) -> tuple:
+    """``grid_extrema`` on a row-major ``grid``, with the full greedy leader pass."""
+    total = measures._grid_values(coeffs.coeffs, grid)
+    leaders = tuple(diverse_leaders(grid, v, POLISH_LEADERS) for v in (total, -total))
+    return _polished(coeffs, leaders)
 
 
 def two_solve_report(coeffs: FormCoefficients, seed: int, grid: np.ndarray) -> CasoratiReport:

@@ -26,7 +26,6 @@ from casorati.measures import (
     FormCoefficients,
     delta_casorati,
     diagnose_equality,
-    grid_extrema,
 )
 from casorati.rmaps import (
     gauss_submersion_horizontal,
@@ -50,6 +49,7 @@ from reference import (
     CHART_VALIDATION_TOL,
     Hyperplane,
     gauss_scal_gap,
+    grid_extrema,
     make_equality_shape,
     model_curvature,
     proof_polynomial_P,

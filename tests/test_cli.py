@@ -50,6 +50,18 @@ def test_catalog_tag_filter_json(capsys):
     assert ids == ["quaternionic-hopf-S7-S4", "sasakian-R5-model", "kenmotsu-H5-H3"]
 
 
+@pytest.mark.parametrize("tag", ["map-genral", ""], ids=["misspelled", "empty"])
+def test_catalog_tag_that_is_not_a_theorem_id_is_an_input_error(capsys, tag):
+    code, out, err = run(capsys, "catalog", "--tag", tag)
+    assert code == 2 and out == ""
+    assert f"unknown theorem {tag!r}" in err
+
+
+def test_catalog_known_tag_without_entries_exits_0(capsys):
+    code, out, _ = run(capsys, "catalog", "--tag", "map-gssf")
+    assert code == 0 and out.strip() == "no matching entries"
+
+
 def test_invariants_sphere(capsys):
     code, out, _ = run(capsys, "invariants", "--geometry", "sphere-immersion-S3", "--json")
     assert code == 0

@@ -18,7 +18,6 @@ from casorati.measures import (
     casorati_C,
     delta_casorati,
     diagnose_equality,
-    grid_extrema,
     restricted_sum,
     restricted_sum_derivatives,
 )
@@ -29,6 +28,7 @@ from reference import (
     expanded_restricted_sum,
     gauss_scal_gap,
     gradient_sphere_extrema,
+    grid_extrema,
     make_equality_shape,
     newton_directions_by_eigh,
     proof_polynomial_P,
@@ -74,6 +74,31 @@ def test_non_finite_coefficients_are_rejected():
             c[0, 0, 1] = c[0, 1, 0] = value
             with pytest.raises(DegenerateInput, match="not finite"):
                 FormCoefficients(role, c)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("role", ROLES)
+def test_coefficients_too_large_for_the_engine_are_refused(role):
+    # The bound is 8 m^2 size <= sqrt(float max), m the largest |entry|. Just
+    # below it a certified report and its equality diagnosis raise no numpy
+    # warning and every number is finite; just above it, and at 1e200, the
+    # input is refused. All-equal entries give the largest ||B||^2 for their m.
+    rng = np.random.default_rng(7)
+    for r, s in ((3, 1), (4, 2), (5, 3), (6, 4)):
+        drawn = antisym_coeffs(rng, s, r) if role == ROLE_A else sym_coeffs(rng, s, r, role)
+        ones = np.ones((s, r, r))
+        flat = np.triu(ones, 1) - np.tril(ones, -1) if role == ROLE_A else ones
+        for unit in (drawn.coeffs / np.abs(drawn.coeffs).max(), flat):
+            limit = np.sqrt(np.sqrt(np.finfo(float).max) / (8.0 * unit.size))
+            coeffs = FormCoefficients(role, (1.0 - 1e-12) * limit * unit)
+            rep = delta_casorati(coeffs, certify=True)
+            diagnose_equality(coeffs)
+            assert rep.converged and rep.certified is not None
+            values = [rep.C, rep.C_L_inf, rep.C_L_sup, rep.delta_C, rep.delta_hat_C]
+            assert np.all(np.isfinite(values))
+            for scale in ((1.0 + 1e-12) * limit, 1e200):
+                with pytest.raises(DegenerateInput, match="too large"):
+                    FormCoefficients(role, scale * unit)
 
 
 def test_stored_coefficients_are_exactly_symmetrized():
@@ -559,10 +584,8 @@ def test_eigh_sees_only_the_rows_that_fail_cholesky(monkeypatch):
     assert mixed >= 20
 
 
-def test_grid_extrema_needs_two_dimensions():
-    # At r = 1 the only hyperplane is {0}, and C^L's 1/(r - 1) is 0/0.
-    with pytest.raises(DimensionMismatch):
-        grid_extrema(FormCoefficients(ROLE_B, np.ones((2, 1, 1))))
+def test_grid_oracle_at_two_dimensions():
+    # At r = 2 a hyperplane is a line, and C^L is B restricted to it, squared.
     f_min, _, f_max, _ = grid_extrema(FormCoefficients(ROLE_B, np.diag([1.0, 3.0])[None]))
     assert f_min == pytest.approx(1.0) and f_max == pytest.approx(9.0)
 
@@ -606,23 +629,32 @@ def test_one_solver_call_equals_two(monkeypatch):
 
 def test_reported_normal_attains_reported_value(monkeypatch):
     # With one start the solver often ends in a worse basin than the grid's
-    # polish; the report must then carry the grid's normal with its value.
+    # polish; the certificate must then fail, and the report must carry the
+    # grid's normal with its value.
     all_starts = measures._optimizer_starts
     monkeypatch.setattr(
         measures, "_optimizer_starts", lambda mats, r, rng: all_starts(mats, r, rng)[:1]
     )
     rng = np.random.default_rng(21)
     frame = euclid_frame(5)
-    grid_won = 0
-    for _ in range(10):
+    grid_won = uncertified = 0
+    for _ in range(20):
         coeffs = sym_coeffs(rng, 2, 5)
         alone = delta_casorati(coeffs)
         rep = delta_casorati(coeffs, certify=True)
+        g_inf, _, g_sup, _ = grid_extrema(coeffs)
+        agree = all(
+            abs(value - grid) <= measures.CERTIFY_REL_TOL * (1.0 + abs(grid))
+            for value, grid in ((alone.C_L_inf, g_inf), (alone.C_L_sup, g_sup))
+        )
+        assert rep.certified is agree
+        uncertified += not agree
+        assert rep.C_L_inf == min(alone.C_L_inf, g_inf) and rep.C_L_sup == max(alone.C_L_sup, g_sup)
         grid_won += rep.C_L_inf < alone.C_L_inf - 1e-9 or rep.C_L_sup > alone.C_L_sup + 1e-9
         for n, val in ((rep.inf_normal, rep.C_L_inf), (rep.sup_normal, rep.C_L_sup)):
             direct = casorati_on_hyperplane(coeffs, Hyperplane(frame, n))
             assert direct == pytest.approx(val, abs=1e-12 * (1.0 + abs(val)))
-    assert grid_won
+    assert grid_won and uncertified >= 5  # 7 of these 20 sets
 
 
 def test_converged_is_false_when_the_solver_is_cut_short(monkeypatch):
@@ -638,9 +670,9 @@ def _no_grid(monkeypatch) -> list:
     """Make ``measures.grid_extrema`` record the role and s of every call."""
     calls, grid_extrema_of = [], measures.grid_extrema
 
-    def recording(coeffs, *args, **kwargs):
+    def recording(coeffs):
         calls.append((coeffs.role, coeffs.normal_count))
-        return grid_extrema_of(coeffs, *args, **kwargs)
+        return grid_extrema_of(coeffs)
 
     monkeypatch.setattr(measures, "grid_extrema", recording)
     return calls

@@ -285,10 +285,22 @@ def test_family_kind_gates():
         verify_geometry("sub-vert-general", "sphere-immersion-S3")  # not a submersion
 
 
-@pytest.mark.parametrize("points", [0, -1])
+@pytest.mark.parametrize("points", [0, -1, [], (), True, 2.5])
 def test_sample_count_must_be_positive(points):
-    with pytest.raises(DegenerateInput):
+    # No points would pass vacuously, True would count as 1, and 2.5 failed untyped.
+    with pytest.raises(DegenerateInput, match="points"):
         verify_geometry("map-general", "sphere-immersion-S3", points=points)
+
+
+def test_an_empty_theorem_list_is_refused():
+    with pytest.raises(DegenerateInput, match="no theorem"):
+        verify_geometry([], "sphere-immersion-S3")
+
+
+@pytest.mark.parametrize("trials", [True, 1.5, 0, -3])
+def test_trial_count_must_be_a_positive_integer(trials):
+    with pytest.raises(DegenerateInput, match="trials"):
+        verify_synthetic("map-general", trials)
 
 
 def test_r_threshold_gate():
