@@ -21,12 +21,18 @@ hyperplane, are test oracles in ``tests/reference.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+try:  # np.einsum's kernel, without the wrapper's dispatch
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
 
 from .errors import DegenerateInput, DimensionMismatch
 
@@ -182,7 +188,8 @@ class FormStack(NamedTuple):
     ``gram`` is G = sum_alpha (B_alpha^T B_alpha + B_alpha B_alpha^T), and
     ``forms`` the stack [G; S_1; ...; S_s], (..., (s + 1) r, r), with S_alpha =
     B_alpha + B_alpha^T; antisymmetric data has S = 0 exactly, and its stack
-    is G alone. Every hyperplane quantity derives from the stack: with
+    is G alone. ``sym`` views the S rows of ``forms`` as (..., s, r, r), with
+    s = 0 for G alone. Every hyperplane quantity derives from the stack: with
     q_alpha = n^T S_alpha n / 2 and u_alpha = S_alpha n, for any B,
 
         restricted_sum = ||B||^2 - n^T G n + sum_alpha q_alpha^2
@@ -194,6 +201,7 @@ class FormStack(NamedTuple):
     norm: np.ndarray
     gram: np.ndarray
     forms: np.ndarray
+    sym: np.ndarray
 
 
 def form_stack(mats) -> FormStack:
@@ -208,7 +216,8 @@ def form_stack(mats) -> FormStack:
     gram = np.swapaxes(flat, -1, -2) @ flat + np.swapaxes(flat_t, -1, -2) @ flat_t
     sym = flat + flat_t
     forms = np.concatenate([gram, sym], axis=-2) if sym.any() else gram
-    return FormStack(mats, np.sum(mats * mats, axis=(-3, -2, -1)), gram, forms)
+    sym = forms[..., r:, :].reshape(forms.shape[:-2] + (-1, r, r))
+    return FormStack(mats, np.sum(mats * mats, axis=(-3, -2, -1)), gram, forms, sym)
 
 
 def restricted_sum(mats, normals: np.ndarray) -> np.ndarray:
@@ -236,19 +245,19 @@ def restricted_sum_derivatives(mats, normals: np.ndarray):
     Shapes (..., k), (..., k, r) and (..., k, r, r), by the FormStack
     formulas. Every contraction is an einsum over one row at a time, so each
     row's results are bit for bit those of a batch of that row alone; a BLAS
-    product rounds a single row differently from a batch.
+    product rounds a single row differently from a batch. The solver calls
+    this on every iteration, so it calls einsum's kernel without its wrapper.
     """
     stack = form_stack(mats)
-    m, r = stack.forms.shape[-2:]
-    prod = np.einsum("...mj,...kj->...km", stack.forms, normals)
-    prod = prod.reshape(prod.shape[:-1] + (m // r, r))
+    s, r = stack.sym.shape[-3:-1]
+    prod = c_einsum("...mj,...kj->...km", stack.forms, normals)
+    prod = prod.reshape(prod.shape[:-1] + (s + 1, r))
     gn, u = prod[..., 0, :], prod[..., 1:, :]  # G n and u_alpha = S_alpha n
-    q = 0.5 * np.einsum("...kai,...ki->...ka", u, normals)
-    ngn = np.einsum("...ki,...ki->...k", gn, normals)
-    value = stack.norm[..., None] - ngn + np.einsum("...ka,...ka->...k", q, q)
-    grad = 2.0 * (np.einsum("...ka,...kai->...ki", q, u) - gn)
-    sym = stack.forms[..., r:, :].reshape(stack.forms.shape[:-2] + (m // r - 1, r, r))
-    hess = np.einsum("...kai,...kaj->...kij", u, u) + np.einsum("...ka,...aij->...kij", q, sym)
+    q = 0.5 * c_einsum("...kai,...ki->...ka", u, normals)
+    ngn = c_einsum("...ki,...ki->...k", gn, normals)
+    value = stack.norm[..., None] - ngn + c_einsum("...ka,...ka->...k", q, q)
+    grad = 2.0 * (c_einsum("...ka,...kai->...ki", q, u) - gn)
+    hess = c_einsum("...kai,...kaj->...kij", u, u) + c_einsum("...ka,...aij->...kij", q, stack.sym)
     hess = 2.0 * (hess - stack.gram[..., None, :, :])
     return value, grad, hess
 
@@ -348,7 +357,8 @@ def _proved_lower_bounds(mats: np.ndarray, least: np.ndarray):
     trace = np.trace(mats, axis1=-2, axis2=-1)
     shift = bound + 2.0 * (r + 2) * eps * (np.abs(trace - r * bound) + np.abs(bound))
     factored = mats - shift[..., None, None] * _identity(r)
-    proved = _cholesky_succeeds(factored.reshape(-1, r, r)).reshape(bound.shape)
+    with np.errstate(all="ignore"):
+        proved = _cholesky_succeeds(factored.reshape(-1, r, r)).reshape(bound.shape)
     return bound, proved
 
 
@@ -372,25 +382,23 @@ def _tangent_derivatives(mats, normals: np.ndarray, signs: np.ndarray):
     the Riemannian Hessian P (H - (n . grad) I) P."""
     value, grad, hess = restricted_sum_derivatives(mats, normals)
     grad = signs[:, None] * grad
-    radial = np.sum(grad * normals, axis=1)
+    radial = np.add.reduce(grad * normals, axis=1)
     hess = signs[:, None, None] * hess - radial[:, None, None] * _identity(normals.shape[1])
     return signs * value, grad - radial[:, None] * normals, hess
 
 
 def _cholesky_succeeds(mats: np.ndarray) -> np.ndarray:
     """Per row of a (k, r, r) stack: whether np.linalg.cholesky of that row
-    alone succeeds.
+    alone succeeds. Call it under np.errstate(all="ignore").
 
     np.linalg.cholesky calls the ``cholesky_lo`` gufunc and raises for the
     whole stack when any row fails. The gufunc itself fills a failed row
     with NaN and goes on to the next, while a factor that succeeds has the
     (0, 0) entry sqrt(m_00) > 0; a NaN there marks exactly the rows that
     np.linalg.cholesky refuses alone. The floating-point flags that the
-    wrapper reads are ignored here.
+    wrapper reads are the caller's to ignore.
     """
-    with np.errstate(all="ignore"):
-        factors = _umath_linalg.cholesky_lo(mats)
-    return ~np.isnan(factors[:, 0, 0])
+    return ~np.isnan(_umath_linalg.cholesky_lo(mats)[:, 0, 0])
 
 
 def _newton_directions(normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, scale: float):
@@ -410,25 +418,33 @@ def _newton_directions(normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, sc
     it fails only. The two tests can only disagree on a row whose smallest
     eigenvalue lies within rounding of the floor, where the two steps agree
     to rounding. Each row's step is the step of a batch of that row alone.
+    The ``cholesky_lo``, ``solve1`` and ``eigh_lo`` gufuncs behind
+    np.linalg run directly, under one errstate; in place of the wrappers'
+    LinAlgError on a NaN, a step that is not finite raises LinAlgError.
     """
     eye = _identity(normals.shape[1])
-    outer = normals[:, :, None] * normals[:, None, :]
+    outer = c_einsum("ki,kj->kij", normals, normals)
     proj = eye - outer
     mats = proj @ hess @ proj + scale * outer
     floor = NEWTON_FLOOR * scale
-    definite = _cholesky_succeeds(mats - floor * eye)
-    step = np.empty_like(pg)
-    if definite.any():
-        step[definite] = -np.linalg.solve(mats[definite], pg[definite, :, None])[..., 0]
-    rest = ~definite
-    if rest.any():
-        lam, vecs = np.linalg.eigh(mats[rest])
-        coords = np.einsum("kij,ki->kj", vecs, pg[rest])
-        weights = np.where(
-            lam < -floor, np.sign(coords) * NEWTON_MAX_STEP, coords / np.maximum(np.abs(lam), floor)
-        )
-        step[rest] = -np.einsum("kij,kj->ki", vecs, weights)
+    with np.errstate(all="ignore"):
+        definite = _cholesky_succeeds(mats - floor * eye)
+        if definite.all():
+            step = -_umath_linalg.solve1(mats, pg)
+        else:
+            step = np.empty_like(pg)
+            if definite.any():
+                step[definite] = -_umath_linalg.solve1(mats[definite], pg[definite])
+            rest = ~definite
+            lam, vecs = _umath_linalg.eigh_lo(mats[rest])
+            coords = c_einsum("kij,ki->kj", vecs, pg[rest])
+            weights = np.where(
+                lam < -floor, np.sign(coords) * NEWTON_MAX_STEP, coords / np.maximum(np.abs(lam), floor)
+            )
+            step[rest] = -c_einsum("kij,kj->ki", vecs, weights)
     length = _row_norms(step)[:, None]
+    if not math.isfinite(length.sum()):
+        raise np.linalg.LinAlgError("Newton step is not finite")
     return step * np.minimum(1.0, NEWTON_MAX_STEP / np.maximum(length, NEWTON_MAX_STEP))
 
 
@@ -460,35 +476,35 @@ def _sphere_extrema(
     n = n / _row_norms(n)[:, None]
     stack = form_stack(mats)
     scale = 1.0 + float(stack.norm)
-    tol = GRAD_NORM_TOL * scale
+    tol, forgiven = GRAD_NORM_TOL * scale, ROUNDING_TOL * scale
     f, pg, hess = _tangent_derivatives(stack, n, signs)
     # The running starts: their indices, points, values, gradients, steps and step fractions.
     idx = np.flatnonzero(_row_norms(pg) > tol)
     x, fx, gx, sx = n[idx], f[idx], pg[idx], signs[idx]
     step = _newton_directions(x, gx, hess[idx], scale) if idx.size else gx
     frac = np.ones(len(idx))
-    steps = np.zeros(len(n), dtype=int)
-    for _ in range(SOLVER_MAX_ITER):
+    steps = np.zeros(len(n), dtype=int)  # a start's iterations, written when it stops
+    for done in range(1, SOLVER_MAX_ITER + 1):
         if idx.size == 0:
             break
         cand = x + frac[:, None] * step
         cand /= _row_norms(cand)[:, None]
         fc, pgc, hc = _tangent_derivatives(stack, cand, sx)
-        ok = fc <= fx + 1e-4 * frac * np.sum(gx * step, axis=1) + ROUNDING_TOL * scale
-        steps[idx] += 1
+        ok = fc <= fx + 1e-4 * frac * np.add.reduce(gx * step, axis=1) + forgiven
         if ok.all():
             x, fx, gx = cand, fc, pgc
             step = _newton_directions(cand, pgc, hc, scale)
             frac = np.ones(len(idx))
         else:
-            x[ok], fx[ok], gx[ok] = cand[ok], fc[ok], pgc[ok]
-            step[ok] = _newton_directions(cand[ok], pgc[ok], hc[ok], scale)
+            if ok.any():
+                x[ok], fx[ok], gx[ok] = cand[ok], fc[ok], pgc[ok]
+                step[ok] = _newton_directions(cand[ok], pgc[ok], hc[ok], scale)
             frac = np.where(ok, 1.0, 0.5 * frac)
         keep = (_row_norms(gx) > tol) & (frac > NEWTON_MIN_FRACTION)
         if not keep.all():
-            n[idx], f[idx] = x, fx
+            n[idx], f[idx], steps[idx] = x, fx, done
             idx, x, fx, gx, sx, step, frac = (a[keep] for a in (idx, x, fx, gx, sx, step, frac))
-    n[idx], f[idx] = x, fx
+    n[idx], f[idx], steps[idx] = x, fx, SOLVER_MAX_ITER
     best = [n[np.argmin(np.where(labels == label, f, np.inf))] for label in range(len(sides))]
     row_steps = np.bincount(owners, weights=steps, minlength=len(problems))
     return [(best[2 * i], best[2 * i + 1], int(row_steps[i])) for i in range(len(problems))]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import types
 
 import numpy as np
 import pytest
@@ -556,21 +557,29 @@ def test_definite_flag_of_each_row_is_cholesky_of_that_row_alone():
         near = mats[:4] - np.linalg.eigvalsh(mats[:4])[:, :1, None] * np.eye(r)
         near += (rng.integers(-4, 5, size=4) * np.spacing(scale))[:, None, None] * np.eye(r)
         stack = np.concatenate([mats, near])
-        flags = measures._cholesky_succeeds(stack)
+        with np.errstate(all="ignore"):
+            flags = measures._cholesky_succeeds(stack)
         assert flags.dtype == bool and np.array_equal(flags, _cholesky_alone(stack))
         planted.extend(flags[12:])
     assert 0 < sum(planted) < len(planted)
 
 
 def test_eigh_sees_only_the_rows_that_fail_cholesky(monkeypatch):
+    # The solver calls the gufunc behind np.linalg.eigh directly.
     seen = []
-    eigh = np.linalg.eigh
+    gufuncs = measures._umath_linalg
 
-    def counting_eigh(a, *args, **kwargs):
+    def counting_eigh(a):
         seen.append(len(a))
-        return eigh(a, *args, **kwargs)
+        return gufuncs.eigh_lo(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(
+        measures,
+        "_umath_linalg",
+        types.SimpleNamespace(
+            cholesky_lo=gufuncs.cholesky_lo, solve1=gufuncs.solve1, eigh_lo=counting_eigh
+        ),
+    )
     rng = np.random.default_rng(34)
     mixed = 0
     for _ in range(60):
@@ -582,6 +591,29 @@ def test_eigh_sees_only_the_rows_that_fail_cholesky(monkeypatch):
         assert sum(seen) == failed and len(seen) == (failed > 0)
         mixed += 0 < failed < len(normals)
     assert mixed >= 20
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("rows", [1, 6])
+def test_newton_step_refuses_a_non_finite_hessian_row(bad, rows):
+    # A NaN step would reach the solver's argmin unnoticed; the step must raise.
+    normals, pg, hess, scale = _newton_batch(np.random.default_rng(35), 4, 2, rows)
+    hess[rows // 2] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        measures._newton_directions(normals, pg, hess, scale)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("fill", ["row", "diagonal"])
+@pytest.mark.parametrize("rows", [1, 6])
+def test_newton_step_refuses_a_positive_infinite_hessian_row(fill, rows):
+    # A matrix that starts with +inf passes the Cholesky test, whose factor
+    # then starts with sqrt(inf) = inf, not NaN, and reaches the linear solve.
+    normals, pg, hess, scale = _newton_batch(np.random.default_rng(35), 4, 2, rows)
+    hess[rows // 2] = np.inf if fill == "row" else np.where(np.eye(4, dtype=bool), np.inf, 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        measures._newton_directions(normals, pg, hess, scale)
 
 
 def test_grid_oracle_at_two_dimensions():
