@@ -268,7 +268,8 @@ def closed_form_normals(mats, antisymmetric: bool):
 
     Antisymmetric A, any s: n^T A n = 0, so the sum is ||A||^2 - n^T G n,
     extremal at the top and bottom eigenvectors of G = 2 sum A^T A. So is
-    symmetric data with no normal (s = 0), where the sum is 0.
+    symmetric data with no normal (s = 0) or with all coefficients 0, where
+    the sum is 0 (a batch takes this case only when every set is 0).
     One symmetric B (s = 1): with w_i = n_i^2 in B's eigenbasis the sum is
     ||B||^2 - 2 lambda^2.w + (lambda.w)^2. On the simplex, (lambda.w,
     lambda^2.w) fills the hull of the parabola points (lambda_i, lambda_i^2),
@@ -278,7 +279,7 @@ def closed_form_normals(mats, antisymmetric: bool):
     lambda_max, clipped to [0, 1]. Symmetric data with s >= 2 returns None.
     """
     stack = form_stack(mats)
-    if antisymmetric or stack.mats.shape[-3] == 0:
+    if antisymmetric or stack.mats.shape[-3] == 0 or not stack.mats.any():
         _, vecs = np.linalg.eigh(stack.gram)
         return vecs[..., -1], vecs[..., 0]
     if stack.mats.shape[-3] != 1:
@@ -300,8 +301,8 @@ def closed_form_bounds(mats, antisymmetric: bool):
     Each needed eigenvalue is bracketed, and each end of the bracket is
     proved by ``_proved_lower_bounds``; ``proved`` is False where any
     factorization fails, and the bounds then prove nothing. With N = ||B||^2:
-    - antisymmetric (or s = 0), [a, b] bracketing G: f = N - n^T G n, so
-      inf f >= N - b and sup f <= N - a.
+    - antisymmetric (or s = 0, or all coefficients 0), [a, b] bracketing G:
+      f = N - n^T G n, so inf f >= N - b and sup f <= N - a.
     - one symmetric B, sup: with x = n^T B n and y = n^T B^2 n, f = N - 2y +
       x^2 and x^2 <= y, so f <= N - y <= N - a_G / 2, where a_G < lambda_min(G)
       and G = 2 B^2.
@@ -312,7 +313,7 @@ def closed_form_bounds(mats, antisymmetric: bool):
     the level of r s eps ||B||^2, far below CERTIFY_REL_TOL.
     """
     stack = form_stack(mats)
-    if antisymmetric or stack.mats.shape[-3] == 0:
+    if antisymmetric or stack.mats.shape[-3] == 0 or not stack.mats.any():
         lam = np.linalg.eigvalsh(stack.gram)
         low, ok = _proved_lower_bounds(
             np.stack([stack.gram, -stack.gram], axis=-3),
@@ -559,9 +560,11 @@ def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray
         size *= 4
 
 
-def _optimizer_starts(mats, r: int, rng: np.random.Generator) -> np.ndarray:
-    """Eigenvectors of G, random directions, and the basin-diverse leaders of
-    a coarse sphere scan (both objective tails); ``mats`` as for restricted_sum."""
+def _optimizer_starts(mats, r: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(low starts, high starts), 2r + 8 each: the eigenvectors of G, r random
+    directions, and the 8 basin-diverse leaders of that side's own tail of a
+    coarse sphere scan, the lowest values for the minimizer and the highest
+    for the maximizer; ``mats`` as for restricted_sum."""
     stack = form_stack(mats)
     _, eigvecs = np.linalg.eigh(stack.gram)
     randoms = rng.standard_normal((r, r))
@@ -569,8 +572,8 @@ def _optimizer_starts(mats, r: int, rng: np.random.Generator) -> np.ndarray:
     scan = rng.standard_normal((SCAN_PER_DIM * r, r))
     scan /= np.linalg.norm(scan, axis=1, keepdims=True)
     total = restricted_sum(stack, scan)
-    leaders = [_diverse_leaders(scan, total, 4), _diverse_leaders(scan, -total, 4)]
-    return np.vstack([eigvecs.T, randoms, *leaders])
+    shared = np.vstack([eigvecs.T, randoms])
+    return tuple(np.vstack([shared, _diverse_leaders(scan, v, 8)]) for v in (total, -total))
 
 
 def delta_casorati(
@@ -603,9 +606,9 @@ def delta_casorati(
         (n_inf, n_sup), starts, iterations = closed, 0, 0
     else:
         start_dirs = _optimizer_starts(stack, r, np.random.default_rng(seed))
-        starts = len(start_dirs)
+        starts = max(map(len, start_dirs))
         (n_inf, n_sup, iterations), *grid = _sphere_extrema(
-            stack, (start_dirs, start_dirs), *([grid_extrema(coeffs)] if certify else [])
+            stack, start_dirs, *([grid_extrema(coeffs)] if certify else [])
         )
     c_l_inf, c_l_sup = (float(v) for v in restricted_sum(stack, np.stack([n_inf, n_sup])) / (r - 1))
 

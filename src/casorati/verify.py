@@ -9,9 +9,10 @@ tests the Casorati part alone per random trial, since the reference cancels.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -425,12 +426,16 @@ def verify_geometry(
     integer (that many interior samples), or explicit points. Reports come
     theorem by theorem, each over all points, and every point is evaluated once
     for all theorems. Raises HypothesisViolated naming the first failing
-    precondition, and DegenerateInput for no theorem, no point, or a
-    ``tolerance`` that is not finite and >= 0.
+    precondition, and DegenerateInput for no theorem, a ``theorem`` that is
+    neither an id nor a sequence, no point, or a ``tolerance`` that is not a
+    finite real >= 0.
     """
-    if not 0.0 <= tolerance < np.inf:
-        raise DegenerateInput(f"tolerance must be finite and >= 0, got {tolerance}")
-    infos = [theorem_info(t) for t in ([theorem] if isinstance(theorem, str) else theorem)]
+    if not (isinstance(tolerance, Real) and 0.0 <= tolerance < np.inf):
+        raise DegenerateInput(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    ids = [theorem] if isinstance(theorem, str) else theorem
+    if not isinstance(ids, Iterable):
+        raise DegenerateInput(f"theorem must be an id or a sequence of ids, not {theorem!r}")
+    infos = [theorem_info(t) for t in ids]
     if not infos:
         raise DegenerateInput("no theorem to verify")
     entry = _catalog.get(geometry) if isinstance(geometry, str) else geometry

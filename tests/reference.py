@@ -374,8 +374,8 @@ def two_solve_report(coeffs: FormCoefficients, seed: int, grid: np.ndarray) -> C
     closed = closed_form_normals(mats, coeffs.role == ROLE_A)
     if closed is None:
         starts = measures._optimizer_starts(mats, r, np.random.default_rng(seed))
-        ((n_inf, n_sup, iterations),) = measures._sphere_extrema(mats, (starts, starts))
-        count = len(starts)
+        ((n_inf, n_sup, iterations),) = measures._sphere_extrema(mats, starts)
+        count = max(map(len, starts))
     else:
         (n_inf, n_sup), count, iterations = closed, 0, 0
     c_l_inf, c_l_sup = (float(v) for v in restricted_sum(mats, np.stack([n_inf, n_sup])) / (r - 1))

@@ -268,13 +268,38 @@ def test_newton_solver_matches_the_gradient_oracle():
         mats = 10.0 ** rng.uniform(-2.0, 2.0) * rng.standard_normal((s, r, r))
         coeffs = FormCoefficients((ROLE_B, ROLE_T)[i % 2], 0.5 * (mats + mats.transpose(0, 2, 1)))
         rep = delta_casorati(coeffs, seed=i)
-        starts = measures._optimizer_starts(coeffs.coeffs, r, np.random.default_rng(i))
-        n_min, n_max, _ = gradient_sphere_extrema(coeffs.coeffs, starts, starts)
+        low, high = measures._optimizer_starts(coeffs.coeffs, r, np.random.default_rng(i))
+        n_min, n_max, _ = gradient_sphere_extrema(coeffs.coeffs, low, high)
         ref_inf, ref_sup = restricted_sum(coeffs.coeffs, np.stack([n_min, n_max])) / (r - 1)
         assert rep.converged
-        assert rep.starts == len(starts)
+        assert rep.starts == len(low) == len(high)
         assert abs(rep.C_L_inf - ref_inf) <= 1e-9 * abs(ref_inf)
         assert abs(rep.C_L_sup - ref_sup) <= 1e-9 * abs(ref_sup)
+
+
+def test_each_side_starts_from_its_own_tail_of_the_scan():
+    # Both sides share the eigenvectors of G and the r random directions; the
+    # minimizer then takes the 8 diverse leaders of the scan's low tail, and
+    # the maximizer those of its high tail, so 2r + 8 starts each.
+    rng = np.random.default_rng(36)
+    for i in range(24):
+        r, s = 3 + i % 4, 2 + i % 3
+        coeffs = sym_coeffs(rng, s, r, (ROLE_B, ROLE_T)[i % 2])
+        low, high = measures._optimizer_starts(coeffs.coeffs, r, np.random.default_rng(i))
+        assert low.shape == high.shape == (2 * r + 8, r)
+        assert delta_casorati(coeffs, seed=i).starts == 2 * r + 8
+        draw = np.random.default_rng(i)
+        draw.standard_normal((r, r))  # the random starts come first
+        scan = draw.standard_normal((measures.SCAN_PER_DIM * r, r))
+        scan /= np.linalg.norm(scan, axis=1, keepdims=True)
+        total = restricted_sum(coeffs.coeffs, scan)
+        low_tail, high_tail = (diverse_leaders(scan, v, 8) for v in (total, -total))
+        assert np.array_equal(low[: 2 * r], high[: 2 * r])
+        assert np.array_equal(low[2 * r :], low_tail) and np.array_equal(high[2 * r :], high_tail)
+        for side, other_tail in ((low, high_tail), (high, low_tail)):
+            assert not (side[:, None, :] == other_tail[None, :, :]).all(axis=2).any()
+        lows, highs = restricted_sum(coeffs.coeffs, np.vstack([low_tail, high_tail])).reshape(2, 8)
+        assert lows.max() < highs.min()
 
 
 def test_grid_polish_finds_the_true_sup():
@@ -665,7 +690,9 @@ def test_reported_normal_attains_reported_value(monkeypatch):
     # grid's normal with its value.
     all_starts = measures._optimizer_starts
     monkeypatch.setattr(
-        measures, "_optimizer_starts", lambda mats, r, rng: all_starts(mats, r, rng)[:1]
+        measures,
+        "_optimizer_starts",
+        lambda mats, r, rng: tuple(side[:1] for side in all_starts(mats, r, rng)),
     )
     rng = np.random.default_rng(21)
     frame = euclid_frame(5)
@@ -740,6 +767,20 @@ def test_catalog_reaches_the_grid_only_for_symmetric_data_with_several_normals(m
     reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=2, seed=3)
     assert reports and all(rep.casorati.certified is True for rep in reports)
     assert all(role != ROLE_A and s >= 2 for role, s in calls)
+
+
+@pytest.mark.parametrize("role", [ROLE_B, ROLE_T])
+@pytest.mark.parametrize("s", [2, 3])
+def test_zero_coefficients_take_the_closed_form(monkeypatch, role, s):
+    # f = 0 at every normal: the proof certifies it, with no start and no grid.
+    calls = _no_grid(monkeypatch)
+    for r in (3, 5):
+        coeffs = FormCoefficients(role, np.zeros((s, r, r)))
+        rep = delta_casorati(coeffs, certify=True)
+        assert (rep.certified, rep.converged, rep.starts, rep.iterations) == (True, True, 0, 0)
+        assert (rep.C, rep.C_L_inf, rep.C_L_sup) == (0.0, 0.0, 0.0)
+        assert measures.closed_form_bounds(coeffs.stack, False)[2]
+    assert calls == []
 
 
 @pytest.mark.parametrize("role, s", [(ROLE_A, 2), (ROLE_B, 1), (ROLE_T, 2)])

@@ -297,6 +297,12 @@ def test_an_empty_theorem_list_is_refused():
         verify_geometry([], "sphere-immersion-S3")
 
 
+@pytest.mark.parametrize("theorem", [True, 3, None])
+def test_a_theorem_that_is_neither_an_id_nor_a_sequence_is_refused(theorem):
+    with pytest.raises(DegenerateInput, match="theorem must be an id"):
+        verify_geometry(theorem, "sphere-immersion-S3")
+
+
 @pytest.mark.parametrize("trials", [True, 1.5, 0, -3])
 def test_trial_count_must_be_a_positive_integer(trials):
     with pytest.raises(DegenerateInput, match="trials"):
@@ -460,7 +466,7 @@ def test_each_point_reads_the_map_once_and_builds_B_only_for_maps(monkeypatch, c
     assert sorted(built) == sorted(map_points)
 
 
-@pytest.mark.parametrize("tolerance", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf, -np.inf, -1.0, None, "1e-6"])
 def test_verify_geometry_rejects_a_tolerance_that_is_not_finite_and_non_negative(tolerance):
     with pytest.raises(DegenerateInput, match="tolerance"):
         verify.verify_geometry("map-general", "sphere-immersion-S3", tolerance=tolerance)
@@ -495,17 +501,17 @@ def test_verify_geometry_draws_each_grid_once(monkeypatch):
 
 def test_verify_geometry_draws_one_grid_per_r_whatever_the_seed(monkeypatch):
     # The certification grid does not follow the caller's seed: two seeds
-    # (neither of them measures.GRID_SEED) share one r = 3 grid across the
-    # sides that still reach it, the Hopf fibres (T, s = 4) and the vertical
-    # spaces of the projection (T, s = 2). The r = 4 sides of the Hopf map (A)
-    # and of CP^2 (B, s = 0) have closed forms and draw none.
+    # (neither of them measures.GRID_SEED) share one r = 3 grid on the side
+    # that still reaches it, the Hopf fibres (T, s = 4). The vertical spaces
+    # of the projection (T, s = 2, all coefficients 0) and the r = 4 sides of
+    # the Hopf map (A) and of CP^2 (B, s = 0) have closed forms and draw none.
     grids = _grid_draws(monkeypatch)
     for geometry in ("quaternionic-hopf-S7-S4", "euclidean-projection-5-2", "fubini-study-CP2"):
         entry = catalog.get(geometry)
         for seed in (7, 8):
             reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=1, seed=seed)
             assert all(r.holds and r.casorati.certified is True for r in reports)
-    assert len(grids) == 4 and len({id(g) for g in grids}) == 1
+    assert len(grids) == 2 and len({id(g) for g in grids}) == 1
     assert {len(g) for g in grids} == {30_003}
 
 
