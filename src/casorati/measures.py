@@ -8,15 +8,16 @@ Given coefficients B_alpha (one r x r matrix per normal direction alpha):
     delta-hat_C(r-1) = 2C  - ((2r-1)/(2r)) * sup_n C^L(n)
 
 The inf/sup run over all hyperplanes of the r-dimensional frame: in closed
-form for antisymmetric data or one normal, else by a sphere solver batched
-over many starts. A closed form is certified by proved bounds on the inf
-and sup: eigenvalue brackets, each end proved by one Cholesky
-factorization. The solver's extrema are certified against a dense sphere
-grid, whose leaders the starts' solver call polishes as a group of their
-own. Equality holds exactly on the equality shape: a shared orthonormal
-basis in which every B_alpha is diag(a, ..., a, 2a) with no off-diagonal
-terms. The paper's proof polynomials P and Q, which certify the bounds per
-hyperplane, are test oracles in ``tests/reference.py``.
+form for antisymmetric data, one normal or all-zero data, else by a sphere
+solver batched over many starts. A closed form is certified by proved
+bounds on the inf and sup: eigenvalue brackets, each end proved by one
+Cholesky factorization. The solver's extrema are certified against a
+dense sphere grid, whose leaders the starts' solver call polishes as a
+group of their own. Equality holds exactly on the equality shape: a
+shared orthonormal basis in which every B_alpha is diag(a, ..., a, 2a)
+with no off-diagonal terms. The paper's proof polynomials P and Q, which
+certify the bounds per hyperplane, are test oracles in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def form_stack(mats) -> FormStack:
     gram = np.swapaxes(flat, -1, -2) @ flat + np.swapaxes(flat_t, -1, -2) @ flat_t
     sym = flat + flat_t
     forms = np.concatenate([gram, sym], axis=-2) if sym.any() else gram
-    sym = forms[..., r:, :].reshape(forms.shape[:-2] + (-1, r, r))
+    sym = forms[..., r:, :].reshape(forms.shape[:-2] + (forms.shape[-2] // r - 1, r, r))
     return FormStack(mats, np.sum(mats * mats, axis=(-3, -2, -1)), gram, forms, sym)
 
 
@@ -279,7 +280,7 @@ def closed_form_normals(mats, antisymmetric: bool):
     lambda_max, clipped to [0, 1]. Symmetric data with s >= 2 returns None.
     """
     stack = form_stack(mats)
-    if antisymmetric or stack.mats.shape[-3] == 0 or not stack.mats.any():
+    if antisymmetric or not stack.mats.any():  # s = 0 included
         _, vecs = np.linalg.eigh(stack.gram)
         return vecs[..., -1], vecs[..., 0]
     if stack.mats.shape[-3] != 1:
@@ -313,7 +314,7 @@ def closed_form_bounds(mats, antisymmetric: bool):
     the level of r s eps ||B||^2, far below CERTIFY_REL_TOL.
     """
     stack = form_stack(mats)
-    if antisymmetric or stack.mats.shape[-3] == 0 or not stack.mats.any():
+    if antisymmetric or not stack.mats.any():  # s = 0 included
         lam = np.linalg.eigvalsh(stack.gram)
         low, ok = _proved_lower_bounds(
             np.stack([stack.gram, -stack.gram], axis=-3),
@@ -390,14 +391,14 @@ def _tangent_derivatives(mats, normals: np.ndarray, signs: np.ndarray):
 
 def _cholesky_succeeds(mats: np.ndarray) -> np.ndarray:
     """Per row of a (k, r, r) stack: whether np.linalg.cholesky of that row
-    alone succeeds. Call it under np.errstate(all="ignore").
+    alone succeeds.
 
     np.linalg.cholesky calls the ``cholesky_lo`` gufunc and raises for the
     whole stack when any row fails. The gufunc itself fills a failed row
     with NaN and goes on to the next, while a factor that succeeds has the
     (0, 0) entry sqrt(m_00) > 0; a NaN there marks exactly the rows that
     np.linalg.cholesky refuses alone. The floating-point flags that the
-    wrapper reads are the caller's to ignore.
+    wrapper reads are the caller's to ignore, under np.errstate(all="ignore").
     """
     return ~np.isnan(_umath_linalg.cholesky_lo(mats)[:, 0, 0])
 
@@ -581,9 +582,13 @@ def delta_casorati(
 ) -> CasoratiReport:
     """Full report: C, inf/sup of C^L over all hyperplanes, delta values.
 
-    Closed forms serve the A role and symmetric data with one normal or none,
-    with 0 starts and 0 iterations; otherwise the sphere solver runs from eigenvectors of G,
-    random directions and the leaders of a coarse sphere scan.
+    Closed forms serve the A role and symmetric data with one normal, none,
+    or all coefficients 0, with 0 starts and 0 iterations. Otherwise the
+    sphere solver minimizes and maximizes from 2r + 8 starts per side, which
+    ``starts`` counts: the eigenvectors of G, r random directions, and the 8
+    leaders of that side's own tail of a coarse sphere scan
+    (``_optimizer_starts``). Each Newton iteration calls the LAPACK gufuncs
+    behind np.linalg directly (``_newton_directions``).
     ``certify=True`` on a closed form proves bounds on the inf and sup by
     ``closed_form_bounds``, with no grid; ``certified`` is True when both
     were proved and each lies within CERTIFY_REL_TOL of the reported value,
