@@ -551,7 +551,7 @@ def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray
         for pick in picked:
             masked[np.abs(candidates @ pick) > 0.95] = np.inf
         while len(picked) < k and masked.size:
-            i = np.argmin(masked)
+            i = masked.argmin()
             if masked[i] == np.inf:
                 break
             picked.append(candidates[i])
