@@ -269,8 +269,9 @@ def closed_form_normals(mats, antisymmetric: bool):
 
     Antisymmetric A, any s: n^T A n = 0, so the sum is ||A||^2 - n^T G n,
     extremal at the top and bottom eigenvectors of G = 2 sum A^T A. So is
-    symmetric data with no normal (s = 0) or with all coefficients 0, where
-    the sum is 0 (a batch takes this case only when every set is 0).
+    any data whose S_alpha all vanish, which ``form_stack`` leaves out of the
+    stack: symmetric data with no normal (s = 0) or with all coefficients 0,
+    where the sum is 0 (a batch takes this case only when every set is 0).
     One symmetric B (s = 1): with w_i = n_i^2 in B's eigenbasis the sum is
     ||B||^2 - 2 lambda^2.w + (lambda.w)^2. On the simplex, (lambda.w,
     lambda^2.w) fills the hull of the parabola points (lambda_i, lambda_i^2),
@@ -280,7 +281,7 @@ def closed_form_normals(mats, antisymmetric: bool):
     lambda_max, clipped to [0, 1]. Symmetric data with s >= 2 returns None.
     """
     stack = form_stack(mats)
-    if antisymmetric or not stack.mats.any():  # s = 0 included
+    if antisymmetric or stack.sym.shape[-3] == 0:  # no S rows: every S_alpha is 0
         _, vecs = np.linalg.eigh(stack.gram)
         return vecs[..., -1], vecs[..., 0]
     if stack.mats.shape[-3] != 1:
@@ -302,8 +303,8 @@ def closed_form_bounds(mats, antisymmetric: bool):
     Each needed eigenvalue is bracketed, and each end of the bracket is
     proved by ``_proved_lower_bounds``; ``proved`` is False where any
     factorization fails, and the bounds then prove nothing. With N = ||B||^2:
-    - antisymmetric (or s = 0, or all coefficients 0), [a, b] bracketing G:
-      f = N - n^T G n, so inf f >= N - b and sup f <= N - a.
+    - antisymmetric (or no S rows: s = 0, or all coefficients 0), [a, b]
+      bracketing G: f = N - n^T G n, so inf f >= N - b and sup f <= N - a.
     - one symmetric B, sup: with x = n^T B n and y = n^T B^2 n, f = N - 2y +
       x^2 and x^2 <= y, so f <= N - y <= N - a_G / 2, where a_G < lambda_min(G)
       and G = 2 B^2.
@@ -314,7 +315,7 @@ def closed_form_bounds(mats, antisymmetric: bool):
     the level of r s eps ||B||^2, far below CERTIFY_REL_TOL.
     """
     stack = form_stack(mats)
-    if antisymmetric or not stack.mats.any():  # s = 0 included
+    if antisymmetric or stack.sym.shape[-3] == 0:  # no S rows: every S_alpha is 0
         lam = np.linalg.eigvalsh(stack.gram)
         low, ok = _proved_lower_bounds(
             np.stack([stack.gram, -stack.gram], axis=-3),
