@@ -20,6 +20,7 @@ import numpy as np
 from .curvature import ChartMetric
 from .errors import DegenerateInput, DimensionMismatch, HypothesisViolated
 from .framecore import MAX_CHART_DIM, StructureOperator
+from .measures import _is_int
 from .rmaps import MapAtPoint, SmoothMap, map_at_point
 from .spaceforms import NamedFamily, SpaceFormSpec, spec_for
 
@@ -31,10 +32,6 @@ from .spaceforms import NamedFamily, SpaceFormSpec, spec_for
 
 class _BadParameter(DegenerateInput):
     """A builder parameter out of range; ``_built`` names it after its section."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _chart_size(name: str, value, low: int, high: int) -> int:

@@ -9,13 +9,16 @@ Given coefficients B_alpha (one r x r matrix per normal direction alpha):
 
 The inf/sup run over all hyperplanes of the r-dimensional frame: in closed
 form for antisymmetric data, one normal or all-zero data, else by a sphere
-solver batched over many starts. A closed form is certified by proved
+solver batched over many starts, whose seeded random starts and scan are
+drawn once per (seed, r) and kept for the last few pairs, and which runs
+under one np.errstate per solve. A closed form is certified by proved
 bounds on the inf and sup: eigenvalue brackets, each end proved by one
 Cholesky factorization. The solver's extrema are certified against a
 dense sphere grid, whose leaders the starts' solver call polishes as a
-group of their own. Equality holds exactly on the equality shape: a
-shared orthonormal basis in which every B_alpha is diag(a, ..., a, 2a)
-with no off-diagonal terms. The paper's proof polynomials P and Q, which
+group of their own; its values contract the stack product with the
+directions in one einsum pass per slice. Equality holds exactly on the
+equality shape: a shared orthonormal basis in which every B_alpha is
+diag(a, ..., a, 2a) with no off-diagonal terms. The paper's proof polynomials P and Q, which
 certify the bounds per hyperplane, are test oracles in
 ``tests/reference.py``.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -53,12 +56,26 @@ GRID_PER_DIM = 10_000
 GRID_SEED = 1  # the one seed of every certification grid
 GRID_SLICE_DOUBLES = 65_536  # most doubles in one slice's product in the grid pass
 POLISH_LEADERS = 8
+SEEDED_KEPT = 8  # (seed, r) pairs whose random starts and scan stay drawn
 LEADER_SAMPLE_STRIDE = 16  # every 16th value places the cuts of _diverse_leaders
 # Sphere solver: longest tangent step, least |curvature| (relative to the
 # scale 1 + ||B||^2) a step divides by, and the step fraction where halving stops.
 NEWTON_MAX_STEP = 0.5
 NEWTON_FLOOR = 1e-8
 NEWTON_MIN_FRACTION = 1e-12
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _checked_seed(seed) -> int:
+    """``seed`` as an int if it is an integer >= 0, else DegenerateInput: never
+    None (fresh entropy on every call), a bool or a Generator."""
+    if not (_is_int(seed) and seed >= 0):
+        raise DegenerateInput(f"seed must be a non-negative integer, not {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -226,18 +243,21 @@ def restricted_sum(mats, normals: np.ndarray) -> np.ndarray:
 
     ``mats`` is (..., s, r, r) or its FormStack, and ``normals`` is (..., k,
     r) with the same leading shape; the result is (..., k). One matrix
-    product of the stack with the normals, multiplied by the normals and
-    summed over r, gives n^T G n and every n^T S_alpha n.
+    product of the stack with the normals, contracted with the normals over
+    r in one einsum pass, gives n^T G n and every n^T S_alpha n. For k >= 2
+    that contraction adds the r products in order, as multiplying and then
+    summing over r did (``tests/reference.py`` keeps that formula); a single
+    normal takes einsum's contiguous kernel, which may round differently,
+    as the matrix product already does at k = 1.
     """
     stack = form_stack(mats)
     (m, r), k = stack.forms.shape[-2:], normals.shape[-2]
     cols = np.swapaxes(normals, -1, -2)
     forms = stack.forms @ cols
     forms = forms.reshape(forms.shape[:-2] + (m // r, r, k))
-    forms *= cols[..., None, :, :]
-    forms = forms.sum(axis=-2)  # n^T G n, then n^T S_alpha n for each alpha
+    forms = c_einsum("...ark,...rk->...ak", forms, cols)  # n^T G n, then n^T S_alpha n
     q = 0.5 * forms[..., 1:, :]
-    return stack.norm[..., None] - forms[..., 0, :] + np.einsum("...ak,...ak->...k", q, q)
+    return stack.norm[..., None] - forms[..., 0, :] + c_einsum("...ak,...ak->...k", q, q)
 
 
 def restricted_sum_derivatives(mats, normals: np.ndarray):
@@ -246,21 +266,29 @@ def restricted_sum_derivatives(mats, normals: np.ndarray):
     Shapes (..., k), (..., k, r) and (..., k, r, r), by the FormStack
     formulas. Every contraction is an einsum over one row at a time, so each
     row's results are bit for bit those of a batch of that row alone; a BLAS
-    product rounds a single row differently from a batch. The solver calls
-    this on every iteration, so it calls einsum's kernel without its wrapper.
+    product rounds a single row differently from a batch.
     """
+    value, half_grad, half_hess = _half_derivatives(mats, normals)
+    return value, 2.0 * half_grad, 2.0 * half_hess
+
+
+def _half_derivatives(mats, normals: np.ndarray):
+    """restricted_sum with half its gradient and half its Hessian; doubling
+    is exact, so a caller may fold the 2 into a factor of its own. The
+    solver calls this on every iteration, so it calls einsum's kernel
+    without its wrapper, and one contraction of the stack product with the
+    normals gives n^T G n and every n^T S_alpha n."""
     stack = form_stack(mats)
     s, r = stack.sym.shape[-3:-1]
     prod = c_einsum("...mj,...kj->...km", stack.forms, normals)
     prod = prod.reshape(prod.shape[:-1] + (s + 1, r))
     gn, u = prod[..., 0, :], prod[..., 1:, :]  # G n and u_alpha = S_alpha n
-    q = 0.5 * c_einsum("...kai,...ki->...ka", u, normals)
-    ngn = c_einsum("...ki,...ki->...k", gn, normals)
-    value = stack.norm[..., None] - ngn + c_einsum("...ka,...ka->...k", q, q)
-    grad = 2.0 * (c_einsum("...ka,...kai->...ki", q, u) - gn)
+    quad = c_einsum("...kai,...ki->...ka", prod, normals)  # n^T G n, then n^T S_alpha n
+    q = 0.5 * quad[..., 1:]
+    value = stack.norm[..., None] - quad[..., 0] + c_einsum("...ka,...ka->...k", q, q)
+    half_grad = c_einsum("...ka,...kai->...ki", q, u) - gn
     hess = c_einsum("...kai,...kaj->...kij", u, u) + c_einsum("...ka,...aij->...kij", q, stack.sym)
-    hess = 2.0 * (hess - stack.gram[..., None, :, :])
-    return value, grad, hess
+    return value, half_grad, hess - stack.gram[..., None, :, :]
 
 
 def closed_form_normals(mats, antisymmetric: bool):
@@ -382,11 +410,13 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 def _tangent_derivatives(mats, normals: np.ndarray, signs: np.ndarray):
     """Signed objective, its gradient projected onto the sphere's tangent space,
     and its signed Hessian H - (n . grad) I, which P = I - n n^T turns into
-    the Riemannian Hessian P (H - (n . grad) I) P."""
-    value, grad, hess = restricted_sum_derivatives(mats, normals)
-    grad = signs[:, None] * grad
+    the Riemannian Hessian P (H - (n . grad) I) P. The 2 of the derivatives
+    and the sign of each row are one exact factor 2 sign."""
+    value, grad, hess = _half_derivatives(mats, normals)
+    factor = 2.0 * signs
+    grad = factor[:, None] * grad
     radial = np.add.reduce(grad * normals, axis=1)
-    hess = signs[:, None, None] * hess - radial[:, None, None] * _identity(normals.shape[1])
+    hess = factor[:, None, None] * hess - radial[:, None, None] * _identity(normals.shape[1])
     return signs * value, grad - radial[:, None] * normals, hess
 
 
@@ -404,12 +434,15 @@ def _cholesky_succeeds(mats: np.ndarray) -> np.ndarray:
     return ~np.isnan(_umath_linalg.cholesky_lo(mats)[:, 0, 0])
 
 
-def _newton_directions(normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, scale: float):
+def _newton_directions(
+    normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, scale: float, floor_eye: np.ndarray
+):
     """Tangent steps -sum_i v_i w_i over the eigenpairs (lambda_i, v_i) of each
     Riemannian Hessian P hess P, shortened to at most NEWTON_MAX_STEP.
 
-    w_i = (v_i . pg) / max(|lambda_i|, floor), so every component descends, at
-    saddles too; along curvature below -floor the quadratic model has no
+    ``floor_eye`` is floor I, with floor = NEWTON_FLOOR scale, formed once
+    per set by the caller. w_i = (v_i . pg) / max(|lambda_i|, floor), so
+    every component descends, at saddles too; along curvature below -floor the quadratic model has no
     minimum, and w_i is NEWTON_MAX_STEP with the sign of v_i . pg, which
     leaves a maximum in a few steps where |lambda_i| would only double the
     distance to it. The normal n is an eigenvector of P hess P with
@@ -422,29 +455,29 @@ def _newton_directions(normals: np.ndarray, pg: np.ndarray, hess: np.ndarray, sc
     eigenvalue lies within rounding of the floor, where the two steps agree
     to rounding. Each row's step is the step of a batch of that row alone.
     The ``cholesky_lo``, ``solve1`` and ``eigh_lo`` gufuncs behind
-    np.linalg run directly, under one errstate; in place of the wrappers'
-    LinAlgError on a NaN, a step that is not finite raises LinAlgError.
+    np.linalg run directly, and the floating-point flags they raise are the
+    caller's to ignore, under np.errstate(all="ignore"), as the solver does
+    once per solve. In place of the wrappers' LinAlgError on a NaN, a step
+    that is not finite raises LinAlgError.
     """
-    eye = _identity(normals.shape[1])
     outer = c_einsum("ki,kj->kij", normals, normals)
-    proj = eye - outer
+    proj = _identity(normals.shape[1]) - outer
     mats = proj @ hess @ proj + scale * outer
     floor = NEWTON_FLOOR * scale
-    with np.errstate(all="ignore"):
-        definite = _cholesky_succeeds(mats - floor * eye)
-        if definite.all():
-            step = -_umath_linalg.solve1(mats, pg)
-        else:
-            step = np.empty_like(pg)
-            if definite.any():
-                step[definite] = -_umath_linalg.solve1(mats[definite], pg[definite])
-            rest = ~definite
-            lam, vecs = _umath_linalg.eigh_lo(mats[rest])
-            coords = c_einsum("kij,ki->kj", vecs, pg[rest])
-            weights = np.where(
-                lam < -floor, np.sign(coords) * NEWTON_MAX_STEP, coords / np.maximum(np.abs(lam), floor)
-            )
-            step[rest] = -c_einsum("kij,kj->ki", vecs, weights)
+    definite = _cholesky_succeeds(mats - floor_eye)
+    if definite.all():
+        step = -_umath_linalg.solve1(mats, pg)
+    else:
+        step = np.empty_like(pg)
+        if definite.any():
+            step[definite] = -_umath_linalg.solve1(mats[definite], pg[definite])
+        rest = ~definite
+        lam, vecs = _umath_linalg.eigh_lo(mats[rest])
+        coords = c_einsum("kij,ki->kj", vecs, pg[rest])
+        weights = np.where(
+            lam < -floor, np.sign(coords) * NEWTON_MAX_STEP, coords / np.maximum(np.abs(lam), floor)
+        )
+        step[rest] = -c_einsum("kij,kj->ki", vecs, weights)
     length = _row_norms(step)[:, None]
     if not math.isfinite(length.sum()):
         raise np.linalg.LinAlgError("Newton step is not finite")
@@ -471,6 +504,9 @@ def _sphere_extrema(
     NEWTON_MIN_FRACTION. The Armijo test forgives rises below ROUNDING_TOL
     of the scale: near an optimum the objective's rounding outgrows the
     predicted decrease long before the gradient reaches its tolerance.
+    The whole solve runs under one errstate, for the LAPACK gufuncs of
+    ``_newton_directions``; the step fractions are None while every running
+    start takes its full step, which is the step times 1 exactly.
     """
     sides = [starts for pair in problems for starts in pair]
     labels = np.repeat(np.arange(len(sides)), [len(starts) for starts in sides])
@@ -480,33 +516,39 @@ def _sphere_extrema(
     stack = form_stack(mats)
     scale = 1.0 + float(stack.norm)
     tol, forgiven = GRAD_NORM_TOL * scale, ROUNDING_TOL * scale
-    f, pg, hess = _tangent_derivatives(stack, n, signs)
-    # The running starts: their indices, points, values, gradients, steps and step fractions.
-    idx = np.flatnonzero(_row_norms(pg) > tol)
-    x, fx, gx, sx = n[idx], f[idx], pg[idx], signs[idx]
-    step = _newton_directions(x, gx, hess[idx], scale) if idx.size else gx
-    frac = np.ones(len(idx))
+    floor_eye = NEWTON_FLOOR * scale * _identity(n.shape[1])
     steps = np.zeros(len(n), dtype=int)  # a start's iterations, written when it stops
-    for done in range(1, SOLVER_MAX_ITER + 1):
-        if idx.size == 0:
-            break
-        cand = x + frac[:, None] * step
-        cand /= _row_norms(cand)[:, None]
-        fc, pgc, hc = _tangent_derivatives(stack, cand, sx)
-        ok = fc <= fx + 1e-4 * frac * np.add.reduce(gx * step, axis=1) + forgiven
-        if ok.all():
-            x, fx, gx = cand, fc, pgc
-            step = _newton_directions(cand, pgc, hc, scale)
-            frac = np.ones(len(idx))
-        else:
-            if ok.any():
-                x[ok], fx[ok], gx[ok] = cand[ok], fc[ok], pgc[ok]
-                step[ok] = _newton_directions(cand[ok], pgc[ok], hc[ok], scale)
-            frac = np.where(ok, 1.0, 0.5 * frac)
-        keep = (_row_norms(gx) > tol) & (frac > NEWTON_MIN_FRACTION)
-        if not keep.all():
-            n[idx], f[idx], steps[idx] = x, fx, done
-            idx, x, fx, gx, sx, step, frac = (a[keep] for a in (idx, x, fx, gx, sx, step, frac))
+    with np.errstate(all="ignore"):
+        f, pg, hess = _tangent_derivatives(stack, n, signs)
+        # The running starts: their indices, points, values, gradients, steps and step fractions.
+        idx = np.flatnonzero(_row_norms(pg) > tol)
+        x, fx, gx, sx = n[idx], f[idx], pg[idx], signs[idx]
+        step = _newton_directions(x, gx, hess[idx], scale, floor_eye) if idx.size else gx
+        frac = None
+        for done in range(1, SOLVER_MAX_ITER + 1):
+            if idx.size == 0:
+                break
+            cand = x + step if frac is None else x + frac[:, None] * step
+            cand /= _row_norms(cand)[:, None]
+            fc, pgc, hc = _tangent_derivatives(stack, cand, sx)
+            armijo = 1e-4 if frac is None else 1e-4 * frac
+            ok = fc <= fx + armijo * np.add.reduce(gx * step, axis=1) + forgiven
+            if ok.all():
+                x, fx, gx = cand, fc, pgc
+                step = _newton_directions(cand, pgc, hc, scale, floor_eye)
+                frac = None
+            else:
+                if ok.any():
+                    x[ok], fx[ok], gx[ok] = cand[ok], fc[ok], pgc[ok]
+                    step[ok] = _newton_directions(cand[ok], pgc[ok], hc[ok], scale, floor_eye)
+                frac = np.where(ok, 1.0, 0.5 if frac is None else 0.5 * frac)
+            keep = _row_norms(gx) > tol
+            if frac is not None:
+                keep &= frac > NEWTON_MIN_FRACTION
+            if not keep.all():
+                n[idx], f[idx], steps[idx] = x, fx, done
+                idx, x, fx, gx, sx, step = (a[keep] for a in (idx, x, fx, gx, sx, step))
+                frac = None if frac is None else frac[keep]
     n[idx], f[idx], steps[idx] = x, fx, SOLVER_MAX_ITER
     best = [n[np.argmin(np.where(labels == label, f, np.inf))] for label in range(len(sides))]
     row_steps = np.bincount(owners, weights=steps, minlength=len(problems))
@@ -562,17 +604,35 @@ def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray
         size *= 4
 
 
-def _optimizer_starts(mats, r: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(low starts, high starts), 2r + 8 each: the eigenvectors of G, r random
-    directions, and the 8 basin-diverse leaders of that side's own tail of a
-    coarse sphere scan, the lowest values for the minimizer and the highest
-    for the maximizer; ``mats`` as for restricted_sum."""
-    stack = form_stack(mats)
-    _, eigvecs = np.linalg.eigh(stack.gram)
+def _draw_seeded_directions(seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only unit (random starts, scan) of (seed, r): r directions,
+    then SCAN_PER_DIM * r, drawn in that order from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
     randoms = rng.standard_normal((r, r))
     randoms /= np.linalg.norm(randoms, axis=1, keepdims=True)
     scan = rng.standard_normal((SCAN_PER_DIM * r, r))
     scan /= np.linalg.norm(scan, axis=1, keepdims=True)
+    randoms.setflags(write=False)
+    scan.setflags(write=False)
+    return randoms, scan
+
+
+@lru_cache(maxsize=SEEDED_KEPT)
+def _seeded_directions(seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_draw_seeded_directions``, kept for the SEEDED_KEPT (seed, r) pairs
+    used last: (SCAN_PER_DIM + 1) r^2 doubles each, 74 KB at r = 6."""
+    return _draw_seeded_directions(seed, r)
+
+
+def _optimizer_starts(mats, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(low starts, high starts), 2r + 8 each: the eigenvectors of G, r random
+    directions, and the 8 basin-diverse leaders of that side's own tail of a
+    coarse sphere scan, the lowest values for the minimizer and the highest
+    for the maximizer; ``mats`` as for restricted_sum. The random directions
+    and the scan depend on (seed, r) alone (``_seeded_directions``)."""
+    stack = form_stack(mats)
+    _, eigvecs = np.linalg.eigh(stack.gram)
+    randoms, scan = _seeded_directions(seed, r)
     total = restricted_sum(stack, scan)
     shared = np.vstack([eigvecs.T, randoms])
     return tuple(np.vstack([shared, _diverse_leaders(scan, v, 8)]) for v in (total, -total))
@@ -588,8 +648,11 @@ def delta_casorati(
     sphere solver minimizes and maximizes from 2r + 8 starts per side, which
     ``starts`` counts: the eigenvectors of G, r random directions, and the 8
     leaders of that side's own tail of a coarse sphere scan
-    (``_optimizer_starts``). Each Newton iteration calls the LAPACK gufuncs
-    behind np.linalg directly (``_newton_directions``).
+    (``_optimizer_starts``). ``seed`` must be an integer >= 0, else
+    DegenerateInput; the random directions and the scan depend on (seed, r)
+    alone and are drawn once for the SEEDED_KEPT pairs used last. Each
+    Newton iteration calls the LAPACK gufuncs behind np.linalg directly
+    (``_newton_directions``).
     ``certify=True`` on a closed form proves bounds on the inf and sup by
     ``closed_form_bounds``, with no grid; ``certified`` is True when both
     were proved and each lies within CERTIFY_REL_TOL of the reported value,
@@ -600,6 +663,7 @@ def delta_casorati(
     ``converged``: the projected gradient at each reported normal is within
     GRAD_NORM_TOL.
     """
+    seed = _checked_seed(seed)
     r = coeffs.r
     if r < 3:
         raise DimensionMismatch("delta-Casorati curvatures need r >= 3")
@@ -611,7 +675,7 @@ def delta_casorati(
     if closed is not None:
         (n_inf, n_sup), starts, iterations = closed, 0, 0
     else:
-        start_dirs = _optimizer_starts(stack, r, np.random.default_rng(seed))
+        start_dirs = _optimizer_starts(stack, r, seed)
         starts = max(map(len, start_dirs))
         (n_inf, n_sup, iterations), *grid = _sphere_extrema(
             stack, start_dirs, *([grid_extrema(coeffs)] if certify else [])

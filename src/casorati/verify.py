@@ -30,6 +30,8 @@ from .measures import (
     CasoratiReport,
     EqualityDiagnosis,
     FormCoefficients,
+    _checked_seed,
+    _is_int,
     closed_form_normals,
     delta_casorati,
     delta_pair,
@@ -399,7 +401,7 @@ def _require_space_form(info: TheoremInfo, entry) -> None:
 def _resolve_points(entry, points, seed):
     if points is None:
         return [np.asarray(entry.base_point, dtype=float)]
-    if _catalog._is_int(points) and points >= 1:
+    if _is_int(points) and points >= 1:
         rng = np.random.default_rng(seed)
         sampler = entry.source_chart.interior_sampler(rng, margin=0.1)
         return [sampler() for _ in range(int(points))]
@@ -427,9 +429,10 @@ def verify_geometry(
     theorem by theorem, each over all points, and every point is evaluated once
     for all theorems. Raises HypothesisViolated naming the first failing
     precondition, and DegenerateInput for no theorem, a ``theorem`` that is
-    neither an id nor a sequence, no point, or a ``tolerance`` that is not a
-    finite real >= 0.
+    neither an id nor a sequence, no point, a ``tolerance`` that is not a
+    finite real >= 0, or a ``seed`` that is not an integer >= 0.
     """
+    seed = _checked_seed(seed)
     if not (isinstance(tolerance, Real) and 0.0 <= tolerance < np.inf):
         raise DegenerateInput(f"tolerance must be finite and >= 0, got {tolerance!r}")
     ids = [theorem] if isinstance(theorem, str) else theorem
@@ -613,10 +616,12 @@ def verify_synthetic(theorem: str, trials: int, seed: int = 0) -> dict:
     injects the equality shape. Returns {"theorem", "trials", "failures",
     "min_residual", "equality_hits"}; a nonzero failure count means a genuine
     counterexample of the encoded formulas (the candidate optimum never
-    under-reports the right side).
+    under-reports the right side). Raises DegenerateInput unless ``trials``
+    is an integer >= 1 and ``seed`` an integer >= 0.
     """
-    if not (_catalog._is_int(trials) and trials >= 1):
+    if not (_is_int(trials) and trials >= 1):
         raise DegenerateInput(f"trials must be a positive integer, got {trials!r}")
+    seed = _checked_seed(seed)
     symmetric = _fuzzes_symmetric(theorem)
     rng = np.random.default_rng(seed)
     r_arr = rng.integers(3, 7, size=trials)

@@ -302,6 +302,21 @@ def row_major_grid(r: int) -> np.ndarray:
     return dirs
 
 
+def summed_restricted_sum(mats, normals: np.ndarray) -> np.ndarray:
+    """``measures.restricted_sum`` in two passes: the stack product times the
+    normals, then summed over r, where the one-pass route contracts them in
+    one einsum. ``mats`` is (..., s, r, r) or its FormStack."""
+    stack = measures.form_stack(mats)
+    (m, r), k = stack.forms.shape[-2:], normals.shape[-2]
+    cols = np.swapaxes(normals, -1, -2)
+    forms = stack.forms @ cols
+    forms = forms.reshape(forms.shape[:-2] + (m // r, r, k))
+    forms *= cols[..., None, :, :]
+    forms = forms.sum(axis=-2)  # n^T G n, then n^T S_alpha n for each alpha
+    q = 0.5 * forms[..., 1:, :]
+    return stack.norm[..., None] - forms[..., 0, :] + np.einsum("...ak,...ak->...k", q, q)
+
+
 def expanded_restricted_sum(mats: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """``measures.restricted_sum`` by the projector expansion in B and B^T:
     ||B||^2 - ||B n||^2 - ||B^T n||^2 + sum_alpha (n^T B_alpha n)^2, with
@@ -373,7 +388,7 @@ def two_solve_report(coeffs: FormCoefficients, seed: int, grid: np.ndarray) -> C
     mats, r = coeffs.coeffs, coeffs.r
     closed = closed_form_normals(mats, coeffs.role == ROLE_A)
     if closed is None:
-        starts = measures._optimizer_starts(mats, r, np.random.default_rng(seed))
+        starts = measures._optimizer_starts(mats, r, seed)
         ((n_inf, n_sup, iterations),) = measures._sphere_extrema(mats, starts)
         count = max(map(len, starts))
     else:

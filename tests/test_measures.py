@@ -36,6 +36,7 @@ from reference import (
     proof_polynomial_Q,
     row_major_grid,
     sliced_grid_values,
+    summed_restricted_sum,
     two_solve_report,
 )
 
@@ -268,7 +269,7 @@ def test_newton_solver_matches_the_gradient_oracle():
         mats = 10.0 ** rng.uniform(-2.0, 2.0) * rng.standard_normal((s, r, r))
         coeffs = FormCoefficients((ROLE_B, ROLE_T)[i % 2], 0.5 * (mats + mats.transpose(0, 2, 1)))
         rep = delta_casorati(coeffs, seed=i)
-        low, high = measures._optimizer_starts(coeffs.coeffs, r, np.random.default_rng(i))
+        low, high = measures._optimizer_starts(coeffs.coeffs, r, i)
         n_min, n_max, _ = gradient_sphere_extrema(coeffs.coeffs, low, high)
         ref_inf, ref_sup = restricted_sum(coeffs.coeffs, np.stack([n_min, n_max])) / (r - 1)
         assert rep.converged
@@ -285,7 +286,7 @@ def test_each_side_starts_from_its_own_tail_of_the_scan():
     for i in range(24):
         r, s = 3 + i % 4, 2 + i % 3
         coeffs = sym_coeffs(rng, s, r, (ROLE_B, ROLE_T)[i % 2])
-        low, high = measures._optimizer_starts(coeffs.coeffs, r, np.random.default_rng(i))
+        low, high = measures._optimizer_starts(coeffs.coeffs, r, i)
         assert low.shape == high.shape == (2 * r + 8, r)
         assert delta_casorati(coeffs, seed=i).starts == 2 * r + 8
         draw = np.random.default_rng(i)
@@ -495,6 +496,74 @@ def test_grid_values_match_the_sliced_restricted_sum(monkeypatch):
             assert np.all(np.abs(fast - slow) <= 1e-13 * (1.0 + np.abs(slow))), (r, coeffs.role)
 
 
+def _recorded_restricted_sums(monkeypatch, module) -> list:
+    """Every (mats, normals) that ``module`` passes to restricted_sum from now on."""
+    calls = []
+
+    def recording(mats, normals):
+        calls.append((mats, normals))
+        return restricted_sum(mats, normals)
+
+    monkeypatch.setattr(module, "restricted_sum", recording)
+    return calls
+
+
+def test_one_pass_reduction_equals_multiply_then_sum(monkeypatch):
+    # restricted_sum contracts the stack product with the normals in one
+    # einsum; bit for bit, that is the product times the normals, summed
+    # over r. Checked on every slice of the grid pass (r 3-6, s 0-4, and
+    # G-only stacks) and on the fuzz's batched normals.
+    monkeypatch.setattr(measures, "_GRIDS", {})
+    grid = _recorded_restricted_sums(monkeypatch, measures)
+    rng = np.random.default_rng(27)
+    for r in range(3, 7):
+        dirs = measures._grid_directions(r)
+        for coeffs in [sym_coeffs(rng, s, r) for s in range(5)] + [antisym_coeffs(rng, 2, r)]:
+            measures._grid_values(coeffs.stack, dirs)
+    fuzz = _recorded_restricted_sums(monkeypatch, verify)
+    for theorem in ("map-general", "sub-hor-general"):  # symmetric, then antisymmetric data
+        verify.verify_synthetic(theorem, 256, seed=27)
+    for mats, normals in grid + fuzz:
+        assert np.array_equal(restricted_sum(mats, normals), summed_restricted_sum(mats, normals))
+    # What was checked: each r's full and last grid slices, the fuzz's (n,
+    # 2r + 8) candidate normals, and G-only stacks on both paths.
+    slices = {(normals.shape[1], len(normals)) for _, normals in grid}
+    for r in range(3, 7):
+        assert (r, (measures.GRID_PER_DIM + 1) * r % 8) in slices
+        assert any(n_r == r and k > 8 for n_r, k in slices)
+    assert any(normals.ndim == 3 and normals.shape[1] == 2 * normals.shape[2] + 8 for _, normals in fuzz)
+    for calls in (grid, fuzz):
+        assert any(measures.form_stack(mats).sym.shape[-3] == 0 for mats, _ in calls)
+
+
+def test_seeded_directions_are_drawn_once_per_seed_and_r(monkeypatch):
+    draws = []
+    draw = measures._draw_seeded_directions
+
+    def counting(seed, r):
+        draws.append((seed, r))
+        return draw(seed, r)
+
+    monkeypatch.setattr(measures, "_draw_seeded_directions", counting)
+    measures._seeded_directions.cache_clear()
+    coeffs = sym_coeffs(np.random.default_rng(8), 3, 4)
+    reports = [delta_casorati(coeffs, seed=3, certify=True).to_json() for _ in range(4)]
+    reports.append(delta_casorati(coeffs, seed=np.int64(3), certify=True).to_json())
+    assert draws == [(3, 4)] and all(rep == reports[0] for rep in reports)
+    delta_casorati(coeffs, seed=4)
+    assert draws == [(3, 4), (4, 4)]
+    for kept in measures._seeded_directions(3, 4):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 0.0
+    measures._seeded_directions.cache_clear()
+    assert delta_casorati(coeffs, seed=3, certify=True).to_json() == reports[0]
+    assert draws == [(3, 4), (4, 4), (3, 4)]
+    for seed in range(3 * measures.SEEDED_KEPT):
+        measures._seeded_directions(seed, 3)
+        assert measures._seeded_directions.cache_info().currsize <= measures.SEEDED_KEPT
+    assert measures._seeded_directions.cache_info().currsize == measures.SEEDED_KEPT
+
+
 def _newton_batch(rng, r, s, count):
     """Random normals with the tangent derivatives that the solver steps from."""
     mats = sym_coeffs(rng, s, r).coeffs
@@ -503,6 +572,14 @@ def _newton_batch(rng, r, s, count):
     signs = np.where(rng.random(count) < 0.5, 1.0, -1.0)
     _, pg, hess = measures._tangent_derivatives(mats, normals, signs)
     return normals, pg, hess, 1.0 + float(np.sum(mats * mats))
+
+
+def _newton_step(normals, pg, hess, scale):
+    """``measures._newton_directions`` as the solver calls it: under one
+    errstate, with floor I formed from the scale."""
+    floor_eye = measures.NEWTON_FLOOR * scale * np.eye(normals.shape[1])
+    with np.errstate(all="ignore"):
+        return measures._newton_directions(normals, pg, hess, scale, floor_eye)
 
 
 def _definite(normals, hess, scale):
@@ -522,7 +599,7 @@ def test_newton_step_on_definite_rows_is_the_eigh_step():
         if keep.sum() < 2:
             continue
         normals, pg, hess = normals[keep], pg[keep], hess[keep]
-        step = measures._newton_directions(normals, pg, hess, scale)
+        step = _newton_step(normals, pg, hess, scale)
         expected = newton_directions_by_eigh(normals, pg, hess, scale)
         size = np.abs(expected).max(axis=1, keepdims=True)
         assert np.all(np.abs(step - expected) <= 1e-12 * size)
@@ -537,10 +614,10 @@ def test_newton_step_of_each_row_equals_its_step_alone():
         r, s = int(rng.integers(3, 7)), int(rng.integers(1, 4))
         normals, pg, hess, scale = _newton_batch(rng, r, s, 10)
         definite = _definite(normals, hess, scale)
-        step = measures._newton_directions(normals, pg, hess, scale)
+        step = _newton_step(normals, pg, hess, scale)
         for i in range(len(normals)):
             row = slice(i, i + 1)
-            alone = measures._newton_directions(normals[row], pg[row], hess[row], scale)
+            alone = _newton_step(normals[row], pg[row], hess[row], scale)
             assert np.array_equal(step[i], alone[0])
         expected = newton_directions_by_eigh(normals, pg, hess, scale)
         assert np.allclose(step, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
@@ -612,7 +689,7 @@ def test_eigh_sees_only_the_rows_that_fail_cholesky(monkeypatch):
         normals, pg, hess, scale = _newton_batch(rng, r, s, 10)
         failed = int(np.sum(~_cholesky_alone(_newton_matrices(normals, hess, scale))))
         seen.clear()
-        measures._newton_directions(normals, pg, hess, scale)
+        _newton_step(normals, pg, hess, scale)
         assert sum(seen) == failed and len(seen) == (failed > 0)
         mixed += 0 < failed < len(normals)
     assert mixed >= 20
@@ -626,7 +703,7 @@ def test_newton_step_refuses_a_non_finite_hessian_row(bad, rows):
     normals, pg, hess, scale = _newton_batch(np.random.default_rng(35), 4, 2, rows)
     hess[rows // 2] = bad
     with pytest.raises(np.linalg.LinAlgError):
-        measures._newton_directions(normals, pg, hess, scale)
+        _newton_step(normals, pg, hess, scale)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -638,7 +715,7 @@ def test_newton_step_refuses_a_positive_infinite_hessian_row(fill, rows):
     normals, pg, hess, scale = _newton_batch(np.random.default_rng(35), 4, 2, rows)
     hess[rows // 2] = np.inf if fill == "row" else np.where(np.eye(4, dtype=bool), np.inf, 0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        measures._newton_directions(normals, pg, hess, scale)
+        _newton_step(normals, pg, hess, scale)
 
 
 def test_grid_oracle_at_two_dimensions():
@@ -692,7 +769,7 @@ def test_reported_normal_attains_reported_value(monkeypatch):
     monkeypatch.setattr(
         measures,
         "_optimizer_starts",
-        lambda mats, r, rng: tuple(side[:1] for side in all_starts(mats, r, rng)),
+        lambda mats, r, seed: tuple(side[:1] for side in all_starts(mats, r, seed)),
     )
     rng = np.random.default_rng(21)
     frame = euclid_frame(5)

@@ -472,6 +472,22 @@ def test_verify_geometry_rejects_a_tolerance_that_is_not_finite_and_non_negative
         verify.verify_geometry("map-general", "sphere-immersion-S3", tolerance=tolerance)
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [-1, 1.5, "3", None, True, np.random.default_rng(0)],
+    ids=["negative", "float", "str", "None", "bool", "Generator"],
+)
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed):
+    # None would draw fresh entropy, so two identical calls would differ.
+    coeffs = measures.FormCoefficients(ROLE_B, np.eye(3)[None].repeat(2, axis=0))
+    with pytest.raises(DegenerateInput, match="seed"):
+        delta_casorati(coeffs, seed=seed)
+    with pytest.raises(DegenerateInput, match="seed"):
+        verify_geometry("map-general", "sphere-immersion-S3", seed=seed)
+    with pytest.raises(DegenerateInput, match="seed"):
+        verify_synthetic("map-general", 16, seed=seed)
+
+
 def _grid_draws(monkeypatch) -> list:
     """Every grid ``measures._grid_directions`` returns from a fresh cache, in call order."""
     monkeypatch.setattr(measures, "_GRIDS", {})
