@@ -18,9 +18,9 @@ dense sphere grid, whose leaders the starts' solver call polishes as a
 group of their own; its values contract the stack product with the
 directions in one einsum pass per slice. Equality holds exactly on the
 equality shape: a shared orthonormal basis in which every B_alpha is
-diag(a, ..., a, 2a) with no off-diagonal terms. The paper's proof polynomials P and Q, which
-certify the bounds per hyperplane, are test oracles in
-``tests/reference.py``.
+diag(a, ..., a, 2a) with no off-diagonal terms. The paper's proof
+polynomials P and Q, which certify the bounds per hyperplane, are test
+oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -442,10 +442,10 @@ def _newton_directions(
 
     ``floor_eye`` is floor I, with floor = NEWTON_FLOOR scale, formed once
     per set by the caller. w_i = (v_i . pg) / max(|lambda_i|, floor), so
-    every component descends, at saddles too; along curvature below -floor the quadratic model has no
-    minimum, and w_i is NEWTON_MAX_STEP with the sign of v_i . pg, which
-    leaves a maximum in a few steps where |lambda_i| would only double the
-    distance to it. The normal n is an eigenvector of P hess P with
+    every component descends, at saddles too; along curvature below -floor
+    the quadratic model has no minimum, and w_i is NEWTON_MAX_STEP with the
+    sign of v_i . pg, which leaves a maximum in a few steps where
+    |lambda_i| would only double the distance to it. The normal n is an eigenvector of P hess P with
     eigenvalue 0; adding scale n n^T moves it out of the way, so only
     tangent eigenvectors take part. On a row whose matrix has every
     eigenvalue above the floor that sum is the plain Newton step -M^-1 pg,
