@@ -434,6 +434,30 @@ def _family(name: str, c: float, alpha: float | None = None) -> NamedFamily:
     return NamedFamily(name, float(c), None if alpha is None else float(alpha))
 
 
+# The real-valued parameters of each section, which must be JSON numbers.
+_CHART_REALS = ("scale", "radius", "half_width", "half_t", "half_x")
+_REALS = {"source_chart": _CHART_REALS, "target_chart": _CHART_REALS, "map": ("radius",),
+          "family": ("c", "alpha")}
+
+
+def _check_value_types(desc) -> None:
+    """DegenerateInput naming the first key of ``desc`` of the wrong JSON type:
+    an ``id`` that is not a string, or a real-valued parameter or
+    ``base_point`` entry that is not a number (a bool or a string, say)."""
+    if not isinstance(desc, dict):
+        raise DegenerateInput(f"a geometry description must be an object, not {desc!r}")
+    if not isinstance(desc.get("id", ""), str):
+        raise DegenerateInput(f"id must be a string, not {desc['id']!r}")
+    point = desc.get("base_point")
+    named = [(f"base_point[{i}]", v) for i, v in enumerate(point)] if isinstance(point, list) else []
+    for key, names in _REALS.items():
+        if isinstance(section := desc.get(key), dict):
+            named += [(f"{key}.{name}", section[name]) for name in names if name in section]
+    for name, value in named:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DegenerateInput(f"{name} must be a number, not {value!r}")
+
+
 def _section(desc: dict, key: str) -> dict:
     """``desc[key]``, which must be a JSON object."""
     section = desc[key]
@@ -464,7 +488,9 @@ def entry_from_description(desc: dict) -> CatalogEntry:
     user metric functions are out of scope for the file format. A structure
     takes its dimension from the chart of the space-form side. The map is
     evaluated once at the base point, so that bad map parameters fail here.
+    Values of the wrong JSON type fail first (``_check_value_types``).
     """
+    _check_value_types(desc)
     source = _built(_CHART_BUILDERS, desc, "source_chart")
     target = _built(_CHART_BUILDERS, desc, "target_chart")
     func = _built(_MAP_BUILDERS, desc, "map", source_dim=source.dim, target_dim=target.dim)

@@ -11,9 +11,9 @@ The inf/sup run over all hyperplanes of the r-dimensional frame: in closed
 form for antisymmetric data, one normal or all-zero data, else by a sphere
 solver batched over many starts, whose seeded random starts and scan are
 drawn once per (seed, r) and kept for the last few pairs, and which runs
-under one np.errstate per solve. A closed form is certified by proved
-bounds on the inf and sup: eigenvalue brackets, each end proved by one
-Cholesky factorization. The solver's extrema are certified against a
+under one np.errstate per solve. One eigh gives a closed form's normals
+and the estimates of its proved bounds on the inf and sup: eigenvalue
+brackets, each end proved by one Cholesky factorization. The solver's extrema are certified against a
 dense sphere grid, whose leaders the starts' solver call polishes as a
 group of their own; its values contract the stack product with the
 directions in one einsum pass per slice. Equality holds exactly on the
@@ -260,18 +260,6 @@ def restricted_sum(mats, normals: np.ndarray) -> np.ndarray:
     return stack.norm[..., None] - forms[..., 0, :] + c_einsum("...ak,...ak->...k", q, q)
 
 
-def restricted_sum_derivatives(mats, normals: np.ndarray):
-    """restricted_sum with its unconstrained gradient and Hessian in n.
-
-    Shapes (..., k), (..., k, r) and (..., k, r, r), by the FormStack
-    formulas. Every contraction is an einsum over one row at a time, so each
-    row's results are bit for bit those of a batch of that row alone; a BLAS
-    product rounds a single row differently from a batch.
-    """
-    value, half_grad, half_hess = _half_derivatives(mats, normals)
-    return value, 2.0 * half_grad, 2.0 * half_hess
-
-
 def _half_derivatives(mats, normals: np.ndarray):
     """restricted_sum with half its gradient and half its Hessian; doubling
     is exact, so a caller may fold the 2 into a factor of its own. The
@@ -291,76 +279,62 @@ def _half_derivatives(mats, normals: np.ndarray):
     return value, half_grad, hess - stack.gram[..., None, :, :]
 
 
-def closed_form_normals(mats, antisymmetric: bool):
-    """Exact (minimizing, maximizing) unit normals, batched over (..., s, r, r)
-    or their FormStack; else None.
-
-    Antisymmetric A, any s: n^T A n = 0, so the sum is ||A||^2 - n^T G n,
-    extremal at the top and bottom eigenvectors of G = 2 sum A^T A. So is
-    any data whose S_alpha all vanish, which ``form_stack`` leaves out of the
-    stack: symmetric data with no normal (s = 0) or with all coefficients 0,
-    where the sum is 0 (a batch takes this case only when every set is 0).
-    One symmetric B (s = 1): with w_i = n_i^2 in B's eigenbasis the sum is
-    ||B||^2 - 2 lambda^2.w + (lambda.w)^2. On the simplex, (lambda.w,
-    lambda^2.w) fills the hull of the parabola points (lambda_i, lambda_i^2),
-    and the sum falls as the second coordinate grows. So the sup sits at the
-    vertex of least lambda_i^2, and the inf on the chord from lambda_min to
-    lambda_max, at weight lambda_max / (lambda_max - lambda_min) on
-    lambda_max, clipped to [0, 1]. Symmetric data with s >= 2 returns None.
+def closed_form(mats, antisymmetric: bool, certify: bool = False):
+    """(minimizing normal, maximizing normal, bounds) of f = restricted_sum,
+    exact, batched over (..., s, r, r) or their FormStack; None for symmetric
+    data with s >= 2. One eigh gives the normals and, if ``certify``, the
+    estimates of ``_proved_lower_bounds``: ``bounds`` is then (a lower bound
+    on inf f, an upper bound on sup f, proved), else None; they prove
+    nothing where ``proved`` is False. N = ||B||^2; [a, b] a proved bracket.
+    - Antisymmetric A, any s: n^T A n = 0, so f = N - n^T G n, extremal at
+      the top and bottom eigenvectors of G = 2 sum A^T A; inf f >= N - b and
+      sup f <= N - a for [a, b] bracketing G. So is symmetric data with no S
+      rows in its stack (s = 0, or all coefficients 0 in every set of a
+      batch), where f = 0.
+    - One symmetric B: with w_i = n_i^2 in B's eigenbasis, x = lambda.w =
+      n^T B n and y = lambda^2.w = n^T B^2 n, f = N - 2y + x^2. On the
+      simplex, (x, y) fills the hull of the points (lambda_i, lambda_i^2),
+      and f falls as y grows. So the sup sits at the vertex of least
+      lambda_i^2, and as x^2 <= y, sup f <= N - a_G / 2 for a_G <
+      lambda_min(G), G = 2 B^2. The inf sits on the chord from lambda_min to
+      lambda_max, at weight lambda_max / (lambda_max - lambda_min) on
+      lambda_max, clipped to [0, 1]; for [a, b] bracketing B, (lambda -
+      a)(lambda - b) <= 0 gives y <= (a + b) x - ab, so inf f >= N - a^2 -
+      b^2 if a <= 0 <= b, else N - max(a^2, b^2).
+    The bounds hold for the stored G and B; forming them rounds at r s eps
+    ||B||^2, far below CERTIFY_REL_TOL.
     """
     stack = form_stack(mats)
+    bounds = None
     if antisymmetric or stack.sym.shape[-3] == 0:  # no S rows: every S_alpha is 0
-        _, vecs = np.linalg.eigh(stack.gram)
-        return vecs[..., -1], vecs[..., 0]
+        lam, vecs = np.linalg.eigh(stack.gram)
+        n_inf, n_sup = vecs[..., -1], vecs[..., 0]
+        if certify:
+            low, ok = _proved_lower_bounds(
+                np.stack([stack.gram, -stack.gram], axis=-3),
+                np.stack([lam[..., 0], -lam[..., -1]], axis=-1),
+            )
+            bounds = stack.norm + low[..., 1], stack.norm - low[..., 0], ok.all(axis=-1)
+        return n_inf, n_sup, bounds
     if stack.mats.shape[-3] != 1:
         return None
-    lam, vecs = np.linalg.eigh(stack.mats[..., 0, :, :])
+    b_mat = stack.mats[..., 0, :, :]
+    lam, vecs = np.linalg.eigh(b_mat)
     lo, hi = lam[..., 0], lam[..., -1]
     gap = hi - lo
     t = np.clip(np.divide(hi, gap, out=np.zeros_like(gap), where=gap > 0), 0.0, 1.0)
     n_inf = np.sqrt(1.0 - t)[..., None] * vecs[..., 0] + np.sqrt(t)[..., None] * vecs[..., -1]
-    least = np.argmin(lam * lam, axis=-1)[..., None, None]
-    return n_inf, np.take_along_axis(vecs, least, axis=-1)[..., 0]
-
-
-def closed_form_bounds(mats, antisymmetric: bool):
-    """Proved (lower bound on inf f, upper bound on sup f, proved) of f =
-    restricted_sum, batched over (..., s, r, r) or their FormStack, for the
-    data that ``closed_form_normals`` serves; else None.
-
-    Each needed eigenvalue is bracketed, and each end of the bracket is
-    proved by ``_proved_lower_bounds``; ``proved`` is False where any
-    factorization fails, and the bounds then prove nothing. With N = ||B||^2:
-    - antisymmetric (or no S rows: s = 0, or all coefficients 0), [a, b]
-      bracketing G: f = N - n^T G n, so inf f >= N - b and sup f <= N - a.
-    - one symmetric B, sup: with x = n^T B n and y = n^T B^2 n, f = N - 2y +
-      x^2 and x^2 <= y, so f <= N - y <= N - a_G / 2, where a_G < lambda_min(G)
-      and G = 2 B^2.
-    - one symmetric B, inf, [a, b] bracketing B: (lambda - a)(lambda - b) <= 0
-      on the spectrum gives y <= (a + b) x - ab, and the least of N - 2y + x^2
-      over x in [a, b] is N - a^2 - b^2 when a <= 0 <= b, else N - max(a^2, b^2).
-    The bounds hold for the stored G and B; forming G and N from B rounds at
-    the level of r s eps ||B||^2, far below CERTIFY_REL_TOL.
-    """
-    stack = form_stack(mats)
-    if antisymmetric or stack.sym.shape[-3] == 0:  # no S rows: every S_alpha is 0
-        lam = np.linalg.eigvalsh(stack.gram)
+    squares = lam * lam
+    n_sup = np.take_along_axis(vecs, np.argmin(squares, axis=-1)[..., None, None], axis=-1)[..., 0]
+    if certify:
         low, ok = _proved_lower_bounds(
-            np.stack([stack.gram, -stack.gram], axis=-3),
-            np.stack([lam[..., 0], -lam[..., -1]], axis=-1),
+            np.stack([stack.gram, b_mat, -b_mat], axis=-3),
+            np.stack([2.0 * np.min(squares, axis=-1), lo, -hi], axis=-1),
         )
-        return stack.norm + low[..., 1], stack.norm - low[..., 0], ok.all(axis=-1)
-    if stack.mats.shape[-3] != 1:
-        return None
-    b_mat = stack.mats[..., 0, :, :]
-    lam = np.linalg.eigvalsh(b_mat)
-    low, ok = _proved_lower_bounds(
-        np.stack([stack.gram, b_mat, -b_mat], axis=-3),
-        np.stack([2.0 * np.min(lam * lam, axis=-1), lam[..., 0], -lam[..., -1]], axis=-1),
-    )
-    a, b = low[..., 1], -low[..., 2]
-    chord = np.where((a <= 0.0) & (b >= 0.0), a * a + b * b, np.maximum(a * a, b * b))
-    return stack.norm - chord, stack.norm - 0.5 * low[..., 0], ok.all(axis=-1)
+        a, b = low[..., 1], -low[..., 2]
+        chord = np.where((a <= 0.0) & (b >= 0.0), a * a + b * b, np.maximum(a * a, b * b))
+        bounds = stack.norm - chord, stack.norm - 0.5 * low[..., 0], ok.all(axis=-1)
+    return n_inf, n_sup, bounds
 
 
 def _proved_lower_bounds(mats: np.ndarray, least: np.ndarray):
@@ -378,7 +352,7 @@ def _proved_lower_bounds(mats: np.ndarray, least: np.ndarray):
     success proves S - a I positive definite (Rump, Acta Numerica 2010).
     The soundness rests on c alone; w only decides whether the factorization
     succeeds. It must exceed the error of ``least`` (a few r eps ||S||_2 for
-    LAPACK's eigvalsh) plus c, which is at most about 4 r (r + 2) eps ||S||_2.
+    LAPACK's eigh) plus c, which is at most about 4 r (r + 2) eps ||S||_2.
     Underflow is not counted; the floor of 1 in w keeps M far from it.
     """
     r = mats.shape[-1]
@@ -604,9 +578,12 @@ def _diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray
         size *= 4
 
 
-def _draw_seeded_directions(seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=SEEDED_KEPT)
+def _seeded_directions(seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only unit (random starts, scan) of (seed, r): r directions,
-    then SCAN_PER_DIM * r, drawn in that order from default_rng(seed)."""
+    then SCAN_PER_DIM * r, drawn in that order from default_rng(seed), and
+    kept for the SEEDED_KEPT (seed, r) pairs used last: (SCAN_PER_DIM + 1)
+    r^2 doubles each, 74 KB at r = 6."""
     rng = np.random.default_rng(seed)
     randoms = rng.standard_normal((r, r))
     randoms /= np.linalg.norm(randoms, axis=1, keepdims=True)
@@ -615,13 +592,6 @@ def _draw_seeded_directions(seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     randoms.setflags(write=False)
     scan.setflags(write=False)
     return randoms, scan
-
-
-@lru_cache(maxsize=SEEDED_KEPT)
-def _seeded_directions(seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_draw_seeded_directions``, kept for the SEEDED_KEPT (seed, r) pairs
-    used last: (SCAN_PER_DIM + 1) r^2 doubles each, 74 KB at r = 6."""
-    return _draw_seeded_directions(seed, r)
 
 
 def _optimizer_starts(mats, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -653,12 +623,12 @@ def delta_casorati(
     alone and are drawn once for the SEEDED_KEPT pairs used last. Each
     Newton iteration calls the LAPACK gufuncs behind np.linalg directly
     (``_newton_directions``).
-    ``certify=True`` on a closed form proves bounds on the inf and sup by
-    ``closed_form_bounds``, with no grid; ``certified`` is True when both
-    were proved and each lies within CERTIFY_REL_TOL of the reported value,
-    which stays the closed form's. On the solver's extrema (symmetric data,
-    s >= 2) the starts' solver call polishes the leaders of ``grid_extrema``
-    as a group of their own; ``certified`` is True when the two agree within
+    ``certify=True`` on a closed form proves bounds on the inf and sup,
+    with no grid (``closed_form``); ``certified`` is True when both were
+    proved and each lies within CERTIFY_REL_TOL of the reported value, which
+    stays the closed form's. On the solver's extrema (symmetric data, s >=
+    2) the starts' solver call polishes the leaders of ``grid_extrema`` as a
+    group of their own; ``certified`` is True when the two agree within
     CERTIFY_REL_TOL, and a better grid extremum is reported with its normal.
     ``converged``: the projected gradient at each reported normal is within
     GRAD_NORM_TOL.
@@ -670,10 +640,10 @@ def delta_casorati(
     stack = coeffs.stack
     c_val = casorati_C(coeffs)
 
-    antisymmetric = coeffs.role == ROLE_A
-    closed = closed_form_normals(stack, antisymmetric)
+    closed = closed_form(stack, coeffs.role == ROLE_A, certify)
     if closed is not None:
-        (n_inf, n_sup), starts, iterations = closed, 0, 0
+        n_inf, n_sup, bounds = closed
+        starts, iterations = 0, 0
     else:
         start_dirs = _optimizer_starts(stack, r, seed)
         starts = max(map(len, start_dirs))
@@ -684,7 +654,7 @@ def delta_casorati(
 
     certified: bool | None = None
     if certify and closed is not None:
-        low, high, proved = closed_form_bounds(stack, antisymmetric)
+        low, high, proved = bounds
         certified = (
             bool(proved)
             and _certifies(c_l_inf, float(low) / (r - 1))

@@ -32,7 +32,7 @@ from .measures import (
     FormCoefficients,
     _checked_seed,
     _is_int,
-    closed_form_normals,
+    closed_form,
     delta_casorati,
     delta_pair,
     diagnose_equality,
@@ -429,8 +429,9 @@ def verify_geometry(
     theorem by theorem, each over all points, and every point is evaluated once
     for all theorems. Raises HypothesisViolated naming the first failing
     precondition, and DegenerateInput for no theorem, a ``theorem`` that is
-    neither an id nor a sequence, no point, a ``tolerance`` that is not a
-    finite real >= 0, or a ``seed`` that is not an integer >= 0.
+    neither an id nor a sequence, a ``geometry`` that is neither an id nor
+    a CatalogEntry, no point, a ``tolerance`` that is not a finite real >=
+    0, or a ``seed`` that is not an integer >= 0.
     """
     seed = _checked_seed(seed)
     if not (isinstance(tolerance, Real) and 0.0 <= tolerance < np.inf):
@@ -442,6 +443,8 @@ def verify_geometry(
     if not infos:
         raise DegenerateInput("no theorem to verify")
     entry = _catalog.get(geometry) if isinstance(geometry, str) else geometry
+    if not isinstance(entry, _catalog.CatalogEntry):
+        raise DegenerateInput(f"geometry must be a catalog id or a CatalogEntry, not {geometry!r}")
     evaluations = None
     reports: list[InequalityReport] = []
     for info in infos:
@@ -531,7 +534,7 @@ EQUALITY_STRIDE = 16
 def _synthetic_casorati(coeffs: np.ndarray, rng: np.random.Generator, symmetric: bool):
     """Vectorized C and the two delta values of every trial, coeffs (n, s, r, r).
 
-    Exact extrema where ``closed_form_normals`` has them; otherwise the best
+    Exact extrema where ``closed_form`` has them, unproved; otherwise the best
     of the candidates: eigenvectors of G, the axes, and a few random
     directions, all from one FormStack of the group.  The candidate infimum
     upper-bounds the true infimum, so any failure reported downstream is
@@ -545,9 +548,9 @@ def _synthetic_casorati(coeffs: np.ndarray, rng: np.random.Generator, symmetric:
     # on which path this one took.
     rand = rng.standard_normal((n, N_RANDOM_NORMALS, r))
 
-    closed = closed_form_normals(stack, antisymmetric=not symmetric)
+    closed = closed_form(stack, antisymmetric=not symmetric)
     if closed is not None:
-        normals = np.stack(closed, axis=1)
+        normals = np.stack(closed[:2], axis=1)
     else:
         _, eigvecs = np.linalg.eigh(stack.gram)
         rand /= np.linalg.norm(rand, axis=2, keepdims=True)

@@ -35,11 +35,9 @@ from casorati.measures import (
     CasoratiReport,
     FormCoefficients,
     casorati_C,
-    closed_form_bounds,
-    closed_form_normals,
     delta_pair,
+    form_stack,
     restricted_sum,
-    restricted_sum_derivatives,
 )
 from casorati.rmaps import (
     COMPLEX_STEP,
@@ -245,6 +243,65 @@ def diverse_leaders(dirs: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
     return np.array(picked)
 
 
+def restricted_sum_derivatives(mats, normals: np.ndarray):
+    """restricted_sum with its unconstrained gradient and Hessian in n.
+
+    Shapes (..., k), (..., k, r) and (..., k, r, r), by the FormStack
+    formulas: ``measures._half_derivatives`` with its half gradient and half
+    Hessian doubled, which is exact. Every contraction there is an einsum
+    over one row at a time, so each row's results are bit for bit those of a
+    batch of that row alone; a BLAS product rounds a single row differently
+    from a batch.
+    """
+    value, half_grad, half_hess = measures._half_derivatives(mats, normals)
+    return value, 2.0 * half_grad, 2.0 * half_hess
+
+
+def closed_form_normals(mats, antisymmetric: bool):
+    """The exact (minimizing, maximizing) unit normals of ``measures.closed_form``,
+    by its own eigh of G or B; else None. The proofs of the normals are in
+    the docstring there."""
+    stack = form_stack(mats)
+    if antisymmetric or stack.sym.shape[-3] == 0:  # no S rows: every S_alpha is 0
+        _, vecs = np.linalg.eigh(stack.gram)
+        return vecs[..., -1], vecs[..., 0]
+    if stack.mats.shape[-3] != 1:
+        return None
+    lam, vecs = np.linalg.eigh(stack.mats[..., 0, :, :])
+    lo, hi = lam[..., 0], lam[..., -1]
+    gap = hi - lo
+    t = np.clip(np.divide(hi, gap, out=np.zeros_like(gap), where=gap > 0), 0.0, 1.0)
+    n_inf = np.sqrt(1.0 - t)[..., None] * vecs[..., 0] + np.sqrt(t)[..., None] * vecs[..., -1]
+    least = np.argmin(lam * lam, axis=-1)[..., None, None]
+    return n_inf, np.take_along_axis(vecs, least, axis=-1)[..., 0]
+
+
+def closed_form_bounds(mats, antisymmetric: bool):
+    """The proved (lower bound on inf f, upper bound on sup f, proved) of
+    ``measures.closed_form``, with the estimates of ``_proved_lower_bounds``
+    taken from a second decomposition, LAPACK's eigvalsh, in place of the
+    eigh that gave the normals; else None."""
+    stack = form_stack(mats)
+    if antisymmetric or stack.sym.shape[-3] == 0:
+        lam = np.linalg.eigvalsh(stack.gram)
+        low, ok = measures._proved_lower_bounds(
+            np.stack([stack.gram, -stack.gram], axis=-3),
+            np.stack([lam[..., 0], -lam[..., -1]], axis=-1),
+        )
+        return stack.norm + low[..., 1], stack.norm - low[..., 0], ok.all(axis=-1)
+    if stack.mats.shape[-3] != 1:
+        return None
+    b_mat = stack.mats[..., 0, :, :]
+    lam = np.linalg.eigvalsh(b_mat)
+    low, ok = measures._proved_lower_bounds(
+        np.stack([stack.gram, b_mat, -b_mat], axis=-3),
+        np.stack([2.0 * np.min(lam * lam, axis=-1), lam[..., 0], -lam[..., -1]], axis=-1),
+    )
+    a, b = low[..., 1], -low[..., 2]
+    chord = np.where((a <= 0.0) & (b >= 0.0), a * a + b * b, np.maximum(a * a, b * b))
+    return stack.norm - chord, stack.norm - 0.5 * low[..., 0], ok.all(axis=-1)
+
+
 def gradient_sphere_extrema(
     mats: np.ndarray, low_starts: np.ndarray, high_starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -384,7 +441,8 @@ def two_solve_report(coeffs: FormCoefficients, seed: int, grid: np.ndarray) -> C
     """``delta_casorati(coeffs, seed, certify=True)`` by two solver calls: the
     optimizer's starts alone, then ``separate_grid_extrema`` on ``grid``, which
     is ``row_major_grid(r)``. A closed form takes the certificate route, as
-    there: ``closed_form_bounds`` and no grid."""
+    there, and no grid, by the oracle pair ``closed_form_normals`` and
+    ``closed_form_bounds``, whose eigvalsh the package does not call."""
     mats, r = coeffs.coeffs, coeffs.r
     closed = closed_form_normals(mats, coeffs.role == ROLE_A)
     if closed is None:

@@ -511,7 +511,7 @@ def test_non_finite_point_is_out_of_domain(capsys, command):
         (json.dumps(dict(GEO_DESC, map={"builder": "identity", "x": 1})),
          "map: identity_map() got an unexpected keyword argument 'x'"),
         (json.dumps(dict(GEO_DESC, family={"name": "almost-C-alpha", "c": 1.0, "alpha": "x"})),
-         "family: could not convert string to float: 'x'"),
+         "family.alpha must be a number, not 'x'"),
         (json.dumps(dict(GEO_DESC, source_chart={"builder": "flat", "dim": 1000000000})),
          "source_chart.dim must lie in 1..32, not 1000000000"),
         (json.dumps(dict(GEO_DESC, target_chart={"builder": "sphere", "dim": 20000})),
@@ -554,6 +554,48 @@ def test_malformed_geometry_file_is_an_input_error(tmp_path, capsys, text, named
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert str(path) in err and named in err
+
+
+_BY_ID = {desc["id"]: desc for desc in catalog.DESCRIPTIONS}
+
+
+@pytest.mark.parametrize(
+    "geometry, key, value",
+    [
+        ("sphere-immersion-S3", "source_chart.radius", True),
+        ("sphere-immersion-S3", "source_chart.radius", "1"),
+        ("sphere-immersion-S3", "target_chart.half_width", True),
+        ("sphere-immersion-S3", "map.radius", True),
+        ("sphere-immersion-S3", "family.c", False),
+        ("sphere-immersion-S3", "family.c", "0"),
+        ("sphere-immersion-S3", "family.c", "0.0"),
+        ("sphere-immersion-S3", "base_point.0", True),
+        ("sphere-immersion-S3", "base_point.0", "0.2"),
+        ("sphere-immersion-S3", "id", 7),
+        ("sasakian-R5-model", "target_chart.scale", True),
+        ("kenmotsu-H5-H3", "source_chart.half_t", True),
+        ("kenmotsu-H5-H3", "target_chart.half_x", "1.8"),
+        ("fubini-study-CP2", "family", {"name": "real-kahler", "c": 4.0, "alpha": True}),
+    ],
+)
+def test_a_value_of_the_wrong_type_in_a_geometry_file_is_an_input_error(
+    tmp_path, capsys, geometry, key, value
+):
+    # Each of these built and exited 0 (or raised a raw TypeError) before the
+    # one type check where descriptions are read.
+    desc = copy.deepcopy(_BY_ID[geometry])
+    *path, last = key.split(".")
+    node = desc
+    for part in path:
+        node = node[part]
+    node[int(last) if isinstance(node, list) else last] = value
+    named = {"base_point.0": "base_point[0]", "family": "family.alpha"}.get(key, key)
+    file = tmp_path / "geo.json"
+    file.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "invariants", "--geometry-file", str(file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert f"{named} must be " in err
 
 
 def test_submersion_check_exits_with_hypothesis_code(tmp_path, capsys):

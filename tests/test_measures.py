@@ -20,11 +20,12 @@ from casorati.measures import (
     delta_casorati,
     diagnose_equality,
     restricted_sum,
-    restricted_sum_derivatives,
 )
 from reference import (
     Hyperplane,
     casorati_on_hyperplane,
+    closed_form_bounds,
+    closed_form_normals,
     diverse_leaders,
     expanded_restricted_sum,
     gauss_scal_gap,
@@ -34,6 +35,7 @@ from reference import (
     newton_directions_by_eigh,
     proof_polynomial_P,
     proof_polynomial_Q,
+    restricted_sum_derivatives,
     row_major_grid,
     sliced_grid_values,
     summed_restricted_sum,
@@ -537,28 +539,23 @@ def test_one_pass_reduction_equals_multiply_then_sum(monkeypatch):
         assert any(measures.form_stack(mats).sym.shape[-3] == 0 for mats, _ in calls)
 
 
-def test_seeded_directions_are_drawn_once_per_seed_and_r(monkeypatch):
-    draws = []
-    draw = measures._draw_seeded_directions
-
-    def counting(seed, r):
-        draws.append((seed, r))
-        return draw(seed, r)
-
-    monkeypatch.setattr(measures, "_draw_seeded_directions", counting)
-    measures._seeded_directions.cache_clear()
+def test_seeded_directions_are_drawn_once_per_seed_and_r():
+    # Each cache miss is one draw.
+    seeded = measures._seeded_directions
+    seeded.cache_clear()
     coeffs = sym_coeffs(np.random.default_rng(8), 3, 4)
     reports = [delta_casorati(coeffs, seed=3, certify=True).to_json() for _ in range(4)]
     reports.append(delta_casorati(coeffs, seed=np.int64(3), certify=True).to_json())
-    assert draws == [(3, 4)] and all(rep == reports[0] for rep in reports)
+    assert seeded.cache_info().misses == 1 and all(rep == reports[0] for rep in reports)
     delta_casorati(coeffs, seed=4)
-    assert draws == [(3, 4), (4, 4)]
-    for kept in measures._seeded_directions(3, 4):
+    assert seeded.cache_info().misses == 2
+    for kept in seeded(3, 4):
         with pytest.raises(ValueError, match="read-only"):
             kept[0, 0] = 0.0
-    measures._seeded_directions.cache_clear()
+    assert seeded.cache_info().misses == 2
+    seeded.cache_clear()
     assert delta_casorati(coeffs, seed=3, certify=True).to_json() == reports[0]
-    assert draws == [(3, 4), (4, 4), (3, 4)]
+    assert seeded.cache_info().misses == 1
     for seed in range(3 * measures.SEEDED_KEPT):
         measures._seeded_directions(seed, 3)
         assert measures._seeded_directions.cache_info().currsize <= measures.SEEDED_KEPT
@@ -825,7 +822,7 @@ def test_closed_forms_are_proved_without_the_grid(monkeypatch):
     for _ in range(3):
         for r, s, role in itertools.product(range(3, 7), (1, 2, 3), ROLES):
             coeffs = antisym_coeffs(rng, s, r) if role == ROLE_A else sym_coeffs(rng, s, r, role)
-            closed = measures.closed_form_normals(coeffs.stack, role == ROLE_A)
+            closed = measures.closed_form(coeffs.stack, role == ROLE_A)
             if closed is None:
                 continue
             rep = delta_casorati(coeffs, certify=True)
@@ -847,6 +844,80 @@ def test_catalog_reaches_the_grid_only_for_symmetric_data_with_several_normals(m
     assert all(role != ROLE_A and s >= 2 for role, s in calls)
 
 
+def test_closed_form_matches_the_two_oracle_routes():
+    # One eigh for the normals and the proof's estimates, against the oracle
+    # pair: eigh for the normals, eigvalsh for the estimates. Roles A/B/T, r
+    # 3-8, s 0-4, scales 1e-6 to 1e6, lone sets, fuzz-shaped batches of 40
+    # and all-zero sets. The estimates differ in the last bits, so the bounds
+    # move by rounding of ||B||^2 (at scale 1e6, r = 3 A infima sit at 0 and
+    # move by about 4e-3); the normals and the proofs do not move.
+    rng = np.random.default_rng(28)
+    served = proved_count = 0
+    for r, s, role in itertools.product(range(3, 9), range(5), ROLES):
+        antisymmetric = role == ROLE_A
+        sets = [np.zeros((s, r, r)), np.zeros((40, s, r, r))]
+        for scale, batch in itertools.product((1e-6, 1.0, 1e6), ((), (40,))):
+            m = rng.standard_normal(batch + (s, r, r))
+            flip = np.swapaxes(m, -1, -2)
+            sets.append(scale * 0.5 * (m - flip if antisymmetric else m + flip))
+        for mats in sets:
+            got = measures.closed_form(mats, antisymmetric, certify=True)
+            normals = closed_form_normals(mats, antisymmetric)
+            bounds = closed_form_bounds(mats, antisymmetric)
+            assert (got is None) == (normals is None) == (bounds is None), (r, s, role)
+            assert (measures.closed_form(mats, antisymmetric) is None) == (got is None)
+            if got is None:
+                continue
+            plain = measures.closed_form(mats, antisymmetric)
+            assert plain[2] is None
+            for ours, theirs in zip((got[0], got[1], plain[0], plain[1]), normals * 2):
+                assert np.array_equal(ours, theirs), (r, s, role)
+            (low, high, proved), (o_low, o_high, o_proved) = got[2], bounds
+            assert np.array_equal(proved, o_proved), (r, s, role)
+            tol = 1e-12 * (1.0 + measures.form_stack(mats).norm)
+            assert np.all(np.abs(low - o_low) <= tol) and np.all(np.abs(high - o_high) <= tol)
+            served += 1
+            proved_count += int(np.all(proved))
+    # Eight sets per (r, s, role). A: every s; B and T: s = 0 and 1, and the
+    # two all-zero sets of s = 2-4.
+    assert served == 6 * (5 * 8 + 2 * (8 + 8 + 3 * 2))
+    assert proved_count == served
+
+
+@pytest.mark.parametrize(
+    "role, s, zero",
+    [(ROLE_A, 1, False), (ROLE_A, 2, False), (ROLE_A, 3, False), (ROLE_B, 1, False),
+     (ROLE_T, 1, False), (ROLE_B, 2, True), (ROLE_T, 2, True)],
+)
+def test_a_closed_form_set_takes_one_eigendecomposition(monkeypatch, role, s, zero):
+    # Certified, it calls eigh once and eigvalsh never; uncertified, it proves nothing.
+    rng = np.random.default_rng(29)
+    sets = [antisym_coeffs(rng, s, r) if role == ROLE_A else sym_coeffs(rng, s, r, role)
+            for r in (3, 4, 6)]
+    if zero:
+        sets = [FormCoefficients(role, np.zeros((s, r, r))) for r in (3, 4, 6)]
+    calls = []
+
+    def counted(name, of):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return of(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(
+        measures, "_proved_lower_bounds", counted("proof", measures._proved_lower_bounds)
+    )
+    for coeffs in sets:
+        calls.clear()
+        assert delta_casorati(coeffs, certify=True).certified is True
+        assert calls == ["eigh", "proof"]
+        calls.clear()
+        assert delta_casorati(coeffs).certified is None
+        assert calls == ["eigh"]
+
+
 @pytest.mark.parametrize("role", [ROLE_B, ROLE_T])
 @pytest.mark.parametrize("s", [2, 3])
 def test_zero_coefficients_take_the_closed_form(monkeypatch, role, s):
@@ -857,7 +928,7 @@ def test_zero_coefficients_take_the_closed_form(monkeypatch, role, s):
         rep = delta_casorati(coeffs, certify=True)
         assert (rep.certified, rep.converged, rep.starts, rep.iterations) == (True, True, 0, 0)
         assert (rep.C, rep.C_L_inf, rep.C_L_sup) == (0.0, 0.0, 0.0)
-        assert measures.closed_form_bounds(coeffs.stack, False)[2]
+        assert measures.closed_form(coeffs.stack, False, certify=True)[2][2]
     assert calls == []
 
 
@@ -886,15 +957,15 @@ def test_a_wrong_chord_weight_fails_the_certificate(monkeypatch):
     rng = np.random.default_rng(31)
     sets = [_chord_set(rng, r) for r in (3, 4, 5, 6) for _ in range(3)]
     assert all(delta_casorati(c, certify=True).certified for c in sets)
-    closed = measures.closed_form_normals
+    closed = measures.closed_form
 
-    def planted(mats, antisymmetric):
-        _, n_sup = closed(mats, antisymmetric)
+    def planted(mats, antisymmetric, certify=False):
+        _, n_sup, bounds = closed(mats, antisymmetric, certify)
         lam, vecs = np.linalg.eigh(measures.form_stack(mats).mats[0])
         t = lam[-1] / (lam[-1] - lam[0]) + 0.2 * (1 if lam[-1] < -lam[0] else -1)
-        return np.sqrt(1.0 - t) * vecs[:, 0] + np.sqrt(t) * vecs[:, -1], n_sup
+        return np.sqrt(1.0 - t) * vecs[:, 0] + np.sqrt(t) * vecs[:, -1], n_sup, bounds
 
-    monkeypatch.setattr(measures, "closed_form_normals", planted)
+    monkeypatch.setattr(measures, "closed_form", planted)
     for coeffs in sets:
         rep = delta_casorati(coeffs, certify=True)
         assert rep.certified is False
@@ -905,13 +976,13 @@ def test_an_A_normal_from_the_wrong_end_of_G_fails_the_certificate(monkeypatch):
     rng = np.random.default_rng(32)
     sets = [antisym_coeffs(rng, s, r) for r in (3, 4, 5, 6) for s in (1, 2, 3)]
     assert all(delta_casorati(c, certify=True).certified for c in sets)
-    closed = measures.closed_form_normals
+    closed = measures.closed_form
 
-    def wrong_end(mats, antisymmetric):
-        n_inf, n_sup = closed(mats, antisymmetric)
-        return n_sup, n_sup  # the inf normal from lambda_min(G), not lambda_max(G)
+    def wrong_end(mats, antisymmetric, certify=False):
+        n_inf, n_sup, bounds = closed(mats, antisymmetric, certify)
+        return n_sup, n_sup, bounds  # the inf normal from lambda_min(G), not lambda_max(G)
 
-    monkeypatch.setattr(measures, "closed_form_normals", wrong_end)
+    monkeypatch.setattr(measures, "closed_form", wrong_end)
     for coeffs in sets:
         lam = np.linalg.eigvalsh(coeffs.stack.gram)
         assert lam[-1] - lam[0] > 1e-2  # the ends differ, so the value moves
@@ -925,7 +996,7 @@ def test_a_failed_proof_is_not_certified(monkeypatch):
     monkeypatch.setattr(measures, "_cholesky_succeeds", lambda mats: np.zeros(len(mats), bool))
     for coeffs in sets:
         assert delta_casorati(coeffs, certify=True).certified is False
-        assert not measures.closed_form_bounds(coeffs.stack, coeffs.role == ROLE_A)[2]
+        assert not measures.closed_form(coeffs.stack, coeffs.role == ROLE_A, certify=True)[2][2]
 
 
 def test_a_bracket_end_inside_the_spectrum_is_not_proved():
@@ -955,7 +1026,7 @@ def test_proved_bounds_agree_with_the_grid_on_criterion_7_closed_forms():
         if s != 1:
             continue
         coeffs = FormCoefficients(ROLE_B, 0.5 * (mats + mats.transpose(0, 2, 1)))
-        low, high, proved = measures.closed_form_bounds(coeffs.stack, False)
+        low, high, proved = measures.closed_form(coeffs.stack, False, certify=True)[2]
         low, high = float(low) / (r - 1), float(high) / (r - 1)
         g_inf, _, g_sup, _ = grid_extrema(coeffs)
         rep = delta_casorati(coeffs, certify=True)

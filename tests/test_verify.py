@@ -297,6 +297,16 @@ def test_an_empty_theorem_list_is_refused():
         verify_geometry([], "sphere-immersion-S3")
 
 
+@pytest.mark.parametrize(
+    "geometry", [123, None, {"id": "sphere-immersion-S3"}, ["sphere-immersion-S3"]],
+    ids=["int", "none", "dict", "list"],
+)
+def test_a_geometry_that_is_neither_an_id_nor_an_entry_is_refused(geometry):
+    # These used to raise AttributeError on the entry's base_point.
+    with pytest.raises(DegenerateInput, match="geometry must be a catalog id or a CatalogEntry"):
+        verify_geometry("map-general", geometry)
+
+
 @pytest.mark.parametrize("theorem", [True, 3, None])
 def test_a_theorem_that_is_neither_an_id_nor_a_sequence_is_refused(theorem):
     with pytest.raises(DegenerateInput, match="theorem must be an id"):
