@@ -13,14 +13,14 @@ solver batched over many starts, whose seeded random starts and scan are
 drawn once per (seed, r) and kept for the last few pairs, and which runs
 under one np.errstate per solve. One eigh gives a closed form's normals
 and the estimates of its proved bounds on the inf and sup: eigenvalue
-brackets, each end proved by one Cholesky factorization. The solver's extrema are certified against a
-dense sphere grid, whose leaders the starts' solver call polishes as a
-group of their own; its values contract the stack product with the
-directions in one einsum pass per slice. Equality holds exactly on the
-equality shape: a shared orthonormal basis in which every B_alpha is
-diag(a, ..., a, 2a) with no off-diagonal terms. The paper's proof
-polynomials P and Q, which certify the bounds per hyperplane, are test
-oracles in ``tests/reference.py``.
+brackets, each end proved by one Cholesky factorization. The solver's
+extrema are certified against a dense sphere grid, whose leaders the
+starts' solver call polishes as a group of their own; its values contract
+the stack product with the directions in one einsum pass per slice.
+Equality holds exactly on the equality shape: a shared orthonormal basis
+in which every B_alpha is diag(a, ..., a, 2a) with no off-diagonal terms.
+The paper's proof polynomials P and Q, which certify the bounds per
+hyperplane, are test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
