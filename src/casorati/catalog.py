@@ -442,14 +442,24 @@ _REALS = {"source_chart": _CHART_REALS, "target_chart": _CHART_REALS, "map": ("r
 
 def _check_value_types(desc) -> None:
     """DegenerateInput naming the first key of ``desc`` of the wrong JSON type:
-    an ``id`` that is not a string, or a real-valued parameter or
-    ``base_point`` entry that is not a number (a bool or a string, say)."""
+    an ``id`` or ``notes`` that is not a string, ``tags`` that are not a list
+    of strings, ``reference_values`` that are not an object, or a real-valued
+    parameter, ``base_point`` entry or reference value that is not a number
+    (a bool or a string, say)."""
     if not isinstance(desc, dict):
         raise DegenerateInput(f"a geometry description must be an object, not {desc!r}")
-    if not isinstance(desc.get("id", ""), str):
-        raise DegenerateInput(f"id must be a string, not {desc['id']!r}")
+    for key in ("id", "notes"):
+        if not isinstance(desc.get(key, ""), str):
+            raise DegenerateInput(f"{key} must be a string, not {desc[key]!r}")
+    tags = desc.get("tags", [])
+    if not (isinstance(tags, list) and all(isinstance(tag, str) for tag in tags)):
+        raise DegenerateInput(f"tags must be a list of strings, not {tags!r}")
+    values = desc.get("reference_values", {})
+    if not isinstance(values, dict):
+        raise DegenerateInput(f"reference_values must be an object of numbers, not {values!r}")
     point = desc.get("base_point")
     named = [(f"base_point[{i}]", v) for i, v in enumerate(point)] if isinstance(point, list) else []
+    named += [(f"reference_values.{name}", v) for name, v in values.items()]
     for key, names in _REALS.items():
         if isinstance(section := desc.get(key), dict):
             named += [(f"{key}.{name}", section[name]) for name in names if name in section]

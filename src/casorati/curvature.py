@@ -245,9 +245,20 @@ def _riemann_components(low: np.ndarray, gamma: np.ndarray, ddg: np.ndarray) -> 
     return s - s.transpose(1, 0, 2, 3)
 
 
+def traced_curvature(components: np.ndarray, vectors: np.ndarray) -> float:
+    """sum_{i,j} R(e_i, e_j, e_j, e_i) over the rows e_i of ``vectors`` (k, n), any k.
+
+    With the projector P = E^T E it is sum_{abcd} R_abcd P_ad P_bc, taken in
+    two-operand stages: P (n^2 k), R against P over the adjacent pair (b, c),
+    one matrix product over the n^4 components, then the n^2 pairing with P.
+    """
+    n = components.shape[0]
+    p = vectors.T @ vectors
+    return float(np.vdot(p.ravel() @ components.reshape(n, n * n, n), p))
+
+
 def scalar_on_subspace(tensor: CurvatureTensor, frame: Frame) -> float:
     """Twice the scalar curvature of a subspace: sum_{i,j} R(e_i, e_j, e_j, e_i)."""
     if tensor.dim != frame.dim:
         raise DimensionMismatch("curvature tensor and frame dims differ")
-    e = frame.vectors
-    return float(np.einsum("abcd,ia,jb,jc,id->", tensor.components, e, e, e, e))
+    return traced_curvature(tensor.components, frame.vectors)

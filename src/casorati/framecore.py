@@ -193,6 +193,16 @@ def gram_schmidt(raw_vectors: np.ndarray, inner: InnerProduct) -> Frame:
     return Frame(out, inner)
 
 
+def forms_on_frames(forms: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """[c, i, j] = sum_{k,l} first[i, k] forms[c, k, l] second[j, l]: each bilinear
+    form of the (c, n, n) stack on every pair of rows of ``first`` and ``second``.
+
+    Two matrix products, ``first`` first: c k1 n (n + k2) multiplications
+    where one pass over the whole index product takes c k1 k2 n^2.
+    """
+    return first @ forms @ second.T
+
+
 def structure_norm_squared(frame: Frame, op: StructureOperator) -> float:
     """||P||^2 = sum_{i,j} <e_i, op e_j>^2 over the frame; lies in [0, r]."""
     if op.dim != frame.dim:

@@ -39,6 +39,7 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum
 
 from .errors import DegenerateInput, DimensionMismatch
+from .framecore import forms_on_frames
 
 ROLE_B = "B-map"
 ROLE_T = "T-submersion"
@@ -774,7 +775,7 @@ def diagnose_equality(coeffs: FormCoefficients) -> EqualityDiagnosis:
 
     # Joint diagonalization attempt: eigenbasis of G = 2 sum_alpha B_alpha^2.
     _, v = np.linalg.eigh(coeffs.stack.gram)
-    rotated = np.einsum("pi,aij,jq->apq", v.T, coeffs.coeffs, v)
+    rotated = forms_on_frames(coeffs.coeffs, v.T, v.T)
     max_offdiag = float(np.abs(rotated * (1.0 - np.eye(r))).max(initial=0.0))
     # Per distinguished axis m and alpha, the fit a = (sum_{i != m} d_i + 2 d_m)
     # / (r + 3) and the largest deviation of the diagonal d from (a, ..., 2a, ..., a).

@@ -37,7 +37,7 @@ from .errors import (
     RankDrop,
     ValidationFailed,
 )
-from .framecore import Frame, InnerProduct
+from .framecore import Frame, InnerProduct, forms_on_frames
 from .measures import ROLE_A, ROLE_B, ROLE_T, FormCoefficients
 
 COMPLEX_STEP = 1e-150
@@ -236,12 +236,12 @@ class MapAtPoint:
         j = self.derivative
         nabla = (
             sm.component_hessians(self.point)
-            + np.einsum("cab,ak,bl->ckl", self.target_curvature.christoffel, j, j)
+            + forms_on_frames(self.target_curvature.christoffel, j.T, j.T)
             - np.einsum("mkl,cm->ckl", self.source_curvature.christoffel, j)
         )
         e = self.horizontal_frame.vectors
-        b_vec = np.einsum("ik,jl,ckl->ijc", e, e, nabla)
-        leak = np.einsum("ijc,cd,ad->ija", b_vec, self.target_inner.gram, self.range_frame.vectors)
+        b_vec = forms_on_frames(nabla, e, e)
+        leak = _paired(b_vec, self.target_inner.gram, self.range_frame.vectors)
         rel = float(np.abs(leak).max(initial=0.0)) / (1.0 + float(np.abs(b_vec).max(initial=0.0)))
         if rel > RANGE_RESIDUAL_TOL:
             raise ValidationFailed(
@@ -300,17 +300,24 @@ def map_at_point(sm: SmoothMap, p: np.ndarray, declared_rank: int | None = None)
     )
 
 
-def _pairs(mp: MapAtPoint, first: Frame, second: Frame) -> np.ndarray:
-    """[i, j, d] = g2((nabla F*)(first_i, second_j), d_d): nabla F* on frame pairs, lowered."""
-    return np.einsum(
-        "ik,jl,ckl,cd->ijd", first.vectors, second.vectors, mp.nabla_fstar, mp.target_inner.gram
-    )
+def _paired(vectors: np.ndarray, gram: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """[a, i, j] = g2(vectors[:, i, j], targets[a]) for a (m2, k1, k2) stack of target
+    vectors: the targets lowered by g2 first (a m2^2), then one matrix product."""
+    m2, k1, k2 = vectors.shape
+    return ((targets @ gram.T) @ vectors.reshape(m2, k1 * k2)).reshape(len(targets), k1, k2)
+
+
+def _frame_coefficients(mp: MapAtPoint, first: Frame, second: Frame, target: Frame) -> np.ndarray:
+    """[a, i, j] = g2((nabla F*)(first_i, second_j), target_a): nabla F* on the frame
+    pairs, then paired with the target frame."""
+    pairs = forms_on_frames(mp.nabla_fstar, first.vectors, second.vectors)
+    return _paired(pairs, mp.target_inner.gram, target.vectors)
 
 
 def second_fundamental_form(mp: MapAtPoint) -> FormCoefficients:
     """B coefficients: coeffs[alpha][i][j] = g2((nabla F*)(h_i, h_j), n_alpha)."""
-    pairs = _pairs(mp, mp.horizontal_frame, mp.horizontal_frame)
-    return FormCoefficients(ROLE_B, np.einsum("ijd,ad->aij", pairs, mp.range_perp_frame.vectors))
+    h = mp.horizontal_frame
+    return FormCoefficients(ROLE_B, _frame_coefficients(mp, h, h, mp.range_perp_frame))
 
 
 def oneill_T(mp: MapAtPoint) -> FormCoefficients:
@@ -320,14 +327,14 @@ def oneill_T(mp: MapAtPoint) -> FormCoefficients:
     horizontal vectors.
     """
     mp.require_submersion("the O'Neill tensor T")
-    pairs = _pairs(mp, mp.vertical_frame, mp.vertical_frame)
-    return FormCoefficients(ROLE_T, -np.einsum("ijd,ad->aij", pairs, mp.range_frame.vectors))
+    v = mp.vertical_frame
+    return FormCoefficients(ROLE_T, -_frame_coefficients(mp, v, v, mp.range_frame))
 
 
 def _a_coefficients(mp: MapAtPoint) -> np.ndarray:
     """coeffs[alpha][i][j] = g1(A_{h_i} h_j, v_alpha) = g2((nabla F*)(h_i, v_alpha), F* h_j)."""
-    pairs = _pairs(mp, mp.horizontal_frame, mp.vertical_frame)
-    return np.einsum("iad,jd->aij", pairs, mp.range_frame.vectors)
+    by_range = _frame_coefficients(mp, mp.horizontal_frame, mp.vertical_frame, mp.range_frame)
+    return by_range.transpose(2, 1, 0)  # [j, i, alpha] -> [alpha, i, j]
 
 
 def oneill_A(mp: MapAtPoint) -> FormCoefficients:

@@ -29,6 +29,7 @@ from casorati.measures import (
     NEWTON_MAX_STEP,
     POLISH_LEADERS,
     ROLE_A,
+    ROLE_B,
     ROLE_T,
     ROUNDING_TOL,
     SOLVER_MAX_ITER,
@@ -1001,3 +1002,69 @@ def component_hessians_by_columns(sm: SmoothMap, p: np.ndarray) -> np.ndarray:
         dj[a] = (jacobian_by_columns(sm, p + e) - jacobian_by_columns(sm, p - e)) / (2.0 * h[a])
     hessians = dj.transpose(1, 0, 2)
     return 0.5 * (hessians + hessians.transpose(0, 2, 1))
+
+
+# --------------------------------------------------------------------------
+# Per-point contractions in one multi-operand einsum each, over the full
+# index product: the forms that the package's two-operand stages replace
+# --------------------------------------------------------------------------
+
+
+def traced_curvature_in_one_pass(components: np.ndarray, vectors: np.ndarray) -> float:
+    """``curvature.traced_curvature``: sum_{i,j} R(e_i, e_j, e_j, e_i), n^4 k^2 terms."""
+    e = vectors
+    return float(np.einsum("abcd,ia,jb,jc,id->", components, e, e, e, e))
+
+
+def pushed_symbols_in_one_pass(gamma: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """The Gamma2 J J term of ``nabla_fstar``: [c, k, l] = Gamma2^c_ab J^a_k J^b_l."""
+    return np.einsum("cab,ak,bl->ckl", gamma, jac, jac)
+
+
+def forms_on_frames_in_one_pass(
+    forms: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """``framecore.forms_on_frames``: [c, i, j] = sum_{k,l} first_ik forms_ckl second_jl."""
+    return np.einsum("ik,jl,ckl->cij", first, second, forms)
+
+
+def range_leak_in_one_pass(b_vec: np.ndarray, gram: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The leak test of ``nabla_fstar`` on b_vec[i, j, c]: [i, j, a] = g2(b_ij, targets_a)."""
+    return np.einsum("ijc,cd,ad->ija", b_vec, gram, targets)
+
+
+def frame_pairs_in_one_pass(
+    nabla: np.ndarray, gram: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """[i, j, d] = g2((nabla F*)(first_i, second_j), d_d): nabla F* on frame pairs, lowered."""
+    return np.einsum("ik,jl,ckl,cd->ijd", first, second, nabla, gram)
+
+
+def rotated_in_one_pass(v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The rotation of ``diagnose_equality``: [a, p, q] = sum_{i,j} v_ip coeffs_aij v_jq."""
+    return np.einsum("pi,aij,jq->apq", v.T, coeffs, v)
+
+
+def nabla_fstar_in_one_pass(mp: MapAtPoint) -> np.ndarray:
+    """``MapAtPoint.nabla_fstar`` with its Gamma2 J J term in one pass."""
+    j = mp.derivative
+    return (
+        mp.smooth_map.component_hessians(mp.point)
+        + pushed_symbols_in_one_pass(mp.target_curvature.christoffel, j)
+        - np.einsum("mkl,cm->ckl", mp.source_curvature.christoffel, j)
+    )
+
+
+def frame_coefficients_in_one_pass(mp: MapAtPoint) -> dict[str, FormCoefficients]:
+    """B, T and A from ``frame_pairs_in_one_pass``, by role (T and A only for a
+    submersion), as ``second_fundamental_form``, ``oneill_T`` and ``oneill_A``."""
+    nabla, gram = nabla_fstar_in_one_pass(mp), mp.target_inner.gram
+    h, v = mp.horizontal_frame.vectors, mp.vertical_frame.vectors
+    pairs = frame_pairs_in_one_pass(nabla, gram, h, h)
+    out = {ROLE_B: np.einsum("ijd,ad->aij", pairs, mp.range_perp_frame.vectors)}
+    if mp.is_submersion:
+        pairs = frame_pairs_in_one_pass(nabla, gram, v, v)
+        out[ROLE_T] = -np.einsum("ijd,ad->aij", pairs, mp.range_frame.vectors)
+        pairs = frame_pairs_in_one_pass(nabla, gram, h, v)
+        out[ROLE_A] = np.einsum("iad,jd->aij", pairs, mp.range_frame.vectors)
+    return {role: FormCoefficients(role, coeffs) for role, coeffs in out.items()}

@@ -576,13 +576,23 @@ _BY_ID = {desc["id"]: desc for desc in catalog.DESCRIPTIONS}
         ("kenmotsu-H5-H3", "source_chart.half_t", True),
         ("kenmotsu-H5-H3", "target_chart.half_x", "1.8"),
         ("fubini-study-CP2", "family", {"name": "real-kahler", "c": 4.0, "alpha": True}),
+        ("sphere-immersion-S3", "tags", "map-general"),
+        ("sphere-immersion-S3", "tags", ["map-general", 7]),
+        ("sphere-immersion-S3", "tags", None),
+        ("sphere-immersion-S3", "reference_values", [["C", 1.0]]),
+        ("sphere-immersion-S3", "reference_values.C", "one"),
+        ("sphere-immersion-S3", "reference_values.C", True),
+        ("kenmotsu-H5-H3", "reference_values.A_norm_sq", None),
+        ("sphere-immersion-S3", "notes", 7),
     ],
 )
 def test_a_value_of_the_wrong_type_in_a_geometry_file_is_an_input_error(
     tmp_path, capsys, geometry, key, value
 ):
-    # Each of these built and exited 0 (or raised a raw TypeError) before the
-    # one type check where descriptions are read.
+    # Each of these built and exited 0, or exited 2 with a message that named
+    # no key (a raw TypeError, "dictionary update sequence", or tags split
+    # into characters as "unknown theorem 'm'"), before the one type check
+    # where descriptions are read.
     desc = copy.deepcopy(_BY_ID[geometry])
     *path, last = key.split(".")
     node = desc
@@ -842,7 +852,7 @@ def test_space_form_constants_that_overflow_are_an_input_error(tmp_path, capsys)
 @pytest.mark.parametrize(
     "tag, named",
     [("map-gcsf-antinvariant", "unknown theorem 'map-gcsf-antinvariant'"),
-     (["map-gcsf"], "unknown theorem ['map-gcsf']")],
+     (["map-gcsf"], "tags must be a list of strings, not ['map-general', ['map-gcsf']]")],
     ids=["misspelled", "a-list"],
 )
 def test_a_tag_that_is_not_a_theorem_id_is_an_input_error(tmp_path, capsys, tag, named):
