@@ -429,40 +429,52 @@ _STRUCTURE_BUILDERS = {
 }
 
 
-def _family(name: str, c: float, alpha: float | None = None) -> NamedFamily:
+def _family(name: str, c: float | None = None, alpha: float | None = None) -> NamedFamily:
     """The family section as a NamedFamily, with its numbers read as floats."""
+    if c is None:
+        raise _BadParameter("c is missing")
     return NamedFamily(name, float(c), None if alpha is None else float(alpha))
 
 
-# The real-valued parameters of each section, which must be JSON numbers.
+# The real-valued parameters of each section, which must be JSON numbers, and
+# the names of a builder or family, which must be JSON strings.
 _CHART_REALS = ("scale", "radius", "half_width", "half_t", "half_x")
 _REALS = {"source_chart": _CHART_REALS, "target_chart": _CHART_REALS, "map": ("radius",),
           "family": ("c", "alpha")}
+_NAMES = {"source_chart": "builder", "target_chart": "builder", "map": "builder",
+          "structure": "builder", "family": "name"}
 
 
 def _check_value_types(desc) -> None:
     """DegenerateInput naming the first key of ``desc`` of the wrong JSON type:
-    an ``id`` or ``notes`` that is not a string, ``tags`` that are not a list
-    of strings, ``reference_values`` that are not an object, or a real-valued
+    an ``id``, ``notes``, builder or family name that is not a string,
+    ``tags`` that are not a list of strings, ``reference_values`` that are
+    not an object, a ``base_point`` that is not a list, or a real-valued
     parameter, ``base_point`` entry or reference value that is not a number
     (a bool or a string, say)."""
     if not isinstance(desc, dict):
         raise DegenerateInput(f"a geometry description must be an object, not {desc!r}")
-    for key in ("id", "notes"):
-        if not isinstance(desc.get(key, ""), str):
-            raise DegenerateInput(f"{key} must be a string, not {desc[key]!r}")
+    sections = {key: desc[key] for key in _NAMES if isinstance(desc.get(key), dict)}
+    strings = [(key, desc.get(key, "")) for key in ("id", "notes")]
+    strings += [(f"{key}.{name}", sections[key][name])
+                for key, name in _NAMES.items() if name in sections.get(key, {})]
+    for name, value in strings:
+        if not isinstance(value, str):
+            raise DegenerateInput(f"{name} must be a string, not {value!r}")
     tags = desc.get("tags", [])
     if not (isinstance(tags, list) and all(isinstance(tag, str) for tag in tags)):
         raise DegenerateInput(f"tags must be a list of strings, not {tags!r}")
     values = desc.get("reference_values", {})
     if not isinstance(values, dict):
         raise DegenerateInput(f"reference_values must be an object of numbers, not {values!r}")
-    point = desc.get("base_point")
-    named = [(f"base_point[{i}]", v) for i, v in enumerate(point)] if isinstance(point, list) else []
+    point = desc.get("base_point", [])
+    if not isinstance(point, list):
+        raise DegenerateInput(f"base_point must be a list of numbers, not {point!r}")
+    named = [(f"base_point[{i}]", v) for i, v in enumerate(point)]
     named += [(f"reference_values.{name}", v) for name, v in values.items()]
     for key, names in _REALS.items():
-        if isinstance(section := desc.get(key), dict):
-            named += [(f"{key}.{name}", section[name]) for name in names if name in section]
+        section = sections.get(key, {})
+        named += [(f"{key}.{name}", section[name]) for name in names if name in section]
     for name, value in named:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DegenerateInput(f"{name} must be a number, not {value!r}")

@@ -14,7 +14,10 @@ drawn once per (seed, r) and kept for the last few pairs, and which runs
 under one np.errstate per solve. One eigh gives a closed form's normals
 and the estimates of its proved bounds on the inf and sup: eigenvalue
 brackets, each end proved by one Cholesky factorization. The solver's
-extrema are certified against a dense sphere grid, whose leaders the
+extrema are certified by such a proof too when the bracket [||B||^2 -
+lambda_max(G), ||B||^2 - lambda_min(G) / 2] on the inf and sup, read from
+the eigh of the starts, is narrow enough to decide the verdict alone.
+Otherwise they are certified against a dense sphere grid, whose leaders the
 starts' solver call polishes as a group of their own; its values contract
 the stack product with the directions in one einsum pass per slice.
 Equality holds exactly on the equality shape: a shared orthonormal basis
@@ -311,11 +314,8 @@ def closed_form(mats, antisymmetric: bool, certify: bool = False):
         lam, vecs = np.linalg.eigh(stack.gram)
         n_inf, n_sup = vecs[..., -1], vecs[..., 0]
         if certify:
-            low, ok = _proved_lower_bounds(
-                np.stack([stack.gram, -stack.gram], axis=-3),
-                np.stack([lam[..., 0], -lam[..., -1]], axis=-1),
-            )
-            bounds = stack.norm + low[..., 1], stack.norm - low[..., 0], ok.all(axis=-1)
+            a, b, proved = _gram_bracket(stack.gram, lam)
+            bounds = stack.norm - b, stack.norm - a, proved
         return n_inf, n_sup, bounds
     if stack.mats.shape[-3] != 1:
         return None
@@ -336,6 +336,32 @@ def closed_form(mats, antisymmetric: bool, certify: bool = False):
         chord = np.where((a <= 0.0) & (b >= 0.0), a * a + b * b, np.maximum(a * a, b * b))
         bounds = stack.norm - chord, stack.norm - 0.5 * low[..., 0], ok.all(axis=-1)
     return n_inf, n_sup, bounds
+
+
+def _gram_bracket(gram: np.ndarray, lam: np.ndarray):
+    """(a, b, proved): a < lambda_min(G) and b > lambda_max(G) wherever
+    ``proved`` is True, per G of a (..., r, r) stack, from the ascending
+    eigenvalues ``lam`` of an eigh of G; both ends proved by
+    ``_proved_lower_bounds`` on [G, -G]."""
+    low, ok = _proved_lower_bounds(
+        np.stack([gram, -gram], axis=-3), np.stack([lam[..., 0], -lam[..., -1]], axis=-1)
+    )
+    return low[..., 0], -low[..., 1], ok.all(axis=-1)
+
+
+def _solver_bracket(stack: FormStack, lam: np.ndarray):
+    """(lower bound on inf f, upper bound on sup f, proved) of f = restricted_sum
+    on symmetric data, any s, from the ascending eigenvalues ``lam`` of G.
+
+    With N = ||B||^2 and q_alpha = n^T B_alpha n: the quartic term is >= 0,
+    so inf f >= N - lambda_max(G); and q_alpha^2 <= ||B_alpha n||^2, whose
+    sum is n^T G n / 2 as G = 2 sum B_alpha^2, so f <= N - n^T G n / 2 and
+    sup f <= N - lambda_min(G) / 2. For [a, b] bracketing G
+    (``_gram_bracket``), the bounds are N - b and N - a / 2; they prove
+    nothing where ``proved`` is False.
+    """
+    a, b, proved = _gram_bracket(stack.gram, lam)
+    return stack.norm - b, stack.norm - 0.5 * a, proved
 
 
 def _proved_lower_bounds(mats: np.ndarray, least: np.ndarray):
@@ -595,18 +621,36 @@ def _seeded_directions(seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return randoms, scan
 
 
-def _optimizer_starts(mats, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(low starts, high starts), 2r + 8 each: the eigenvectors of G, r random
-    directions, and the 8 basin-diverse leaders of that side's own tail of a
-    coarse sphere scan, the lowest values for the minimizer and the highest
-    for the maximizer; ``mats`` as for restricted_sum. The random directions
-    and the scan depend on (seed, r) alone (``_seeded_directions``)."""
+def _optimizer_starts(mats, r: int, seed: int):
+    """((low starts, high starts), eigenvalues of G), 2r + 8 starts each: the
+    eigenvectors of G, r random directions, and the 8 basin-diverse leaders
+    of that side's own tail of a coarse sphere scan, the lowest values for
+    the minimizer and the highest for the maximizer; ``mats`` as for
+    restricted_sum. The eigenvalues, ascending, come from the same eigh as
+    the eigenvectors. The random directions and the scan depend on (seed, r)
+    alone (``_seeded_directions``)."""
     stack = form_stack(mats)
-    _, eigvecs = np.linalg.eigh(stack.gram)
+    lam, eigvecs = np.linalg.eigh(stack.gram)
     randoms, scan = _seeded_directions(seed, r)
     total = restricted_sum(stack, scan)
     shared = np.vstack([eigvecs.T, randoms])
-    return tuple(np.vstack([shared, _diverse_leaders(scan, v, 8)]) for v in (total, -total))
+    starts = tuple(np.vstack([shared, _diverse_leaders(scan, v, 8)]) for v in (total, -total))
+    return starts, lam
+
+
+def _deciding_bracket(stack: FormStack, lam: np.ndarray, r: int):
+    """``_solver_bracket`` of symmetric data when it decides the certificate,
+    else None. It decides when every value of [low, high] / (r - 1) lies
+    within CERTIFY_REL_TOL of both ends (``_decides``): first on the
+    estimates N - lambda_max(G) and N - lambda_min(G) / 2, which compares
+    numbers only, then on the proved ends, which must both be proved."""
+    norm = float(stack.norm)
+    if not _decides((norm - lam[-1]) / (r - 1), (norm - 0.5 * lam[0]) / (r - 1)):
+        return None
+    low, high, proved = _solver_bracket(stack, lam)
+    if not (proved and _decides(float(low) / (r - 1), float(high) / (r - 1))):
+        return None
+    return low, high, proved
 
 
 def delta_casorati(
@@ -628,8 +672,12 @@ def delta_casorati(
     with no grid (``closed_form``); ``certified`` is True when both were
     proved and each lies within CERTIFY_REL_TOL of the reported value, which
     stays the closed form's. On the solver's extrema (symmetric data, s >=
-    2) the starts' solver call polishes the leaders of ``grid_extrema`` as a
-    group of their own; ``certified`` is True when the two agree within
+    2) the same rule holds, with no grid, when ``_solver_bracket`` proves
+    both ends of a bracket so narrow that every value in it certifies
+    against both (``_deciding_bracket``, read from the eigenvalues of the
+    starts' eigh); the report keeps the solver's values. Otherwise the
+    starts' solver call polishes the leaders of ``grid_extrema`` as a group
+    of their own; ``certified`` is True when the two agree within
     CERTIFY_REL_TOL, and a better grid extremum is reported with its normal.
     ``converged``: the projected gradient at each reported normal is within
     GRAD_NORM_TOL.
@@ -646,15 +694,15 @@ def delta_casorati(
         n_inf, n_sup, bounds = closed
         starts, iterations = 0, 0
     else:
-        start_dirs = _optimizer_starts(stack, r, seed)
+        start_dirs, lam = _optimizer_starts(stack, r, seed)
         starts = max(map(len, start_dirs))
-        (n_inf, n_sup, iterations), *grid = _sphere_extrema(
-            stack, start_dirs, *([grid_extrema(coeffs)] if certify else [])
-        )
+        bounds = _deciding_bracket(stack, lam, r) if certify else None
+        grid = [grid_extrema(coeffs)] if certify and bounds is None else []
+        (n_inf, n_sup, iterations), *grid = _sphere_extrema(stack, start_dirs, *grid)
     c_l_inf, c_l_sup = (float(v) for v in restricted_sum(stack, np.stack([n_inf, n_sup])) / (r - 1))
 
     certified: bool | None = None
-    if certify and closed is not None:
+    if bounds is not None:
         low, high, proved = bounds
         certified = (
             bool(proved)
@@ -695,6 +743,11 @@ def delta_casorati(
 def _certifies(value: float, reference: float) -> bool:
     """Whether ``value`` lies within CERTIFY_REL_TOL (1 + |reference|) of ``reference``."""
     return bool(abs(value - reference) <= CERTIFY_REL_TOL * (1.0 + abs(reference)))
+
+
+def _decides(low: float, high: float) -> bool:
+    """Whether every value of [low, high] ``_certifies`` against both ends."""
+    return _certifies(high, low) and _certifies(low, high)
 
 
 _GRIDS: dict[int, np.ndarray] = {}

@@ -443,11 +443,14 @@ def two_solve_report(coeffs: FormCoefficients, seed: int, grid: np.ndarray) -> C
     optimizer's starts alone, then ``separate_grid_extrema`` on ``grid``, which
     is ``row_major_grid(r)``. A closed form takes the certificate route, as
     there, and no grid, by the oracle pair ``closed_form_normals`` and
-    ``closed_form_bounds``, whose eigvalsh the package does not call."""
+    ``closed_form_bounds``, whose eigvalsh the package does not call. A
+    solver set whose proved bracket decides the certificate (data of small
+    scale, ``measures._deciding_bracket``) draws no grid there; this oracle
+    grids it anyway, so it covers only the sets that the bracket leaves open."""
     mats, r = coeffs.coeffs, coeffs.r
     closed = closed_form_normals(mats, coeffs.role == ROLE_A)
     if closed is None:
-        starts = measures._optimizer_starts(mats, r, seed)
+        starts, _ = measures._optimizer_starts(mats, r, seed)
         ((n_inf, n_sup, iterations),) = measures._sphere_extrema(mats, starts)
         count = max(map(len, starts))
     else:

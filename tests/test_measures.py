@@ -271,7 +271,7 @@ def test_newton_solver_matches_the_gradient_oracle():
         mats = 10.0 ** rng.uniform(-2.0, 2.0) * rng.standard_normal((s, r, r))
         coeffs = FormCoefficients((ROLE_B, ROLE_T)[i % 2], 0.5 * (mats + mats.transpose(0, 2, 1)))
         rep = delta_casorati(coeffs, seed=i)
-        low, high = measures._optimizer_starts(coeffs.coeffs, r, i)
+        (low, high), _ = measures._optimizer_starts(coeffs.coeffs, r, i)
         n_min, n_max, _ = gradient_sphere_extrema(coeffs.coeffs, low, high)
         ref_inf, ref_sup = restricted_sum(coeffs.coeffs, np.stack([n_min, n_max])) / (r - 1)
         assert rep.converged
@@ -288,7 +288,7 @@ def test_each_side_starts_from_its_own_tail_of_the_scan():
     for i in range(24):
         r, s = 3 + i % 4, 2 + i % 3
         coeffs = sym_coeffs(rng, s, r, (ROLE_B, ROLE_T)[i % 2])
-        low, high = measures._optimizer_starts(coeffs.coeffs, r, i)
+        (low, high), _ = measures._optimizer_starts(coeffs.coeffs, r, i)
         assert low.shape == high.shape == (2 * r + 8, r)
         assert delta_casorati(coeffs, seed=i).starts == 2 * r + 8
         draw = np.random.default_rng(i)
@@ -764,11 +764,12 @@ def test_reported_normal_attains_reported_value(monkeypatch):
     # polish; the certificate must then fail, and the report must carry the
     # grid's normal with its value.
     all_starts = measures._optimizer_starts
-    monkeypatch.setattr(
-        measures,
-        "_optimizer_starts",
-        lambda mats, r, seed: tuple(side[:1] for side in all_starts(mats, r, seed)),
-    )
+
+    def one_start(mats, r, seed):
+        starts, lam = all_starts(mats, r, seed)
+        return tuple(side[:1] for side in starts), lam
+
+    monkeypatch.setattr(measures, "_optimizer_starts", one_start)
     rng = np.random.default_rng(21)
     frame = euclid_frame(5)
     grid_won = uncertified = 0
@@ -842,6 +843,137 @@ def test_catalog_reaches_the_grid_only_for_symmetric_data_with_several_normals(m
     reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=2, seed=3)
     assert reports and all(rep.casorati.certified is True for rep in reports)
     assert all(role != ROLE_A and s >= 2 for role, s in calls)
+
+
+def _solver_sets(rng, scale):
+    """Sets shaped like the certify mix's solver sets: roles B and T, r 3-6, s 2-3."""
+    for r, s, role in itertools.product(range(3, 7), (2, 3), (ROLE_B, ROLE_T)):
+        yield FormCoefficients(role, scale * sym_coeffs(rng, s, r).coeffs)
+
+
+def _bracket_misses(coeffs, bracket=None) -> list:
+    """The sides, "inf" or "sup", on which the proved bracket of symmetric
+    ``coeffs`` (``measures._solver_bracket``, or ``bracket``) fails to hold
+    the grid oracle's polished extremum; the bracket must be proved."""
+    stack, r = coeffs.stack, coeffs.r
+    bracket = bracket or measures._solver_bracket
+    low, high, proved = bracket(stack, np.linalg.eigh(stack.gram)[0])
+    assert proved
+    g_inf, _, g_sup, _ = grid_extrema(coeffs)
+    holds = {"inf": low / (r - 1) <= g_inf, "sup": g_sup <= high / (r - 1)}
+    return [side for side, ok in holds.items() if not ok]
+
+
+def _umbilic_sets(rng):
+    """B_alpha = a_alpha I: f = ||B||^2 - sum a_alpha^2 at every normal, the
+    sup bound ||B||^2 - lambda_min(G) / 2 with equality."""
+    for r, s in itertools.product(range(3, 7), (2, 3)):
+        yield FormCoefficients(ROLE_T, rng.standard_normal(s)[:, None, None] * np.eye(r))
+
+
+def test_the_solver_bracket_holds_the_polished_extrema():
+    # inf f >= N - lambda_max(G) and sup f <= N - lambda_min(G) / 2, proved,
+    # hold the grid oracle's polished inf and sup over 15 decades of scale,
+    # and on the sets where the sup bound is attained.
+    rng = np.random.default_rng(30)
+    checked = 0
+    for scale in (1e-12, 1e-6, 1.0, 1e3):
+        for coeffs in _solver_sets(rng, scale):
+            assert _bracket_misses(coeffs) == []
+            checked += 1
+    for coeffs in _umbilic_sets(rng):
+        assert _bracket_misses(coeffs) == []
+        checked += 1
+    assert checked == 4 * 16 + 8
+
+
+def test_a_sup_bound_without_its_half_misses_the_sup():
+    # Planted defect: N - lambda_min(G) in place of N - lambda_min(G) / 2. On
+    # B_alpha = a_alpha I, where f = N - sum a_alpha^2 and lambda_min(G) = 2
+    # sum a_alpha^2, it falls below the sup by sum a_alpha^2.
+    def no_half(stack, lam):
+        a, b, proved = measures._gram_bracket(stack.gram, lam)
+        return stack.norm - b, stack.norm - a, proved
+
+    rng = np.random.default_rng(31)
+    assert all(_bracket_misses(c, no_half) == ["sup"] for c in _umbilic_sets(rng))
+
+
+def _grid_route(monkeypatch, coeffs, seed=0):
+    """``delta_casorati(coeffs, seed, certify=True)`` with the bracket route shut."""
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "_deciding_bracket", lambda stack, lam, r: None)
+        return delta_casorati(coeffs, seed=seed, certify=True)
+
+
+def test_a_deciding_bracket_certifies_a_solver_set_without_the_grid(monkeypatch):
+    # t B with t small: the bracket [N - lambda_max, N - lambda_min / 2] / (r -
+    # 1) is far narrower than CERTIFY_REL_TOL, so its proof certifies the
+    # solver's values with no grid. The solve is the grid route's: the same
+    # C, starts and iterations. The report keeps the solver's values; the
+    # grid route may report a better polished grid point, and both lie in
+    # the bracket. (From t = 1e-6 the gradient test, on the scale 1 + N,
+    # stops every start where it begins: 0 iterations.)
+    rng = np.random.default_rng(32)
+    calls = _no_grid(monkeypatch)
+    decided = 0
+    for t in (1e-3, 1e-6, 1e-10):
+        for i, coeffs in enumerate(_solver_sets(rng, t)):
+            gridded, r = _grid_route(monkeypatch, coeffs, seed=i), coeffs.r
+            assert gridded.certified is True and calls == [(coeffs.role, coeffs.normal_count)]
+            calls.clear()
+            rep = delta_casorati(coeffs, seed=i, certify=True)
+            assert calls == [] and rep.certified is True and rep.converged
+            assert (rep.C, rep.starts, rep.iterations) == (
+                gridded.C, gridded.starts, gridded.iterations
+            )
+            low, high, _ = measures._solver_bracket(
+                coeffs.stack, np.linalg.eigh(coeffs.stack.gram)[0]
+            )
+            values = [rep.C_L_inf, rep.C_L_sup, gridded.C_L_inf, gridded.C_L_sup]
+            assert all(low / (r - 1) <= v <= high / (r - 1) for v in values)
+            plain = delta_casorati(coeffs, seed=i)
+            assert (rep.C_L_inf, rep.C_L_sup) == (plain.C_L_inf, plain.C_L_sup)
+            decided += 1
+    assert decided == 3 * 16
+
+
+def test_unit_scale_solver_sets_take_one_grid_call_and_no_proof(monkeypatch):
+    # At unit scale the bracket is wide: the screen compares numbers only,
+    # with no proof and no eigh beyond the starts' one, and the grid runs once.
+    lapack = []
+
+    def counted(name, of):
+        def call(*args, **kwargs):
+            lapack.append(name)
+            return of(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(
+        measures, "_proved_lower_bounds", counted("proof", measures._proved_lower_bounds)
+    )
+    calls = _no_grid(monkeypatch)
+    rng = np.random.default_rng(33)
+    for coeffs in _solver_sets(rng, 1.0):
+        calls.clear()
+        lapack.clear()
+        assert delta_casorati(coeffs, certify=True).certified is True
+        assert calls == [(coeffs.role, coeffs.normal_count)] and lapack == ["eigh"]
+
+
+def test_a_failed_bracket_proof_falls_back_to_the_grid(monkeypatch):
+    # The grid is left out only where both ends were proved: with every
+    # Cholesky factorization refused, a set the bracket would decide takes
+    # one grid call and is certified against the grid.
+    rng = np.random.default_rng(34)
+    sets = list(_solver_sets(rng, 1e-6))[:6]
+    monkeypatch.setattr(measures, "_cholesky_succeeds", lambda mats: np.zeros(len(mats), bool))
+    calls = _no_grid(monkeypatch)
+    for coeffs in sets:
+        calls.clear()
+        assert delta_casorati(coeffs, certify=True).certified is True
+        assert calls == [(coeffs.role, coeffs.normal_count)]
 
 
 def test_closed_form_matches_the_two_oracle_routes():

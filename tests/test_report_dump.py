@@ -44,6 +44,26 @@ def test_compare_reports_numbers_and_fails_on_other_changes(tmp_path, capsys):
     assert report_dump.compare(before, _dump(tmp_path / "short.jsonl", [_line()])) == 1
 
 
+def test_compare_names_the_argv_of_every_changed_line(tmp_path, capsys):
+    def line(argv, c_l_inf=1.0):
+        return dict(_line(c_l_inf=c_l_inf), argv=argv)
+
+    one, two, three = ["invariants", "--geometry", "a"], ["invariants", "--geometry", "b"], ["x"]
+    before = [line(one), line(two), line(one), line(three)]
+    after = [line(one, 2.0), line(two), line(one, 3.0), line(three, 4.0)]
+    assert report_dump.compare(
+        _dump(tmp_path / "before.jsonl", before), _dump(tmp_path / "after.jsonl", after)
+    ) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:4] == [
+        "1 of 4 lines byte-identical",
+        "  changed: 2 x invariants --geometry a",
+        "  changed: 1 x x",
+        "1 of 2 numeric fields changed",  # C_L_inf moved; iterations did not
+    ]
+    assert "invariants --geometry b" not in out
+
+
 def test_compare_states_a_change_across_zero_on_the_gates_scale(tmp_path, capsys):
     # A residual that moves from 4.6e-12 to -4.7e-12 changes by 1e-12 relative to
     # 1 + |before|, where its relative change |a - b| / max(|a|, |b|) reads near 2.

@@ -27,8 +27,12 @@ from reference import (
     specialization_deviation,
     xi_position_by_loops,
 )
+from test_cli import HEISENBERG_ANTI_FIBRE
 
 RESIDUAL_SCALE_TOL = 1e-8
+# The vertical theorems of a generalized Sasakian space form whose fibres are
+# anti-invariant with the Reeb field tangent, as the Heisenberg fibres are.
+VERTICAL_GSSF = ["sub-vert-gssf", "sub-vert-gssf-anti"]
 EQ_TOL = 1e-7
 SPECIALIZATION_TOL = 1e-12
 
@@ -512,30 +516,41 @@ def _grid_draws(monkeypatch) -> list:
 
 
 def test_verify_geometry_draws_each_grid_once(monkeypatch):
-    # Three points certify the r = 3 fibres (T, s = 4) against the grid: one
-    # draw, not one per point. The r = 4 horizontal spaces (A) have a closed
-    # form, which is proved, and draw no grid.
+    # Three points certify the r = 3 fibres of the Heisenberg projection onto
+    # (x1, x2) (T, s = 2, ||T||^2 = 4) against the grid: one draw, not one per
+    # point. The totally geodesic Hopf fibres (T, s = 4, ||T||^2 ~ 1e-20)
+    # are certified by their proved bracket alone, and the r = 4 horizontal
+    # spaces (A) by their closed form: neither draws a grid.
     grids = _grid_draws(monkeypatch)
-    entry = catalog.get("quaternionic-hopf-S7-S4")
-    reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=3, seed=7)
-    assert all(r.holds for r in reports)
+    hopf = catalog.get("quaternionic-hopf-S7-S4")
+    reports = verify.verify_geometry(list(hopf.hypothesis_tags), hopf, points=3, seed=7)
+    assert reports and all(r.holds and r.casorati.certified is True for r in reports)
+    assert any(r.theorem.startswith("sub-vert") for r in reports)
+    assert any(r.theorem.startswith("sub-hor") for r in reports)
+    assert grids == []
+    heisenberg = catalog.entry_from_description(HEISENBERG_ANTI_FIBRE)
+    reports = verify.verify_geometry(VERTICAL_GSSF, heisenberg, points=3, seed=7)
+    assert reports and all(r.holds and r.casorati.certified is True for r in reports)
     assert len(grids) == 3 and len({id(g) for g in grids}) == 1
     assert {len(g) for g in grids} == {30_003}
-    horizontal = [rep for rep in reports if rep.theorem.startswith("sub-hor")]
-    assert horizontal and all(rep.casorati.certified is True for rep in horizontal)
 
 
 def test_verify_geometry_draws_one_grid_per_r_whatever_the_seed(monkeypatch):
     # The certification grid does not follow the caller's seed: two seeds
     # (neither of them measures.GRID_SEED) share one r = 3 grid on the side
-    # that still reaches it, the Hopf fibres (T, s = 4). The vertical spaces
-    # of the projection (T, s = 2, all coefficients 0) and the r = 4 sides of
-    # the Hopf map (A) and of CP^2 (B, s = 0) have closed forms and draw none.
+    # that reaches it, the Heisenberg fibres (T, s = 2). The totally geodesic
+    # Hopf fibres (T, s = 4) are decided by their proved bracket; the vertical
+    # spaces of the projection (T, s = 2, all coefficients 0) and the r = 4
+    # sides of the Hopf map (A) and of CP^2 (B, s = 0) have closed forms. None
+    # of these draws a grid.
     grids = _grid_draws(monkeypatch)
-    for geometry in ("quaternionic-hopf-S7-S4", "euclidean-projection-5-2", "fubini-study-CP2"):
-        entry = catalog.get(geometry)
+    heisenberg = catalog.entry_from_description(HEISENBERG_ANTI_FIBRE)
+    for entry in (heisenberg, *map(catalog.get, (
+        "quaternionic-hopf-S7-S4", "euclidean-projection-5-2", "fubini-study-CP2"
+    ))):
+        theorems = VERTICAL_GSSF if entry is heisenberg else list(entry.hypothesis_tags)
         for seed in (7, 8):
-            reports = verify.verify_geometry(list(entry.hypothesis_tags), entry, points=1, seed=seed)
+            reports = verify.verify_geometry(theorems, entry, points=1, seed=seed)
             assert all(r.holds and r.casorati.certified is True for r in reports)
     assert len(grids) == 2 and len({id(g) for g in grids}) == 1
     assert {len(g) for g in grids} == {30_003}

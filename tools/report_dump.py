@@ -21,8 +21,10 @@ request's label with its seed and round, its exit code is ``null`` (no CLI
 run), and its report is ``delta_casorati(FormCoefficients(role, c),
 certify=True).to_json()``.
 
-``--compare`` reads two dumps line by line. It prints, for each numeric
-field (list indices folded), the largest relative change |a - b| / max(|a|,
+``--compare`` reads two dumps line by line. It prints the argv of every
+line that is not byte-identical, once per argv with its count of such
+lines, in the order of the dump. Then it prints, for each numeric field
+(list indices folded), the largest relative change |a - b| / max(|a|,
 |b|) and the argv where it occurs, the largest change relative to 1 +
 |before|, the scale of the package's tolerance gates (a value that moves
 across zero is a relative change near 1 but may be a small one on that
@@ -182,11 +184,14 @@ def compare(before_file: str, after_file: str) -> int:
     numeric: dict = {}
     other: list = []
     kinds: collections.Counter = collections.Counter()
+    changed: collections.Counter = collections.Counter()  # lines not byte-identical, per argv
     if len(before) != len(after):
         other.append(f"{len(before)} lines before, {len(after)} after")
     for old, new in zip(before, after):
         a, b = json.loads(old), json.loads(new)
         where = " ".join(a["argv"])
+        if old != new:
+            changed[where] += 1
         if a["argv"] != b["argv"]:
             other.append(f"argv {where!r} -> {' '.join(b['argv'])!r}")
             continue
@@ -194,6 +199,8 @@ def compare(before_file: str, after_file: str) -> int:
         _walk(a["report"], b["report"], "report", "report", numeric, other, where, kinds)
     same = sum(old == new for old, new in zip(before, after))
     print(f"{same} of {len(after)} lines byte-identical")
+    for where, count in changed.items():
+        print(f"  changed: {count} x {where}")
     moved = {path: v for path, v in numeric.items() if v[1]}
     print(f"{len(moved)} of {len(numeric)} numeric fields changed")
     for path, (relative, absolute, where, gate) in sorted(moved.items()):
