@@ -429,10 +429,14 @@ _STRUCTURE_BUILDERS = {
 }
 
 
-def _family(name: str, c: float | None = None, alpha: float | None = None) -> NamedFamily:
-    """The family section as a NamedFamily, with its numbers read as floats."""
-    if c is None:
-        raise _BadParameter("c is missing")
+def _family(
+    name: str | None = None, c: float | None = None, alpha: float | None = None
+) -> NamedFamily:
+    """The family section as a NamedFamily, with its numbers read as floats;
+    a missing name or c is named after the section."""
+    for key, value in (("name", name), ("c", c)):
+        if value is None:
+            raise _BadParameter(f"{key} is missing")
     return NamedFamily(name, float(c), None if alpha is None else float(alpha))
 
 
